@@ -32,14 +32,9 @@ from .pipeline import (
     roundtrip_eval,
 )
 from .sca import (
-    ColumnAssignment,
-    Hyperplane,
     HyperplaneSet,
     RecoveryStats,
     build_hyperplanes,
-    classify_column,
-    column_residual,
-    reconstruct_column,
     recover_block,
     recover_dense,
 )
@@ -59,12 +54,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BenchResult",
     "CodecConfig",
-    "ColumnAssignment",
     "ContainerError",
     "EncodedSequence",
     "Frame",
     "FrameBlock",
-    "Hyperplane",
     "HyperplaneSet",
     "MixedBlock",
     "MixingMatrix",
@@ -77,8 +70,6 @@ __all__ = [
     "ValidationReport",
     "build_hyperplanes",
     "check_sparsity",
-    "classify_column",
-    "column_residual",
     "compression_ratio",
     "decode_sequence",
     "default_config",
@@ -94,7 +85,6 @@ __all__ = [
     "mix_block",
     "read_container",
     "read_sequence",
-    "reconstruct_column",
     "recover_block",
     "recover_dense",
     "roundtrip_eval",

@@ -30,7 +30,7 @@ from .mixcore import (
     mix_block,
     snap_to_8bit,
 )
-from .sca import RecoveryStats, recover_block, recover_dense
+from .sca import RecoveryStats, build_hyperplanes, check_tau, recover_block, recover_dense
 from .wavelet import SubbandImage, haar_forward, haar_inverse
 
 PAD_REJECT = "reject"
@@ -71,8 +71,7 @@ class CodecConfig:
             )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "m", m)
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        check_tau(self.tau)
         if self.pad_policy not in (PAD_REJECT, PAD_EDGE):
             raise ValueError(f"unknown pad policy {self.pad_policy!r}")
         if self.tail_policy != TAIL_PASSTHROUGH:
@@ -205,6 +204,7 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[list[Frame]
 
     m, n = cfg.m, cfg.n
     pinv = generalized_inverse(cfg.matrix)
+    planes = build_hyperplanes(cfg.matrix)
     out: list[Frame] = []
     stats_parts: list[RecoveryStats] = []
 
@@ -216,7 +216,7 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[list[Frame]
         rec_planes = {}
         for band in ("lh", "hl", "hh"):
             observed = np.stack([getattr(sb, band).ravel() for sb in subbands])
-            recovered, stats = recover_block(cfg.matrix, observed, cfg.tau)
+            recovered, stats = recover_block(planes, observed, cfg.tau)
             rec_planes[band] = recovered
             stats_parts.append(stats)
         observed_ll = np.stack([sb.ll.ravel() for sb in subbands])

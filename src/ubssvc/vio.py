@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import glob
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -37,6 +38,10 @@ VERSION = 1
 _HEADER = struct.Struct("<4sBBHHIIIBdd")
 _QUANT_CODE = {QUANT_FLOAT: 0, QUANT_AFFINE: 1}
 _QUANT_NAME = {code: name for name, code in _QUANT_CODE.items()}
+
+# One header token after any whitespace and "#" comments (a comment runs
+# to the end of its line, as netpbm allows).
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
 PGM_SEQUENCE = "pgm-sequence"
 RAW_PLANAR = "raw-planar"
@@ -62,14 +67,11 @@ def _read_pgm(path) -> Frame:
     pos = 0
     tokens = []
     while len(tokens) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
+        match = _PGM_TOKEN.match(data, pos)
+        if not match.group(1):
             raise ValueError(f"{path}: truncated PGM header")
-        tokens.append(data[start:pos])
+        tokens.append(match.group(1))
+        pos = match.end()
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (expected P5)")
     try:
@@ -78,7 +80,9 @@ def _read_pgm(path) -> Frame:
         raise ValueError(f"{path}: malformed PGM header") from exc
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval 255, got {maxval})")
-    pos += 1  # single whitespace byte after maxval
+    if not data[pos : pos + 1].isspace():
+        raise ValueError(f"{path}: malformed PGM header (maxval must end with one whitespace byte)")
+    pos += 1
     payload = data[pos : pos + width * height]
     if len(payload) != width * height:
         raise ValueError(f"{path}: truncated PGM payload")
@@ -93,12 +97,23 @@ def _write_pgm(frame: Frame, path) -> None:
         fh.write(plane.tobytes())
 
 
+def _format_pattern(pattern: str, i: int) -> str:
+    """Substitute frame index ``i`` into a ``{i}`` path pattern."""
+    try:
+        return pattern.format(i=i)
+    except (KeyError, IndexError, AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"bad frame pattern {pattern!r} ({type(exc).__name__}: {exc}); "
+            "use a single {i} field such as {i:04d}"
+        ) from exc
+
+
 def _expand_pattern(pattern: str) -> list[str]:
     if "{" in pattern:
         paths = []
         i = 0
         while True:
-            candidate = pattern.format(i=i)
+            candidate = _format_pattern(pattern, i)
             if not os.path.exists(candidate):
                 break
             paths.append(candidate)
@@ -174,7 +189,7 @@ def write_sequence(frames, pattern: str) -> list[str]:
         pattern = stem + "-{i:04d}" + (ext or ".pgm")
     paths = []
     for i, frame in enumerate(frames):
-        path = pattern.format(i=i)
+        path = _format_pattern(pattern, i)
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)

@@ -1,10 +1,13 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately written along different routes than the library: cofactor
-expansion instead of LU determinants, classic Gram-Schmidt instead of the
-stabilized pass, an explicit pair-loop transform instead of the vectorized
-one, and SVD (numpy.linalg.pinv) against the normal-equations inverse.
+expansion instead of LU determinants, classic Gram-Schmidt projections
+instead of hyperplane normals, an explicit pair-loop transform instead of
+the vectorized one, SVD (numpy.linalg.pinv) against the normal-equations
+inverse, and a per-column search over every subspace instead of the
+vectorized recovery kernel.
 """
+import itertools
 import math
 
 import numpy as np
@@ -43,6 +46,31 @@ def gs_projection(columns, x) -> np.ndarray:
 def lstsq_coefficients(columns, x) -> np.ndarray:
     """Least-squares coefficients of x against the given columns (SVD route)."""
     return np.linalg.lstsq(np.asarray(columns, dtype=float), np.asarray(x, dtype=float), rcond=None)[0]
+
+
+def nearest_subspace_recovery(matrix, x, zero_eps=0.0):
+    """Per-column sparse recovery by brute force over every (m-1)-column subset.
+
+    Returns ``(recovered, index_set, relative_residual)``: the n-vector with
+    the least-squares coefficients of the nearest subspace (Gram-Schmidt
+    distance, first minimum wins) placed at its column indices, that index
+    set, and the distance over ||x||. A column with ||x|| <= zero_eps
+    recovers to zeros with index set ``None`` and residual 0.
+    """
+    a = np.asarray(matrix, dtype=float)
+    x = np.asarray(x, dtype=float)
+    m, n = a.shape
+    recovered = np.zeros(n)
+    norm = float(np.linalg.norm(x))
+    if norm <= zero_eps or norm == 0.0:
+        return recovered, None, 0.0
+    best_res, best_set = math.inf, None
+    for index_set in itertools.combinations(range(n), m - 1):
+        res = float(np.linalg.norm(x - gs_projection(a[:, index_set], x)))
+        if res < best_res:
+            best_res, best_set = res, index_set
+    recovered[list(best_set)] = lstsq_coefficients(a[:, best_set], x)
+    return recovered, best_set, best_res / norm
 
 
 def haar2_reference(plane) -> dict:
@@ -99,3 +127,16 @@ def sparse_source(seed, n=4, t=10000, max_active=2, amplitude=100.0) -> np.ndarr
     s[first[count >= 1], cols[count >= 1]] = vals1[count >= 1]
     s[second[count >= 2], cols[count >= 2]] = vals2[count >= 2]
     return s
+
+
+def random_sparse_source(seed, n, t, max_active, amplitude=1.0) -> np.ndarray:
+    """Ground truth with 0..max_active nonzeros per column, at random rows.
+
+    Like :func:`sparse_source` for any ``max_active`` up to n: a column with
+    k actives keeps the rows where a random permutation of 0..n-1 is below k.
+    """
+    rng = np.random.default_rng(seed)
+    count = rng.integers(0, max_active + 1, size=t)
+    rank = rng.random((n, t)).argsort(axis=0)
+    values = rng.uniform(-amplitude, amplitude, size=(n, t))
+    return np.where(rank < count, values, 0.0)

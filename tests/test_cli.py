@@ -13,6 +13,7 @@ from ubssvc import (
     read_sequence,
     snap_to_8bit,
     write_container,
+    write_sequence,
 )
 from ubssvc import synth
 
@@ -210,3 +211,33 @@ class TestExitCodes:
         assert proc.returncode == 2
         proc = run_cli("separate", str(tmp_path / "nope.ubss"), "--out", str(tmp_path / "f_{i}.pgm"))
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("tau", ["nan", "inf"])
+    def test_non_finite_tau_exits_2(self, tmp_path, tau):
+        gen = ("--preset", "noise", "--frames", "8", "--width", "16", "--height", "16")
+        proc = run_cli("roundtrip", *gen, "--tau", tau, "--porcelain")
+        assert proc.returncode == 2
+        assert "tau must be finite" in proc.stderr and "columns.forced" not in proc.stdout
+        cfg = tmp_path / "codec.cfg"
+        cfg.write_text(f"tau = {tau}\n")
+        proc = run_cli("roundtrip", *gen, "--config", str(cfg))
+        assert proc.returncode == 2 and "tau must be finite" in proc.stderr
+        frames = synth.generate("noise", 8, 16, 16, seed=1)
+        write_sequence(frames, str(tmp_path / "src" / "f_{i}.pgm"))
+        container = tmp_path / "seq.ubss"
+        proc = run_cli("mix", str(tmp_path / "src" / "*.pgm"), "--tau", tau, "--out", str(container))
+        assert proc.returncode == 2 and not container.exists()
+        write_container(encode_sequence(frames, default_config()), container)
+        proc = run_cli("separate", str(container), "--tau", tau, "--out", str(tmp_path / "f_{i}.pgm"))
+        assert proc.returncode == 2 and "tau must be finite" in proc.stderr
+
+    def test_bad_input_pattern_exits_2(self, tmp_path):
+        proc = run_cli("mix", str(tmp_path / "x{j}.pgm"), "--out", str(tmp_path / "o.ubs"))
+        assert proc.returncode == 2
+        assert "bad frame pattern" in proc.stderr and "x{j}.pgm" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        proc = run_cli(
+            "gen", "--frames", "4", "--width", "8", "--height", "8",
+            "--out", str(tmp_path / "f_{k}.pgm"),
+        )
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr

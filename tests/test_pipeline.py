@@ -8,6 +8,7 @@ from ubssvc import (
     CodecConfig,
     Frame,
     MixingMatrix,
+    build_hyperplanes,
     decode_sequence,
     default_config,
     encode_sequence,
@@ -190,6 +191,25 @@ class TestRoundtripEval:
         assert np.array_equal(r1.recovery.residuals, r2.recovery.residuals)
 
 
+def test_decode_builds_plane_set_once(monkeypatch):
+    # one plane set serves every band of every block
+    import ubssvc.pipeline as pipeline_module
+
+    calls = []
+
+    def counting(matrix):
+        calls.append(matrix)
+        return build_hyperplanes(matrix)
+
+    monkeypatch.setattr(pipeline_module, "build_hyperplanes", counting)
+    frames = synth.generate("sparse-detail", 14, 16, 16, seed=4)
+    cfg = default_config()
+    decoded, stats = decode_sequence(encode_sequence(frames, cfg), cfg)
+    assert len(calls) == 1 and calls[0] is cfg.matrix
+    assert len(decoded) == 14
+    assert stats.total_columns == 3 * 3 * 8 * 8  # 3 blocks x 3 bands x 8x8
+
+
 class TestConfig:
     def test_defaults(self):
         cfg = default_config()
@@ -209,6 +229,18 @@ class TestConfig:
             default_config(quantization="u16")
         with pytest.raises(ValueError):
             default_config(tau=-0.5)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            default_config(tau=tau)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_tau_in_file_rejected(self, tmp_path, text):
+        path = tmp_path / "codec.cfg"
+        path.write_text(f"tau = {text}\n")
+        with pytest.raises(ValueError, match="tau must be finite"):
+            load_config(path)
 
     def test_load_full_file(self, tmp_path):
         path = tmp_path / "codec.cfg"

@@ -1,148 +1,227 @@
+import dataclasses
+import itertools
 import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import gs_projection, lstsq_coefficients, sparse_source
+from oracles import (
+    gs_projection,
+    lstsq_coefficients,
+    nearest_subspace_recovery,
+    random_sparse_source,
+    sparse_source,
+)
 from ubssvc import (
-    ColumnAssignment,
     MixingMatrix,
     build_hyperplanes,
-    classify_column,
-    column_residual,
     generalized_inverse,
-    reconstruct_column,
     recover_block,
     recover_dense,
 )
-from ubssvc.sca import RecoveryStats, ZERO_PLANE
+from ubssvc.sca import RecoveryStats
 
 # frozen via the Gram-Schmidt projection oracle: distance from column 3 of
 # the built-in matrix to the span of columns {0, 1}
 A4_PLANE01_RESIDUAL = 0.6763865859599533
 
 
+def oracle_residuals(matrix, x) -> np.ndarray:
+    """Gram-Schmidt distance from x to every plane, in lexicographic plane order."""
+    return np.array([
+        np.linalg.norm(x - gs_projection(matrix.entries[:, list(idx)], x))
+        for idx in itertools.combinations(range(matrix.cols), matrix.rows - 1)
+    ])
+
+
 class TestBuildHyperplanes:
     def test_default_matrix_has_six_planes(self, matrix):
         hs = build_hyperplanes(matrix)
         assert hs.count == 6
-        assert [p.index_set for p in hs.planes] == [
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+        assert hs.dimension == 3 and hs.sources == 4
+        assert hs.index_sets.tolist() == [
+            [0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3],
         ]
+        assert hs.normals.shape == (6, 3)
+        assert hs.coefficient_maps.shape == (6, 2, 3)
 
     def test_three_planes_for_m2_n3(self):
         m = MixingMatrix([[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])
         hs = build_hyperplanes(m)
         assert hs.count == 3
-        assert all(len(p.index_set) == 1 for p in hs.planes)
+        assert hs.index_sets.shape == (3, 1)
+        assert hs.coefficient_maps.shape == (3, 1, 2)
 
     def test_orthonormality(self, matrix):
-        for plane in build_hyperplanes(matrix).planes:
-            q = plane.orthonormal_basis
-            assert_allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+        # each normal is unit length and orthogonal to its spanning columns
+        hs = build_hyperplanes(matrix)
+        assert_allclose(np.linalg.norm(hs.normals, axis=1), 1.0, atol=1e-12)
+        for idx, normal in zip(hs.index_sets, hs.normals):
+            assert np.abs(normal @ matrix.entries[:, idx]).max() <= 1e-12
 
     def test_projectors_agree_with_basis(self, matrix):
-        # orthonormal span must match the raw column span
-        for plane in build_hyperplanes(matrix).planes:
-            b = plane.basis
+        # I - n n^T must be the projector onto the raw column span, and the
+        # coefficient map must be the basis' left inverse (its pseudo-inverse)
+        hs = build_hyperplanes(matrix)
+        for idx, normal, cmap in zip(hs.index_sets, hs.normals, hs.coefficient_maps):
+            b = matrix.entries[:, idx]
             p_basis = b @ np.linalg.solve(b.T @ b, b.T)
-            q = plane.orthonormal_basis
-            assert np.abs(q @ q.T - p_basis).max() <= 1e-10
+            assert np.abs(np.eye(3) - np.outer(normal, normal) - p_basis).max() <= 1e-10
+            assert_allclose(cmap @ b, np.eye(2), atol=1e-12)
+            assert_allclose(cmap, np.linalg.pinv(b), atol=1e-12)
+
+    def test_arrays_are_read_only(self, matrix):
+        hs = build_hyperplanes(matrix)
+        for arr in (hs.index_sets, hs.normals, hs.coefficient_maps):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestColumnResidual:
+    # the kernel's plane residual is |normal . x|; the oracle is ||x - P x||
     def test_membership_by_construction(self, matrix):
         hs = build_hyperplanes(matrix)
         x = 2.0 * matrix.column(0) + 3.0 * matrix.column(2)
-        plane = hs.planes[[p.index_set for p in hs.planes].index((0, 2))]
-        assert column_residual(plane, x) <= 1e-12
+        assert abs(hs.normals[hs.index_sets.tolist().index([0, 2])] @ x) <= 1e-12
 
     def test_frozen_oracle_value(self, matrix):
         hs = build_hyperplanes(matrix)
         x = matrix.column(3)
-        plane = hs.planes[0]  # index set (0, 1)
-        value = column_residual(plane, x)
+        value = abs(hs.normals[0] @ x)  # index set (0, 1)
         oracle = np.linalg.norm(x - gs_projection(matrix.entries[:, [0, 1]], x))
         assert value == pytest.approx(oracle, abs=1e-14)
         assert value == pytest.approx(A4_PLANE01_RESIDUAL, abs=1e-12)
 
+    def test_every_plane_matches_oracle(self, matrix, rng):
+        hs = build_hyperplanes(matrix)
+        x = rng.uniform(-50, 50, size=(3, 20))
+        best, distance = hs.classify(x)
+        for j in range(x.shape[1]):
+            oracle = oracle_residuals(matrix, x[:, j])
+            assert_allclose(np.abs(hs.normals @ x[:, j]), oracle, atol=1e-12)
+            assert distance[j] == pytest.approx(oracle.min(), abs=1e-12)
+            assert best[j] == int(np.argmin(oracle))
+
     def test_zero_vector_in_every_plane(self, matrix):
-        for plane in build_hyperplanes(matrix).planes:
-            assert column_residual(plane, np.zeros(3)) == 0.0
+        hs = build_hyperplanes(matrix)
+        assert not (hs.normals @ np.zeros(3)).any()
+        best, distance = hs.classify(np.zeros((3, 1)))
+        assert best.tolist() == [0] and distance.tolist() == [0.0]
 
     def test_length_mismatch(self, matrix):
         with pytest.raises(ValueError):
-            column_residual(build_hyperplanes(matrix).planes[0], np.zeros(4))
+            recover_block(build_hyperplanes(matrix), np.zeros((4, 1)), tau=1e-8)
 
 
 class TestClassifyColumn:
     def test_in_plane_column(self, matrix):
         hs = build_hyperplanes(matrix)
         x = 2.0 * matrix.column(0) + 3.0 * matrix.column(2)
-        asgn = classify_column(hs, x, tau=1e-8)
-        assert asgn.index_set == (0, 2)
-        assert asgn.coefficients == pytest.approx((2.0, 3.0), abs=1e-12)
-        assert not asgn.forced and not asgn.is_zero
+        best, _ = hs.classify(x[:, None])
+        assert tuple(hs.index_sets[best[0]]) == (0, 2)
+        recovered, stats = recover_block(hs, x[:, None], tau=1e-8)
+        assert_allclose(recovered[:, 0], [2.0, 0.0, 3.0, 0.0], atol=1e-12)
+        assert stats.clean_columns == 1 and stats.forced_columns == 0
+        assert stats.zero_columns == 0
 
     def test_zero_column(self, matrix):
-        asgn = classify_column(build_hyperplanes(matrix), np.zeros(3), tau=1e-8)
-        assert asgn.is_zero
-        assert reconstruct_column(asgn, 4).tolist() == [0.0, 0.0, 0.0, 0.0]
+        recovered, stats = recover_block(matrix, np.zeros((3, 1)), tau=1e-8)
+        assert recovered.tolist() == [[0.0], [0.0], [0.0], [0.0]]
+        assert stats.zero_columns == 1 and stats.residuals.size == 0
+        # the zero threshold is relative: 1e-12 of the largest column norm
+        x = np.stack([matrix.column(1), 1e-13 * matrix.column(1)], axis=1)
+        recovered, stats = recover_block(matrix, x, tau=1e-8)
+        assert stats.zero_columns == 1 and stats.residuals.size == 1
+        assert not recovered[:, 1].any()
+        assert_allclose(recovered[:, 0], [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
-    def test_tie_breaks_to_smallest_plane(self, matrix):
-        # a single active column lies in three planes; the lexicographically
-        # first one, (0, 1), must win
+    def test_tie_breaks_to_smallest_plane(self, matrix, rng):
+        # exact ties: with every normal equal, every column goes to plane 0
         hs = build_hyperplanes(matrix)
-        asgn = classify_column(hs, matrix.column(0), tau=1e-8)
-        assert asgn.plane_index == 0
-        assert asgn.index_set == (0, 1)
-        assert asgn.coefficients == pytest.approx((1.0, 0.0), abs=1e-12)
+        tied = dataclasses.replace(hs, normals=np.repeat(hs.normals[:1], hs.count, axis=0))
+        x = rng.uniform(-10, 10, size=(3, 50))
+        best, distance = tied.classify(x)
+        assert not best.any()
+        assert_allclose(distance, np.abs(hs.normals[0] @ x), atol=1e-12)
+        recovered, _ = recover_block(tied, x, tau=1.0)
+        assert_allclose(recovered[[0, 1]], hs.coefficient_maps[0] @ x, atol=1e-12)
+        assert not recovered[[2, 3]].any()
+        # a single active column lies in three planes; any of them rebuilds it
+        best, _ = hs.classify(matrix.column(0)[:, None])
+        assert 0 in hs.index_sets[best[0]]
+        recovered, _ = recover_block(hs, matrix.column(0)[:, None], tau=1e-8)
         oracle = lstsq_coefficients(matrix.entries[:, [0, 1]], matrix.column(0))
-        assert asgn.coefficients == pytest.approx(tuple(oracle), abs=1e-12)
+        assert_allclose(oracle, [1.0, 0.0], atol=1e-12)
+        assert_allclose(recovered[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
-    def test_scale_invariance(self, matrix, rng):
+    def test_scale_invariance(self, matrix):
         hs = build_hyperplanes(matrix)
-        x = 1.5 * matrix.column(1) - 0.25 * matrix.column(3)
-        base = classify_column(hs, x, tau=1e-8)
+        x = (1.5 * matrix.column(1) - 0.25 * matrix.column(3))[:, None]
+        base_best, _ = hs.classify(x)
+        base, base_stats = recover_block(hs, x, tau=1e-8)
         for c in (2.0, -1.0, 1e-6, 1e6):
-            scaled = classify_column(hs, c * x, tau=1e-8)
-            assert scaled.plane_index == base.plane_index
-            assert scaled.residual == pytest.approx(base.residual, abs=1e-9)
-            assert scaled.coefficients == pytest.approx(
-                tuple(c * v for v in base.coefficients), rel=1e-9
-            )
+            best, _ = hs.classify(c * x)
+            scaled, stats = recover_block(hs, c * x, tau=1e-8)
+            assert best[0] == base_best[0]
+            assert stats.residuals[0] == pytest.approx(base_stats.residuals[0], abs=1e-9)
+            assert_allclose(scaled, c * base, rtol=1e-9, atol=0)
 
     def test_forced_flag(self, matrix):
-        hs = build_hyperplanes(matrix)
-        x = np.array([1.0, -2.0, 1.5])  # generic, off every plane
-        strict = classify_column(hs, x, tau=1e-12)
-        loose = classify_column(hs, x, tau=1.0)
-        assert strict.forced and not loose.forced
-        assert strict.plane_index == loose.plane_index
+        x = np.array([[1.0], [-2.0], [1.5]])  # generic, off every plane
+        strict, strict_stats = recover_block(matrix, x, tau=1e-12)
+        loose, loose_stats = recover_block(matrix, x, tau=1.0)
+        assert strict_stats.forced_columns == 1 and loose_stats.forced_columns == 0
+        assert np.array_equal(strict, loose)
+        oracle, _, relative = nearest_subspace_recovery(matrix.entries, x[:, 0])
+        assert strict_stats.residuals[0] == pytest.approx(relative, abs=1e-12)
+        assert_allclose(strict[:, 0], oracle, atol=1e-9)
 
     def test_rejects_negative_tau(self, matrix):
         with pytest.raises(ValueError):
-            classify_column(build_hyperplanes(matrix), np.ones(3), tau=-1.0)
+            recover_block(build_hyperplanes(matrix), np.ones((3, 1)), tau=-1.0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_tau(self, matrix, tau):
+        with pytest.raises(ValueError, match="tau"):
+            recover_block(matrix, np.ones((3, 1)), tau=tau)
 
 
 class TestReconstructColumn:
-    def test_places_coefficients(self):
-        asgn = ColumnAssignment(1, (0, 2), (2.0, 3.0), 0.0, False)
-        assert reconstruct_column(asgn, 4).tolist() == [2.0, 0.0, 3.0, 0.0]
+    # coefficients land on the plane's source rows, exact zeros elsewhere
+    def test_places_coefficients(self, matrix):
+        hs = build_hyperplanes(matrix)
+        for idx in hs.index_sets:
+            x = matrix.entries[:, idx] @ np.array([2.0, 3.0])
+            recovered, _ = recover_block(hs, x[:, None], tau=1e-8)
+            expected = np.zeros(4)
+            expected[idx] = [2.0, 3.0]
+            assert_allclose(recovered[:, 0], expected, atol=1e-12)
+            assert not np.delete(recovered[:, 0], idx).any()
 
-    def test_single_active(self):
-        asgn = ColumnAssignment(0, (0, 1), (1.0, 0.0), 0.0, False)
-        assert reconstruct_column(asgn, 4).tolist() == [1.0, 0.0, 0.0, 0.0]
+    def test_single_active(self, matrix):
+        recovered, _ = recover_block(matrix, matrix.entries.copy(), tau=1e-8)
+        assert_allclose(recovered, np.eye(4), atol=1e-12)
 
-    def test_zero_assignment(self):
-        asgn = ColumnAssignment(ZERO_PLANE, (), (), 0.0, False)
-        assert reconstruct_column(asgn, 4).tolist() == [0.0] * 4
+    def test_zero_assignment(self, matrix):
+        x = np.zeros((3, 6))
+        x[:, 2] = matrix.column(1) + matrix.column(3)
+        recovered, stats = recover_block(matrix, x, tau=1e-8)
+        assert stats.zero_columns == 5
+        assert not np.delete(recovered, 2, axis=1).any()
 
     def test_out_of_range_index(self):
-        asgn = ColumnAssignment(0, (0, 7), (1.0, 2.0), 0.0, False)
-        with pytest.raises(ValueError):
-            reconstruct_column(asgn, 4)
+        # every index set names m-1 distinct, increasing, in-range sources
+        for entries in (
+            [[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]],
+            np.random.default_rng(5).uniform(-1, 1, size=(4, 7)),
+        ):
+            matrix = MixingMatrix(entries)
+            hs = build_hyperplanes(matrix)
+            assert hs.index_sets.min() >= 0 and hs.index_sets.max() < matrix.cols
+            assert (np.diff(hs.index_sets, axis=1) > 0).all()
 
 
 class TestRecoverBlock:
@@ -154,6 +233,15 @@ class TestRecoverBlock:
         assert stats.total_columns == 10000
         assert stats.zero_columns == int((s == 0).all(axis=0).sum())
 
+    def test_matrix_and_plane_set_agree(self, matrix):
+        x = matrix.entries @ sparse_source(seed=8, t=500)
+        x[:, 7] = [1.0, -2.0, 1.5]
+        r1, st1 = recover_block(matrix, x, tau=1e-8)
+        r2, st2 = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
+        assert np.array_equal(r1, r2)
+        assert np.array_equal(st1.residuals, st2.residuals)
+        assert st1.forced_columns == st2.forced_columns == 1
+
     def test_zero_input(self, matrix):
         recovered, stats = recover_block(matrix, np.zeros((3, 5)), tau=1e-8)
         assert not recovered.any()
@@ -164,8 +252,7 @@ class TestRecoverBlock:
         s = sparse_source(seed=7, t=64)
         s[:, 10] = [3.0, -1.0, 2.0, 0.0]  # three active sources
         x = matrix.entries @ s
-        hs = build_hyperplanes(matrix)
-        min_rel = min(column_residual(p, x[:, 10]) for p in hs.planes) / np.linalg.norm(x[:, 10])
+        min_rel = oracle_residuals(matrix, x[:, 10]).min() / np.linalg.norm(x[:, 10])
         assert min_rel > 1e-8  # genericity: truly off every plane
         recovered, stats = recover_block(matrix, x, tau=1e-8)
         assert stats.forced_columns == 1
@@ -176,12 +263,17 @@ class TestRecoverBlock:
     def test_matches_per_column_path(self, matrix):
         s = sparse_source(seed=11, t=200)
         x = matrix.entries @ s
+        x[:, 5] = [1.0, -2.0, 1.5]
         recovered, stats = recover_block(matrix, x, tau=1e-8)
-        hs = build_hyperplanes(matrix)
         zero_eps = 1e-12 * np.linalg.norm(x, axis=0).max()
+        relative = []
         for j in range(200):
-            asgn = classify_column(hs, x[:, j], tau=1e-8, zero_eps=zero_eps)
-            assert_allclose(recovered[:, j], reconstruct_column(asgn, 4), atol=1e-9)
+            oracle, index_set, rel = nearest_subspace_recovery(matrix.entries, x[:, j], zero_eps)
+            assert_allclose(recovered[:, j], oracle, atol=1e-9)
+            if index_set is not None:
+                relative.append(rel)
+        assert_allclose(stats.residuals, relative, atol=1e-12)
+        assert stats.forced_columns == sum(r > 1e-8 for r in relative) == 1
 
     def test_deterministic(self, matrix):
         s = sparse_source(seed=3, t=500)
@@ -213,6 +305,36 @@ class TestRecoverBlock:
             recover_block(matrix, np.zeros((4, 5)), tau=1e-8)
         with pytest.raises(ValueError):
             recover_block(matrix, np.zeros(5), tau=1e-8)
+
+
+@st.composite
+def shapes_and_seeds(draw):
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(m + 1, 8))
+    return m, n, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes_and_seeds())
+def test_exact_recovery_for_any_m_below_n(case):
+    # the "any m < n matrix" claim: every valid shape up to 5x8, not only 3x4
+    m, n, seed = case
+    try:
+        matrix = MixingMatrix(np.random.default_rng(seed).uniform(-1, 1, size=(m, n)))
+    except ValueError:
+        assume(False)  # a near-singular draw is not a valid mixing matrix
+    hs = build_hyperplanes(matrix)
+    assert hs.count == len(hs.index_sets) and hs.dimension == m and hs.sources == n
+    assert_allclose(np.linalg.norm(hs.normals, axis=1), 1.0, atol=1e-12)
+    for idx, normal, cmap in zip(hs.index_sets, hs.normals, hs.coefficient_maps):
+        b = matrix.entries[:, idx]
+        assert np.abs(normal @ b).max() <= 1e-12
+        assert_allclose(cmap @ b, np.eye(m - 1), atol=1e-9)
+    s = random_sparse_source(seed, n, 300, max_active=m - 1)
+    recovered, stats = recover_block(hs, matrix.entries @ s, tau=1e-8)
+    assert_allclose(recovered, s, rtol=0, atol=1e-9)
+    assert stats.forced_columns == 0
+    assert stats.zero_columns == int((s == 0).all(axis=0).sum())
 
 
 class TestRecoverDense:

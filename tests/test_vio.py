@@ -31,6 +31,29 @@ class TestPgm:
         assert (frame.width, frame.height) == (4, 2)
         assert frame.as_vector().tolist() == list(range(8))
 
+    def test_reads_commented_header(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n# c\n2 2\n255\n" + bytes([1, 2, 3, 4]))
+        assert read_sequence(str(path)).frames[0].pixels.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        # comments may sit between any header tokens and end with CR or LF
+        path.write_bytes(b"P5 #a\r2#b c\n 2 # d\n# e\n255\n" + bytes([1, 2, 3, 4]))
+        assert read_sequence(str(path)).frames[0].pixels.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        # the raster starts one whitespace byte after maxval, so no comment fits there
+        path.write_bytes(b"P5\n2 2\n255#x\n" + bytes([1, 2, 3, 4]))
+        with pytest.raises(ValueError, match="malformed"):
+            read_sequence(str(path))
+
+    def test_commented_header_roundtrip(self, tmp_path, rng):
+        frame = Frame(rng.integers(0, 256, size=(3, 5)).astype(float))
+        (written,) = write_sequence([frame], str(tmp_path / "w.pgm"))
+        data = open(written, "rb").read()
+        commented = tmp_path / "c.pgm"
+        commented.write_bytes(b"P5\n# written by another tool\n" + data[len(b"P5\n"):])
+        back = read_sequence(str(commented)).frames[0]
+        assert np.array_equal(back.pixels, frame.pixels)
+        write_sequence([back], str(tmp_path / "again.pgm"))
+        assert open(tmp_path / "again-0000.pgm", "rb").read() == data
+
     def test_rejects_16bit(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_bytes(b"P5\n2 2\n65535\n" + bytes(8))
@@ -79,6 +102,14 @@ class TestPgm:
     def test_missing_input(self, tmp_path):
         with pytest.raises(ValueError, match="no frames"):
             read_sequence(str(tmp_path / "nothing_*.pgm"))
+
+    @pytest.mark.parametrize("field", ["{j}", "{0}", "{i:q}", "{i.real.x}", "{"])
+    def test_bad_pattern_is_value_error(self, tmp_path, field):
+        pattern = str(tmp_path / f"x{field}.pgm")
+        with pytest.raises(ValueError, match="bad frame pattern"):
+            read_sequence(pattern)
+        with pytest.raises(ValueError, match="bad frame pattern"):
+            write_sequence([Frame(np.zeros((2, 2)))], pattern)
 
 
 class TestRawPlanar:
