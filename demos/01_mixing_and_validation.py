@@ -8,8 +8,6 @@ determinant evidence and shows what mixing does to simple inputs.
 import numpy as np
 
 from ubssvc import (
-    Frame,
-    FrameBlock,
     check_sparsity,
     default_mixing_matrix,
     generalized_inverse,
@@ -29,10 +27,10 @@ print(f"  -> {'PASS' if report.passed else 'FAIL'} (min {report.min_abs_determin
 
 # Constant frames make the row sums visible: each mixed frame is just
 # (sum of row weights) * 100.
-block = FrameBlock(tuple(Frame(np.full((4, 4), 100.0)) for _ in range(4)))
+block = np.full((4, 4, 4), 100.0)  # (n, height, width): one group of four frames
 mixed = mix_block(matrix, block)
 print("\nfour constant-100 frames mix to constants:")
-print("  ", [float(f.pixels[0, 0]) for f in mixed.frames])
+print("  ", mixed[:, 0, 0].tolist())
 print("  (row sums are", matrix.entries.sum(axis=1), "- mixed values exceed 255)")
 
 # The generalized inverse undoes mixing only up to a projection: A+ A is a

@@ -7,35 +7,32 @@ gives exactly the mixture of the transformed sources, band by band.
 """
 import numpy as np
 
-from ubssvc import Frame, FrameBlock, default_mixing_matrix, haar_forward, haar_inverse, mix_block
+from ubssvc import BANDS, default_mixing_matrix, haar_forward, haar_inverse, mix_block
 
 rng = np.random.default_rng(2)
 
 # A frame with a flat background and a few busy cells.
 plane = np.full((8, 8), 90.0)
 plane[2:4, 2:4] += np.array([[30.0, -10.0], [5.0, -25.0]])
-frame = Frame(plane)
 
-sb = haar_forward(frame)
+bands = haar_forward(plane)  # ll, lh, hl, hh
 print("8x8 frame -> four 4x4 subbands")
-for band in ("ll", "lh", "hl", "hh"):
-    values = getattr(sb, band)
-    print(f"  {band}: energy {np.sum(values**2):12.2f}   nonzeros {np.count_nonzero(np.abs(values) > 1e-9)}")
-total = sum(np.sum(getattr(sb, band) ** 2) for band in ("ll", "lh", "hl", "hh"))
+for name, values in zip(BANDS, bands):
+    print(f"  {name}: energy {np.sum(values**2):12.2f}   nonzeros {np.count_nonzero(np.abs(values) > 1e-9)}")
+total = sum(np.sum(values**2) for values in bands)
 print(f"  energy total {total:.2f} vs source {np.sum(plane**2):.2f} (orthonormal transform)")
 
-back = haar_inverse(sb)
-print("perfect reconstruction error:", np.abs(back.pixels - plane).max())
+back = haar_inverse(bands)
+print("perfect reconstruction error:", np.abs(back - plane).max())
 
-# Linearity: transform(mix) == mix(transform), per coefficient.
+# Linearity: transform(mix) == mix(transform), per coefficient. Both calls
+# transform a whole (frames, height, width) stack at once.
 matrix = default_mixing_matrix()
-sources = FrameBlock(tuple(Frame(rng.uniform(0, 255, size=(8, 8))) for _ in range(4)))
+sources = rng.uniform(0, 255, size=(4, 8, 8))
 mixed = mix_block(matrix, sources)
-for band in ("ll", "lh", "hl", "hh"):
-    transform_of_mix = np.stack([getattr(haar_forward(f), band).ravel() for f in mixed.frames])
-    mix_of_transform = matrix.entries @ np.stack(
-        [getattr(haar_forward(f), band).ravel() for f in sources.frames]
-    )
+for name, mixed_band, source_band in zip(BANDS, haar_forward(mixed), haar_forward(sources)):
+    transform_of_mix = mixed_band.reshape(3, -1)
+    mix_of_transform = matrix.entries @ source_band.reshape(4, -1)
     err = np.abs(transform_of_mix - mix_of_transform).max()
-    print(f"commutation error in {band}: {err:.2e}")
+    print(f"commutation error in {name}: {err:.2e}")
 print("-> separating transformed mixed frames recovers transformed sources")

@@ -38,17 +38,14 @@ matrix = default_mixing_matrix()
 projector = generalized_inverse(matrix) @ matrix.entries
 from ubssvc import decode_sequence, encode_sequence  # noqa: E402
 
-decoded, _ = decode_sequence(encode_sequence(frames, cfg), cfg)
-for band in ("ll", "lh", "hl", "hh"):
-    err = 0.0
-    for src, rec in zip(frames[:4], decoded[:4]):
-        diff = getattr(haar_forward(src), band) - getattr(haar_forward(rec), band)
-        err += float(np.sum(diff**2))
+decoded, _ = decode_sequence(encode_sequence(frames, cfg), cfg)  # (40, 64, 64) array
+for band, src, rec in zip(("ll", "lh", "hl", "hh"), haar_forward(frames[:4]), haar_forward(decoded[:4])):
+    err = float(np.sum((src - rec) ** 2))
     print(f"error energy in {band}: {err:12.4f}")
 print("-> the ll band carries the loss; detail bands are recovered")
 
 # The ll loss is exactly the projector deficit: (A+ A - I) applied to the
 # source ll coefficients.
-src_ll = np.stack([haar_forward(f).ll.ravel() for f in frames[:4]])
+src_ll = haar_forward(frames[:4])[0].reshape(4, -1)
 predicted = (projector - np.eye(4)) @ src_ll
 print(f"predicted ll error energy: {float(np.sum(predicted**2)):12.4f}")

@@ -33,16 +33,11 @@ with tempfile.TemporaryDirectory() as work:
     print(f"container: {os.path.getsize(path)} bytes")
 
     back = read_container(path)
-    identical = all(
-        np.array_equal(a.pixels, b.pixels)
-        for a, b in zip(back.mixed_frames, enc.mixed_frames)
-    )
-    print("mixed frames identical after write/read:", identical)
+    print("mixed frames identical after write/read:", np.array_equal(back.mixed_frames, enc.mixed_frames))
 
     decoded_file, _ = decode_sequence(back, cfg)
     decoded_mem, _ = decode_sequence(enc, cfg)
-    same = all(np.array_equal(a.pixels, b.pixels) for a, b in zip(decoded_file, decoded_mem))
-    print("file decode == memory decode:", same)
+    print("file decode == memory decode:", np.array_equal(decoded_file, decoded_mem))
 
 # Bench through the CLI with a copy command standing in for the codec.
 result = subprocess.run(

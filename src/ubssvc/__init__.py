@@ -8,12 +8,10 @@ spanned by the matrix columns.
 from .cli import BenchResult, compression_ratio
 from .metrics import QualityReport, frame_mse, frame_psnr, sequence_report
 from .mixcore import (
-    Frame,
-    FrameBlock,
-    MixedBlock,
     MixingMatrix,
     SparsityReport,
     ValidationReport,
+    as_sequence,
     check_sparsity,
     default_mixing_matrix,
     generalized_inverse,
@@ -47,27 +45,25 @@ from .vio import (
     write_container,
     write_sequence,
 )
-from .wavelet import SubbandImage, haar_forward, haar_inverse
+from .wavelet import BANDS, haar_forward, haar_inverse
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "BANDS",
     "BenchResult",
     "CodecConfig",
     "ContainerError",
     "EncodedSequence",
-    "Frame",
-    "FrameBlock",
     "HyperplaneSet",
-    "MixedBlock",
     "MixingMatrix",
     "QualityReport",
     "RecoveryStats",
     "RoundtripReport",
     "SequenceSource",
     "SparsityReport",
-    "SubbandImage",
     "ValidationReport",
+    "as_sequence",
     "build_hyperplanes",
     "check_sparsity",
     "compression_ratio",

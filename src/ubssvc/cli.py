@@ -167,12 +167,10 @@ def _load_frames(args):
     if not getattr(args, "input", None):
         raise ValueError("an input path or --preset is required")
     if args.width is not None or args.height is not None:
-        return list(
-            vio.read_sequence(
-                args.input, width=args.width, height=args.height, count=getattr(args, "frames", None)
-            ).frames
-        )
-    return list(vio.read_sequence(args.input).frames)
+        return vio.read_sequence(
+            args.input, width=args.width, height=args.height, count=getattr(args, "frames", None)
+        ).frames
+    return vio.read_sequence(args.input).frames
 
 
 def _cmd_validate_matrix(args) -> int:

@@ -9,27 +9,30 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .mixcore import Frame, snap_to_8bit
+import numpy as np
+
+from .mixcore import as_sequence, snap_to_8bit
 
 PEAK_SQUARED = 255.0 * 255.0
 
 
-def frame_mse(a: Frame, b: Frame) -> float:
-    """Mean squared pixel difference over the M*N plane."""
-    if a.width != b.width or a.height != b.height:
-        raise ValueError(
-            f"frame dimensions differ: {a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-    diff = snap_to_8bit(a.pixels) - snap_to_8bit(b.pixels)
+def frame_mse(a, b) -> float:
+    """Mean squared pixel difference between two (H, W) planes."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"frame dimensions differ: {a.shape} vs {b.shape}")
+    diff = snap_to_8bit(a) - snap_to_8bit(b)
     return float((diff * diff).mean())
 
 
-def frame_psnr(a: Frame, b: Frame) -> float:
+def _psnr(mse: float) -> float:
+    return math.inf if mse == 0.0 else 10.0 * math.log10(PEAK_SQUARED / mse)
+
+
+def frame_psnr(a, b) -> float:
     """10 log10(255^2 / MSE) in dB; math.inf when the frames match."""
-    mse = frame_mse(a, b)
-    if mse == 0.0:
-        return math.inf
-    return 10.0 * math.log10(PEAK_SQUARED / mse)
+    return _psnr(frame_mse(a, b))
 
 
 @dataclass(frozen=True)
@@ -64,17 +67,21 @@ class QualityReport:
 
 
 def sequence_report(originals, reconstructions) -> QualityReport:
-    """Per-frame metrics plus the mean PSNR over finite entries."""
-    originals = list(originals)
-    reconstructions = list(reconstructions)
-    if not originals:
-        raise ValueError("cannot report on empty sequences")
+    """Per-frame metrics plus the mean PSNR over finite entries.
+
+    Both sequences are (count, H, W) arrays or iterables of planes; each
+    frame's MSE is computed once and its PSNR derived from it.
+    """
+    originals = as_sequence(originals)
+    reconstructions = as_sequence(reconstructions)
     if len(originals) != len(reconstructions):
         raise ValueError(
             f"sequence lengths differ: {len(originals)} vs {len(reconstructions)}"
         )
+    if not len(originals):
+        raise ValueError("cannot report on empty sequences")
     mses = tuple(frame_mse(a, b) for a, b in zip(originals, reconstructions))
-    psnrs = tuple(frame_psnr(a, b) for a, b in zip(originals, reconstructions))
+    psnrs = tuple(_psnr(mse) for mse in mses)
     finite = [p for p in psnrs if math.isfinite(p)]
     mean = sum(finite) / len(finite) if finite else math.inf
     return QualityReport(

@@ -1,9 +1,10 @@
-"""Core data model: frames, frame blocks, and the mixing matrix.
+"""Core data model: frame sequences and the mixing matrix.
 
-Pixels are double-precision floats throughout internal processing; 8-bit
-integers appear only at the I/O boundary. Mixed frames routinely exceed the
-[0, 255] source range (the reference matrix has row sums up to 1.75), so
-nothing in here clamps.
+A sequence of frames is one (count, height, width) float64 array, checked
+once where it enters the codec (:func:`as_sequence`); 8-bit integers appear
+only at the I/O boundary. Mixed frames routinely exceed the [0, 255] source
+range (the reference matrix has row sums up to 1.75), so nothing in here
+clamps.
 
 A mixing matrix must be underdetermined (fewer rows than columns) and every
 square submatrix of it must be nonsingular. That second condition is what
@@ -33,7 +34,11 @@ DEFAULT_MATRIX_ENTRIES = (
 
 
 def _freeze(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    return _read_only(np.array(values, dtype=dtype))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Mark a freshly built array read-only, without a copy."""
     arr.setflags(write=False)
     return arr
 
@@ -49,97 +54,30 @@ def snap_to_8bit(values) -> np.ndarray:
     return np.floor(np.clip(arr, 0.0, 255.0) + 0.5)
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
-    """A single grayscale frame, stored as a (height, width) float64 plane."""
+def as_sequence(frames) -> np.ndarray:
+    """Check a frame sequence once and return it as a (count, H, W) float64 array.
 
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("frame pixels must be a 2-D plane with positive dimensions")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("frame pixels must be finite")
-        object.__setattr__(self, "pixels", _freeze(arr))
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def pixel_count(self) -> int:
-        return self.pixels.size
-
-    def as_vector(self) -> np.ndarray:
-        """Row-major flattening of the plane (length width*height)."""
-        return self.pixels.ravel()
-
-
-def _uniform_frames(frames, minimum: int, kind: str) -> tuple[Frame, ...]:
-    frames = tuple(frames)
-    if len(frames) < minimum:
-        raise ValueError(f"{kind} needs at least {minimum} frames, got {len(frames)}")
-    w, h = frames[0].width, frames[0].height
-    for f in frames[1:]:
-        if f.width != w or f.height != h:
-            raise ValueError(f"{kind} frames must share dimensions")
-    return frames
-
-
-@dataclass(frozen=True, eq=False)
-class FrameBlock:
-    """An ordered group of n >= 2 source frames with identical dimensions."""
-
-    frames: tuple[Frame, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", _uniform_frames(self.frames, 2, "source block"))
-
-    @property
-    def count(self) -> int:
-        return len(self.frames)
-
-    @property
-    def width(self) -> int:
-        return self.frames[0].width
-
-    @property
-    def height(self) -> int:
-        return self.frames[0].height
-
-    def as_matrix(self) -> np.ndarray:
-        """Stack frames into an (n, T) matrix, one row per frame."""
-        return np.stack([f.as_vector() for f in self.frames])
-
-
-@dataclass(frozen=True, eq=False)
-class MixedBlock:
-    """An ordered group of m >= 2 mixed frames with identical dimensions."""
-
-    frames: tuple[Frame, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "frames", _uniform_frames(self.frames, 2, "mixed block"))
-
-    @property
-    def count(self) -> int:
-        return len(self.frames)
-
-    @property
-    def width(self) -> int:
-        return self.frames[0].width
-
-    @property
-    def height(self) -> int:
-        return self.frames[0].height
-
-    def as_matrix(self) -> np.ndarray:
-        return np.stack([f.as_vector() for f in self.frames])
+    ``frames`` is a 3-D array or an iterable of equally sized 2-D planes. A
+    C-contiguous float64 array passes through without a copy; every pixel
+    must be finite.
+    """
+    if isinstance(frames, np.ndarray):
+        arr = np.ascontiguousarray(frames, dtype=np.float64)
+    else:
+        planes = [np.asarray(p, dtype=np.float64) for p in frames]
+        if not planes:
+            raise ValueError("empty frame sequence")
+        if len({p.shape for p in planes}) > 1:
+            raise ValueError("all frames in a sequence must share dimensions")
+        arr = np.stack(planes)
+    if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] < 1:
+        raise ValueError(
+            f"a frame sequence must be a (count, height, width) array with positive "
+            f"plane dimensions, got shape {arr.shape}"
+        )
+    if not np.isfinite(arr).all():
+        raise ValueError("frame pixels must be finite")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -225,18 +163,18 @@ def default_mixing_matrix() -> MixingMatrix:
     return MixingMatrix(DEFAULT_MATRIX_ENTRIES)
 
 
-def mix_block(matrix: MixingMatrix, block: FrameBlock) -> MixedBlock:
+def mix_block(matrix: MixingMatrix, sources) -> np.ndarray:
     """Mix n source frames into m frames: pixelwise x = A s.
 
-    Pure function of its inputs; output frames keep the source dimensions.
+    ``sources`` is an (..., n, H, W) array, one group of n frames or a stack
+    of groups; the result is (..., m, H, W). Every group goes through one
+    batched ``matmul``, which gives the same bits as mixing it alone.
     """
-    if block.count != matrix.cols:
-        raise ValueError(
-            f"block has {block.count} frames but matrix mixes {matrix.cols}"
-        )
-    mixed = matrix.entries @ block.as_matrix()
-    h, w = block.height, block.width
-    return MixedBlock(tuple(Frame(row.reshape(h, w)) for row in mixed))
+    s = np.asarray(sources, dtype=np.float64)
+    if s.ndim < 3 or s.shape[-3] != matrix.cols:
+        raise ValueError(f"sources must be (..., {matrix.cols}, H, W) for this matrix, got {s.shape}")
+    mixed = np.matmul(matrix.entries, s.reshape(*s.shape[:-2], -1))
+    return mixed.reshape(*s.shape[:-3], matrix.rows, *s.shape[-2:])
 
 
 def generalized_inverse(matrix: MixingMatrix, cond_bound: float = 1e12) -> np.ndarray:
@@ -269,11 +207,11 @@ class SparsityReport:
 def check_sparsity(source, m: int, zero_eps: float = DEFAULT_ZERO_EPS) -> SparsityReport:
     """Count nonzeros per column; satisfied iff every column has <= m-1.
 
-    ``source`` is a FrameBlock or an (n, T) array. Diagnostic only: real
-    video only approximates the bound and the recovery stage tolerates
-    violations, this just quantifies them.
+    ``source`` is an (n, T) array. Diagnostic only: real video only
+    approximates the bound and the recovery stage tolerates violations,
+    this just quantifies them.
     """
-    mat = source.as_matrix() if isinstance(source, FrameBlock) else np.asarray(source, dtype=np.float64)
+    mat = np.asarray(source, dtype=np.float64)
     if mat.ndim != 2:
         raise ValueError("source must be 2-D")
     n, t = mat.shape

@@ -1,12 +1,14 @@
 """Encode/decode orchestration.
 
-Encoding partitions the sequence into consecutive groups of n frames and
-mixes each group down to m frames in the pixel domain; leftover frames
-(count mod n) pass through unmixed as the tail. Decoding transforms each
-mixed frame once with the Haar transform, recovers the three sparse detail
-subbands by subspace classification, recovers the low-frequency subband
-with the generalized inverse, and inverse-transforms the n reconstructed
-coefficient sets back to frames.
+A sequence travels as one (count, H, W) float64 array. Encoding partitions
+it into consecutive groups of n frames and mixes every group down to m
+frames in the pixel domain with one batched product; leftover frames (count
+mod n) pass through unmixed as the tail. Decoding walks the groups in
+chunks: one Haar transform of the chunk's mixed frames, recovery of the
+three sparse detail subbands by subspace classification (one stacked call
+per band, each group with its own zero threshold), the low-frequency
+subband by the generalized inverse, and one inverse transform written
+straight into the output array.
 
 Mixed pixel values are snapped to their storage grid at encode time
 (float32 in float-container mode, the 8-bit affine grid in affine-8bit
@@ -22,16 +24,17 @@ import numpy as np
 
 from .metrics import QualityReport, sequence_report
 from .mixcore import (
-    Frame,
-    FrameBlock,
     MixingMatrix,
+    _freeze,
+    _read_only,
+    as_sequence,
     default_mixing_matrix,
     generalized_inverse,
     mix_block,
     snap_to_8bit,
 )
 from .sca import RecoveryStats, build_hyperplanes, check_tau, recover_block, recover_dense
-from .wavelet import SubbandImage, haar_forward, haar_inverse
+from .wavelet import haar_forward, haar_inverse
 
 PAD_REJECT = "reject"
 PAD_EDGE = "edge-replicate"
@@ -42,6 +45,11 @@ QUANT_AFFINE = "affine-8bit"
 # Relative-residual tolerance suited to real wavelet coefficients; exact
 # synthetic data can use something as tight as 1e-8.
 DEFAULT_TAU = 0.05
+
+# Subband columns per recovery call: a decode chunk holds max(1, BUDGET // T)
+# groups for subband planes of T columns. Whole-sequence calls let the
+# temporaries fall out of cache (CIF decode ran about 40% slower).
+BUDGET = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +96,10 @@ def default_config(**overrides) -> CodecConfig:
 class EncodedSequence:
     """Mixed frames plus tail and the metadata the decoder needs.
 
-    Mixed pixel values already sit on the storage grid of ``quantization``;
-    ``scale``/``offset`` are the affine map parameters (zero in float mode).
-    Tail frames are 8-bit integral.
+    ``mixed_frames`` and ``tail_frames`` are read-only (count, height,
+    width) float64 arrays. Mixed pixel values already sit on the storage
+    grid of ``quantization``; ``scale``/``offset`` are the affine map
+    parameters (zero in float mode). Tail frames are 8-bit integral.
     """
 
     matrix: MixingMatrix
@@ -99,28 +108,27 @@ class EncodedSequence:
     quantization: str
     scale: float
     offset: float
-    mixed_frames: tuple[Frame, ...]
-    tail_frames: tuple[Frame, ...]
+    mixed_frames: np.ndarray
+    tail_frames: np.ndarray
 
     def __post_init__(self):
         if self.quantization not in (QUANT_FLOAT, QUANT_AFFINE):
             raise ValueError(f"unknown quantization mode {self.quantization!r}")
         if not math.isfinite(self.scale) or not math.isfinite(self.offset):
             raise ValueError("quantization parameters must be finite")
-        mixed = tuple(self.mixed_frames)
-        tail = tuple(self.tail_frames)
         m, n = self.matrix.rows, self.matrix.cols
-        if not mixed or len(mixed) % m:
-            raise ValueError(
-                f"mixed frame count {len(mixed)} must be a positive multiple of m = {m}"
-            )
-        if len(tail) >= n:
-            raise ValueError(f"tail holds {len(tail)} frames, must be < n = {n}")
-        for f in mixed + tail:
-            if f.width != self.width or f.height != self.height:
+        for name in ("mixed_frames", "tail_frames"):
+            frames = as_sequence(getattr(self, name))
+            if frames.shape[1:] != (self.height, self.width):
                 raise ValueError("frame dimensions disagree with header")
-        object.__setattr__(self, "mixed_frames", mixed)
-        object.__setattr__(self, "tail_frames", tail)
+            object.__setattr__(self, name, _freeze(frames) if frames.flags.writeable else frames)
+        mixed_count = len(self.mixed_frames)
+        if not mixed_count or mixed_count % m:
+            raise ValueError(
+                f"mixed frame count {mixed_count} must be a positive multiple of m = {m}"
+            )
+        if len(self.tail_frames) >= n:
+            raise ValueError(f"tail holds {len(self.tail_frames)} frames, must be < n = {n}")
 
     @property
     def block_count(self) -> int:
@@ -131,46 +139,36 @@ class EncodedSequence:
         return self.block_count * self.matrix.cols + len(self.tail_frames)
 
 
-def _check_dimensions(frames, cfg: CodecConfig) -> tuple[int, int]:
-    w, h = frames[0].width, frames[0].height
-    for f in frames[1:]:
-        if f.width != w or f.height != h:
-            raise ValueError("all frames in a sequence must share dimensions")
-    if cfg.pad_policy == PAD_REJECT and (w % 2 or h % 2):
-        raise ValueError(
-            f"odd frame dimensions {w}x{h} rejected; use the edge-replicate pad policy"
-        )
-    return w, h
-
-
 def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
-    """Group, mix, and snap a source sequence onto its storage grid."""
-    frames = list(frames)
+    """Group, mix, and snap a (count, H, W) source sequence onto its storage grid."""
+    src = as_sequence(frames)
+    count, height, width = src.shape
     n = cfg.n
-    if len(frames) < n:
-        raise ValueError(f"need at least n = {n} frames, got {len(frames)}")
-    width, height = _check_dimensions(frames, cfg)
-    blocks = len(frames) // n
-
-    mixed_planes = []
-    for b in range(blocks):
-        block = FrameBlock(tuple(frames[b * n : (b + 1) * n]))
-        mixed_planes.extend(f.pixels for f in mix_block(cfg.matrix, block).frames)
+    if count < n:
+        raise ValueError(f"need at least n = {n} frames, got {count}")
+    if cfg.pad_policy == PAD_REJECT and (width % 2 or height % 2):
+        raise ValueError(
+            f"odd frame dimensions {width}x{height} rejected; use the edge-replicate pad policy"
+        )
+    blocks = count // n
+    mixed = mix_block(cfg.matrix, src[: blocks * n].reshape(blocks, n, height, width))
+    mixed = mixed.reshape(blocks * cfg.m, height, width)
 
     if cfg.quantization == QUANT_FLOAT:
         scale = offset = 0.0
-        mixed = tuple(Frame(p.astype(np.float32).astype(np.float64)) for p in mixed_planes)
+        np.copyto(mixed, mixed.astype(np.float32))
     else:
-        lo = min(float(p.min()) for p in mixed_planes)
-        hi = max(float(p.max()) for p in mixed_planes)
+        lo, hi = float(mixed.min()), float(mixed.max())
         scale = (hi - lo) / 255.0 if hi > lo else 1.0
         offset = lo
-        mixed = tuple(
-            Frame(offset + scale * np.floor((p - offset) / scale + 0.5))
-            for p in mixed_planes
-        )
+        # offset + scale * floor((x - offset) / scale + 0.5), in place
+        mixed -= offset
+        mixed /= scale
+        mixed += 0.5
+        np.floor(mixed, out=mixed)
+        mixed *= scale
+        mixed += offset
 
-    tail = tuple(Frame(snap_to_8bit(f.pixels)) for f in frames[blocks * n :])
     return EncodedSequence(
         matrix=cfg.matrix,
         width=width,
@@ -178,64 +176,64 @@ def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
         quantization=cfg.quantization,
         scale=scale,
         offset=offset,
-        mixed_frames=mixed,
-        tail_frames=tail,
+        mixed_frames=_read_only(mixed),
+        tail_frames=_read_only(snap_to_8bit(src[blocks * n :])),
     )
 
 
-def _pad_even(plane: np.ndarray) -> np.ndarray:
-    pad_h = plane.shape[0] % 2
-    pad_w = plane.shape[1] % 2
-    if not pad_h and not pad_w:
-        return plane
-    return np.pad(plane, ((0, pad_h), (0, pad_w)), mode="edge")
-
-
-def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[list[Frame], RecoveryStats]:
-    """Recover the full source sequence from an encoded one.
+def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray, RecoveryStats]:
+    """Recover the full (count, H, W) source sequence from an encoded one.
 
     Total on every valid input: columns outside tolerance degrade quality
     (counted in the stats) but never fail the decode.
     """
     if not np.array_equal(enc.matrix.entries, cfg.matrix.entries):
         raise ValueError("encoded stream was produced with a different mixing matrix")
-    if cfg.pad_policy == PAD_REJECT and (enc.width % 2 or enc.height % 2):
+    height, width = enc.height, enc.width
+    if cfg.pad_policy == PAD_REJECT and (width % 2 or height % 2):
         raise ValueError("odd frame dimensions rejected by pad policy")
 
     m, n = cfg.m, cfg.n
     pinv = generalized_inverse(cfg.matrix)
     planes = build_hyperplanes(cfg.matrix)
-    out: list[Frame] = []
+    blocks = enc.block_count
+    mixed = enc.mixed_frames.reshape(blocks, m, height, width)
+    out = np.empty((enc.source_count, height, width))
     stats_parts: list[RecoveryStats] = []
+    chunk = max(1, BUDGET // (((height + 1) // 2) * ((width + 1) // 2)))
+    for start in range(0, blocks, chunk):
+        stop = min(start + chunk, blocks)
+        dest = out[start * n : stop * n].reshape(stop - start, n, height, width)
+        stats_parts += _decode_chunk(mixed[start:stop], dest, planes, pinv, cfg.tau)
+    out[blocks * n :] = enc.tail_frames
+    return _read_only(out), RecoveryStats.merged(stats_parts)
 
-    for b in range(enc.block_count):
-        group = enc.mixed_frames[b * m : (b + 1) * m]
-        subbands = [haar_forward(Frame(_pad_even(f.pixels))) for f in group]
-        half_shape = subbands[0].ll.shape
 
-        rec_planes = {}
-        for band in ("lh", "hl", "hh"):
-            observed = np.stack([getattr(sb, band).ravel() for sb in subbands])
-            recovered, stats = recover_block(planes, observed, cfg.tau)
-            rec_planes[band] = recovered
-            stats_parts.append(stats)
-        observed_ll = np.stack([sb.ll.ravel() for sb in subbands])
-        rec_planes["ll"] = recover_dense(pinv, observed_ll)
+def _decode_chunk(group, dest, planes, pinv, tau) -> list[RecoveryStats]:
+    """Decode (k, m, H, W) mixed groups into the (k, n, H, W) array ``dest``.
 
-        for j in range(n):
-            sb = SubbandImage(
-                ll=rec_planes["ll"][j].reshape(half_shape),
-                lh=rec_planes["lh"][j].reshape(half_shape),
-                hl=rec_planes["hl"][j].reshape(half_shape),
-                hh=rec_planes["hh"][j].reshape(half_shape),
-                original_width=2 * half_shape[1],
-                original_height=2 * half_shape[0],
-            )
-            pixels = haar_inverse(sb).pixels[: enc.height, : enc.width]
-            out.append(Frame(pixels))
-
-    out.extend(enc.tail_frames)
-    return out, RecoveryStats.merged(stats_parts)
+    A function of its own, so that one chunk's temporaries are freed before
+    the next chunk allocates its own.
+    """
+    k, m, height, width = group.shape
+    odd = (height % 2, width % 2)
+    if any(odd):
+        group = np.pad(group, ((0, 0), (0, 0), (0, odd[0]), (0, odd[1])), mode="edge")
+    # each band is popped into its recovery call, so its memory is freed once used
+    bands = [band.reshape(k, m, -1) for band in haar_forward(group)]
+    recovered = [recover_dense(pinv, bands.pop(0))]
+    stats = []
+    while bands:
+        sources, band_stats = recover_block(planes, bands.pop(0), tau)
+        recovered.append(sources)
+        stats.append(band_stats)
+    half = (group.shape[2] // 2, group.shape[3] // 2)
+    recovered = [r.reshape(k, -1, *half) for r in recovered]
+    if any(odd):
+        dest[...] = haar_inverse(recovered)[..., :height, :width]
+    else:
+        haar_inverse(recovered, out=dest)
+    return stats
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,7 +251,7 @@ class RoundtripReport:
 
 def roundtrip_eval(frames, cfg: CodecConfig) -> RoundtripReport:
     """Encode then decode in memory and score the reconstruction."""
-    frames = list(frames)
+    frames = as_sequence(frames)
     enc = encode_sequence(frames, cfg)
     decoded, stats = decode_sequence(enc, cfg)
     quality = sequence_report(frames, decoded)

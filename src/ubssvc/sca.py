@@ -59,17 +59,42 @@ class HyperplaneSet:
         reconstruction does not depend on the choice because tied planes
         contain the column jointly.
         """
-        distances = np.abs(self.normals @ columns)
-        # A running first minimum over the few planes: np.argmin along axis 0
-        # walks the (C, T) array column by column and costs several times more.
-        best = np.zeros(distances.shape[1], dtype=np.intp)
-        nearest = distances[0].copy()
-        for q in range(1, self.count):
-            closer = distances[q] < nearest  # strict: the earlier plane keeps a tie
-            best *= ~closer
-            best += closer * q
-            np.minimum(nearest, distances[q], out=nearest)
-        return best, nearest
+        return _nearest(np.abs(self.normals @ columns))
+
+
+def _nearest(distances) -> tuple[np.ndarray, np.ndarray]:
+    """Row index and value of the first minimum of each column of (C, T) distances."""
+    # A running first minimum over the few planes: np.argmin along axis 0
+    # walks the (C, T) array column by column and costs several times more.
+    best = np.zeros(distances.shape[1], dtype=np.intp)
+    nearest = distances[0].copy()
+    for q in range(1, distances.shape[0]):
+        closer = distances[q] < nearest  # strict: the earlier plane keeps a tie
+        best *= ~closer
+        best += closer * q
+        np.minimum(nearest, distances[q], out=nearest)
+    return best, nearest
+
+
+def _matmul_runs(a, b, counts) -> np.ndarray:
+    """``a @ b``, giving each run of one group's columns the bits of ``a @ run`` alone.
+
+    The columns of ``b`` are consecutive runs, ``counts[g]`` of them for
+    group g. numpy sends a product with one row or one column to BLAS gemv,
+    whose last bits depend on where a column sits in the product, while
+    gemm gives a column the same bits wherever it sits. So the product runs
+    as one gemm, and each run that would go to gemv on its own is redone
+    alone. This is what keeps a stacked recovery call bit-identical to
+    separate calls.
+    """
+    out = a @ b
+    redo = counts > 0 if a.shape[0] == 1 else counts == 1
+    if redo.any():
+        stops = np.cumsum(counts)
+        for g in np.flatnonzero(redo):
+            start = stops[g] - counts[g]
+            out[:, start : stops[g]] = a @ np.ascontiguousarray(b[:, start : stops[g]])
+    return out
 
 
 def build_hyperplanes(matrix: MixingMatrix) -> HyperplaneSet:
@@ -139,48 +164,59 @@ def recover_block(
     ``planes`` is the :class:`HyperplaneSet` of the mixing matrix, or the
     matrix itself, whose set is then built for this call only. Columns are
     classified independently (vectorized over T); columns whose norm is at
-    most 1e-12 times the largest in this call short-circuit to zero. Always
-    returns an assignment for every column; tolerance misses only raise the
-    ``forced`` count.
+    most 1e-12 times the largest in their group short-circuit to zero.
+    Always returns an assignment for every column; tolerance misses only
+    raise the ``forced`` count.
+
+    A stacked (G, m, T) input is G independent groups, each with its own
+    zero threshold, and gives a (G, n, T) result and one census over all
+    groups (residuals in group order): the same bits as G separate calls.
+    Observations must be finite.
     """
     check_tau(tau)
     if isinstance(planes, MixingMatrix):
         planes = build_hyperplanes(planes)
     x = np.asarray(mixed, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("mixed coefficients must be 2-D")
-    m, t = x.shape
+    if x.ndim not in (2, 3):
+        raise ValueError("mixed coefficients must be (m, T) or stacked (G, m, T)")
+    groups, m, t = x.shape if x.ndim == 3 else (1, *x.shape)
     if m != planes.dimension:
         raise ValueError(f"mixed matrix has {m} rows, matrix expects {planes.dimension}")
-    recovered = np.zeros((planes.sources, t))
-    if t == 0:
-        return recovered, RecoveryStats(0, 0, 0, 0, np.empty(0))
 
-    norms = np.linalg.norm(x, axis=0)
-    zero_eps = DEFAULT_ZERO_EPS * float(norms.max())
-    active = norms > zero_eps
-    zero_count = int(t - active.sum())
-    if not active.any():
-        return recovered, RecoveryStats(t, zero_count, 0, 0, np.empty(0))
-
+    columns = x if x.ndim == 2 else x.transpose(1, 0, 2).reshape(m, groups * t)
+    norms = np.linalg.norm(columns, axis=0)
+    peaks = norms.reshape(groups, t).max(axis=1, initial=0.0)
+    if not np.isfinite(peaks).all():
+        raise ValueError("mixed coefficients must be finite")
+    active = (norms.reshape(groups, t) > DEFAULT_ZERO_EPS * peaks[:, None]).ravel()
     # compress and take gather along the column axis several times faster
     # than boolean indexing does
-    xa = np.compress(active, x, axis=1)
-    best, distance = planes.classify(xa)
-    relative = distance / np.compress(active, norms)
+    xa = np.compress(active, columns, axis=1)
+    del columns  # a copy for stacked input; freed early, like distances, to lower peak memory
+    counts = active.reshape(groups, t).sum(axis=1)
+    distances = _matmul_runs(planes.normals, xa, counts)
+    best, relative = _nearest(np.abs(distances, out=distances))
+    del distances
+    relative /= np.compress(active, norms)
     forced = relative > tau
 
+    recovered = np.zeros((planes.sources, groups * t))
     active_cols = np.flatnonzero(active)
+    group_of = np.repeat(np.arange(groups), counts)
+    plane_counts = np.bincount(group_of * planes.count + best, minlength=groups * planes.count)
+    plane_counts = plane_counts.reshape(groups, planes.count)
     for q in range(planes.count):
         sel = np.flatnonzero(best == q)
         if sel.size:
-            recovered[planes.index_sets[q][:, None], active_cols[sel]] = (
-                planes.coefficient_maps[q] @ xa.take(sel, axis=1)
+            recovered[planes.index_sets[q][:, None], active_cols[sel]] = _matmul_runs(
+                planes.coefficient_maps[q], xa.take(sel, axis=1), plane_counts[:, q]
             )
+    if x.ndim == 3:
+        recovered = recovered.reshape(planes.sources, groups, t).transpose(1, 0, 2)
 
     stats = RecoveryStats(
-        total_columns=t,
-        zero_columns=zero_count,
+        total_columns=groups * t,
+        zero_columns=int(groups * t - active.sum()),
         clean_columns=int((~forced).sum()),
         forced_columns=int(forced.sum()),
         residuals=relative,
@@ -189,10 +225,13 @@ def recover_block(
 
 
 def recover_dense(pseudo_inverse, mixed) -> np.ndarray:
-    """Minimum-norm dense recovery y = A+ x, used for the non-sparse band."""
+    """Minimum-norm dense recovery y = A+ x, used for the non-sparse band.
+
+    ``mixed`` is (m, T) or a stack (..., m, T) of independent groups.
+    """
     pinv = np.asarray(pseudo_inverse, dtype=np.float64)
     x = np.asarray(mixed, dtype=np.float64)
-    if pinv.ndim != 2 or x.ndim != 2 or pinv.shape[1] != x.shape[0]:
+    if pinv.ndim != 2 or x.ndim < 2 or pinv.shape[1] != x.shape[-2]:
         raise ValueError(
             f"shape mismatch: pseudo-inverse {pinv.shape} against observations {x.shape}"
         )

@@ -2,7 +2,8 @@
 
 All randomness comes from integer draws on a seeded generator and maps to
 pixel values through fixed arithmetic, so a given (preset, seed, size)
-produces identical frames on every platform and run.
+produces identical frames on every platform and run. Every generator
+returns a read-only (count, height, width) float64 array.
 """
 from __future__ import annotations
 
@@ -10,7 +11,8 @@ import math
 
 import numpy as np
 
-from .mixcore import Frame
+from .mixcore import _read_only
+
 
 PRESETS = ("sparse-detail", "noise")
 
@@ -19,7 +21,7 @@ _BASE_LO, _BASE_HI = 40, 200  # + detail range stays inside [0, 255]
 _DETAIL_AMP = 40
 
 
-def sparse_detail(count, width, height, seed, group=4, max_active=2) -> list[Frame]:
+def sparse_detail(count, width, height, seed, group=4, max_active=2) -> np.ndarray:
     """Piecewise-constant frames with sparse per-group detail.
 
     Frames come in groups of ``group``; each group shares one
@@ -39,8 +41,9 @@ def sparse_detail(count, width, height, seed, group=4, max_active=2) -> list[Fra
     tiles_h = math.ceil(height / _BASE_TILE)
     tiles_w = math.ceil(width / _BASE_TILE)
 
-    frames: list[Frame] = []
-    for _ in range(math.ceil(count / group)):
+    groups = math.ceil(count / group)
+    frames = np.empty((groups * group, height, width))
+    for g in range(groups):
         tiles = rng.integers(_BASE_LO, _BASE_HI, size=(tiles_h, tiles_w))
         base = np.repeat(np.repeat(tiles, _BASE_TILE, 0), _BASE_TILE, 1)[:height, :width]
         active = rng.integers(0, max_active + 1, size=(cells_h, cells_w))
@@ -50,23 +53,21 @@ def sparse_detail(count, width, height, seed, group=4, max_active=2) -> list[Fra
         for j in range(group):
             cell_mask = ((active >= 1) & (first == j)) | ((active >= 2) & (second == j))
             mask = np.repeat(np.repeat(cell_mask, 2, 0), 2, 1)[:height, :width]
-            plane = base + detail[j] * mask
-            frames.append(Frame(np.clip(plane, 0, 255).astype(np.float64)))
-    return frames[:count]
+            np.clip(base + detail[j] * mask, 0, 255, out=frames[g * group + j])
+    return _read_only(frames[:count])
 
 
-def noise(count, width, height, seed) -> list[Frame]:
+def noise(count, width, height, seed) -> np.ndarray:
     """Independent uniform 8-bit noise; a worst case for sparse recovery."""
     if count < 1 or width < 1 or height < 1:
         raise ValueError("count, width, height must be positive")
     rng = np.random.default_rng(seed)
-    return [
-        Frame(rng.integers(0, 256, size=(height, width)).astype(np.float64))
-        for _ in range(count)
-    ]
+    # one draw per frame, so the values do not depend on how draws are batched
+    planes = [rng.integers(0, 256, size=(height, width)) for _ in range(count)]
+    return _read_only(np.stack(planes).astype(np.float64))
 
 
-def generate(preset, count, width, height, seed) -> list[Frame]:
+def generate(preset, count, width, height, seed) -> np.ndarray:
     if preset == "sparse-detail":
         return sparse_detail(count, width, height, seed)
     if preset == "noise":

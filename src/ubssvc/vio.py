@@ -18,7 +18,8 @@ raw-planar dumps. Encoded streams persist in a little-endian container:
     ...          tail frames (u8 planes)
 
 Writing then reading a container reproduces every field exactly, because
-the encoder already snapped mixed values onto the storage grid.
+the encoder already snapped mixed values onto the storage grid. Sequences
+are read into, and written from, one (count, height, width) float64 array.
 """
 from __future__ import annotations
 
@@ -30,11 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixcore import Frame, MixingMatrix, snap_to_8bit
+from .mixcore import MixingMatrix, _read_only, as_sequence, snap_to_8bit
 from .pipeline import QUANT_AFFINE, QUANT_FLOAT, EncodedSequence
 
 MAGIC = b"UBSS"
 VERSION = 1
+MAX_TAIL = 255  # the tail count is a u8 header field
 _HEADER = struct.Struct("<4sBBHHIIIBdd")
 _QUANT_CODE = {QUANT_FLOAT: 0, QUANT_AFFINE: 1}
 _QUANT_NAME = {code: name for name, code in _QUANT_CODE.items()}
@@ -53,7 +55,9 @@ class ContainerError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SequenceSource:
-    frames: tuple[Frame, ...]
+    """A loaded sequence: read-only (count, height, width) frames and their format."""
+
+    frames: np.ndarray
     origin: str
 
     @property
@@ -61,7 +65,7 @@ class SequenceSource:
         return len(self.frames)
 
 
-def _read_pgm(path) -> Frame:
+def _read_pgm(path) -> np.ndarray:
     with open(path, "rb") as fh:
         data = fh.read()
     pos = 0
@@ -86,15 +90,16 @@ def _read_pgm(path) -> Frame:
     payload = data[pos : pos + width * height]
     if len(payload) != width * height:
         raise ValueError(f"{path}: truncated PGM payload")
-    plane = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return Frame(plane.astype(np.float64))
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PGM dimensions must be positive")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
 
 
-def _write_pgm(frame: Frame, path) -> None:
-    plane = snap_to_8bit(frame.pixels).astype(np.uint8)
+def _write_pgm(plane: np.ndarray, path) -> None:
+    height, width = plane.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{frame.width} {frame.height}\n255\n".encode("ascii"))
-        fh.write(plane.tobytes())
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(snap_to_8bit(plane).astype(np.uint8).tobytes())
 
 
 def _format_pattern(pattern: str, i: int) -> str:
@@ -153,27 +158,22 @@ def read_sequence(path_or_pattern, *, width=None, height=None, count=None) -> Se
             count = len(data) // plane_size
         if len(data) < count * plane_size:
             raise ValueError(f"{path_or_pattern}: truncated raw payload")
-        frames = tuple(
-            Frame(
-                np.frombuffer(
-                    data, dtype=np.uint8, count=plane_size, offset=i * plane_size
-                ).reshape(height, width).astype(np.float64)
-            )
-            for i in range(count)
-        )
-        if not frames:
+        if not count:
             raise ValueError(f"{path_or_pattern}: no frames")
-        return SequenceSource(frames=frames, origin=RAW_PLANAR)
+        codes = np.frombuffer(data, dtype=np.uint8, count=count * plane_size)
+        frames = codes.reshape(count, height, width).astype(np.float64)
+        return SequenceSource(frames=_read_only(frames), origin=RAW_PLANAR)
 
     paths = _expand_pattern(str(path_or_pattern))
     if not paths:
         raise ValueError(f"no frames match {path_or_pattern!r}")
-    frames = tuple(_read_pgm(p) for p in paths)
-    w, h = frames[0].width, frames[0].height
-    for p, f in zip(paths, frames):
-        if f.width != w or f.height != h:
-            raise ValueError(f"{p}: dimensions {f.width}x{f.height} drift from {w}x{h}")
-    return SequenceSource(frames=frames, origin=PGM_SEQUENCE)
+    planes = [_read_pgm(p) for p in paths]
+    h, w = planes[0].shape
+    for p, plane in zip(paths, planes):
+        if plane.shape != (h, w):
+            raise ValueError(f"{p}: dimensions {plane.shape[1]}x{plane.shape[0]} drift from {w}x{h}")
+    frames = np.stack(planes).astype(np.float64)
+    return SequenceSource(frames=_read_only(frames), origin=PGM_SEQUENCE)
 
 
 def write_sequence(frames, pattern: str) -> list[str]:
@@ -183,29 +183,24 @@ def write_sequence(frames, pattern: str) -> list[str]:
     pattern may contain an ``{i}`` format field; otherwise an index suffix
     is inserted before the extension.
     """
-    frames = list(frames)
+    frames = as_sequence(frames)
     if "{" not in pattern:
         stem, ext = os.path.splitext(pattern)
         pattern = stem + "-{i:04d}" + (ext or ".pgm")
     paths = []
-    for i, frame in enumerate(frames):
+    for i, plane in enumerate(frames):
         path = _format_pattern(pattern, i)
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        _write_pgm(frame, path)
+        _write_pgm(plane, path)
         paths.append(path)
     return paths
 
 
 def sequence_stream_bytes(frames) -> bytes:
     """Concatenated 8-bit planes (frame-major, row-major) of a sequence."""
-    return b"".join(snap_to_8bit(f.pixels).astype(np.uint8).tobytes() for f in frames)
-
-
-def _affine_codes(enc: EncodedSequence, plane: np.ndarray) -> np.ndarray:
-    codes = np.floor((plane - enc.offset) / enc.scale + 0.5)
-    return np.clip(codes, 0, 255).astype(np.uint8)
+    return b"".join(snap_to_8bit(plane).astype(np.uint8) for plane in as_sequence(frames))
 
 
 def mixed_stream_bytes(enc: EncodedSequence) -> bytes:
@@ -213,19 +208,28 @@ def mixed_stream_bytes(enc: EncodedSequence) -> bytes:
 
     Affine mode yields one byte per pixel; float mode four (f32).
     """
-    chunks = []
-    for f in enc.mixed_frames:
-        if enc.quantization == QUANT_AFFINE:
-            chunks.append(_affine_codes(enc, f.pixels).tobytes())
-        else:
-            chunks.append(f.pixels.astype("<f4").tobytes())
-    for f in enc.tail_frames:
-        chunks.append(snap_to_8bit(f.pixels).astype(np.uint8).tobytes())
-    return b"".join(chunks)
+    if enc.quantization == QUANT_AFFINE:
+        codes = enc.mixed_frames - enc.offset
+        codes /= enc.scale
+        codes += 0.5
+        mixed = np.clip(np.floor(codes, out=codes), 0, 255, out=codes).astype(np.uint8)
+    else:
+        mixed = enc.mixed_frames.astype("<f4")
+    # join copies each array's buffer once; tobytes and + would copy twice
+    return b"".join((mixed, snap_to_8bit(enc.tail_frames).astype(np.uint8)))
 
 
 def write_container(enc: EncodedSequence, path) -> None:
-    """Serialize an encoded sequence; exact inverse of :func:`read_container`."""
+    """Serialize an encoded sequence; exact inverse of :func:`read_container`.
+
+    Raises :class:`ContainerError` before the file is opened when the
+    sequence does not fit the header fields.
+    """
+    if len(enc.tail_frames) > MAX_TAIL:
+        raise ContainerError(
+            f"{path}: a tail of {len(enc.tail_frames)} frames does not fit the "
+            f"container's u8 tail count (at most {MAX_TAIL})"
+        )
     header = _HEADER.pack(
         MAGIC,
         VERSION,
@@ -286,24 +290,15 @@ def read_container(path) -> EncodedSequence:
     except ValueError as exc:
         raise ContainerError(f"{path}: stored mixing matrix is invalid: {exc}") from exc
 
+    mixed_dtype = np.uint8 if quantization == QUANT_AFFINE else "<f4"
+    mixed = np.frombuffer(data, dtype=mixed_dtype, count=mixed_count * plane_size, offset=pos)
+    mixed = mixed.astype(np.float64).reshape(mixed_count, height, width)
+    if quantization == QUANT_AFFINE:
+        mixed *= scale  # offset + scale * code, in place
+        mixed += offset
+    pos += mixed_count * plane_size * mixed_item
+    tail = np.frombuffer(data, dtype=np.uint8, count=tail_count * plane_size, offset=pos)
     try:
-        mixed = []
-        for _ in range(mixed_count):
-            if quantization == QUANT_AFFINE:
-                codes = np.frombuffer(data, dtype=np.uint8, count=plane_size, offset=pos)
-                plane = offset + scale * codes.astype(np.float64)
-            else:
-                plane = np.frombuffer(data, dtype="<f4", count=plane_size, offset=pos).astype(
-                    np.float64
-                )
-            mixed.append(Frame(plane.reshape(height, width)))
-            pos += plane_size * mixed_item
-        tail = []
-        for _ in range(tail_count):
-            codes = np.frombuffer(data, dtype=np.uint8, count=plane_size, offset=pos)
-            tail.append(Frame(codes.astype(np.float64).reshape(height, width)))
-            pos += plane_size
-
         return EncodedSequence(
             matrix=matrix,
             width=width,
@@ -311,8 +306,8 @@ def read_container(path) -> EncodedSequence:
             quantization=quantization,
             scale=scale,
             offset=offset,
-            mixed_frames=tuple(mixed),
-            tail_frames=tuple(tail),
+            mixed_frames=_read_only(mixed),
+            tail_frames=_read_only(tail.astype(np.float64).reshape(tail_count, height, width)),
         )
     except ValueError as exc:
         raise ContainerError(f"{path}: inconsistent container: {exc}") from exc

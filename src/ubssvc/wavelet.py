@@ -4,84 +4,66 @@ Each 1-D pass maps adjacent pairs (a, b) to ((a+b)/sqrt2, (a-b)/sqrt2); the
 rows pass runs first, then the columns pass. The transform is orthonormal
 (Parseval holds) and linear, so it commutes with pixelwise frame mixing,
 which is what allows source separation to run in the coefficient domain.
-Odd dimensions are rejected here; padding policy belongs to the pipeline.
+Both directions work on the last two axes of an array of any rank, so one
+call transforms a whole stack of frames. Odd dimensions are rejected here;
+padding policy belongs to the pipeline.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .mixcore import Frame, _freeze
-
 _SQRT2 = math.sqrt(2.0)
+BANDS = ("ll", "lh", "hl", "hh")
 
 
-@dataclass(frozen=True, eq=False)
-class SubbandImage:
-    """The four quarter-resolution planes of a one-level decomposition.
+def haar_forward(planes) -> tuple[np.ndarray, ...]:
+    """One-level orthonormal Haar decomposition of (..., H, W) planes, H and W even.
 
-    ll is the low-frequency approximation; lh carries horizontal detail
-    (row-pass detail), hl vertical detail (column-pass detail), hh diagonal.
+    Returns four (..., H/2, W/2) arrays, the bands in :data:`BANDS` order:
+    ll is the low-frequency approximation, lh horizontal detail (row-pass
+    detail), hl vertical detail (column-pass detail), hh diagonal.
     """
-
-    ll: np.ndarray
-    lh: np.ndarray
-    hl: np.ndarray
-    hh: np.ndarray
-    original_width: int
-    original_height: int
-
-    def __post_init__(self):
-        planes = {}
-        for name in ("ll", "lh", "hl", "hh"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 2:
-                raise ValueError(f"subband {name} must be 2-D")
-            planes[name] = arr
-        shape = planes["ll"].shape
-        if any(p.shape != shape for p in planes.values()):
-            raise ValueError("subband planes must share dimensions")
-        if self.original_width != 2 * shape[1] or self.original_height != 2 * shape[0]:
-            raise ValueError("subband dimensions must be half the original dimensions")
-        for name, arr in planes.items():
-            object.__setattr__(self, name, _freeze(arr))
-
-    @property
-    def coefficient_count(self) -> int:
-        """Coefficients per subband plane (a quarter of the frame pixels)."""
-        return self.ll.size
+    a = np.asarray(planes, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-2] % 2 or a.shape[-1] % 2:
+        raise ValueError(f"planes must have even height and width, got shape {a.shape}")
+    row_lo = np.add(a[..., 0::2], a[..., 1::2])
+    row_lo /= _SQRT2
+    row_hi = np.subtract(a[..., 0::2], a[..., 1::2])
+    row_hi /= _SQRT2
+    pairs = ((row_lo, np.add), (row_hi, np.add), (row_lo, np.subtract), (row_hi, np.subtract))
+    bands = tuple(op(rows[..., 0::2, :], rows[..., 1::2, :]) for rows, op in pairs)
+    for band in bands:
+        band /= _SQRT2
+    return bands
 
 
-def haar_forward(frame: Frame) -> SubbandImage:
-    """One-level orthonormal Haar decomposition of an even-dimension frame."""
-    if frame.width % 2 or frame.height % 2:
-        raise ValueError(
-            f"frame dimensions must be even for the transform, got {frame.width}x{frame.height}"
-        )
-    a = frame.pixels
-    row_lo = (a[:, 0::2] + a[:, 1::2]) / _SQRT2
-    row_hi = (a[:, 0::2] - a[:, 1::2]) / _SQRT2
-    return SubbandImage(
-        ll=(row_lo[0::2, :] + row_lo[1::2, :]) / _SQRT2,
-        lh=(row_hi[0::2, :] + row_hi[1::2, :]) / _SQRT2,
-        hl=(row_lo[0::2, :] - row_lo[1::2, :]) / _SQRT2,
-        hh=(row_hi[0::2, :] - row_hi[1::2, :]) / _SQRT2,
-        original_width=frame.width,
-        original_height=frame.height,
-    )
+def haar_inverse(bands, out=None) -> np.ndarray:
+    """Exact inverse of :func:`haar_forward`.
 
-
-def haar_inverse(sb: SubbandImage) -> Frame:
-    """Exact inverse of :func:`haar_forward`."""
-    row_lo = np.empty((sb.original_height, sb.original_width // 2))
-    row_hi = np.empty_like(row_lo)
-    row_lo[0::2, :] = (sb.ll + sb.hl) / _SQRT2
-    row_lo[1::2, :] = (sb.ll - sb.hl) / _SQRT2
-    row_hi[0::2, :] = (sb.lh + sb.hh) / _SQRT2
-    row_hi[1::2, :] = (sb.lh - sb.hh) / _SQRT2
-    pixels = np.empty((sb.original_height, sb.original_width))
-    pixels[:, 0::2] = (row_lo + row_hi) / _SQRT2
-    pixels[:, 1::2] = (row_lo - row_hi) / _SQRT2
-    return Frame(pixels)
+    ``bands`` holds the ll, lh, hl and hh planes, (..., h, w) each; the
+    result is (..., 2h, 2w), written into ``out`` when given.
+    """
+    ll, lh, hl, hh = (np.asarray(b, dtype=np.float64) for b in bands)
+    if ll.ndim < 2 or not ll.shape == lh.shape == hl.shape == hh.shape:
+        raise ValueError("subband planes must share dimensions")
+    shape = (*ll.shape[:-2], 2 * ll.shape[-2], 2 * ll.shape[-1])
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ValueError(f"output shape {out.shape} is not twice the subband shape {ll.shape}")
+    # Row parity r: the columns pass gives that row of the rows-pass pair
+    # (lo, hi), and the rows pass turns it into the even and odd pixels,
+    # computed contiguously and then copied to their strided place once.
+    lo, hi, pixels = np.empty(ll.shape), np.empty(ll.shape), np.empty(ll.shape)
+    for r, op in enumerate((np.add, np.subtract)):
+        op(ll, hl, out=lo)
+        lo /= _SQRT2
+        op(lh, hh, out=hi)
+        hi /= _SQRT2
+        for c, pair_op in enumerate((np.add, np.subtract)):
+            pair_op(lo, hi, out=pixels)
+            pixels /= _SQRT2
+            out[..., r::2, c::2] = pixels
+    return out

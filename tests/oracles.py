@@ -4,8 +4,9 @@ Deliberately written along different routes than the library: cofactor
 expansion instead of LU determinants, classic Gram-Schmidt projections
 instead of hyperplane normals, an explicit pair-loop transform instead of
 the vectorized one, SVD (numpy.linalg.pinv) against the normal-equations
-inverse, and a per-column search over every subspace instead of the
-vectorized recovery kernel.
+inverse, a per-column search over every subspace instead of the
+vectorized recovery kernel, and a frame-by-frame, block-by-block decode
+instead of the chunked array pipeline.
 """
 import itertools
 import math
@@ -98,6 +99,73 @@ def haar2_reference(plane) -> dict:
             out["lh"][r // 2, c] = (row_hi[r, c] + row_hi[r + 1, c]) / s
             out["hh"][r // 2, c] = (row_hi[r, c] - row_hi[r + 1, c]) / s
     return out
+
+
+def haar2_inverse_reference(ll, lh, hl, hh) -> np.ndarray:
+    """Inverse of :func:`haar2_reference` by explicit pair loops.
+
+    Same arithmetic per pixel as the library (columns pass, then rows pass),
+    so the results agree bit for bit.
+    """
+    h, w = np.shape(ll)
+    s = math.sqrt(2.0)
+    row_lo = np.empty((2 * h, w))
+    row_hi = np.empty((2 * h, w))
+    for r in range(h):
+        for c in range(w):
+            row_lo[2 * r, c] = (ll[r, c] + hl[r, c]) / s
+            row_lo[2 * r + 1, c] = (ll[r, c] - hl[r, c]) / s
+            row_hi[2 * r, c] = (lh[r, c] + hh[r, c]) / s
+            row_hi[2 * r + 1, c] = (lh[r, c] - hh[r, c]) / s
+    out = np.empty((2 * h, 2 * w))
+    for r in range(2 * h):
+        for c in range(w):
+            out[r, 2 * c] = (row_lo[r, c] + row_hi[r, c]) / s
+            out[r, 2 * c + 1] = (row_lo[r, c] - row_hi[r, c]) / s
+    return out
+
+
+def mix_reference(entries, frames) -> np.ndarray:
+    """Mix a (count, H, W) sequence block by block: one (n, T) product per group of n."""
+    a = np.asarray(entries, dtype=float)
+    m, n = a.shape
+    frames = np.asarray(frames, dtype=float)
+    count, h, w = frames.shape
+    blocks = [a @ np.stack([f.ravel() for f in frames[b * n : (b + 1) * n]]) for b in range(count // n)]
+    return np.concatenate(blocks).reshape(-1, h, w) if blocks else np.empty((0, h, w))
+
+
+def decode_reference(enc, cfg):
+    """Frame-by-frame decode of an ``EncodedSequence``, the per-frame route of old.
+
+    Per block: edge-pad each mixed frame to even size, transform it alone,
+    recover each detail band with one 2-D ``recover_block`` call and the ll
+    band with one (n, m) @ (m, T) product, then inverse-transform and crop
+    frame by frame. Returns the list of decoded planes and the list of
+    per-call recovery stats.
+    """
+    from ubssvc import build_hyperplanes, generalized_inverse, recover_block
+
+    m, n = cfg.m, cfg.n
+    planes = build_hyperplanes(cfg.matrix)
+    pinv = generalized_inverse(cfg.matrix)
+    height, width = enc.height, enc.width
+    decoded, stats = [], []
+    for b in range(len(enc.mixed_frames) // m):
+        bands = []
+        for frame in enc.mixed_frames[b * m : (b + 1) * m]:
+            padded = np.pad(frame, ((0, height % 2), (0, width % 2)), mode="edge")
+            bands.append(haar2_reference(padded))
+        rec = {"ll": pinv @ np.stack([sb["ll"].ravel() for sb in bands])}
+        for band in ("lh", "hl", "hh"):
+            rec[band], part = recover_block(planes, np.stack([sb[band].ravel() for sb in bands]), cfg.tau)
+            stats.append(part)
+        half = bands[0]["ll"].shape
+        for j in range(n):
+            pixels = haar2_inverse_reference(*(rec[band][j].reshape(half) for band in ("ll", "lh", "hl", "hh")))
+            decoded.append(pixels[:height, :width])
+    decoded.extend(np.array(f) for f in enc.tail_frames)
+    return decoded, stats
 
 
 def psnr_reference(a, b) -> float:

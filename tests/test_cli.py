@@ -99,7 +99,7 @@ class TestMixSeparate:
         proc = run_cli("mix", src_pattern, "--out", str(container))
         assert proc.returncode == 0, proc.stderr
 
-        frames = list(read_sequence(src_pattern).frames)
+        frames = read_sequence(src_pattern).frames
         cfg = default_config()
         enc_memory = encode_sequence(frames, cfg)
         reference = sequence_dir / "ref.ubss"
@@ -112,9 +112,7 @@ class TestMixSeparate:
         assert proc.returncode == 0, proc.stderr
         decoded_files = read_sequence(str(sequence_dir / "rec" / "*.pgm")).frames
         decoded_memory, _ = decode_sequence(enc_memory, cfg)
-        assert len(decoded_files) == len(decoded_memory)
-        for file_frame, mem_frame in zip(decoded_files, decoded_memory):
-            assert np.array_equal(file_frame.pixels, snap_to_8bit(mem_frame.pixels))
+        assert np.array_equal(decoded_files, snap_to_8bit(decoded_memory))
 
     def test_mix_twice_is_bit_identical(self, sequence_dir):
         src_pattern = str(sequence_dir / "src" / "*.pgm")
@@ -132,7 +130,7 @@ class TestMixSeparate:
 
     def test_raw_input(self, tmp_path):
         frames = synth.generate("sparse-detail", 8, 8, 6, seed=12)
-        raw = b"".join(snap_to_8bit(f.pixels).astype(np.uint8).tobytes() for f in frames)
+        raw = snap_to_8bit(frames).astype(np.uint8).tobytes()
         raw_path = tmp_path / "seq.raw"
         raw_path.write_bytes(raw)
         proc = run_cli(
@@ -230,6 +228,21 @@ class TestExitCodes:
         write_container(encode_sequence(frames, default_config()), container)
         proc = run_cli("separate", str(container), "--tau", tau, "--out", str(tmp_path / "f_{i}.pgm"))
         assert proc.returncode == 2 and "tau must be finite" in proc.stderr
+
+    def test_tail_too_long_for_container_exits_2(self, tmp_path):
+        # a 2x257 matrix and 513 frames leave a tail of 256, one more than the u8 field holds
+        entries = np.random.default_rng(3).uniform(0.5, 1.5, size=(2, 257))
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text("n = 257\nm = 2\nmatrix = " + " ".join(map(str, entries.ravel().tolist())) + "\n")
+        raw = tmp_path / "seq.raw"
+        raw.write_bytes(bytes(513 * 4))
+        out = tmp_path / "o.ubss"
+        proc = run_cli(
+            "mix", str(raw), "--width", "2", "--height", "2", "--config", str(cfg), "--out", str(out)
+        )
+        assert proc.returncode == 2
+        assert "tail of 256 frames" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_bad_input_pattern_exits_2(self, tmp_path):
         proc = run_cli("mix", str(tmp_path / "x{j}.pgm"), "--out", str(tmp_path / "o.ubs"))

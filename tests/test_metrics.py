@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import psnr_reference
-from ubssvc import Frame, frame_mse, frame_psnr, sequence_report
+from ubssvc import frame_mse, frame_psnr, sequence_report
 
 # frozen: 10*log10(255^2 / 16^2) and 20*log10(2)
 PSNR_DIFF16 = 24.04840395556061
@@ -12,7 +12,7 @@ DOUBLING_DROP = 6.020599913279624
 
 
 def _const(value, shape=(4, 4)):
-    return Frame(np.full(shape, float(value)))
+    return np.full(shape, float(value))
 
 
 class TestFrameMse:
@@ -26,8 +26,8 @@ class TestFrameMse:
         assert frame_mse(_const(100), _const(116)) == 256.0
 
     def test_symmetry(self, rng):
-        a = Frame(rng.uniform(0, 255, size=(6, 6)))
-        b = Frame(rng.uniform(0, 255, size=(6, 6)))
+        a = rng.uniform(0, 255, size=(6, 6))
+        b = rng.uniform(0, 255, size=(6, 6))
         assert frame_mse(a, b) == frame_mse(b, a)
 
     def test_dimension_mismatch(self):
@@ -64,7 +64,7 @@ class TestFramePsnr:
         for _ in range(25):
             a = rng.uniform(-10, 265, size=(5, 7))
             b = rng.uniform(-10, 265, size=(5, 7))
-            got = frame_psnr(Frame(a), Frame(b))
+            got = frame_psnr(a, b)
             want = psnr_reference(a, b)
             if math.isinf(want):
                 assert math.isinf(got)
@@ -88,8 +88,8 @@ class TestSequenceReport:
         assert report.mean_psnr == pytest.approx(PSNR_DIFF16, abs=0.01)
 
     def test_psnr_mse_relation_holds(self, rng):
-        ref = [Frame(rng.uniform(0, 255, size=(4, 4))) for _ in range(5)]
-        test = [Frame(rng.uniform(0, 255, size=(4, 4))) for _ in range(5)]
+        ref = rng.uniform(0, 255, size=(5, 4, 4))
+        test = rng.uniform(0, 255, size=(5, 4, 4))
         report = sequence_report(ref, test)
         for mse, psnr in zip(report.per_frame_mse, report.per_frame_psnr):
             if mse > 0:
@@ -102,6 +102,28 @@ class TestSequenceReport:
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             sequence_report([_const(1)], [_const(1), _const(2)])
+        with pytest.raises(ValueError):
+            sequence_report(np.zeros((2, 4, 4)), np.zeros((2, 4, 5)))
+
+    def test_array_report_matches_frame_by_frame(self, rng, monkeypatch):
+        # one MSE per frame, and the same bits as scoring each frame alone
+        import ubssvc.metrics as metrics_module
+
+        ref = rng.uniform(-10, 265, size=(6, 5, 7))
+        test = ref.copy()
+        test[1:] += rng.normal(0, 4, size=(5, 5, 7))
+        calls = []
+        counting = lambda a, b: calls.append(1) or frame_mse(a, b)  # noqa: E731
+        monkeypatch.setattr(metrics_module, "frame_mse", counting)
+        report = sequence_report(ref, test)
+        assert len(calls) == 6
+        assert report.per_frame_mse == tuple(frame_mse(a, b) for a, b in zip(ref, test))
+        assert report.per_frame_psnr == tuple(frame_psnr(a, b) for a, b in zip(ref, test))
+        assert report.infinite_count == 1
+        finite = [frame_psnr(a, b) for a, b in zip(ref[1:], test[1:])]
+        assert report.mean_psnr == sum(finite) / len(finite)
+        with pytest.raises(ValueError, match="finite"):
+            sequence_report(ref, np.full_like(test, np.nan))
 
     def test_serializations(self):
         report = sequence_report([_const(0), _const(5)], [_const(16), _const(5)])

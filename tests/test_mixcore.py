@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import det_cofactor
+from oracles import det_cofactor, mix_reference
 from ubssvc import (
-    Frame,
-    FrameBlock,
-    MixedBlock,
     MixingMatrix,
+    as_sequence,
     check_sparsity,
     generalized_inverse,
     mix_block,
@@ -25,43 +23,60 @@ DEFAULT_DET_MAGNITUDES = {
 
 
 class TestFrame:
+    # a sequence is one (count, H, W) float64 array, checked once by as_sequence
     def test_dimensions(self):
-        f = Frame(np.zeros((3, 5)))
-        assert (f.height, f.width, f.pixel_count) == (3, 5, 15)
+        seq = as_sequence(np.zeros((2, 3, 5)))
+        assert seq.shape == (2, 3, 5) and seq.dtype == np.float64
+        assert as_sequence([np.zeros((3, 5))] * 4).shape == (4, 3, 5)
 
     def test_vector_is_row_major(self):
-        f = Frame(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert f.as_vector().tolist() == [1.0, 2.0, 3.0, 4.0]
+        seq = as_sequence([np.array([[1.0, 2.0], [3.0, 4.0]])])
+        assert seq.reshape(1, -1).tolist() == [[1.0, 2.0, 3.0, 4.0]]
 
     def test_rejects_non_plane(self):
+        for bad in (np.zeros(6), np.zeros((2, 3)), np.zeros((1, 0, 4)), np.zeros((2, 2, 2, 2))):
+            with pytest.raises(ValueError):
+                as_sequence(bad)
         with pytest.raises(ValueError):
-            Frame(np.zeros(6))
-        with pytest.raises(ValueError):
-            Frame(np.zeros((0, 4)))
+            as_sequence([])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Frame(np.array([[1.0, np.nan]]))
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                as_sequence(np.array([[[1.0, value]]]))
+            with pytest.raises(ValueError, match="finite"):
+                as_sequence([np.array([[1.0, value]])])
 
     def test_pixels_immutable(self):
-        f = Frame(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            f.pixels[0, 0] = 1.0
+        from ubssvc import default_config, encode_sequence, synth
+
+        frames = synth.generate("sparse-detail", 5, 4, 4, seed=1)
+        enc = encode_sequence(frames, default_config())
+        for arr in (frames, enc.mixed_frames, enc.tail_frames):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0] = 1.0
+        # a float64 array passes through without a copy
+        raw = np.zeros((1, 2, 2))
+        assert as_sequence(raw) is raw
 
 
 class TestBlocks:
     def test_matrix_layout(self):
-        frames = (Frame(np.array([[1.0, 2.0]])), Frame(np.array([[3.0, 4.0]])))
-        block = FrameBlock(frames)
-        assert block.as_matrix().tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        # group b of a (B*n, H, W) sequence is the (n, H*W) matrix, one row per frame
+        frames = np.arange(16.0).reshape(4, 2, 2)
+        blocks = frames.reshape(2, 2, 4)
+        assert blocks[0].tolist() == [[0.0, 1.0, 2.0, 3.0], [4.0, 5.0, 6.0, 7.0]]
+        assert blocks[1].tolist() == [[8.0, 9.0, 10.0, 11.0], [12.0, 13.0, 14.0, 15.0]]
 
     def test_rejects_mismatched_dimensions(self):
-        with pytest.raises(ValueError):
-            FrameBlock((Frame(np.zeros((2, 2))), Frame(np.zeros((2, 3)))))
+        with pytest.raises(ValueError, match="share dimensions"):
+            as_sequence([np.zeros((2, 2)), np.zeros((2, 3))])
 
-    def test_rejects_single_frame(self):
+    def test_rejects_single_frame(self, matrix):
         with pytest.raises(ValueError):
-            MixedBlock((Frame(np.zeros((2, 2))),))
+            mix_block(matrix, np.zeros((1, 2, 2)))
+        with pytest.raises(ValueError):
+            mix_block(matrix, np.zeros((2, 2)))
 
 
 class TestValidateMixingMatrix:
@@ -123,44 +138,41 @@ class TestMixingMatrixConstruction:
 
 class TestMixBlock:
     def test_zero_sources_give_zero_mix(self, matrix):
-        block = FrameBlock(tuple(Frame(np.zeros((4, 6))) for _ in range(4)))
-        mixed = mix_block(matrix, block)
-        assert mixed.count == 3
-        for f in mixed.frames:
-            assert not f.pixels.any()
+        mixed = mix_block(matrix, np.zeros((4, 4, 6)))
+        assert mixed.shape == (3, 4, 6)
+        assert not mixed.any()
 
     def test_constant_sources_scale_row_sums(self, matrix):
-        block = FrameBlock(tuple(Frame(np.full((8, 8), 100.0)) for _ in range(4)))
-        mixed = mix_block(matrix, block)
-        values = [f.pixels[0, 0] for f in mixed.frames]
-        assert values == pytest.approx([165.0, 175.0, 165.0])
-        for f in mixed.frames:
-            assert np.ptp(f.pixels) == 0.0
+        mixed = mix_block(matrix, np.full((4, 8, 8), 100.0))
+        assert mixed[:, 0, 0].tolist() == pytest.approx([165.0, 175.0, 165.0])
+        for plane in mixed:
+            assert np.ptp(plane) == 0.0
 
     def test_basis_sources_copy_matrix_rows(self, matrix):
         # pixel t of frame j is 1 iff t == j, over 4-pixel frames
-        frames = tuple(Frame(np.eye(4)[j].reshape(2, 2)) for j in range(4))
-        mixed = mix_block(matrix, FrameBlock(frames))
-        for i, f in enumerate(mixed.frames):
-            assert_allclose(f.as_vector(), matrix.entries[i])
+        mixed = mix_block(matrix, np.eye(4).reshape(4, 2, 2))
+        for i, plane in enumerate(mixed):
+            assert_allclose(plane.ravel(), matrix.entries[i])
 
     def test_frame_count_mismatch(self, matrix):
-        block = FrameBlock(tuple(Frame(np.zeros((2, 2))) for _ in range(3)))
         with pytest.raises(ValueError):
-            mix_block(matrix, block)
+            mix_block(matrix, np.zeros((3, 2, 2)))
+        with pytest.raises(ValueError):
+            mix_block(matrix, np.zeros((2, 3, 2, 2)))
 
     def test_linearity(self, matrix, rng):
-        a = rng.uniform(0, 255, size=(4, 16))
-        b = rng.uniform(0, 255, size=(4, 16))
+        a = rng.uniform(0, 255, size=(4, 4, 4))
+        b = rng.uniform(0, 255, size=(4, 4, 4))
         alpha, beta = 0.7, -1.3
-
-        def mix(mat):
-            block = FrameBlock(tuple(Frame(row.reshape(4, 4)) for row in mat))
-            return np.stack([f.as_vector() for f in mix_block(matrix, block).frames])
-
-        combined = mix(alpha * a + beta * b)
-        separate = alpha * mix(a) + beta * mix(b)
+        combined = mix_block(matrix, alpha * a + beta * b)
+        separate = alpha * mix_block(matrix, a) + beta * mix_block(matrix, b)
         assert_allclose(combined, separate, rtol=1e-9)
+
+    def test_stacked_groups_match_block_by_block(self, matrix, rng):
+        # one batched product over every group gives the bits of mixing each alone
+        frames = rng.uniform(0, 255, size=(20, 6, 10))
+        stacked = mix_block(matrix, frames.reshape(5, 4, 6, 10)).reshape(15, 6, 10)
+        assert np.array_equal(stacked, mix_reference(matrix.entries, frames))
 
 
 class TestGeneralizedInverse:
@@ -206,8 +218,9 @@ class TestCheckSparsity:
         assert report.histogram == (7, 0, 0, 0, 0)
 
     def test_accepts_frame_block(self, matrix):
-        block = FrameBlock(tuple(Frame(np.zeros((2, 2))) for _ in range(4)))
-        assert check_sparsity(block, m=3).satisfied
+        # a group of frames enters as its (n, H*W) matrix
+        block = np.zeros((4, 2, 2))
+        assert check_sparsity(block.reshape(4, -1), m=3).satisfied
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):

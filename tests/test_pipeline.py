@@ -1,12 +1,18 @@
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from oracles import decode_reference
 from ubssvc import (
+    BANDS,
     CodecConfig,
-    Frame,
     MixingMatrix,
     build_hyperplanes,
     decode_sequence,
@@ -15,16 +21,23 @@ from ubssvc import (
     generalized_inverse,
     load_config,
     mix_block,
+    read_container,
     roundtrip_eval,
+    write_container,
 )
+from ubssvc import pipeline as pipeline_module
 from ubssvc import synth
-from ubssvc.mixcore import FrameBlock
 from ubssvc.pipeline import parse_config
 from ubssvc.wavelet import haar_forward
 
 
 def _zeros(count, shape=(8, 8)):
-    return [Frame(np.zeros(shape)) for _ in range(count)]
+    return np.zeros((count, *shape))
+
+
+def _band_columns(frames, band) -> np.ndarray:
+    """(count, T) coefficients of one band, one row per frame."""
+    return dict(zip(BANDS, haar_forward(frames)))[band].reshape(len(frames), -1)
 
 
 class TestEncodeAccounting:
@@ -41,24 +54,26 @@ class TestEncodeAccounting:
         assert len(enc.mixed_frames) == 30
         assert len(enc.tail_frames) == 1
         decoded, _ = decode_sequence(enc, default_config())
-        assert len(decoded) == 41
+        assert decoded.shape == (41, 16, 16)
         # tail passes through untouched (sources are 8-bit integral)
-        assert np.array_equal(decoded[-1].pixels, frames[-1].pixels)
+        assert np.array_equal(decoded[-1], frames[-1])
 
     def test_zero_block(self):
         enc = encode_sequence(_zeros(4), default_config())
-        assert len(enc.mixed_frames) == 3
-        for f in enc.mixed_frames:
-            assert not f.pixels.any()
+        assert enc.mixed_frames.shape == (3, 8, 8)
+        assert enc.tail_frames.shape == (0, 8, 8)
+        assert not enc.mixed_frames.any()
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError, match="at least"):
             encode_sequence(_zeros(3), default_config())
 
     def test_dimension_mismatch(self):
-        frames = _zeros(3) + [Frame(np.zeros((8, 10)))]
+        frames = list(_zeros(3)) + [np.zeros((8, 10))]
         with pytest.raises(ValueError, match="share dimensions"):
             encode_sequence(frames, default_config())
+        with pytest.raises(ValueError, match="finite"):
+            encode_sequence(np.full((5, 8, 8), np.inf), default_config())
 
     def test_odd_dimensions_rejected_by_policy(self):
         with pytest.raises(ValueError, match="odd"):
@@ -67,17 +82,16 @@ class TestEncodeAccounting:
     def test_mixed_values_sit_on_f32_grid(self):
         frames = synth.generate("sparse-detail", 8, 16, 16, seed=2)
         enc = encode_sequence(frames, default_config())
-        for f in enc.mixed_frames:
-            assert np.array_equal(f.pixels, f.pixels.astype(np.float32).astype(np.float64))
+        mixed = enc.mixed_frames
+        assert np.array_equal(mixed, mixed.astype(np.float32).astype(np.float64))
 
     def test_affine_values_sit_on_8bit_grid(self):
         frames = synth.generate("sparse-detail", 8, 16, 16, seed=2)
         enc = encode_sequence(frames, default_config(quantization="affine-8bit"))
         assert enc.scale > 0
-        for f in enc.mixed_frames:
-            codes = (f.pixels - enc.offset) / enc.scale
-            assert np.abs(codes - np.round(codes)).max() < 1e-9
-            assert codes.min() >= -0.5 and codes.max() <= 255.5
+        codes = (enc.mixed_frames - enc.offset) / enc.scale
+        assert np.abs(codes - np.round(codes)).max() < 1e-9
+        assert codes.min() >= -0.5 and codes.max() <= 255.5
 
 
 class TestDecode:
@@ -91,9 +105,8 @@ class TestDecode:
     def test_zero_sequence_decodes_to_zero(self):
         cfg = default_config()
         decoded, stats = decode_sequence(encode_sequence(_zeros(8), cfg), cfg)
-        assert len(decoded) == 8
-        for f in decoded:
-            assert not f.pixels.any()
+        assert decoded.shape == (8, 8, 8)
+        assert not decoded.any()
         assert stats.zero_columns == stats.total_columns
 
     def test_detail_subbands_recovered_and_ll_matches_projector(self, matrix):
@@ -108,13 +121,11 @@ class TestDecode:
         frames = synth.generate("sparse-detail", 8, 32, 32, seed=21)
         decoded, stats = decode_sequence(encode_sequence(frames, cfg), cfg)
         for b in range(2):
-            src = [haar_forward(f) for f in frames[b * 4 : (b + 1) * 4]]
-            got = [haar_forward(f) for f in decoded[b * 4 : (b + 1) * 4]]
+            src, got = frames[b * 4 : (b + 1) * 4], decoded[b * 4 : (b + 1) * 4]
             for band in ("lh", "hl", "hh"):
-                for s, g in zip(src, got):
-                    assert np.abs(getattr(s, band) - getattr(g, band)).max() <= 1e-3
-            source_ll = np.stack([s.ll.ravel() for s in src])
-            decoded_ll = np.stack([g.ll.ravel() for g in got])
+                assert np.abs(_band_columns(src, band) - _band_columns(got, band)).max() <= 1e-3
+            source_ll = _band_columns(src, "ll")
+            decoded_ll = _band_columns(got, "ll")
             assert np.abs(decoded_ll - projector @ source_ll).max() <= 1e-3
 
     def test_constant_frames_quantify_mixing_loss(self, matrix):
@@ -123,12 +134,12 @@ class TestDecode:
         projector = pinv @ matrix.entries
         value = 100.0
         expected = projector @ np.full(4, value)
-        frames = [Frame(np.full((8, 8), value)) for _ in range(4)]
+        frames = np.full((4, 8, 8), value)
         decoded, _ = decode_sequence(encode_sequence(frames, cfg), cfg)
-        for j, f in enumerate(decoded):
-            assert np.ptp(f.pixels) <= 1e-3
-            assert f.pixels[0, 0] == pytest.approx(expected[j], abs=1e-3)
-            assert abs(f.pixels[0, 0] - value) > 0.1  # information loss is real
+        for j, plane in enumerate(decoded):
+            assert np.ptp(plane) <= 1e-3
+            assert plane[0, 0] == pytest.approx(expected[j], abs=1e-3)
+            assert abs(plane[0, 0] - value) > 0.1  # information loss is real
 
     def test_odd_dimensions_pad_and_crop(self):
         frames = synth.generate("sparse-detail", 8, 15, 9, seed=4)
@@ -151,19 +162,16 @@ class TestDecode:
         decoded, stats = decode_sequence(encode_sequence(frames, cfg), cfg)
         assert len(decoded) == 4
         assert stats.forced_columns > 0
-        assert all(np.isfinite(f.pixels).all() for f in decoded)
+        assert np.isfinite(decoded).all()
 
 
 class TestSubbandCommutation:
     def test_transform_of_mix_equals_mix_of_transforms(self, matrix, rng):
         planes = rng.uniform(0, 255, size=(4, 16, 16))
-        block = FrameBlock(tuple(Frame(p) for p in planes))
-        mixed = mix_block(matrix, block)
-        for band in ("ll", "lh", "hl", "hh"):
-            direct = np.stack([getattr(haar_forward(f), band).ravel() for f in mixed.frames])
-            via_sources = matrix.entries @ np.stack(
-                [getattr(haar_forward(f), band).ravel() for f in block.frames]
-            )
+        mixed = mix_block(matrix, planes)
+        for band in BANDS:
+            direct = _band_columns(mixed, band)
+            via_sources = matrix.entries @ _band_columns(planes, band)
             scale = max(1.0, np.abs(via_sources).max())
             assert np.abs(direct - via_sources).max() <= 1e-9 * scale
 
@@ -208,6 +216,59 @@ def test_decode_builds_plane_set_once(monkeypatch):
     assert len(calls) == 1 and calls[0] is cfg.matrix
     assert len(decoded) == 14
     assert stats.total_columns == 3 * 3 * 8 * 8  # 3 blocks x 3 bands x 8x8
+
+
+@st.composite
+def codec_cases(draw):
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(m + 1, 5))
+    return (
+        m,
+        n,
+        draw(st.integers(n, 3 * n + n - 1)),  # frame count: 1-3 blocks plus any tail
+        draw(st.integers(1, 9)),  # height, odd or even
+        draw(st.integers(1, 9)),  # width
+        draw(st.sampled_from(["float-container", "affine-8bit"])),
+        draw(st.sampled_from([1, 7, 40, pipeline_module.BUDGET])),  # columns per recovery call
+        draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(codec_cases())
+def test_array_decode_equals_frame_by_frame_decode(case):
+    m, n, count, height, width, quantization, budget, seed = case
+    rng = np.random.default_rng(seed)
+    try:
+        matrix = MixingMatrix(rng.uniform(0.1, 1.0, size=(m, n)))
+    except ValueError:
+        assume(False)
+    cfg = CodecConfig(matrix=matrix, tau=0.05, quantization=quantization)
+    frames = synth.sparse_detail(count, width, height, seed, group=n, max_active=m - 1)
+    enc = encode_sequence(frames, cfg)
+    with mock.patch.object(pipeline_module, "BUDGET", budget):
+        decoded, stats = decode_sequence(enc, cfg)
+    reference, parts = decode_reference(enc, cfg)
+    assert decoded.shape == (count, height, width)
+    assert np.array_equal(decoded, np.stack(reference))
+    merged = type(stats).merged(parts)
+    for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
+        assert getattr(stats, field) == getattr(merged, field)
+    # residuals are pooled in call order, so compare them as a multiset
+    assert np.array_equal(np.sort(stats.residuals), np.sort(merged.residuals))
+
+    # encode -> write -> read -> decode reproduces the in-memory path bit for bit
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "seq.ubss")
+        write_container(enc, path)
+        back = read_container(path)
+    assert np.array_equal(back.mixed_frames, enc.mixed_frames)
+    assert np.array_equal(back.tail_frames, enc.tail_frames)
+    with mock.patch.object(pipeline_module, "BUDGET", budget):
+        file_decoded, file_stats = decode_sequence(back, cfg)
+    assert np.array_equal(file_decoded, decoded)
+    assert np.array_equal(file_stats.residuals, stats.residuals)
+    assert file_stats.forced_columns == stats.forced_columns
 
 
 class TestConfig:

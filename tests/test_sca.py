@@ -379,3 +379,96 @@ def test_recovery_stats_merge():
     assert merged.forced_columns == 1
     assert merged.residuals.tolist() == [0.1, 0.2, 0.3]
     assert RecoveryStats.merged([]).total_columns == 0
+
+
+class TestStackedRecovery:
+    # a (G, m, T) input is G independent groups, each with its own zero threshold
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_observations_rejected(self, matrix, bad):
+        x = matrix.entries @ sparse_source(seed=1, t=5)
+        x[1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            recover_block(matrix, x, tau=1e-8)
+        stacked = np.stack([matrix.entries @ sparse_source(seed=2, t=5), x])
+        with pytest.raises(ValueError, match="finite"):
+            recover_block(matrix, stacked, tau=1e-8)
+
+    def test_threshold_is_per_group(self, matrix):
+        # group 0's small column sits under its own threshold; group 1 is all
+        # small, so the same size is active there
+        big = matrix.entries @ sparse_source(seed=4, t=6)
+        big[:, 2] = 1e-13 * matrix.column(0)
+        small = 1e-15 * (matrix.entries @ sparse_source(seed=5, t=6))
+        stacked = np.stack([big, small])
+        recovered, stats = recover_block(matrix, stacked, tau=1e-8)
+        assert recovered.shape == (2, 4, 6)
+        assert not recovered[0, :, 2].any()
+        per_group = [recover_block(matrix, g, tau=1e-8) for g in stacked]
+        for g, (rec, _) in enumerate(per_group):
+            assert np.array_equal(recovered[g], rec)
+        assert stats.zero_columns == sum(s.zero_columns for _, s in per_group)
+        assert per_group[1][1].zero_columns == int((small == 0).all(axis=0).sum())
+        # one 2-D call over both groups would zero every column of group 1
+        _, joint = recover_block(matrix, np.concatenate([big, small], axis=1), tau=1e-8)
+        assert joint.zero_columns == per_group[0][1].zero_columns + 6
+
+    def test_empty_and_all_zero_groups(self, matrix):
+        recovered, stats = recover_block(matrix, np.zeros((0, 3, 4)), tau=0.1)
+        assert recovered.shape == (0, 4, 4) and stats.total_columns == 0
+        recovered, stats = recover_block(matrix, np.zeros((2, 3, 0)), tau=0.1)
+        assert recovered.shape == (2, 4, 0) and stats.total_columns == 0
+        recovered, stats = recover_block(matrix, np.zeros((3, 3, 5)), tau=0.1)
+        assert not recovered.any() and stats.zero_columns == stats.total_columns == 15
+        with pytest.raises(ValueError):
+            recover_block(matrix, np.zeros((2, 4, 5)), tau=0.1)
+        with pytest.raises(ValueError):
+            recover_block(matrix, np.zeros((1, 2, 3, 5)), tau=0.1)
+
+
+@st.composite
+def stacked_cases(draw):
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(m + 1, 6))
+    groups = draw(st.integers(1, 5))
+    t = draw(st.integers(1, 12))
+    # per group: 0 all zero, 1 a single active column, 2 sparse, 3 dense (forced columns)
+    kinds = draw(st.lists(st.integers(0, 3), min_size=groups, max_size=groups))
+    scales = draw(st.lists(st.sampled_from([1e-12, 1.0, 1e6]), min_size=groups, max_size=groups))
+    return m, n, t, kinds, scales, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(stacked_cases())
+def test_stacked_call_equals_separate_calls(case):
+    m, n, t, kinds, scales, seed = case
+    rng = np.random.default_rng(seed)
+    try:
+        matrix = MixingMatrix(rng.uniform(-1, 1, size=(m, n)))
+    except ValueError:
+        assume(False)
+    hs = build_hyperplanes(matrix)
+    groups = []
+    for kind, scale in zip(kinds, scales):
+        s = random_sparse_source(int(rng.integers(2**32)), n, t, max_active=m - 1)
+        if kind == 0:
+            s[:] = 0.0
+        elif kind == 1:
+            s[:, 1:] = 0.0
+            s[0, 0] = 1.0
+        elif kind == 3:
+            s = rng.uniform(-1, 1, size=(n, t))
+        x = scale * (matrix.entries @ s)
+        # a few columns far below the group's largest: zero here, active in a smaller group
+        x[:, rng.random(t) < 0.2] *= 1e-13
+        groups.append(x)
+    stacked = np.stack(groups)
+    recovered, stats = recover_block(hs, stacked, tau=1e-6)
+    separate = [recover_block(hs, x, tau=1e-6) for x in groups]
+    assert recovered.shape == (len(groups), n, t)
+    for g, (rec, _) in enumerate(separate):
+        assert np.array_equal(recovered[g], rec)
+    parts = [part for _, part in separate]
+    merged = RecoveryStats.merged(parts)
+    for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
+        assert getattr(stats, field) == getattr(merged, field)
+    assert np.array_equal(stats.residuals, merged.residuals)

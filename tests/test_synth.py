@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ubssvc import check_sparsity, haar_forward
+from ubssvc import BANDS, check_sparsity, haar_forward
 from ubssvc.synth import generate, sparse_detail
 
 
 def _stacks(frames):
-    return np.stack([f.pixels for f in frames])
+    assert frames.ndim == 3 and frames.dtype == np.float64 and not frames.flags.writeable
+    return frames
 
 
 class TestSparseDetail:
@@ -18,25 +19,22 @@ class TestSparseDetail:
         assert not np.array_equal(_stacks(a), _stacks(c))
 
     def test_values_are_8bit_integral(self):
-        frames = generate("sparse-detail", 8, 32, 32, seed=1)
-        for f in frames:
-            assert f.pixels.min() >= 0 and f.pixels.max() <= 255
-            assert np.array_equal(f.pixels, np.round(f.pixels))
+        frames = _stacks(generate("sparse-detail", 8, 32, 32, seed=1))
+        assert frames.min() >= 0 and frames.max() <= 255
+        assert np.array_equal(frames, np.round(frames))
 
     def test_count_and_dimensions(self):
-        frames = generate("sparse-detail", 6, 20, 14, seed=2)
-        assert len(frames) == 6
-        assert all((f.width, f.height) == (20, 14) for f in frames)
+        frames = _stacks(generate("sparse-detail", 6, 20, 14, seed=2))
+        assert frames.shape == (6, 14, 20)
 
     def test_detail_columns_stay_sparse_per_group(self):
         # the whole point of the preset: every detail-coefficient column has
         # at most 2 of the 4 group members active
         frames = generate("sparse-detail", 16, 32, 32, seed=3)
         for g in range(4):
-            group = frames[g * 4 : (g + 1) * 4]
-            subbands = [haar_forward(f) for f in group]
+            group = dict(zip(BANDS, haar_forward(frames[g * 4 : (g + 1) * 4])))
             for band in ("lh", "hl", "hh"):
-                coeffs = np.stack([getattr(sb, band).ravel() for sb in subbands])
+                coeffs = group[band].reshape(4, -1)
                 report = check_sparsity(coeffs, m=3, zero_eps=1e-9)
                 assert report.satisfied, f"group {g} band {band}: {report.max_nonzeros}"
 

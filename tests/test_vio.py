@@ -3,7 +3,7 @@ import pytest
 
 from ubssvc import (
     ContainerError,
-    Frame,
+    MixingMatrix,
     default_config,
     encode_sequence,
     read_container,
@@ -16,9 +16,7 @@ from ubssvc.vio import mixed_stream_bytes, sequence_stream_bytes
 
 
 def _sequences_equal(a, b):
-    return len(a) == len(b) and all(
-        np.array_equal(x.pixels, y.pixels) for x, y in zip(a, b)
-    )
+    return a.shape == b.shape and np.array_equal(a, b)
 
 
 class TestPgm:
@@ -27,31 +25,30 @@ class TestPgm:
         path.write_bytes(b"P5\n4 2\n255\n" + bytes(range(8)))
         src = read_sequence(str(path))
         assert src.count == 1 and src.origin == "pgm-sequence"
-        frame = src.frames[0]
-        assert (frame.width, frame.height) == (4, 2)
-        assert frame.as_vector().tolist() == list(range(8))
+        assert src.frames.shape == (1, 2, 4) and not src.frames.flags.writeable
+        assert src.frames.ravel().tolist() == list(range(8))
 
     def test_reads_commented_header(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_bytes(b"P5\n# c\n2 2\n255\n" + bytes([1, 2, 3, 4]))
-        assert read_sequence(str(path)).frames[0].pixels.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert read_sequence(str(path)).frames[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
         # comments may sit between any header tokens and end with CR or LF
         path.write_bytes(b"P5 #a\r2#b c\n 2 # d\n# e\n255\n" + bytes([1, 2, 3, 4]))
-        assert read_sequence(str(path)).frames[0].pixels.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert read_sequence(str(path)).frames[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
         # the raster starts one whitespace byte after maxval, so no comment fits there
         path.write_bytes(b"P5\n2 2\n255#x\n" + bytes([1, 2, 3, 4]))
         with pytest.raises(ValueError, match="malformed"):
             read_sequence(str(path))
 
     def test_commented_header_roundtrip(self, tmp_path, rng):
-        frame = Frame(rng.integers(0, 256, size=(3, 5)).astype(float))
+        frame = rng.integers(0, 256, size=(3, 5)).astype(float)
         (written,) = write_sequence([frame], str(tmp_path / "w.pgm"))
         data = open(written, "rb").read()
         commented = tmp_path / "c.pgm"
         commented.write_bytes(b"P5\n# written by another tool\n" + data[len(b"P5\n"):])
-        back = read_sequence(str(commented)).frames[0]
-        assert np.array_equal(back.pixels, frame.pixels)
-        write_sequence([back], str(tmp_path / "again.pgm"))
+        back = read_sequence(str(commented)).frames
+        assert np.array_equal(back[0], frame)
+        write_sequence(back, str(tmp_path / "again.pgm"))
         assert open(tmp_path / "again-0000.pgm", "rb").read() == data
 
     def test_rejects_16bit(self, tmp_path):
@@ -73,29 +70,30 @@ class TestPgm:
             read_sequence(str(path))
 
     def test_write_clamps_and_rounds(self, tmp_path):
-        frame = Frame(np.array([[255.7, -3.2], [100.5, 7.0]]))
+        frame = np.array([[255.7, -3.2], [100.5, 7.0]])
         paths = write_sequence([frame], str(tmp_path / "w.pgm"))
         back = read_sequence(paths[0]).frames[0]
-        assert back.pixels.tolist() == [[255.0, 0.0], [101.0, 7.0]]
+        assert back.tolist() == [[255.0, 0.0], [101.0, 7.0]]
 
     def test_roundtrip_lossless_for_integral_values(self, tmp_path, rng):
-        frames = [Frame(rng.integers(0, 256, size=(6, 4)).astype(float)) for _ in range(3)]
+        frames = rng.integers(0, 256, size=(3, 6, 4)).astype(float)
         write_sequence(frames, str(tmp_path / "s_{i}.pgm"))
         back = read_sequence(str(tmp_path / "s_*.pgm"))
-        assert _sequences_equal(frames, list(back.frames))
+        assert _sequences_equal(frames, back.frames)
 
     def test_pattern_expansion_formats(self, tmp_path):
-        frames = [Frame(np.full((2, 2), float(i))) for i in range(3)]
+        frames = np.arange(3.0)[:, None, None] * np.ones((3, 2, 2))
         write_sequence(frames, str(tmp_path / "f_{i:03d}.pgm"))
         by_brace = read_sequence(str(tmp_path / "f_{i:03d}.pgm"))
         by_glob = read_sequence(str(tmp_path / "*.pgm"))
         by_dir = read_sequence(str(tmp_path))
         assert by_brace.count == by_glob.count == by_dir.count == 3
-        assert _sequences_equal(list(by_brace.frames), list(by_glob.frames))
+        assert _sequences_equal(by_brace.frames, by_glob.frames)
+        assert _sequences_equal(by_dir.frames, frames)
 
     def test_dimension_drift_rejected(self, tmp_path):
-        write_sequence([Frame(np.zeros((2, 2)))], str(tmp_path / "a_{i}.pgm"))
-        write_sequence([Frame(np.zeros((2, 4)))], str(tmp_path / "b_{i}.pgm"))
+        write_sequence([np.zeros((2, 2))], str(tmp_path / "a_{i}.pgm"))
+        write_sequence([np.zeros((2, 4))], str(tmp_path / "b_{i}.pgm"))
         with pytest.raises(ValueError, match="drift"):
             read_sequence(str(tmp_path / "*.pgm"))
 
@@ -109,7 +107,7 @@ class TestPgm:
         with pytest.raises(ValueError, match="bad frame pattern"):
             read_sequence(pattern)
         with pytest.raises(ValueError, match="bad frame pattern"):
-            write_sequence([Frame(np.zeros((2, 2)))], pattern)
+            write_sequence([np.zeros((2, 2))], pattern)
 
 
 class TestRawPlanar:
@@ -120,6 +118,8 @@ class TestRawPlanar:
         path.write_bytes(payload[: count * w * h])
         src = read_sequence(str(path), width=w, height=h, count=count)
         assert src.count == 40 and src.origin == "raw-planar"
+        assert src.frames.shape == (40, 3, 5) and not src.frames.flags.writeable
+        assert src.frames.ravel().tolist() == list(payload[: count * w * h])
 
     def test_infers_count(self, tmp_path):
         path = tmp_path / "seq.raw"
@@ -151,8 +151,8 @@ class TestContainer:
         assert (back.width, back.height) == (enc.width, enc.height)
         assert back.quantization == enc.quantization
         assert (back.scale, back.offset) == (enc.scale, enc.offset)
-        assert _sequences_equal(list(back.mixed_frames), list(enc.mixed_frames))
-        assert _sequences_equal(list(back.tail_frames), list(enc.tail_frames))
+        assert _sequences_equal(back.mixed_frames, enc.mixed_frames)
+        assert _sequences_equal(back.tail_frames, enc.tail_frames)
 
     def test_roundtrip_affine_mode(self, tmp_path):
         frames = synth.generate("sparse-detail", 8, 16, 12, seed=6)
@@ -162,7 +162,7 @@ class TestContainer:
         back = read_container(path)
         assert back.quantization == "affine-8bit"
         assert (back.scale, back.offset) == (enc.scale, enc.offset)
-        assert _sequences_equal(list(back.mixed_frames), list(enc.mixed_frames))
+        assert _sequences_equal(back.mixed_frames, enc.mixed_frames)
 
     def test_write_is_byte_deterministic(self, tmp_path, encoded):
         _, enc = encoded
@@ -209,6 +209,26 @@ class TestContainer:
         with pytest.raises(ContainerError):
             read_container(path)
 
+    def test_non_finite_payload(self, tmp_path, encoded):
+        _, enc = encoded
+        path = tmp_path / "x.ubss"
+        write_container(enc, path)
+        data = bytearray(path.read_bytes())
+        data[39 + 96 : 39 + 100] = np.array([np.nan], dtype="<f4").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ContainerError, match="finite"):
+            read_container(path)
+
+    def test_tail_too_long_for_header(self, tmp_path, rng):
+        # n = 257 leaves a tail of up to 256 frames; the header field holds 255
+        matrix = MixingMatrix(rng.uniform(0.5, 1.5, size=(2, 257)))
+        enc = encode_sequence(np.zeros((513, 2, 2)), default_config(matrix=matrix))
+        assert len(enc.tail_frames) == 256
+        path = tmp_path / "x.ubss"
+        with pytest.raises(ContainerError, match="tail of 256 frames"):
+            write_container(enc, path)
+        assert not path.exists()
+
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "x.ubss"
         path.write_bytes(b"UBSS\x01")
@@ -237,18 +257,16 @@ class TestContainer:
         assert np.array_equal(matrix, enc.matrix.entries)
         t = enc.width * enc.height
         first_mixed = np.frombuffer(data, dtype="<f4", count=t, offset=39 + 96)
-        assert np.array_equal(
-            first_mixed.astype(np.float64), enc.mixed_frames[0].as_vector()
-        )
+        assert np.array_equal(first_mixed.astype(np.float64), enc.mixed_frames[0].ravel())
         tail_offset = 39 + 96 + 6 * t * 4
         tail = np.frombuffer(data, dtype=np.uint8, count=t, offset=tail_offset)
-        assert np.array_equal(tail.astype(np.float64), enc.tail_frames[0].as_vector())
+        assert np.array_equal(tail.astype(np.float64), enc.tail_frames[0].ravel())
         assert len(data) == tail_offset + t
 
 
 class TestStreams:
     def test_sequence_stream_size(self):
-        frames = [Frame(np.zeros((4, 6))) for _ in range(3)]
+        frames = np.zeros((3, 4, 6))
         assert len(sequence_stream_bytes(frames)) == 3 * 24
 
     def test_mixed_stream_sizes_by_mode(self, encoded):
