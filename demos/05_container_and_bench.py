@@ -1,7 +1,10 @@
 """Persisting encoded streams and measuring the compression effect.
 
-The container stores the matrix and mixed frames bit-exactly, so decoding
-from a file matches decoding from memory. The bench harness then runs any
+An encoded sequence holds its mixed frames as the codes the container
+stores (uint8 here, in affine-8bit mode; float32 in float mode), and the
+decoder dequantizes them one chunk at a time. The container stores the
+matrix and those codes bit-exactly, so decoding from a file matches
+decoding from memory. The bench harness then runs any
 external codec command on the original and the mixed raw streams; with a
 copy command as the "codec", the improvement is the structural 4/3 floor.
 """
@@ -24,8 +27,11 @@ from ubssvc import synth
 frames = synth.generate("sparse-detail", 12, 32, 32, seed=77)
 cfg = default_config(quantization="affine-8bit")
 enc = encode_sequence(frames, cfg)
-print(f"encoded: {len(enc.mixed_frames)} mixed + {len(enc.tail_frames)} tail, "
+print(f"encoded: {len(enc.mixed_codes)} mixed + {len(enc.tail_codes)} tail, "
       f"quantization {enc.quantization} (scale {enc.scale:.4f}, offset {enc.offset:.2f})")
+print(f"stored codes: mixed {enc.mixed_codes.dtype}, tail {enc.tail_codes.dtype}; "
+      f"first mixed code {enc.mixed_codes[0, 0, 0]} stands for "
+      f"{enc.offset + enc.scale * int(enc.mixed_codes[0, 0, 0]):.3f}")
 
 with tempfile.TemporaryDirectory() as work:
     path = os.path.join(work, "demo.ubss")
@@ -33,7 +39,8 @@ with tempfile.TemporaryDirectory() as work:
     print(f"container: {os.path.getsize(path)} bytes")
 
     back = read_container(path)
-    print("mixed frames identical after write/read:", np.array_equal(back.mixed_frames, enc.mixed_frames))
+    same = np.array_equal(back.mixed_codes, enc.mixed_codes)
+    print("mixed codes identical after write/read:", same and back.mixed_codes.dtype == enc.mixed_codes.dtype)
 
     decoded_file, _ = decode_sequence(back, cfg)
     decoded_mem, _ = decode_sequence(enc, cfg)

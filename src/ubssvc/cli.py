@@ -12,7 +12,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import pipeline, synth, vio
 from .mixcore import (
@@ -147,15 +147,7 @@ def _load_cfg(args) -> CodecConfig:
         overrides["tau"] = args.tau
     if getattr(args, "quant", None) is not None:
         overrides["quantization"] = _QUANT_FLAG[args.quant]
-    if overrides:
-        cfg = CodecConfig(
-            matrix=cfg.matrix,
-            tau=overrides.get("tau", cfg.tau),
-            pad_policy=cfg.pad_policy,
-            tail_policy=cfg.tail_policy,
-            quantization=overrides.get("quantization", cfg.quantization),
-        )
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def _load_frames(args):
@@ -214,13 +206,13 @@ def _cmd_mix(args) -> int:
     size = os.path.getsize(args.out)
     if args.porcelain:
         print(f"sources={len(frames)}")
-        print(f"mixed={len(enc.mixed_frames)}")
-        print(f"tail={len(enc.tail_frames)}")
+        print(f"mixed={len(enc.mixed_codes)}")
+        print(f"tail={len(enc.tail_codes)}")
         print(f"container_bytes={size}")
     else:
         print(
-            f"mixed {len(frames)} frames into {len(enc.mixed_frames)} "
-            f"(+{len(enc.tail_frames)} tail) -> {args.out} ({size} bytes)"
+            f"mixed {len(frames)} frames into {len(enc.mixed_codes)} "
+            f"(+{len(enc.tail_codes)} tail) -> {args.out} ({size} bytes)"
         )
     return 0
 

@@ -185,7 +185,8 @@ def generalized_inverse(matrix: MixingMatrix, cond_bound: float = 1e12) -> np.nd
     Satisfies A @ A+ = I to machine precision.
     """
     gram = matrix.entries @ matrix.entries.T
-    if np.linalg.cond(gram) > cond_bound:
+    # an overflowed Gram matrix has no usable condition number
+    if not np.isfinite(gram).all() or not np.linalg.cond(gram) <= cond_bound:
         raise ValueError("mixing matrix rows are numerically dependent")
     return np.linalg.solve(gram, matrix.entries).T
 

@@ -10,10 +10,13 @@ per band, each group with its own zero threshold), the low-frequency
 subband by the generalized inverse, and one inverse transform written
 straight into the output array.
 
-Mixed pixel values are snapped to their storage grid at encode time
-(float32 in float-container mode, the 8-bit affine grid in affine-8bit
-mode) so that writing a container and reading it back is lossless and the
-file path reproduces the in-memory path bit for bit.
+The encoder keeps the mixed frames in their stored form, the codes a
+container holds and a downstream codec sees: float32 in float-container
+mode, uint8 on an affine grid (value = offset + scale * code) in
+affine-8bit mode. Tail frames are uint8. So writing a container and reading
+it back is lossless, and the file path reproduces the in-memory path bit
+for bit. The affine map is applied in one place each way: quantization in
+:func:`encode_sequence`, dequantization of one decode chunk at a time.
 """
 from __future__ import annotations
 
@@ -25,7 +28,6 @@ import numpy as np
 from .metrics import QualityReport, sequence_report
 from .mixcore import (
     MixingMatrix,
-    _freeze,
     _read_only,
     as_sequence,
     default_mixing_matrix,
@@ -50,6 +52,11 @@ DEFAULT_TAU = 0.05
 # groups for subband planes of T columns. Whole-sequence calls let the
 # temporaries fall out of cache (CIF decode ran about 40% slower).
 BUDGET = 8192
+
+# Storage dtype of the mixed codes per quantization mode, and of the tail.
+CODE_DTYPES = {QUANT_FLOAT: np.dtype("<f4"), QUANT_AFFINE: np.dtype(np.uint8)}
+TAIL_DTYPE = np.dtype(np.uint8)
+_F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,12 +101,14 @@ def default_config(**overrides) -> CodecConfig:
 
 @dataclass(frozen=True, eq=False)
 class EncodedSequence:
-    """Mixed frames plus tail and the metadata the decoder needs.
+    """Mixed frames plus tail, as stored, and the metadata the decoder needs.
 
-    ``mixed_frames`` and ``tail_frames`` are read-only (count, height,
-    width) float64 arrays. Mixed pixel values already sit on the storage
-    grid of ``quantization``; ``scale``/``offset`` are the affine map
-    parameters (zero in float mode). Tail frames are 8-bit integral.
+    ``mixed_codes`` and ``tail_codes`` are read-only, C-contiguous (count,
+    height, width) arrays in their storage dtype: mixed codes are
+    little-endian float32 in float mode and uint8 in affine mode, where a
+    code c stands for ``offset + scale * c``; tail codes are uint8 pixels.
+    ``scale``/``offset`` are zero in float mode. Every stored value must
+    dequantize to a finite float32-range number.
     """
 
     matrix: MixingMatrix
@@ -108,39 +117,52 @@ class EncodedSequence:
     quantization: str
     scale: float
     offset: float
-    mixed_frames: np.ndarray
-    tail_frames: np.ndarray
+    mixed_codes: np.ndarray
+    tail_codes: np.ndarray
 
     def __post_init__(self):
-        if self.quantization not in (QUANT_FLOAT, QUANT_AFFINE):
+        if self.quantization not in CODE_DTYPES:
             raise ValueError(f"unknown quantization mode {self.quantization!r}")
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"frame dimensions {self.width}x{self.height} must be positive")
         if not math.isfinite(self.scale) or not math.isfinite(self.offset):
             raise ValueError("quantization parameters must be finite")
+        # codes 0 and 255 bound the affine values; the decoder's column norms
+        # square them, which overflows far beyond float32 range
+        top = self.offset + 255.0 * self.scale
+        if self.quantization == QUANT_AFFINE and max(abs(self.offset), abs(top)) > _F32_MAX:
+            raise ValueError("affine quantization parameters must map codes into float32 range")
         m, n = self.matrix.rows, self.matrix.cols
-        for name in ("mixed_frames", "tail_frames"):
-            frames = as_sequence(getattr(self, name))
-            if frames.shape[1:] != (self.height, self.width):
-                raise ValueError("frame dimensions disagree with header")
-            object.__setattr__(self, name, _freeze(frames) if frames.flags.writeable else frames)
-        mixed_count = len(self.mixed_frames)
+        dtypes = {"mixed_codes": CODE_DTYPES[self.quantization], "tail_codes": TAIL_DTYPE}
+        for name, dtype in dtypes.items():
+            codes = getattr(self, name)
+            if not isinstance(codes, np.ndarray) or codes.dtype != dtype:
+                raise ValueError(f"{name} must be a {dtype} array")
+            if codes.shape[1:] != (self.height, self.width):
+                raise ValueError(f"{name} shape {codes.shape} disagrees with header")
+            if codes.flags.writeable or not codes.flags.c_contiguous:
+                object.__setattr__(self, name, _read_only(np.array(codes, order="C")))
+        if self.quantization == QUANT_FLOAT and not np.isfinite(self.mixed_codes).all():
+            raise ValueError("mixed frame values must be finite")
+        mixed_count = len(self.mixed_codes)
         if not mixed_count or mixed_count % m:
             raise ValueError(
                 f"mixed frame count {mixed_count} must be a positive multiple of m = {m}"
             )
-        if len(self.tail_frames) >= n:
-            raise ValueError(f"tail holds {len(self.tail_frames)} frames, must be < n = {n}")
+        if len(self.tail_codes) >= n:
+            raise ValueError(f"tail holds {len(self.tail_codes)} frames, must be < n = {n}")
 
     @property
     def block_count(self) -> int:
-        return len(self.mixed_frames) // self.matrix.rows
+        return len(self.mixed_codes) // self.matrix.rows
 
     @property
     def source_count(self) -> int:
-        return self.block_count * self.matrix.cols + len(self.tail_frames)
+        return self.block_count * self.matrix.cols + len(self.tail_codes)
 
 
 def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
-    """Group, mix, and snap a (count, H, W) source sequence onto its storage grid."""
+    """Group and mix a (count, H, W) source sequence into its storage codes."""
     src = as_sequence(frames)
     count, height, width = src.shape
     n = cfg.n
@@ -156,18 +178,15 @@ def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
 
     if cfg.quantization == QUANT_FLOAT:
         scale = offset = 0.0
-        np.copyto(mixed, mixed.astype(np.float32))
     else:
         lo, hi = float(mixed.min()), float(mixed.max())
         scale = (hi - lo) / 255.0 if hi > lo else 1.0
         offset = lo
-        # offset + scale * floor((x - offset) / scale + 0.5), in place
+        # code = floor((x - offset) / scale + 0.5), in place
         mixed -= offset
         mixed /= scale
         mixed += 0.5
-        np.floor(mixed, out=mixed)
-        mixed *= scale
-        mixed += offset
+        np.clip(np.floor(mixed, out=mixed), 0, 255, out=mixed)
 
     return EncodedSequence(
         matrix=cfg.matrix,
@@ -176,8 +195,8 @@ def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
         quantization=cfg.quantization,
         scale=scale,
         offset=offset,
-        mixed_frames=_read_only(mixed),
-        tail_frames=_read_only(snap_to_8bit(src[blocks * n :])),
+        mixed_codes=_read_only(mixed.astype(CODE_DTYPES[cfg.quantization])),
+        tail_codes=_read_only(snap_to_8bit(src[blocks * n :]).astype(TAIL_DTYPE)),
     )
 
 
@@ -197,28 +216,35 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     pinv = generalized_inverse(cfg.matrix)
     planes = build_hyperplanes(cfg.matrix)
     blocks = enc.block_count
-    mixed = enc.mixed_frames.reshape(blocks, m, height, width)
+    codes = enc.mixed_codes.reshape(blocks, m, height, width)
+    affine = (enc.scale, enc.offset) if enc.quantization == QUANT_AFFINE else None
     out = np.empty((enc.source_count, height, width))
     stats_parts: list[RecoveryStats] = []
     chunk = max(1, BUDGET // (((height + 1) // 2) * ((width + 1) // 2)))
     for start in range(0, blocks, chunk):
         stop = min(start + chunk, blocks)
         dest = out[start * n : stop * n].reshape(stop - start, n, height, width)
-        stats_parts += _decode_chunk(mixed[start:stop], dest, planes, pinv, cfg.tau)
-    out[blocks * n :] = enc.tail_frames
+        stats_parts += _decode_chunk(codes[start:stop], affine, dest, planes, pinv, cfg.tau)
+    out[blocks * n :] = enc.tail_codes
     return _read_only(out), RecoveryStats.merged(stats_parts)
 
 
-def _decode_chunk(group, dest, planes, pinv, tau) -> list[RecoveryStats]:
-    """Decode (k, m, H, W) mixed groups into the (k, n, H, W) array ``dest``.
+def _decode_chunk(codes, affine, dest, planes, pinv, tau) -> list[RecoveryStats]:
+    """Decode (k, m, H, W) mixed codes into the (k, n, H, W) array ``dest``.
 
-    A function of its own, so that one chunk's temporaries are freed before
-    the next chunk allocates its own.
+    ``affine`` is the (scale, offset) of affine-8bit codes, None for float
+    codes. A function of its own, so that one chunk's temporaries are freed
+    before the next chunk allocates its own.
     """
-    k, m, height, width = group.shape
+    k, m, height, width = codes.shape
     odd = (height % 2, width % 2)
     if any(odd):
-        group = np.pad(group, ((0, 0), (0, 0), (0, odd[0]), (0, odd[1])), mode="edge")
+        codes = np.pad(codes, ((0, 0), (0, 0), (0, odd[0]), (0, odd[1])), mode="edge")
+    if affine is None:
+        group = codes.astype(np.float64)
+    else:  # offset + scale * code: cast and scale in one pass, then shift in place
+        group = np.multiply(codes, affine[0], dtype=np.float64)
+        group += affine[1]
     # each band is popped into its recovery call, so its memory is freed once used
     bands = [band.reshape(k, m, -1) for band in haar_forward(group)]
     recovered = [recover_dense(pinv, bands.pop(0))]
@@ -259,8 +285,8 @@ def roundtrip_eval(frames, cfg: CodecConfig) -> RoundtripReport:
         quality=quality,
         recovery=stats,
         source_count=len(frames),
-        mixed_count=len(enc.mixed_frames),
-        tail_count=len(enc.tail_frames),
+        mixed_count=len(enc.mixed_codes),
+        tail_count=len(enc.tail_codes),
     )
 
 

@@ -14,12 +14,15 @@ raw-planar dumps. Encoded streams persist in a little-endian container:
     byte  22     tail frame count (u8)
     bytes 23-38  scale, offset (two f64; zeros in float mode)
     ...          m*n matrix entries (f64, row-major)
-    ...          mixed frames (f32 planes, or u8 in affine mode)
+    ...          mixed frames (f32 planes, or u8 codes in affine mode)
     ...          tail frames (u8 planes)
 
-Writing then reading a container reproduces every field exactly, because
-the encoder already snapped mixed values onto the storage grid. Sequences
-are read into, and written from, one (count, height, width) float64 array.
+An :class:`~ubssvc.pipeline.EncodedSequence` holds its mixed and tail
+frames as these stored codes, so writing a container copies the two code
+arrays out as they are, and reading one returns read-only views over the
+bytes read: the file reproduces every field exactly, and nothing is
+dequantized here. Sequences of frames are read into, and written from, one
+(count, height, width) float64 array.
 """
 from __future__ import annotations
 
@@ -31,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixcore import MixingMatrix, _read_only, as_sequence, snap_to_8bit
-from .pipeline import QUANT_AFFINE, QUANT_FLOAT, EncodedSequence
+from .mixcore import MixingMatrix, _read_only, as_sequence, generalized_inverse, snap_to_8bit
+from .pipeline import CODE_DTYPES, QUANT_AFFINE, QUANT_FLOAT, TAIL_DTYPE, EncodedSequence
 
 MAGIC = b"UBSS"
 VERSION = 1
@@ -204,19 +207,12 @@ def sequence_stream_bytes(frames) -> bytes:
 
 
 def mixed_stream_bytes(enc: EncodedSequence) -> bytes:
-    """The raw payload the downstream codec sees: mixed frames plus tail.
+    """The raw payload the downstream codec sees: mixed codes plus tail.
 
     Affine mode yields one byte per pixel; float mode four (f32).
     """
-    if enc.quantization == QUANT_AFFINE:
-        codes = enc.mixed_frames - enc.offset
-        codes /= enc.scale
-        codes += 0.5
-        mixed = np.clip(np.floor(codes, out=codes), 0, 255, out=codes).astype(np.uint8)
-    else:
-        mixed = enc.mixed_frames.astype("<f4")
     # join copies each array's buffer once; tobytes and + would copy twice
-    return b"".join((mixed, snap_to_8bit(enc.tail_frames).astype(np.uint8)))
+    return b"".join((enc.mixed_codes, enc.tail_codes))
 
 
 def write_container(enc: EncodedSequence, path) -> None:
@@ -225,9 +221,9 @@ def write_container(enc: EncodedSequence, path) -> None:
     Raises :class:`ContainerError` before the file is opened when the
     sequence does not fit the header fields.
     """
-    if len(enc.tail_frames) > MAX_TAIL:
+    if len(enc.tail_codes) > MAX_TAIL:
         raise ContainerError(
-            f"{path}: a tail of {len(enc.tail_frames)} frames does not fit the "
+            f"{path}: a tail of {len(enc.tail_codes)} frames does not fit the "
             f"container's u8 tail count (at most {MAX_TAIL})"
         )
     header = _HEADER.pack(
@@ -238,15 +234,16 @@ def write_container(enc: EncodedSequence, path) -> None:
         enc.matrix.cols,
         enc.width,
         enc.height,
-        len(enc.mixed_frames),
-        len(enc.tail_frames),
+        len(enc.mixed_codes),
+        len(enc.tail_codes),
         enc.scale,
         enc.offset,
     )
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(enc.matrix.entries.astype("<f8").tobytes())
-        fh.write(mixed_stream_bytes(enc))
+        fh.write(enc.mixed_codes)
+        fh.write(enc.tail_codes)
 
 
 def read_container(path) -> EncodedSequence:
@@ -272,13 +269,9 @@ def read_container(path) -> EncodedSequence:
         raise ContainerError(f"{path}: tail count {tail_count} not below n = {n}")
 
     plane_size = width * height
-    mixed_item = 1 if quantization == QUANT_AFFINE else 4
-    expected = (
-        _HEADER.size
-        + m * n * 8
-        + mixed_count * plane_size * mixed_item
-        + tail_count * plane_size
-    )
+    mixed_dtype = CODE_DTYPES[quantization]
+    mixed_bytes = mixed_count * plane_size * mixed_dtype.itemsize
+    expected = _HEADER.size + m * n * 8 + mixed_bytes + tail_count * plane_size
     if len(data) != expected:
         raise ContainerError(f"{path}: size mismatch (expected {expected} bytes, got {len(data)})")
 
@@ -287,17 +280,13 @@ def read_container(path) -> EncodedSequence:
     pos += m * n * 8
     try:
         matrix = MixingMatrix(entries)
+        generalized_inverse(matrix)  # the decoder's LL solve needs it
     except ValueError as exc:
         raise ContainerError(f"{path}: stored mixing matrix is invalid: {exc}") from exc
 
-    mixed_dtype = np.uint8 if quantization == QUANT_AFFINE else "<f4"
     mixed = np.frombuffer(data, dtype=mixed_dtype, count=mixed_count * plane_size, offset=pos)
-    mixed = mixed.astype(np.float64).reshape(mixed_count, height, width)
-    if quantization == QUANT_AFFINE:
-        mixed *= scale  # offset + scale * code, in place
-        mixed += offset
-    pos += mixed_count * plane_size * mixed_item
-    tail = np.frombuffer(data, dtype=np.uint8, count=tail_count * plane_size, offset=pos)
+    pos += mixed_bytes
+    tail = np.frombuffer(data, dtype=TAIL_DTYPE, count=tail_count * plane_size, offset=pos)
     try:
         return EncodedSequence(
             matrix=matrix,
@@ -306,8 +295,8 @@ def read_container(path) -> EncodedSequence:
             quantization=quantization,
             scale=scale,
             offset=offset,
-            mixed_frames=_read_only(mixed),
-            tail_frames=_read_only(tail.astype(np.float64).reshape(tail_count, height, width)),
+            mixed_codes=mixed.reshape(mixed_count, height, width),
+            tail_codes=tail.reshape(tail_count, height, width),
         )
     except ValueError as exc:
         raise ContainerError(f"{path}: inconsistent container: {exc}") from exc

@@ -5,11 +5,13 @@ expansion instead of LU determinants, classic Gram-Schmidt projections
 instead of hyperplane normals, an explicit pair-loop transform instead of
 the vectorized one, SVD (numpy.linalg.pinv) against the normal-equations
 inverse, a per-column search over every subspace instead of the
-vectorized recovery kernel, and a frame-by-frame, block-by-block decode
-instead of the chunked array pipeline.
+vectorized recovery kernel, a frame-by-frame, block-by-block decode
+instead of the chunked array pipeline, and a quantizer that handles one
+Python scalar at a time instead of whole arrays.
 """
 import itertools
 import math
+import struct
 
 import numpy as np
 
@@ -135,14 +137,35 @@ def mix_reference(entries, frames) -> np.ndarray:
     return np.concatenate(blocks).reshape(-1, h, w) if blocks else np.empty((0, h, w))
 
 
+def quantize_reference(mixed, quantization):
+    """Storage codes of mixed values, one Python scalar at a time.
+
+    ``float-container``: each value rounded to the nearest float32 through
+    ``struct``. ``affine-8bit``: offset = min, scale = (max - min) / 255 (1
+    for a flat input), and code = the integer part of (x - offset) / scale
+    + 0.5, at most 255. Returns ``(codes, scale, offset)``, the codes shaped
+    like ``mixed``.
+    """
+    values = np.asarray(mixed, dtype=float)
+    flat = [float(v) for v in values.ravel()]
+    if quantization == "float-container":
+        codes = [struct.unpack("<f", struct.pack("<f", v))[0] for v in flat]
+        return np.array(codes, dtype=np.float32).reshape(values.shape), 0.0, 0.0
+    lo, hi = min(flat), max(flat)
+    scale = (hi - lo) / 255.0 if hi > lo else 1.0
+    codes = [min(255, int((v - lo) / scale + 0.5)) for v in flat]
+    return np.array(codes, dtype=np.uint8).reshape(values.shape), scale, lo
+
+
 def decode_reference(enc, cfg):
     """Frame-by-frame decode of an ``EncodedSequence``, the per-frame route of old.
 
     Per block: edge-pad each mixed frame to even size, transform it alone,
     recover each detail band with one 2-D ``recover_block`` call and the ll
     band with one (n, m) @ (m, T) product, then inverse-transform and crop
-    frame by frame. Returns the list of decoded planes and the list of
-    per-call recovery stats.
+    frame by frame. Affine codes are dequantized frame by frame as
+    ``offset + scale * code``. Returns the list of decoded planes and the
+    list of per-call recovery stats.
     """
     from ubssvc import build_hyperplanes, generalized_inverse, recover_block
 
@@ -150,10 +173,14 @@ def decode_reference(enc, cfg):
     planes = build_hyperplanes(cfg.matrix)
     pinv = generalized_inverse(cfg.matrix)
     height, width = enc.height, enc.width
+    affine = enc.quantization == "affine-8bit"
     decoded, stats = [], []
-    for b in range(len(enc.mixed_frames) // m):
+    for b in range(len(enc.mixed_codes) // m):
         bands = []
-        for frame in enc.mixed_frames[b * m : (b + 1) * m]:
+        for codes in enc.mixed_codes[b * m : (b + 1) * m]:
+            frame = np.array(codes, dtype=float)
+            if affine:
+                frame = enc.offset + enc.scale * frame
             padded = np.pad(frame, ((0, height % 2), (0, width % 2)), mode="edge")
             bands.append(haar2_reference(padded))
         rec = {"ll": pinv @ np.stack([sb["ll"].ravel() for sb in bands])}
@@ -164,7 +191,7 @@ def decode_reference(enc, cfg):
         for j in range(n):
             pixels = haar2_inverse_reference(*(rec[band][j].reshape(half) for band in ("ll", "lh", "hl", "hh")))
             decoded.append(pixels[:height, :width])
-    decoded.extend(np.array(f) for f in enc.tail_frames)
+    decoded.extend(np.array(f, dtype=float) for f in enc.tail_codes)
     return decoded, stats
 
 

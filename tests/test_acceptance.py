@@ -74,13 +74,13 @@ def test_criterion_2_frame_accounting(announce):
     cfg = default_config()
     enc = encode_sequence(frames, cfg)
     decoded, _ = decode_sequence(enc, cfg)
-    ok = len(enc.mixed_frames) == 30 and len(decoded) == 40
+    ok = len(enc.mixed_codes) == 30 and len(decoded) == 40
     announce(
-        f"2 frame accounting (40 -> {len(enc.mixed_frames)} mixed -> {len(decoded)} decoded)",
+        f"2 frame accounting (40 -> {len(enc.mixed_codes)} mixed -> {len(decoded)} decoded)",
         ok,
     )
-    assert len(enc.mixed_frames) == 30
-    assert len(enc.tail_frames) == 0
+    assert len(enc.mixed_codes) == 30
+    assert len(enc.tail_codes) == 0
     assert len(decoded) == 40
 
 
@@ -235,8 +235,8 @@ def test_criterion_7_determinism_and_serialization(tmp_path, announce):
         and (back.width, back.height) == (enc.width, enc.height)
         and back.quantization == enc.quantization
         and (back.scale, back.offset) == (enc.scale, enc.offset)
-        and np.array_equal(back.mixed_frames, enc.mixed_frames)
-        and np.array_equal(back.tail_frames, enc.tail_frames)
+        and np.array_equal(back.mixed_codes, enc.mixed_codes)
+        and np.array_equal(back.tail_codes, enc.tail_codes)
     )
 
     ok = stdout_identical and files_identical and lossless

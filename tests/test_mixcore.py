@@ -52,7 +52,7 @@ class TestFrame:
 
         frames = synth.generate("sparse-detail", 5, 4, 4, seed=1)
         enc = encode_sequence(frames, default_config())
-        for arr in (frames, enc.mixed_frames, enc.tail_frames):
+        for arr in (frames, enc.mixed_codes, enc.tail_codes):
             with pytest.raises(ValueError):
                 arr[0, 0, 0] = 1.0
         # a float64 array passes through without a copy

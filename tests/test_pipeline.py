@@ -9,10 +9,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import decode_reference
+from oracles import decode_reference, mix_reference, quantize_reference
 from ubssvc import (
     BANDS,
     CodecConfig,
+    EncodedSequence,
     MixingMatrix,
     build_hyperplanes,
     decode_sequence,
@@ -44,15 +45,15 @@ class TestEncodeAccounting:
     def test_40_frames_give_30_mixed(self):
         frames = synth.generate("sparse-detail", 40, 16, 16, seed=1)
         enc = encode_sequence(frames, default_config())
-        assert len(enc.mixed_frames) == 30
-        assert len(enc.tail_frames) == 0
+        assert len(enc.mixed_codes) == 30
+        assert len(enc.tail_codes) == 0
         assert enc.block_count == 10
 
     def test_41_frames_give_30_mixed_plus_tail(self):
         frames = synth.generate("sparse-detail", 41, 16, 16, seed=1)
         enc = encode_sequence(frames, default_config())
-        assert len(enc.mixed_frames) == 30
-        assert len(enc.tail_frames) == 1
+        assert len(enc.mixed_codes) == 30
+        assert len(enc.tail_codes) == 1
         decoded, _ = decode_sequence(enc, default_config())
         assert decoded.shape == (41, 16, 16)
         # tail passes through untouched (sources are 8-bit integral)
@@ -60,9 +61,9 @@ class TestEncodeAccounting:
 
     def test_zero_block(self):
         enc = encode_sequence(_zeros(4), default_config())
-        assert enc.mixed_frames.shape == (3, 8, 8)
-        assert enc.tail_frames.shape == (0, 8, 8)
-        assert not enc.mixed_frames.any()
+        assert enc.mixed_codes.shape == (3, 8, 8)
+        assert enc.tail_codes.shape == (0, 8, 8)
+        assert not enc.mixed_codes.any()
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError, match="at least"):
@@ -80,18 +81,97 @@ class TestEncodeAccounting:
             encode_sequence(_zeros(4, (7, 8)), default_config(pad_policy="reject"))
 
     def test_mixed_values_sit_on_f32_grid(self):
-        frames = synth.generate("sparse-detail", 8, 16, 16, seed=2)
+        frames = synth.generate("sparse-detail", 9, 16, 16, seed=2)
         enc = encode_sequence(frames, default_config())
-        mixed = enc.mixed_frames
-        assert np.array_equal(mixed, mixed.astype(np.float32).astype(np.float64))
+        assert enc.mixed_codes.dtype == np.float32
+        mixed = mix_reference(enc.matrix.entries, frames)
+        expected, _, _ = quantize_reference(mixed, "float-container")
+        assert np.array_equal(enc.mixed_codes, expected)
+        assert (enc.scale, enc.offset) == (0.0, 0.0)
+        assert enc.tail_codes.dtype == np.uint8
+        assert np.array_equal(enc.tail_codes, frames[8:])
 
     def test_affine_values_sit_on_8bit_grid(self):
-        frames = synth.generate("sparse-detail", 8, 16, 16, seed=2)
+        frames = synth.generate("sparse-detail", 9, 16, 16, seed=2)
         enc = encode_sequence(frames, default_config(quantization="affine-8bit"))
-        assert enc.scale > 0
-        codes = (enc.mixed_frames - enc.offset) / enc.scale
-        assert np.abs(codes - np.round(codes)).max() < 1e-9
-        assert codes.min() >= -0.5 and codes.max() <= 255.5
+        assert enc.mixed_codes.dtype == enc.tail_codes.dtype == np.uint8
+        mixed = mix_reference(enc.matrix.entries, frames)
+        codes, scale, offset = quantize_reference(mixed, "affine-8bit")
+        assert enc.scale == scale > 0 and enc.offset == offset
+        assert np.array_equal(enc.mixed_codes, codes)
+        # the grid spans the mixed range: its ends take the first and last codes
+        assert enc.mixed_codes.min() == 0 and enc.mixed_codes.max() == 255
+        assert np.array_equal(enc.tail_codes, frames[8:])
+
+    def test_flat_affine_mix_uses_unit_scale(self):
+        enc = encode_sequence(np.zeros((4, 2, 2)), default_config(quantization="affine-8bit"))
+        assert enc.scale == 1.0
+        assert not enc.mixed_codes.any()
+
+
+def _encoded_fields(quantization="float-container"):
+    frames = synth.generate("sparse-detail", 9, 6, 4, seed=3)  # 2 blocks + 1 tail
+    enc = encode_sequence(frames, default_config(quantization=quantization))
+    names = ("matrix", "width", "height", "quantization", "scale", "offset", "mixed_codes", "tail_codes")
+    return {name: getattr(enc, name) for name in names}
+
+
+class TestEncodedSequence:
+    def test_rejects_float64_codes(self):
+        fields = _encoded_fields()
+        with pytest.raises(ValueError, match="mixed_codes must be a float32 array"):
+            EncodedSequence(**{**fields, "mixed_codes": fields["mixed_codes"].astype(np.float64)})
+        with pytest.raises(ValueError, match="tail_codes must be a uint8 array"):
+            EncodedSequence(**{**fields, "tail_codes": fields["tail_codes"].astype(np.float64)})
+        with pytest.raises(ValueError, match="mixed_codes must be a float32 array"):
+            EncodedSequence(**{**fields, "mixed_codes": fields["mixed_codes"].tolist()})
+        # float codes are not the storage form of affine mode, nor uint8 codes of float mode
+        with pytest.raises(ValueError, match="mixed_codes must be a uint8 array"):
+            EncodedSequence(**{**fields, "quantization": "affine-8bit", "scale": 1.0})
+        affine = _encoded_fields("affine-8bit")
+        with pytest.raises(ValueError, match="mixed_codes must be a float32 array"):
+            EncodedSequence(**{**affine, "quantization": "float-container"})
+
+    def test_rejects_wrong_shape_codes(self):
+        fields = _encoded_fields()
+        mixed = fields["mixed_codes"]
+        for bad in (mixed[0], mixed[None], mixed[:, :, :-1], mixed.reshape(6, 6, 4)):
+            with pytest.raises(ValueError, match="disagrees with header"):
+                EncodedSequence(**{**fields, "mixed_codes": bad})
+        with pytest.raises(ValueError, match="tail_codes shape"):
+            EncodedSequence(**{**fields, "tail_codes": fields["tail_codes"][0]})
+        with pytest.raises(ValueError, match="positive multiple of m"):
+            EncodedSequence(**{**fields, "mixed_codes": mixed[:5]})
+        with pytest.raises(ValueError, match="tail holds 4 frames"):
+            EncodedSequence(**{**fields, "tail_codes": np.zeros((4, 4, 6), np.uint8)})
+        with pytest.raises(ValueError, match="must be positive"):
+            EncodedSequence(**{**fields, "width": 0, "mixed_codes": mixed[:, :, :0]})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_float32_codes(self, value):
+        fields = _encoded_fields()
+        codes = fields["mixed_codes"].copy()
+        codes[5, 3, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            EncodedSequence(**{**fields, "mixed_codes": codes})
+
+    def test_affine_parameters_must_map_into_float32_range(self):
+        fields = _encoded_fields("affine-8bit")
+        for scale, offset in ((np.nan, 0.0), (1.0, np.inf), (1e37, 0.0), (0.0, -1e39), (1e306, 1e307)):
+            with pytest.raises(ValueError, match="finite|float32 range"):
+                EncodedSequence(**{**fields, "scale": scale, "offset": offset})
+        f32_max = float(np.finfo(np.float32).max)
+        EncodedSequence(**{**fields, "scale": -f32_max / 255, "offset": 0.0})
+
+    def test_writable_codes_are_copied_and_frozen(self):
+        fields = _encoded_fields()
+        codes = fields["mixed_codes"].copy()
+        enc = EncodedSequence(**{**fields, "mixed_codes": codes})
+        codes[0, 0, 0] += 1
+        assert enc.mixed_codes is not codes and np.array_equal(enc.mixed_codes, fields["mixed_codes"])
+        assert not enc.mixed_codes.flags.writeable and enc.mixed_codes.flags.c_contiguous
+        # read-only C-contiguous codes are kept without a copy
+        assert EncodedSequence(**fields).mixed_codes is fields["mixed_codes"]
 
 
 class TestDecode:
@@ -246,6 +326,9 @@ def test_array_decode_equals_frame_by_frame_decode(case):
     cfg = CodecConfig(matrix=matrix, tau=0.05, quantization=quantization)
     frames = synth.sparse_detail(count, width, height, seed, group=n, max_active=m - 1)
     enc = encode_sequence(frames, cfg)
+    codes, scale, offset = quantize_reference(mix_reference(matrix.entries, frames), quantization)
+    assert np.array_equal(enc.mixed_codes, codes) and enc.mixed_codes.dtype == codes.dtype
+    assert (enc.scale, enc.offset) == (scale, offset)
     with mock.patch.object(pipeline_module, "BUDGET", budget):
         decoded, stats = decode_sequence(enc, cfg)
     reference, parts = decode_reference(enc, cfg)
@@ -262,8 +345,9 @@ def test_array_decode_equals_frame_by_frame_decode(case):
         path = os.path.join(work, "seq.ubss")
         write_container(enc, path)
         back = read_container(path)
-    assert np.array_equal(back.mixed_frames, enc.mixed_frames)
-    assert np.array_equal(back.tail_frames, enc.tail_frames)
+    for name in ("mixed_codes", "tail_codes"):
+        stored, kept = getattr(back, name), getattr(enc, name)
+        assert stored.dtype == kept.dtype and np.array_equal(stored, kept)
     with mock.patch.object(pipeline_module, "BUDGET", budget):
         file_decoded, file_stats = decode_sequence(back, cfg)
     assert np.array_equal(file_decoded, decoded)

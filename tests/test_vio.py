@@ -1,9 +1,17 @@
+import os
+import struct
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubssvc import (
+    CodecConfig,
     ContainerError,
     MixingMatrix,
+    decode_sequence,
     default_config,
     encode_sequence,
     read_container,
@@ -16,7 +24,7 @@ from ubssvc.vio import mixed_stream_bytes, sequence_stream_bytes
 
 
 def _sequences_equal(a, b):
-    return a.shape == b.shape and np.array_equal(a, b)
+    return a.shape == b.shape and a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestPgm:
@@ -151,8 +159,8 @@ class TestContainer:
         assert (back.width, back.height) == (enc.width, enc.height)
         assert back.quantization == enc.quantization
         assert (back.scale, back.offset) == (enc.scale, enc.offset)
-        assert _sequences_equal(back.mixed_frames, enc.mixed_frames)
-        assert _sequences_equal(back.tail_frames, enc.tail_frames)
+        assert _sequences_equal(back.mixed_codes, enc.mixed_codes)
+        assert _sequences_equal(back.tail_codes, enc.tail_codes)
 
     def test_roundtrip_affine_mode(self, tmp_path):
         frames = synth.generate("sparse-detail", 8, 16, 12, seed=6)
@@ -162,7 +170,7 @@ class TestContainer:
         back = read_container(path)
         assert back.quantization == "affine-8bit"
         assert (back.scale, back.offset) == (enc.scale, enc.offset)
-        assert _sequences_equal(back.mixed_frames, enc.mixed_frames)
+        assert _sequences_equal(back.mixed_codes, enc.mixed_codes)
 
     def test_write_is_byte_deterministic(self, tmp_path, encoded):
         _, enc = encoded
@@ -223,7 +231,7 @@ class TestContainer:
         # n = 257 leaves a tail of up to 256 frames; the header field holds 255
         matrix = MixingMatrix(rng.uniform(0.5, 1.5, size=(2, 257)))
         enc = encode_sequence(np.zeros((513, 2, 2)), default_config(matrix=matrix))
-        assert len(enc.tail_frames) == 256
+        assert len(enc.tail_codes) == 256
         path = tmp_path / "x.ubss"
         with pytest.raises(ContainerError, match="tail of 256 frames"):
             write_container(enc, path)
@@ -257,11 +265,26 @@ class TestContainer:
         assert np.array_equal(matrix, enc.matrix.entries)
         t = enc.width * enc.height
         first_mixed = np.frombuffer(data, dtype="<f4", count=t, offset=39 + 96)
-        assert np.array_equal(first_mixed.astype(np.float64), enc.mixed_frames[0].ravel())
+        assert np.array_equal(first_mixed, enc.mixed_codes[0].ravel())
         tail_offset = 39 + 96 + 6 * t * 4
         tail = np.frombuffer(data, dtype=np.uint8, count=t, offset=tail_offset)
-        assert np.array_equal(tail.astype(np.float64), enc.tail_frames[0].ravel())
+        assert np.array_equal(tail, enc.tail_codes[0].ravel())
         assert len(data) == tail_offset + t
+
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    def test_codes_read_back_as_views(self, tmp_path, quantization):
+        frames = synth.generate("sparse-detail", 9, 16, 12, seed=5)
+        enc = encode_sequence(frames, default_config(quantization=quantization))
+        path = tmp_path / "seq.ubss"
+        write_container(enc, path)
+        back = read_container(path)
+        for name in ("mixed_codes", "tail_codes"):
+            stored, kept = getattr(back, name), getattr(enc, name)
+            assert _sequences_equal(stored, kept)
+            # a read-only view over the bytes read, not a converted copy
+            assert not stored.flags.owndata and not stored.flags.writeable
+        # the payload after the header and matrix is the codes, as they are
+        assert path.read_bytes()[39 + 96 :] == mixed_stream_bytes(enc)
 
 
 class TestStreams:
@@ -269,9 +292,104 @@ class TestStreams:
         frames = np.zeros((3, 4, 6))
         assert len(sequence_stream_bytes(frames)) == 3 * 24
 
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    def test_mixed_stream_is_the_codes(self, quantization):
+        frames = synth.generate("sparse-detail", 9, 16, 12, seed=5)
+        enc = encode_sequence(frames, default_config(quantization=quantization))
+        assert mixed_stream_bytes(enc) == enc.mixed_codes.tobytes() + enc.tail_codes.tobytes()
+
     def test_mixed_stream_sizes_by_mode(self, encoded):
         frames, enc = encoded
         t = enc.width * enc.height
         assert len(mixed_stream_bytes(enc)) == 6 * t * 4 + 1 * t  # f32 mixed + u8 tail
         enc8 = encode_sequence(frames, default_config(quantization="affine-8bit"))
         assert len(mixed_stream_bytes(enc8)) == 6 * t + 1 * t
+
+
+# Header fields as (byte offset, struct format); see the vio module docstring.
+_HEADER_FIELDS = {
+    "version": (4, "<B"),
+    "quantization": (5, "<B"),
+    "m": (6, "<H"),
+    "n": (8, "<H"),
+    "width": (10, "<I"),
+    "height": (14, "<I"),
+    "mixed_count": (18, "<I"),
+    "tail_count": (22, "<B"),
+    "scale": (23, "<d"),
+    "offset": (31, "<d"),
+}
+_F32_MAX = float(np.finfo(np.float32).max)
+_EXTREME_FLOATS = [0.0, -0.0, 5e-324, 1e-300, -1.0, 1e38, 1e39, 1.7e308, -1.7e308,
+                   np.inf, -np.inf, np.nan, _F32_MAX, -_F32_MAX, _F32_MAX / 255]
+_BASES = {}
+
+
+def _base_container(quantization) -> bytes:
+    """A small valid container: 9 frames of 6x4, so 2 blocks and a 1-frame tail."""
+    if quantization not in _BASES:
+        frames = synth.generate("sparse-detail", 9, 6, 4, seed=11)
+        enc = encode_sequence(frames, default_config(quantization=quantization))
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "base.ubss")
+            write_container(enc, path)
+            with open(path, "rb") as fh:
+                _BASES[quantization] = fh.read()
+    return _BASES[quantization]
+
+
+@st.composite
+def mutated_containers(draw):
+    quantization = draw(st.sampled_from(["float-container", "affine-8bit"]))
+    data = bytearray(_base_container(quantization))
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["flip", "truncate", "extend", "field", "matrix", "payload"]))
+        if kind == "flip" and data:
+            pos = draw(st.integers(0, len(data) - 1))
+            data[pos] ^= draw(st.integers(1, 255))
+        elif kind == "truncate":
+            del data[draw(st.integers(0, len(data))) :]
+        elif kind == "extend":
+            data += draw(st.binary(min_size=1, max_size=64))
+        elif kind == "field":
+            offset, fmt = _HEADER_FIELDS[draw(st.sampled_from(sorted(_HEADER_FIELDS)))]
+            if fmt == "<d":
+                value = draw(st.sampled_from(_EXTREME_FLOATS) | st.floats())
+            else:
+                top = 2 ** (8 * struct.calcsize(fmt)) - 1
+                value = draw(st.sampled_from([0, 1, 2, 3, 4, 5, top - 1, top]) | st.integers(0, top))
+            if len(data) >= offset + struct.calcsize(fmt):
+                struct.pack_into(fmt, data, offset, value)
+        elif kind == "matrix":  # one f64 matrix entry
+            pos = 39 + 8 * draw(st.integers(0, 11))
+            if len(data) >= pos + 8:
+                struct.pack_into("<d", data, pos, draw(st.sampled_from(_EXTREME_FLOATS) | st.floats()))
+        else:  # one stored mixed value: a float32 in float mode, a code byte in affine mode
+            item = 4 if quantization == "float-container" else 1
+            pos = 39 + 96 + draw(st.integers(0, 6 * 24 - 1)) * item
+            if item == 4 and len(data) >= pos + 4:
+                value = draw(st.sampled_from([np.nan, np.inf, -np.inf, _F32_MAX, -_F32_MAX, 1e-45])
+                             | st.floats(width=32))
+                struct.pack_into("<f", data, pos, value)
+            elif len(data) > pos:
+                data[pos] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+# extreme matrix entries overflow the determinant and Gram checks, which then reject them
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(mutated_containers())
+def test_mutated_container_decodes_or_raises_container_error(data):
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "fuzz.ubss")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            enc = read_container(path)
+        except ContainerError:
+            return
+    decoded, stats = decode_sequence(enc, CodecConfig(matrix=enc.matrix, quantization=enc.quantization))
+    assert decoded.shape == (enc.source_count, enc.height, enc.width)
+    assert np.isfinite(decoded).all()
+    assert stats.total_columns == 3 * enc.block_count * ((enc.height + 1) // 2) * ((enc.width + 1) // 2)

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from oracles import haar2_inverse_reference, haar2_reference
 from ubssvc import BANDS, haar_forward, haar_inverse, mix_block
+from ubssvc import wavelet
 
 
 def bands_of(plane) -> dict:
@@ -79,6 +80,40 @@ class TestInverse:
             haar_inverse(bands, out=np.empty((4, 5)))
         out = np.empty((4, 4))
         assert haar_inverse(bands, out=out) is out
+
+
+class TestSlabs:
+    @pytest.mark.parametrize("slab_rows", [1, 2, 3, 5, 7, 100])
+    def test_slabs_give_whole_call_bits(self, rng, monkeypatch, slab_rows):
+        stack = rng.uniform(-300, 300, size=(2, 3, 14, 10))
+        bands = haar_forward(stack)
+        whole = haar_inverse(bands)
+        # one subband row of the stack is 2 * 3 * 5 float64s
+        monkeypatch.setattr(wavelet, "SLAB_BYTES", slab_rows * 2 * 3 * 5 * 8)
+        out = np.full(stack.shape, np.nan)
+        assert haar_inverse(bands, out=out) is out
+        assert np.array_equal(out, whole)
+        reference = haar2_inverse_reference(*(band[1, 2] for band in bands))
+        assert np.array_equal(out[1, 2], reference)
+
+    @pytest.mark.parametrize(
+        "shape, slabs",
+        [
+            ((8, 4, 32, 32), 1),  # a 64x64 decode chunk: 256 KiB per band, one slab
+            ((1, 4, 144, 176), 4),  # CIF: 46-row slabs
+            ((1, 4, 360, 640), 30),  # 720p: 12-row slabs
+        ],
+    )
+    def test_slab_count(self, monkeypatch, shape, slabs):
+        calls = []
+        inner = wavelet._inverse_slab
+        monkeypatch.setattr(wavelet, "_inverse_slab", lambda *args: calls.append(inner(*args)))
+        haar_inverse([np.zeros(shape)] * 4)
+        assert len(calls) == slabs
+
+    def test_empty_stack(self):
+        bands = [np.zeros((0, 3, 2))] * 4
+        assert haar_inverse(bands).shape == (0, 6, 4)
 
 
 class TestProperties:
