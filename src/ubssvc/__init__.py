@@ -33,6 +33,7 @@ from .sca import (
     HyperplaneSet,
     RecoveryStats,
     build_hyperplanes,
+    column_peaks,
     recover_block,
     recover_dense,
 )
@@ -66,6 +67,7 @@ __all__ = [
     "as_sequence",
     "build_hyperplanes",
     "check_sparsity",
+    "column_peaks",
     "compression_ratio",
     "decode_sequence",
     "default_config",

@@ -11,9 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixcore import as_sequence, snap_to_8bit
+from .mixcore import as_sequence
 
 PEAK_SQUARED = 255.0 * 255.0
+
+# Bytes of one frame slab in :func:`sequence_report`'s two reused buffers.
+SLAB_BYTES = 1 << 20
 
 
 def frame_mse(a, b) -> float:
@@ -22,8 +25,38 @@ def frame_mse(a, b) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.ndim != 2 or a.shape != b.shape:
         raise ValueError(f"frame dimensions differ: {a.shape} vs {b.shape}")
-    diff = snap_to_8bit(a) - snap_to_8bit(b)
-    return float((diff * diff).mean())
+    return float(_squared_error_sums(a[None], b[None])[0] / a.size)
+
+
+def _squared_error_sums(originals, reconstructions) -> np.ndarray:
+    """Sum of squared 8-bit differences of each frame of two (count, H, W) arrays.
+
+    Works through slabs of frames in two reused buffers (clip, +0.5 and
+    floor in place, subtract, one dot product per frame). Snapped pixels
+    are integers, so each sum is exact in float64 whatever the order of its
+    additions.
+    """
+    count = len(originals)
+    originals = originals.reshape(count, -1)
+    reconstructions = reconstructions.reshape(count, -1)
+    plane = originals.shape[1]
+    width = max(1, min(plane, SLAB_BYTES // 8))  # pixels of one frame per slab row
+    step = max(1, SLAB_BYTES // (8 * width))  # frames per slab
+    snapped = np.empty((min(step, count), width))
+    other = np.empty_like(snapped)
+    sums = np.zeros(count)
+    for start in range(0, count, step):
+        stop = min(start + step, count)
+        for left in range(0, plane, width):
+            piece = np.s_[start:stop, left : left + width]
+            a, b = (buf[: stop - start, : min(width, plane - left)] for buf in (snapped, other))
+            for buf, frames in ((a, originals), (b, reconstructions)):
+                np.clip(frames[piece], 0.0, 255.0, out=buf)
+                buf += 0.5
+                np.floor(buf, out=buf)
+            a -= b
+            sums[start:stop] += np.einsum("ij,ij->i", a, a)
+    return sums
 
 
 def _psnr(mse: float) -> float:
@@ -70,7 +103,8 @@ def sequence_report(originals, reconstructions) -> QualityReport:
     """Per-frame metrics plus the mean PSNR over finite entries.
 
     Both sequences are (count, H, W) arrays or iterables of planes; each
-    frame's MSE is computed once and its PSNR derived from it.
+    frame's MSE is computed once, as in :func:`frame_mse`, and its PSNR
+    derived from it.
     """
     originals = as_sequence(originals)
     reconstructions = as_sequence(reconstructions)
@@ -80,7 +114,12 @@ def sequence_report(originals, reconstructions) -> QualityReport:
         )
     if not len(originals):
         raise ValueError("cannot report on empty sequences")
-    mses = tuple(frame_mse(a, b) for a, b in zip(originals, reconstructions))
+    if originals.shape != reconstructions.shape:
+        raise ValueError(
+            f"frame dimensions differ: {originals.shape[1:]} vs {reconstructions.shape[1:]}"
+        )
+    plane = originals[0].size
+    mses = tuple(float(total / plane) for total in _squared_error_sums(originals, reconstructions))
     psnrs = tuple(_psnr(mse) for mse in mses)
     finite = [p for p in psnrs if math.isfinite(p)]
     mean = sum(finite) / len(finite) if finite else math.inf

@@ -11,7 +11,9 @@ square submatrix of it must be nonsingular. That second condition is what
 guarantees that any subset of its columns spans a full-rank subspace, which
 the recovery stage in :mod:`ubssvc.sca` depends on, so it is enforced at
 construction time and separately inspectable via
-:func:`validate_mixing_matrix`.
+:func:`validate_mixing_matrix`. Construction also bounds the condition
+number of the Gram matrix A A^T, which the decoder's dense solve inverts,
+so a matrix that constructs is one the decoder can use.
 """
 from __future__ import annotations
 
@@ -22,6 +24,8 @@ import numpy as np
 
 DEFAULT_DET_FLOOR = 1e-9
 DEFAULT_ZERO_EPS = 1e-12
+# Largest condition number of the Gram matrix A A^T a mixing matrix may have.
+GRAM_COND_BOUND = 1e12
 
 # Reference 3x4 mixing matrix used as the default codec configuration.
 # Row weights are deliberately spread out so each mixed frame blends the
@@ -47,8 +51,9 @@ def snap_to_8bit(values) -> np.ndarray:
     """Clamp to [0, 255] and round half away from zero.
 
     Returns float64 values that are exactly representable as uint8. This is
-    the single definition of the 8-bit display domain used by metrics,
-    serialization, and tail-frame passthrough.
+    the definition of the 8-bit display domain used by serialization and
+    tail-frame passthrough; :mod:`ubssvc.metrics` applies the same steps in
+    place, in reused buffers.
     """
     arr = np.asarray(values, dtype=np.float64)
     return np.floor(np.clip(arr, 0.0, 255.0) + 0.5)
@@ -126,8 +131,10 @@ def validate_mixing_matrix(matrix, det_floor: float = DEFAULT_DET_FLOOR) -> Vali
 class MixingMatrix:
     """The m x n mixing matrix, validated at construction.
 
-    Construction fails unless m < n, all entries are finite, and every
-    m x m submatrix has |det| above ``det_floor``.
+    Construction fails unless m < n, all entries are finite, every m x m
+    submatrix has |det| above ``det_floor``, and the Gram matrix A A^T has
+    a condition number of at most :data:`GRAM_COND_BOUND`, so that
+    :func:`generalized_inverse` can solve with it.
     """
 
     entries: np.ndarray
@@ -144,6 +151,11 @@ class MixingMatrix:
                 f"mixing matrix has a near-singular square submatrix: columns {worst[0]} "
                 f"give |det| = {worst[1]:.3e} (floor {self.det_floor:g})"
             )
+        # the decoder's LL solve inverts the Gram matrix; an overflowed one
+        # has no usable condition number
+        gram = arr @ arr.T
+        if not np.isfinite(gram).all() or not np.linalg.cond(gram) <= GRAM_COND_BOUND:
+            raise ValueError("mixing matrix rows are numerically dependent")
         object.__setattr__(self, "entries", _freeze(arr))
 
     @property
@@ -177,17 +189,14 @@ def mix_block(matrix: MixingMatrix, sources) -> np.ndarray:
     return mixed.reshape(*s.shape[:-3], matrix.rows, *s.shape[-2:])
 
 
-def generalized_inverse(matrix: MixingMatrix, cond_bound: float = 1e12) -> np.ndarray:
+def generalized_inverse(matrix: MixingMatrix) -> np.ndarray:
     """Minimum-norm right inverse A+ = A^T (A A^T)^-1, as an (n, m) array.
 
     Computed by normal equations on the m x m Gram matrix; m is tiny here
-    and the construction-time validation keeps the conditioning benign.
-    Satisfies A @ A+ = I to machine precision.
+    and the construction-time validation bounds the Gram matrix's condition
+    number. Satisfies A @ A+ = I to machine precision.
     """
     gram = matrix.entries @ matrix.entries.T
-    # an overflowed Gram matrix has no usable condition number
-    if not np.isfinite(gram).all() or not np.linalg.cond(gram) <= cond_bound:
-        raise ValueError("mixing matrix rows are numerically dependent")
     return np.linalg.solve(gram, matrix.entries).T
 
 

@@ -8,7 +8,11 @@ chunks: one Haar transform of the chunk's mixed frames, recovery of the
 three sparse detail subbands by subspace classification (one stacked call
 per band, each group with its own zero threshold), the low-frequency
 subband by the generalized inverse, and one inverse transform written
-straight into the output array.
+straight into the output array. A group too large for one chunk (more
+than ``TILE`` subband columns) is decoded the same way in row tiles,
+which a thread pool shares out over the usable CPUs; the group's peak
+column norms, found in a first pass over its tiles, keep every tile on
+the whole group's zero threshold, so tiles change no bit of the result.
 
 The encoder keeps the mixed frames in their stored form, the codes a
 container holds and a downstream codec sees: float32 in float-container
@@ -21,6 +25,8 @@ for bit. The affine map is applied in one place each way: quantization in
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +41,14 @@ from .mixcore import (
     mix_block,
     snap_to_8bit,
 )
-from .sca import RecoveryStats, build_hyperplanes, check_tau, recover_block, recover_dense
+from .sca import (
+    RecoveryStats,
+    build_hyperplanes,
+    check_tau,
+    column_peaks,
+    recover_block,
+    recover_dense,
+)
 from .wavelet import haar_forward, haar_inverse
 
 PAD_REJECT = "reject"
@@ -52,6 +65,15 @@ DEFAULT_TAU = 0.05
 # groups for subband planes of T columns. Whole-sequence calls let the
 # temporaries fall out of cache (CIF decode ran about 40% slower).
 BUDGET = 8192
+
+# Subband columns per tile: a group with more columns than this per band is
+# decoded in row tiles of about TILE columns, shared out on WORKERS threads.
+# Tiles of 12288 or 16384 columns made CIF-size groups slower (the tiles'
+# extra pass for the group's peak norms), so those stay whole.
+TILE = 32768
+
+# Threads that decode the tiles of one group: the CPUs this process may use.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Storage dtype of the mixed codes per quantization mode, and of the tail.
 CODE_DTYPES = {QUANT_FLOAT: np.dtype("<f4"), QUANT_AFFINE: np.dtype(np.uint8)}
@@ -220,42 +242,91 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     affine = (enc.scale, enc.offset) if enc.quantization == QUANT_AFFINE else None
     out = np.empty((enc.source_count, height, width))
     stats_parts: list[RecoveryStats] = []
-    chunk = max(1, BUDGET // (((height + 1) // 2) * ((width + 1) // 2)))
-    for start in range(0, blocks, chunk):
-        stop = min(start + chunk, blocks)
-        dest = out[start * n : stop * n].reshape(stop - start, n, height, width)
-        stats_parts += _decode_chunk(codes[start:stop], affine, dest, planes, pinv, cfg.tau)
+    half_h, half_w = (height + 1) // 2, (width + 1) // 2
+    columns = half_h * half_w
+    # a group of more than TILE columns per band is decoded alone, in row
+    # tiles of about TILE columns, as even as whole subband rows allow
+    rows = -(-half_h // -(-columns // TILE))  # ceil(half_h / ceil(columns / TILE))
+    tiles = [slice(2 * top, 2 * (top + rows)) for top in range(0, half_h, rows)]
+    chunk = 1 if len(tiles) > 1 else max(1, BUDGET // columns)
+    # the pool starts its threads at the first tile, so small groups never pay for them
+    with ThreadPoolExecutor(WORKERS) as pool:
+        for start in range(0, blocks, chunk):
+            stop = min(start + chunk, blocks)
+            group = codes[start:stop]
+            dest = out[start * n : stop * n].reshape(stop - start, n, height, width)
+            if len(tiles) > 1:
+                stats_parts += _decode_tiles(group, affine, dest, tiles, pool, planes, pinv, cfg.tau)
+            else:
+                stats_parts += _decode_chunk(group, affine, dest, planes, pinv, cfg.tau)
     out[blocks * n :] = enc.tail_codes
     return _read_only(out), RecoveryStats.merged(stats_parts)
 
 
-def _decode_chunk(codes, affine, dest, planes, pinv, tau) -> list[RecoveryStats]:
-    """Decode (k, m, H, W) mixed codes into the (k, n, H, W) array ``dest``.
+def _decode_tiles(codes, affine, dest, tiles, pool, planes, pinv, tau) -> list[RecoveryStats]:
+    """Decode one (1, m, H, W) group tile by tile, the tiles shared out on ``pool``.
+
+    ``tiles`` are slices of pixel rows, each an even number but the last.
+    A first pass finds each detail band's peak column norm over the whole
+    group, so every tile zeroes the columns the whole group would; the
+    second decodes each tile into its rows of ``dest``. Stats come back
+    band by band, the tiles in row order, as one whole-group call gives them.
+    """
+    detail = list(pool.map(lambda rows: _detail_peaks(codes[..., rows, :], affine), tiles))
+    peaks = np.max(detail, axis=0)
+    parts = pool.map(
+        lambda rows: _decode_chunk(
+            codes[..., rows, :], affine, dest[..., rows, :], planes, pinv, tau, peaks
+        ),
+        tiles,
+    )
+    return [RecoveryStats.merged(band) for band in zip(*parts)]
+
+
+def _detail_peaks(codes, affine) -> np.ndarray:
+    """(3, k) peak column norms of the detail bands of (k, m, h, W) codes."""
+    bands = haar_forward(_dequantize(codes, affine))[1:]
+    return np.stack([column_peaks(band.reshape(*band.shape[:2], -1)) for band in bands])
+
+
+def _dequantize(codes, affine) -> np.ndarray:
+    """Float64 values of (k, m, h, w) codes, edge-padded to even h and w.
 
     ``affine`` is the (scale, offset) of affine-8bit codes, None for float
-    codes. A function of its own, so that one chunk's temporaries are freed
-    before the next chunk allocates its own.
+    codes.
     """
-    k, m, height, width = codes.shape
-    odd = (height % 2, width % 2)
+    odd = (codes.shape[2] % 2, codes.shape[3] % 2)
     if any(odd):
         codes = np.pad(codes, ((0, 0), (0, 0), (0, odd[0]), (0, odd[1])), mode="edge")
     if affine is None:
-        group = codes.astype(np.float64)
-    else:  # offset + scale * code: cast and scale in one pass, then shift in place
-        group = np.multiply(codes, affine[0], dtype=np.float64)
-        group += affine[1]
+        return codes.astype(np.float64)
+    # offset + scale * code: cast and scale in one pass, then shift in place
+    values = np.multiply(codes, affine[0], dtype=np.float64)
+    values += affine[1]
+    return values
+
+
+def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[RecoveryStats]:
+    """Decode (k, m, h, W) mixed codes into the (k, n, h, W) array ``dest``.
+
+    ``peaks`` holds the (3, k) peak column norms of the detail bands when
+    the codes are a tile of their groups. A function of its own, so that
+    one chunk's temporaries are freed before the next chunk allocates its
+    own.
+    """
+    k, m, height, width = codes.shape
+    group = _dequantize(codes, affine)
     # each band is popped into its recovery call, so its memory is freed once used
     bands = [band.reshape(k, m, -1) for band in haar_forward(group)]
     recovered = [recover_dense(pinv, bands.pop(0))]
     stats = []
-    while bands:
-        sources, band_stats = recover_block(planes, bands.pop(0), tau)
+    for band_peaks in [None] * 3 if peaks is None else peaks:
+        sources, band_stats = recover_block(planes, bands.pop(0), tau, band_peaks)
         recovered.append(sources)
         stats.append(band_stats)
     half = (group.shape[2] // 2, group.shape[3] // 2)
     recovered = [r.reshape(k, -1, *half) for r in recovered]
-    if any(odd):
+    if group.shape[2:] != (height, width):
         dest[...] = haar_inverse(recovered)[..., :height, :width]
     else:
         haar_inverse(recovered, out=dest)

@@ -14,6 +14,11 @@ IEEE TNN 2005).
 Real coefficients are only approximately sparse, so classification works on
 the relative residual against a tolerance ``tau``, and columns that miss
 every subspace are still assigned to the nearest one, flagged ``forced``.
+
+A column's result does not depend on what else is in the call: stacked
+groups keep their own zero thresholds, a piece of a group can be given the
+whole group's peak column norms, and every product goes through BLAS gemm
+(never gemv), whose bits for a column do not depend on its position.
 """
 from __future__ import annotations
 
@@ -59,7 +64,7 @@ class HyperplaneSet:
         reconstruction does not depend on the choice because tied planes
         contain the column jointly.
         """
-        return _nearest(np.abs(self.normals @ columns))
+        return _nearest(np.abs(_gemm(self.normals, columns)))
 
 
 def _nearest(distances) -> tuple[np.ndarray, np.ndarray]:
@@ -76,25 +81,21 @@ def _nearest(distances) -> tuple[np.ndarray, np.ndarray]:
     return best, nearest
 
 
-def _matmul_runs(a, b, counts) -> np.ndarray:
-    """``a @ b``, giving each run of one group's columns the bits of ``a @ run`` alone.
+def _gemm(a, b) -> np.ndarray:
+    """``a @ b`` for a 2-D ``a`` and an (..., k, T) ``b``, always through BLAS gemm.
 
-    The columns of ``b`` are consecutive runs, ``counts[g]`` of them for
-    group g. numpy sends a product with one row or one column to BLAS gemv,
-    whose last bits depend on where a column sits in the product, while
-    gemm gives a column the same bits wherever it sits. So the product runs
-    as one gemm, and each run that would go to gemv on its own is redone
-    alone. This is what keeps a stacked recovery call bit-identical to
-    separate calls.
+    numpy hands a product with one row or one column to BLAS gemv, whose
+    last bits differ from gemm's, while gemm gives a column the same bits
+    wherever it sits in the product. So a one-row ``a`` or a one-column
+    ``b`` is doubled to two and the copy dropped from the result: a column
+    recovers to the same bits in a piece of a group as in the whole group.
     """
-    out = a @ b
-    redo = counts > 0 if a.shape[0] == 1 else counts == 1
-    if redo.any():
-        stops = np.cumsum(counts)
-        for g in np.flatnonzero(redo):
-            start = stops[g] - counts[g]
-            out[:, start : stops[g]] = a @ np.ascontiguousarray(b[:, start : stops[g]])
-    return out
+    rows, cols = a.shape[0], b.shape[-1]
+    if rows == 1:
+        a = np.concatenate((a, a))
+    if cols == 1:
+        b = np.concatenate((b, b), axis=-1)
+    return (a @ b)[..., :rows, :cols]
 
 
 def build_hyperplanes(matrix: MixingMatrix) -> HyperplaneSet:
@@ -156,8 +157,43 @@ class RecoveryStats:
         )
 
 
+def _observations(mixed, dimension: int | None = None) -> np.ndarray:
+    x = np.asarray(mixed, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ValueError("mixed coefficients must be (m, T) or stacked (G, m, T)")
+    if dimension is not None and x.shape[-2] != dimension:
+        raise ValueError(f"mixed matrix has {x.shape[-2]} rows, matrix expects {dimension}")
+    return x
+
+
+def _columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Columns, norms and group peaks of an (m, T) or stacked (G, m, T) input.
+
+    The columns come as one (m, G*T) array, group after group, their norms
+    as (G, T) and each group's largest norm as (G,). Rejects non-finite
+    observations, which the peaks reveal.
+    """
+    groups = x.shape[0] if x.ndim == 3 else 1
+    columns = x if x.ndim == 2 else x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+    norms = np.linalg.norm(columns, axis=0).reshape(groups, x.shape[-1])
+    peaks = norms.max(axis=1, initial=0.0)
+    if not np.isfinite(peaks).all():
+        raise ValueError("mixed coefficients must be finite")
+    return columns, norms, peaks
+
+
+def column_peaks(mixed) -> np.ndarray:
+    """Largest column norm of each group of an (m, T) or stacked (G, m, T) input.
+
+    A (G,) array, (1,) for 2-D input, with the bits :func:`recover_block`
+    measures, so the peaks of a group split into pieces are the maximum of
+    the pieces' peaks. Observations must be finite.
+    """
+    return _columns(_observations(mixed))[2]
+
+
 def recover_block(
-    planes: HyperplaneSet | MixingMatrix, mixed, tau: float
+    planes: HyperplaneSet | MixingMatrix, mixed, tau: float, peaks=None
 ) -> tuple[np.ndarray, RecoveryStats]:
     """Recover an (n, T) sparse source matrix from (m, T) observations.
 
@@ -171,30 +207,30 @@ def recover_block(
     A stacked (G, m, T) input is G independent groups, each with its own
     zero threshold, and gives a (G, n, T) result and one census over all
     groups (residuals in group order): the same bits as G separate calls.
-    Observations must be finite.
+    ``peaks`` gives each group's largest column norm when the call sees
+    only a piece of its groups, as :func:`column_peaks` of the whole groups
+    (a (G,) array, (1,) for 2-D input); the pieces of a group then recover
+    to the bits of one call on the whole. Observations must be finite.
     """
     check_tau(tau)
     if isinstance(planes, MixingMatrix):
         planes = build_hyperplanes(planes)
-    x = np.asarray(mixed, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ValueError("mixed coefficients must be (m, T) or stacked (G, m, T)")
-    groups, m, t = x.shape if x.ndim == 3 else (1, *x.shape)
-    if m != planes.dimension:
-        raise ValueError(f"mixed matrix has {m} rows, matrix expects {planes.dimension}")
-
-    columns = x if x.ndim == 2 else x.transpose(1, 0, 2).reshape(m, groups * t)
-    norms = np.linalg.norm(columns, axis=0)
-    peaks = norms.reshape(groups, t).max(axis=1, initial=0.0)
-    if not np.isfinite(peaks).all():
-        raise ValueError("mixed coefficients must be finite")
-    active = (norms.reshape(groups, t) > DEFAULT_ZERO_EPS * peaks[:, None]).ravel()
+    x = _observations(mixed, planes.dimension)
+    columns, norms, own = _columns(x)
+    if peaks is None:
+        peaks = own
+    else:
+        peaks = np.asarray(peaks, dtype=np.float64)
+        if peaks.shape != own.shape or not np.isfinite(peaks).all() or not (peaks >= own).all():
+            raise ValueError(f"peaks must be {len(own)} finite norms, each at least its group's own")
+    groups, t = norms.shape
+    active = (norms > DEFAULT_ZERO_EPS * peaks[:, None]).ravel()
+    norms = norms.ravel()
     # compress and take gather along the column axis several times faster
     # than boolean indexing does
     xa = np.compress(active, columns, axis=1)
     del columns  # a copy for stacked input; freed early, like distances, to lower peak memory
-    counts = active.reshape(groups, t).sum(axis=1)
-    distances = _matmul_runs(planes.normals, xa, counts)
+    distances = _gemm(planes.normals, xa)
     best, relative = _nearest(np.abs(distances, out=distances))
     del distances
     relative /= np.compress(active, norms)
@@ -202,14 +238,11 @@ def recover_block(
 
     recovered = np.zeros((planes.sources, groups * t))
     active_cols = np.flatnonzero(active)
-    group_of = np.repeat(np.arange(groups), counts)
-    plane_counts = np.bincount(group_of * planes.count + best, minlength=groups * planes.count)
-    plane_counts = plane_counts.reshape(groups, planes.count)
     for q in range(planes.count):
         sel = np.flatnonzero(best == q)
         if sel.size:
-            recovered[planes.index_sets[q][:, None], active_cols[sel]] = _matmul_runs(
-                planes.coefficient_maps[q], xa.take(sel, axis=1), plane_counts[:, q]
+            recovered[planes.index_sets[q][:, None], active_cols[sel]] = _gemm(
+                planes.coefficient_maps[q], xa.take(sel, axis=1)
             )
     if x.ndim == 3:
         recovered = recovered.reshape(planes.sources, groups, t).transpose(1, 0, 2)
@@ -235,4 +268,4 @@ def recover_dense(pseudo_inverse, mixed) -> np.ndarray:
         raise ValueError(
             f"shape mismatch: pseudo-inverse {pinv.shape} against observations {x.shape}"
         )
-    return pinv @ x
+    return _gemm(pinv, x)

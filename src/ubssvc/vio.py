@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixcore import MixingMatrix, _read_only, as_sequence, generalized_inverse, snap_to_8bit
+from .mixcore import MixingMatrix, _read_only, as_sequence, snap_to_8bit
 from .pipeline import CODE_DTYPES, QUANT_AFFINE, QUANT_FLOAT, TAIL_DTYPE, EncodedSequence
 
 MAGIC = b"UBSS"
@@ -280,7 +280,6 @@ def read_container(path) -> EncodedSequence:
     pos += m * n * 8
     try:
         matrix = MixingMatrix(entries)
-        generalized_inverse(matrix)  # the decoder's LL solve needs it
     except ValueError as exc:
         raise ContainerError(f"{path}: stored mixing matrix is invalid: {exc}") from exc
 

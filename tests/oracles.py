@@ -162,12 +162,12 @@ def decode_reference(enc, cfg):
 
     Per block: edge-pad each mixed frame to even size, transform it alone,
     recover each detail band with one 2-D ``recover_block`` call and the ll
-    band with one (n, m) @ (m, T) product, then inverse-transform and crop
+    band with one 2-D ``recover_dense`` product, then inverse-transform and crop
     frame by frame. Affine codes are dequantized frame by frame as
     ``offset + scale * code``. Returns the list of decoded planes and the
     list of per-call recovery stats.
     """
-    from ubssvc import build_hyperplanes, generalized_inverse, recover_block
+    from ubssvc import build_hyperplanes, generalized_inverse, recover_block, recover_dense
 
     m, n = cfg.m, cfg.n
     planes = build_hyperplanes(cfg.matrix)
@@ -183,7 +183,7 @@ def decode_reference(enc, cfg):
                 frame = enc.offset + enc.scale * frame
             padded = np.pad(frame, ((0, height % 2), (0, width % 2)), mode="edge")
             bands.append(haar2_reference(padded))
-        rec = {"ll": pinv @ np.stack([sb["ll"].ravel() for sb in bands])}
+        rec = {"ll": recover_dense(pinv, np.stack([sb["ll"].ravel() for sb in bands]))}
         for band in ("lh", "hl", "hh"):
             rec[band], part = recover_block(planes, np.stack([sb[band].ravel() for sb in bands]), cfg.tau)
             stats.append(part)

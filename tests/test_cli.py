@@ -284,6 +284,20 @@ class TestExitCodes:
         assert "tail of 256 frames" in proc.stderr and "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_undecodable_matrix_exits_2_without_writing(self, tmp_path):
+        # the Gram matrix of this 2x3 matrix is too ill-conditioned to invert
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n = 3\nm = 2\nmatrix = 1e8 0.5 0.25  0.5 1.0 -0.75\n")
+        raw = tmp_path / "seq.raw"
+        raw.write_bytes(bytes(6 * 8 * 8))
+        out = tmp_path / "o.ubss"
+        proc = run_cli(
+            "mix", str(raw), "--width", "8", "--height", "8", "--config", str(cfg), "--out", str(out)
+        )
+        assert proc.returncode == 2
+        assert "numerically dependent" in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_bad_input_pattern_exits_2(self, tmp_path):
         proc = run_cli("mix", str(tmp_path / "x{j}.pgm"), "--out", str(tmp_path / "o.ubs"))
         assert proc.returncode == 2

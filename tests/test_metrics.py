@@ -113,10 +113,11 @@ class TestSequenceReport:
         test = ref.copy()
         test[1:] += rng.normal(0, 4, size=(5, 5, 7))
         calls = []
-        counting = lambda a, b: calls.append(1) or frame_mse(a, b)  # noqa: E731
-        monkeypatch.setattr(metrics_module, "frame_mse", counting)
+        sums = metrics_module._squared_error_sums
+        counting = lambda a, b: calls.append(len(a)) or sums(a, b)  # noqa: E731
+        monkeypatch.setattr(metrics_module, "_squared_error_sums", counting)
         report = sequence_report(ref, test)
-        assert len(calls) == 6
+        assert calls == [6]  # one pass over the sequence, one sum per frame
         assert report.per_frame_mse == tuple(frame_mse(a, b) for a, b in zip(ref, test))
         assert report.per_frame_psnr == tuple(frame_psnr(a, b) for a, b in zip(ref, test))
         assert report.infinite_count == 1
@@ -124,6 +125,20 @@ class TestSequenceReport:
         assert report.mean_psnr == sum(finite) / len(finite)
         with pytest.raises(ValueError, match="finite"):
             sequence_report(ref, np.full_like(test, np.nan))
+
+    @pytest.mark.parametrize("slab_bytes", [8, 56, 8 * 35, 8 * 36, 1 << 20])
+    def test_slabs_give_exact_sums(self, rng, monkeypatch, slab_bytes):
+        # slabs of part of a frame, one frame, or several give the exact integer sums
+        import ubssvc.metrics as metrics_module
+
+        ref = rng.uniform(-10, 265, size=(7, 5, 7))
+        test = ref + rng.normal(0, 30, size=ref.shape)
+        monkeypatch.setattr(metrics_module, "SLAB_BYTES", slab_bytes)
+        report = sequence_report(ref, test)
+        snap = lambda v: np.floor(np.clip(v, 0, 255) + 0.5).astype(np.int64)  # noqa: E731
+        exact = ((snap(ref) - snap(test)) ** 2).reshape(7, -1).sum(axis=1)
+        assert report.per_frame_mse == tuple(float(e) / 35 for e in exact)
+        assert report.per_frame_mse == tuple(frame_mse(a, b) for a, b in zip(ref, test))
 
     def test_serializations(self):
         report = sequence_report([_const(0), _const(5)], [_const(16), _const(5)])

@@ -12,6 +12,7 @@ from ubssvc import (
     snap_to_8bit,
     validate_mixing_matrix,
 )
+from ubssvc.mixcore import GRAM_COND_BOUND
 
 # frozen via the cofactor oracle on the built-in matrix
 DEFAULT_DET_MAGNITUDES = {
@@ -134,6 +135,22 @@ class TestMixingMatrixConstruction:
     def test_entries_immutable(self, matrix):
         with pytest.raises(ValueError):
             matrix.entries[0, 0] = 9.9
+
+    def test_ill_conditioned_gram_rejected_at_construction(self):
+        # every 2x2 submatrix passes the determinant floor, but A A^T has a
+        # condition number near 1e16, which the decoder's dense solve cannot use
+        entries = [[1e8, 0.5, 0.25], [0.5, 1.0, -0.75]]
+        assert validate_mixing_matrix(entries).passed
+        with pytest.raises(ValueError, match="numerically dependent"):
+            MixingMatrix(entries)
+        gram = np.array(entries) @ np.array(entries).T
+        assert np.linalg.cond(gram) > GRAM_COND_BOUND
+        MixingMatrix([[1e3, 0.5, 0.25], [0.5, 1.0, -0.75]])  # cond near 1e6 passes
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_overflowing_gram_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="numerically dependent"):
+            MixingMatrix([[1e200, 0.5, 0.25], [0.5, 1.0, -0.75]])
 
 
 class TestMixBlock:

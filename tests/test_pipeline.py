@@ -1,6 +1,8 @@
 import math
 import os
+import sys
 import tempfile
+import threading
 from unittest import mock
 
 import numpy as np
@@ -310,6 +312,8 @@ def codec_cases(draw):
         draw(st.integers(1, 9)),  # width
         draw(st.sampled_from(["float-container", "affine-8bit"])),
         draw(st.sampled_from([1, 7, 40, pipeline_module.BUDGET])),  # columns per recovery call
+        draw(st.sampled_from([1, 7, 40, pipeline_module.TILE])),  # columns per tile
+        draw(st.sampled_from([1, 2])),  # tile workers
         draw(st.integers(0, 2**32 - 1)),
     )
 
@@ -317,7 +321,7 @@ def codec_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(codec_cases())
 def test_array_decode_equals_frame_by_frame_decode(case):
-    m, n, count, height, width, quantization, budget, seed = case
+    m, n, count, height, width, quantization, budget, tile, workers, seed = case
     rng = np.random.default_rng(seed)
     try:
         matrix = MixingMatrix(rng.uniform(0.1, 1.0, size=(m, n)))
@@ -329,7 +333,8 @@ def test_array_decode_equals_frame_by_frame_decode(case):
     codes, scale, offset = quantize_reference(mix_reference(matrix.entries, frames), quantization)
     assert np.array_equal(enc.mixed_codes, codes) and enc.mixed_codes.dtype == codes.dtype
     assert (enc.scale, enc.offset) == (scale, offset)
-    with mock.patch.object(pipeline_module, "BUDGET", budget):
+    sizes = {"BUDGET": budget, "TILE": tile, "WORKERS": workers}
+    with mock.patch.multiple(pipeline_module, **sizes):
         decoded, stats = decode_sequence(enc, cfg)
     reference, parts = decode_reference(enc, cfg)
     assert decoded.shape == (count, height, width)
@@ -348,11 +353,89 @@ def test_array_decode_equals_frame_by_frame_decode(case):
     for name in ("mixed_codes", "tail_codes"):
         stored, kept = getattr(back, name), getattr(enc, name)
         assert stored.dtype == kept.dtype and np.array_equal(stored, kept)
-    with mock.patch.object(pipeline_module, "BUDGET", budget):
+    with mock.patch.multiple(pipeline_module, **sizes):
         file_decoded, file_stats = decode_sequence(back, cfg)
     assert np.array_equal(file_decoded, decoded)
     assert np.array_equal(file_stats.residuals, stats.residuals)
     assert file_stats.forced_columns == stats.forced_columns
+
+
+class TestTiledDecode:
+    # groups of more than TILE columns per band decode in row tiles on a thread pool
+
+    def _case(self, seed=3):
+        cfg = default_config(quantization="affine-8bit")
+        frames = synth.generate("sparse-detail", 9, 30, 21, seed=seed)
+        return encode_sequence(frames, cfg), cfg
+
+    def test_tiles_equal_whole_groups(self):
+        enc, cfg = self._case()
+        with mock.patch.object(pipeline_module, "BUDGET", 1):
+            whole, whole_stats = decode_sequence(enc, cfg)
+        for tile in (1, 7, 16):
+            with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
+                tiled, stats = decode_sequence(enc, cfg)
+            assert np.array_equal(tiled, whole)
+            # one group per chunk in both paths, so even the residual order agrees
+            assert np.array_equal(stats.residuals, whole_stats.residuals)
+            assert stats.zero_columns == whole_stats.zero_columns
+
+    def test_tile_counts(self, monkeypatch):
+        # 720p: 640x360 subband columns in tiles of 45 rows, as even as rows allow
+        monkeypatch.setattr(pipeline_module, "_decode_tiles", lambda *args: tiles.append(args[3]) or [])
+        for shape, count in (((720, 1280), 8), ((288, 352), 0), ((64, 64), 0)):
+            tiles = []
+            enc = EncodedSequence(
+                matrix=default_config().matrix,
+                width=shape[1],
+                height=shape[0],
+                quantization="affine-8bit",
+                scale=1.0,
+                offset=0.0,
+                mixed_codes=np.zeros((3, *shape), dtype=np.uint8),
+                tail_codes=np.zeros((0, *shape), dtype=np.uint8),
+            )
+            decode_sequence(enc, default_config())
+            assert [len(t) for t in tiles] == ([count] if count else [])
+            if count:
+                assert {t.stop - t.start for t in tiles[0]} == {90}
+
+    def test_no_thread_outlives_a_decode(self):
+        enc, cfg = self._case()
+        before = threading.active_count()
+        with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
+            decode_sequence(enc, cfg)
+        assert threading.active_count() == before
+
+    def test_many_workers_with_fast_switching(self):
+        # more threads than cores, switching every microsecond: tiles write
+        # disjoint rows and return their own stats, so nothing is lost
+        enc, cfg = self._case(seed=5)
+        with mock.patch.object(pipeline_module, "BUDGET", 1):
+            whole, whole_stats = decode_sequence(enc, cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                with mock.patch.multiple(pipeline_module, TILE=1, WORKERS=8):
+                    tiled, stats = decode_sequence(enc, cfg)
+                assert np.array_equal(tiled, whole)
+                assert np.array_equal(stats.residuals, whole_stats.residuals)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_tile_errors_reach_the_caller(self, monkeypatch):
+        enc, cfg = self._case()
+        before = threading.active_count()
+
+        def failing(*args):
+            raise RuntimeError("tile failed")
+
+        monkeypatch.setattr(pipeline_module, "_decode_chunk", failing)
+        with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
+            with pytest.raises(RuntimeError, match="tile failed"):
+                decode_sequence(enc, cfg)
+        assert threading.active_count() == before
 
 
 class TestConfig:

@@ -18,6 +18,7 @@ from oracles import (
 from ubssvc import (
     MixingMatrix,
     build_hyperplanes,
+    column_peaks,
     generalized_inverse,
     recover_block,
     recover_dense,
@@ -472,3 +473,97 @@ def test_stacked_call_equals_separate_calls(case):
     for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
         assert getattr(stats, field) == getattr(merged, field)
     assert np.array_equal(stats.residuals, merged.residuals)
+
+
+@st.composite
+def split_cases(draw):
+    m = draw(st.integers(2, 4))
+    n = draw(st.integers(m + 1, 6))
+    t = draw(st.integers(1, 30))
+    if draw(st.booleans()):  # every piece one column
+        cuts = list(range(1, t))
+    else:
+        cuts = sorted(draw(st.sets(st.integers(1, max(1, t - 1)), max_size=6)) - {t})
+    kinds = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    return m, n, t, cuts, kinds, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_cases())
+def test_pieces_with_group_peaks_equal_whole_call(case):
+    # a group cut into column pieces, each call given the whole group's peaks,
+    # recovers to the bits and census of one call on the whole group
+    m, n, t, cuts, kinds, stacked, seed = case
+    rng = np.random.default_rng(seed)
+    try:
+        matrix = MixingMatrix(rng.uniform(-1, 1, size=(m, n)))
+    except ValueError:
+        assume(False)
+    hs = build_hyperplanes(matrix)
+    groups = []
+    for kind in kinds:  # 0 all zero, 1 one active column, 2 sparse, 3 dense
+        s = random_sparse_source(int(rng.integers(2**32)), n, t, max_active=m - 1)
+        if kind == 0:
+            s[:] = 0.0
+        elif kind == 1:
+            s[:, 1:] = 0.0
+            s[0, 0] = 1.0
+        elif kind == 3:
+            s = rng.uniform(-1, 1, size=(n, t))
+        x = matrix.entries @ s
+        x[:, rng.random(t) < 0.2] *= 1e-13  # under the group's threshold, maybe not a piece's
+        groups.append(x)
+    x = np.stack(groups) if stacked else groups[0]
+    whole, stats = recover_block(hs, x, tau=1e-6)
+    peaks = column_peaks(x)
+    bounds = list(zip([0, *cuts], [*cuts, t]))
+    pieces = [recover_block(hs, x[..., a:b], 1e-6, peaks) for a, b in bounds]
+    assert np.array_equal(np.concatenate([rec for rec, _ in pieces], axis=-1), whole)
+    merged = RecoveryStats.merged([part for _, part in pieces])
+    for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
+        assert getattr(merged, field) == getattr(stats, field)
+    if stacked:  # pieces pool their groups' residuals piece by piece
+        assert np.array_equal(np.sort(merged.residuals), np.sort(stats.residuals))
+    else:
+        assert np.array_equal(merged.residuals, stats.residuals)
+    assert np.array_equal(np.max([column_peaks(x[..., a:b]) for a, b in bounds], axis=0), peaks)
+
+
+class TestGroupPeaks:
+    def test_peaks_are_the_largest_column_norms(self, matrix, rng):
+        x = rng.normal(size=(2, 3, 7))
+        assert np.array_equal(column_peaks(x), np.linalg.norm(x, axis=1).max(axis=1))
+        assert column_peaks(x[0]).shape == (1,)
+        assert np.array_equal(column_peaks(np.zeros((2, 3, 0))), [0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            column_peaks(np.full((3, 2), np.nan))
+
+    def test_bad_peaks_rejected(self, matrix, rng):
+        x = rng.normal(size=(2, 3, 7))
+        own = column_peaks(x)
+        recover_block(matrix, x, 0.1, own * 2)  # larger peaks are a larger group's
+        for bad in (own[:1], own / 2, np.array([np.nan, 1e9]), np.array([np.inf, 1e9])):
+            with pytest.raises(ValueError, match="peaks"):
+                recover_block(matrix, x, 0.1, bad)
+
+    def test_larger_peaks_zero_more_columns(self, matrix):
+        x = matrix.entries @ sparse_source(seed=6, t=8)
+        x[:, 3] *= 1e-9
+        _, alone = recover_block(matrix, x, 1e-8)
+        _, piece = recover_block(matrix, x, 1e-8, column_peaks(x) * 1e4)
+        assert piece.zero_columns == alone.zero_columns + 1
+
+
+def test_single_columns_and_rows_take_the_gemm_path(matrix, rng):
+    # a one-column product or a one-row map gives the bits of the same column
+    # inside a wide product, which numpy's gemv route would not promise
+    x = rng.normal(size=(3, 500))
+    pinv = generalized_inverse(matrix)
+    wide = recover_dense(pinv, x)
+    for j in range(0, 500, 37):
+        assert np.array_equal(recover_dense(pinv, x[:, j : j + 1])[:, 0], wide[:, j])
+    two = MixingMatrix([[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])  # m = 2: one-row maps
+    y = two.entries @ random_sparse_source(7, 3, 500, max_active=1)
+    whole, _ = recover_block(two, y, 0.05)
+    for j in range(0, 500, 37):
+        assert np.array_equal(recover_block(two, y[:, j : j + 1], 0.05, column_peaks(y))[0][:, 0], whole[:, j])
