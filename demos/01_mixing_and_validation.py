@@ -2,8 +2,9 @@
 
 Four consecutive frames are treated as one source block and mixed down to
 three frames by a fixed 3x4 matrix. The matrix is usable only if every one
-of its 3x3 submatrices is far from singular; this script prints the
-determinant evidence and shows what mixing does to simple inputs.
+of its 3x3 submatrices is far from singular, which MixingMatrix checks
+when it is built; this script prints the determinant evidence and shows
+what mixing does to simple inputs.
 """
 import numpy as np
 
@@ -12,18 +13,19 @@ from ubssvc import (
     default_mixing_matrix,
     generalized_inverse,
     mix_block,
-    validate_mixing_matrix,
 )
+from ubssvc.mixcore import mixing_evidence
 
 matrix = default_mixing_matrix()
 print("mixing matrix (3 mixed frames from 4 sources):")
 print(matrix.entries)
 
 print("\nsubmatrix nonsingularity check:")
-report = validate_mixing_matrix(matrix)
-for cols, magnitude in report.submatrix_results:
+dets, _ = mixing_evidence(matrix.entries)
+for cols, magnitude in dets:
     print(f"  columns {cols}: |det| = {magnitude:.6f}")
-print(f"  -> {'PASS' if report.passed else 'FAIL'} (min {report.min_abs_determinant:.6f})")
+# the matrix constructed, so it passed
+print(f"  -> PASS (min {min(magnitude for _, magnitude in dets):.6f})")
 
 # Constant frames make the row sums visible: each mixed frame is just
 # (sum of row weights) * 100.

@@ -8,7 +8,7 @@ low-frequency band, where the generalized inverse can only project.
 import numpy as np
 
 from ubssvc import (
-    default_config,
+    CodecConfig,
     default_mixing_matrix,
     generalized_inverse,
     haar_forward,
@@ -17,11 +17,11 @@ from ubssvc import (
 from ubssvc import synth
 
 frames = synth.generate("sparse-detail", 40, 64, 64, seed=1234)
-cfg = default_config()
+cfg = CodecConfig()
 report = roundtrip_eval(frames, cfg)
 
 print(f"sources {report.source_count} -> mixed {report.mixed_count} "
-      f"(+{report.tail_count} tail) -> decoded {report.decoded_count}")
+      f"(+{report.tail_count} tail) -> decoded {report.source_count}")
 print(f"mean PSNR over the sequence: {report.quality.mean_psnr:.2f} dB")
 stats = report.recovery
 print(f"coefficient columns: total={stats.total_columns} zero={stats.zero_columns} "

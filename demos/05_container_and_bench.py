@@ -16,8 +16,8 @@ import tempfile
 import numpy as np
 
 from ubssvc import (
+    CodecConfig,
     decode_sequence,
-    default_config,
     encode_sequence,
     read_container,
     write_container,
@@ -25,7 +25,7 @@ from ubssvc import (
 from ubssvc import synth
 
 frames = synth.generate("sparse-detail", 12, 32, 32, seed=77)
-cfg = default_config(quantization="affine-8bit")
+cfg = CodecConfig(quantization="affine-8bit")
 enc = encode_sequence(frames, cfg)
 print(f"encoded: {len(enc.mixed_codes)} mixed + {len(enc.tail_codes)} tail, "
       f"quantization {enc.quantization} (scale {enc.scale:.4f}, offset {enc.offset:.2f})")

@@ -10,21 +10,18 @@ from .metrics import QualityReport, frame_mse, frame_psnr, sequence_report
 from .mixcore import (
     MixingMatrix,
     SparsityReport,
-    ValidationReport,
     as_sequence,
     check_sparsity,
     default_mixing_matrix,
     generalized_inverse,
     mix_block,
     snap_to_8bit,
-    validate_mixing_matrix,
 )
 from .pipeline import (
     CodecConfig,
     EncodedSequence,
     RoundtripReport,
     decode_sequence,
-    default_config,
     encode_sequence,
     load_config,
     roundtrip_eval,
@@ -40,7 +37,6 @@ from .sca import (
 from .synth import generate
 from .vio import (
     ContainerError,
-    SequenceSource,
     read_container,
     read_sequence,
     write_container,
@@ -61,16 +57,13 @@ __all__ = [
     "QualityReport",
     "RecoveryStats",
     "RoundtripReport",
-    "SequenceSource",
     "SparsityReport",
-    "ValidationReport",
     "as_sequence",
     "build_hyperplanes",
     "check_sparsity",
     "column_peaks",
     "compression_ratio",
     "decode_sequence",
-    "default_config",
     "default_mixing_matrix",
     "encode_sequence",
     "frame_mse",
@@ -88,7 +81,6 @@ __all__ = [
     "roundtrip_eval",
     "sequence_report",
     "snap_to_8bit",
-    "validate_mixing_matrix",
     "write_container",
     "write_sequence",
 ]

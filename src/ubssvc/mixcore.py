@@ -9,21 +9,23 @@ clamps.
 A mixing matrix must be underdetermined (fewer rows than columns) and every
 square submatrix of it must be nonsingular. That second condition is what
 guarantees that any subset of its columns spans a full-rank subspace, which
-the recovery stage in :mod:`ubssvc.sca` depends on, so it is enforced at
-construction time and separately inspectable via
-:func:`validate_mixing_matrix`. Construction also bounds the condition
-number of the Gram matrix A A^T, which the decoder's dense solve inverts,
-so a matrix that constructs is one the decoder can use.
+the recovery stage in :mod:`ubssvc.sca` depends on. Construction also
+bounds the condition number of the Gram matrix A A^T, which the decoder's
+dense solve inverts, so a matrix that constructs is one the decoder can
+use. :class:`MixingMatrix` construction is the one verdict on a matrix;
+:func:`mixing_evidence` lists the numbers it is made from.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_DET_FLOOR = 1e-9
 DEFAULT_ZERO_EPS = 1e-12
+# Smallest |det| an m x m submatrix of a mixing matrix may have.
+DET_FLOOR = 1e-9
 # Largest condition number of the Gram matrix A A^T a mixing matrix may have.
 GRAM_COND_BOUND = 1e12
 
@@ -85,76 +87,56 @@ def as_sequence(frames) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of the square-submatrix nonsingularity check.
+def mixing_evidence(entries) -> tuple[list[tuple[tuple[int, ...], float]], float]:
+    """What :class:`MixingMatrix` judges an (m, n) array by.
 
-    ``submatrix_results`` lists every size-m column subset (0-based indices,
-    lexicographic order) with the magnitude of its determinant.
+    Returns |det| of every m x m column submatrix, as (0-based column
+    subset, magnitude) pairs in lexicographic subset order, and the
+    condition number of the Gram matrix A A^T, infinite when A A^T
+    overflows.
     """
-
-    passed: bool
-    submatrix_results: tuple[tuple[tuple[int, ...], float], ...]
-    min_abs_determinant: float
-
-
-def validate_mixing_matrix(matrix, det_floor: float = DEFAULT_DET_FLOOR) -> ValidationReport:
-    """Check that every m x m submatrix of an m x n matrix is nonsingular.
-
-    Accepts a :class:`MixingMatrix` or a raw 2-D array-like, so candidate
-    matrices can be screened before construction. Nonsingularity is tested
-    as |det| > det_floor for each of the C(n, m) column subsets.
-    """
-    if det_floor <= 0:
-        raise ValueError("det_floor must be positive")
-    entries = matrix.entries if isinstance(matrix, MixingMatrix) else np.asarray(matrix, dtype=np.float64)
-    if entries.ndim != 2:
-        raise ValueError("mixing matrix must be 2-D")
     m, n = entries.shape
-    if m >= n:
-        raise ValueError(f"matrix must be underdetermined: rows ({m}) must be < columns ({n})")
-    if not np.all(np.isfinite(entries)):
-        raise ValueError("mixing matrix entries must be finite")
-    results = []
-    for cols in itertools.combinations(range(n), m):
-        magnitude = float(abs(np.linalg.det(entries[:, cols])))
-        results.append((cols, magnitude))
-    min_mag = min(mag for _, mag in results)
-    return ValidationReport(
-        passed=bool(min_mag > det_floor),
-        submatrix_results=tuple(results),
-        min_abs_determinant=min_mag,
-    )
+    with np.errstate(invalid="ignore"):  # non-finite entries give NaN, reported as is
+        dets = [
+            (cols, float(abs(np.linalg.det(entries[:, cols]))))
+            for cols in itertools.combinations(range(n), m)
+        ]
+    gram = entries @ entries.T
+    return dets, float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.inf
 
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """The m x n mixing matrix, validated at construction.
 
-    Construction fails unless m < n, all entries are finite, every m x m
-    submatrix has |det| above ``det_floor``, and the Gram matrix A A^T has
-    a condition number of at most :data:`GRAM_COND_BOUND`, so that
-    :func:`generalized_inverse` can solve with it.
+    Construction fails unless 2 <= m < n, all entries are finite, every
+    m x m submatrix has |det| above :data:`DET_FLOOR`, and the Gram matrix
+    A A^T has a condition number of at most :data:`GRAM_COND_BOUND`, so
+    that :func:`generalized_inverse` can solve with it.
     """
 
     entries: np.ndarray
-    det_floor: float = DEFAULT_DET_FLOOR
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.float64)
-        report = validate_mixing_matrix(arr, self.det_floor)
-        if arr.shape[0] < 2:
+        if arr.ndim != 2:
+            raise ValueError("mixing matrix must be 2-D")
+        m, n = arr.shape
+        if m >= n:
+            raise ValueError(f"matrix must be underdetermined: rows ({m}) must be < columns ({n})")
+        if m < 2:
             raise ValueError("mixing matrix needs at least 2 rows")
-        if not report.passed:
-            worst = min(report.submatrix_results, key=lambda item: item[1])
+        if not np.isfinite(arr).all():
+            raise ValueError("mixing matrix entries must be finite")
+        dets, gram_cond = mixing_evidence(arr)
+        worst = min(dets, key=lambda item: item[1])
+        if not worst[1] > DET_FLOOR:
             raise ValueError(
                 f"mixing matrix has a near-singular square submatrix: columns {worst[0]} "
-                f"give |det| = {worst[1]:.3e} (floor {self.det_floor:g})"
+                f"give |det| = {worst[1]:.3e} (floor {DET_FLOOR:g})"
             )
-        # the decoder's LL solve inverts the Gram matrix; an overflowed one
-        # has no usable condition number
-        gram = arr @ arr.T
-        if not np.isfinite(gram).all() or not np.linalg.cond(gram) <= GRAM_COND_BOUND:
+        # the decoder's LL solve inverts the Gram matrix
+        if not gram_cond <= GRAM_COND_BOUND:
             raise ValueError("mixing matrix rows are numerically dependent")
         object.__setattr__(self, "entries", _freeze(arr))
 

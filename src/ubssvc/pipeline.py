@@ -1,8 +1,10 @@
 """Encode/decode orchestration.
 
-A sequence travels as one (count, H, W) float64 array. Encoding partitions
-it into consecutive groups of n frames and mixes every group down to m
-frames in the pixel domain with one batched product; leftover frames (count
+A sequence travels as one (count, H, W) float64 array. A
+:class:`CodecConfig` is the mixing matrix, whose columns and rows are the
+group sizes n and m, and three settings. Encoding partitions the sequence
+into consecutive groups of n frames and mixes every group down to m frames
+in the pixel domain with one batched product; leftover frames (count
 mod n) pass through unmixed as the tail. Decoding walks the groups in
 chunks: one Haar transform of the chunk's mixed frames, recovery of the
 three sparse detail subbands by subspace classification (one stacked call
@@ -33,6 +35,7 @@ import numpy as np
 
 from .metrics import QualityReport, sequence_report
 from .mixcore import (
+    DEFAULT_MATRIX_ENTRIES,
     MixingMatrix,
     _read_only,
     as_sequence,
@@ -53,7 +56,6 @@ from .wavelet import haar_forward, haar_inverse
 
 PAD_REJECT = "reject"
 PAD_EDGE = "edge-replicate"
-TAIL_PASSTHROUGH = "passthrough"
 QUANT_FLOAT = "float-container"
 QUANT_AFFINE = "affine-8bit"
 
@@ -85,40 +87,22 @@ _F32_MAX = float(np.finfo(np.float32).max)
 class CodecConfig:
     """Pipeline parameters; defaults to the built-in 3x4 matrix.
 
-    ``n`` and ``m`` are redundant with the matrix shape and validated
-    against it when given explicitly.
+    The group sizes n and m are the matrix's columns and rows.
     """
 
     matrix: MixingMatrix | None = None
-    n: int | None = None
-    m: int | None = None
     tau: float = DEFAULT_TAU
     pad_policy: str = PAD_EDGE
-    tail_policy: str = TAIL_PASSTHROUGH
     quantization: str = QUANT_FLOAT
 
     def __post_init__(self):
-        matrix = self.matrix if self.matrix is not None else default_mixing_matrix()
-        object.__setattr__(self, "matrix", matrix)
-        n = matrix.cols if self.n is None else int(self.n)
-        m = matrix.rows if self.m is None else int(self.m)
-        if n != matrix.cols or m != matrix.rows:
-            raise ValueError(
-                f"declared n = {n}, m = {m} disagree with matrix shape {matrix.rows}x{matrix.cols}"
-            )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
+        if self.matrix is None:
+            object.__setattr__(self, "matrix", default_mixing_matrix())
         check_tau(self.tau)
         if self.pad_policy not in (PAD_REJECT, PAD_EDGE):
             raise ValueError(f"unknown pad policy {self.pad_policy!r}")
-        if self.tail_policy != TAIL_PASSTHROUGH:
-            raise ValueError(f"unknown tail policy {self.tail_policy!r}")
         if self.quantization not in (QUANT_FLOAT, QUANT_AFFINE):
             raise ValueError(f"unknown quantization mode {self.quantization!r}")
-
-
-def default_config(**overrides) -> CodecConfig:
-    return CodecConfig(**overrides)
 
 
 @dataclass(frozen=True, eq=False)
@@ -187,7 +171,7 @@ def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
     """Group and mix a (count, H, W) source sequence into its storage codes."""
     src = as_sequence(frames)
     count, height, width = src.shape
-    n = cfg.n
+    m, n = cfg.matrix.rows, cfg.matrix.cols
     if count < n:
         raise ValueError(f"need at least n = {n} frames, got {count}")
     if cfg.pad_policy == PAD_REJECT and (width % 2 or height % 2):
@@ -196,7 +180,7 @@ def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
         )
     blocks = count // n
     mixed = mix_block(cfg.matrix, src[: blocks * n].reshape(blocks, n, height, width))
-    mixed = mixed.reshape(blocks * cfg.m, height, width)
+    mixed = mixed.reshape(blocks * m, height, width)
 
     if cfg.quantization == QUANT_FLOAT:
         scale = offset = 0.0
@@ -234,7 +218,7 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     if cfg.pad_policy == PAD_REJECT and (width % 2 or height % 2):
         raise ValueError("odd frame dimensions rejected by pad policy")
 
-    m, n = cfg.m, cfg.n
+    m, n = cfg.matrix.rows, cfg.matrix.cols
     pinv = generalized_inverse(cfg.matrix)
     planes = build_hyperplanes(cfg.matrix)
     blocks = enc.block_count
@@ -341,10 +325,6 @@ class RoundtripReport:
     mixed_count: int
     tail_count: int
 
-    @property
-    def decoded_count(self) -> int:
-        return self.source_count
-
 
 def roundtrip_eval(frames, cfg: CodecConfig) -> RoundtripReport:
     """Encode then decode in memory and score the reconstruction."""
@@ -362,12 +342,14 @@ def roundtrip_eval(frames, cfg: CodecConfig) -> RoundtripReport:
 
 
 def parse_config(path) -> dict:
-    """Parse a key-value config file into raw values.
+    """Parse a key-value config file into raw :class:`CodecConfig` values.
 
-    Recognized keys: ``n``, ``m``, ``matrix`` (row-major whitespace-separated
-    floats, returned as an uninterpreted (m, n) array), ``tau``,
-    ``pad_policy``, ``tail_policy``, ``quantization``. ``#`` starts a
-    comment. Only the keys present in the file appear in the result.
+    Recognized keys: ``matrix`` (row-major whitespace-separated floats,
+    returned as an uninterpreted (m, n) array), ``n`` and ``m`` (the
+    matrix's shape, required with ``matrix``; without it, checked against
+    the built-in matrix), ``tau``, ``pad_policy``, ``quantization``. ``#``
+    starts a comment. Only the keys present in the file appear in the
+    result, and never ``n`` or ``m``.
     """
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -380,29 +362,30 @@ def parse_config(path) -> dict:
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
 
-    known = {"n", "m", "matrix", "tau", "pad_policy", "tail_policy", "quantization"}
+    known = {"n", "m", "matrix", "tau", "pad_policy", "quantization"}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
 
     parsed = {}
-    if "n" in values:
-        parsed["n"] = int(values["n"])
-    if "m" in values:
-        parsed["m"] = int(values["m"])
     if "matrix" in values:
-        if "n" not in parsed or "m" not in parsed:
+        if "n" not in values or "m" not in values:
             raise ValueError(f"{path}: matrix requires explicit n and m")
+        m, n = int(values["m"]), int(values["n"])
         entries = np.array([float(v) for v in values["matrix"].split()])
-        if entries.size != parsed["m"] * parsed["n"]:
+        if entries.size != m * n:
+            raise ValueError(f"{path}: matrix has {entries.size} entries, expected m*n = {m * n}")
+        parsed["matrix"] = entries.reshape(m, n)
+    else:
+        rows, cols = np.shape(DEFAULT_MATRIX_ENTRIES)
+        m, n = int(values.get("m", rows)), int(values.get("n", cols))
+        if (m, n) != (rows, cols):
             raise ValueError(
-                f"{path}: matrix has {entries.size} entries, "
-                f"expected m*n = {parsed['m'] * parsed['n']}"
+                f"{path}: declared n = {n}, m = {m} disagree with the built-in {rows}x{cols} matrix"
             )
-        parsed["matrix"] = entries.reshape(parsed["m"], parsed["n"])
     if "tau" in values:
         parsed["tau"] = float(values["tau"])
-    for key in ("pad_policy", "tail_policy", "quantization"):
+    for key in ("pad_policy", "quantization"):
         if key in values:
             parsed[key] = values[key]
     return parsed

@@ -64,21 +64,18 @@ class HyperplaneSet:
         reconstruction does not depend on the choice because tied planes
         contain the column jointly.
         """
-        return _nearest(np.abs(_gemm(self.normals, columns)))
-
-
-def _nearest(distances) -> tuple[np.ndarray, np.ndarray]:
-    """Row index and value of the first minimum of each column of (C, T) distances."""
-    # A running first minimum over the few planes: np.argmin along axis 0
-    # walks the (C, T) array column by column and costs several times more.
-    best = np.zeros(distances.shape[1], dtype=np.intp)
-    nearest = distances[0].copy()
-    for q in range(1, distances.shape[0]):
-        closer = distances[q] < nearest  # strict: the earlier plane keeps a tie
-        best *= ~closer
-        best += closer * q
-        np.minimum(nearest, distances[q], out=nearest)
-    return best, nearest
+        distances = _gemm(self.normals, columns)
+        np.abs(distances, out=distances)
+        # A running first minimum over the few planes: np.argmin along axis 0
+        # walks the (C, T) array column by column and costs several times more.
+        best = np.zeros(distances.shape[1], dtype=np.intp)
+        nearest = distances[0].copy()
+        for q in range(1, self.count):
+            closer = distances[q] < nearest  # strict: the earlier plane keeps a tie
+            best *= ~closer
+            best += closer * q
+            np.minimum(nearest, distances[q], out=nearest)
+        return best, nearest
 
 
 def _gemm(a, b) -> np.ndarray:
@@ -229,10 +226,8 @@ def recover_block(
     # compress and take gather along the column axis several times faster
     # than boolean indexing does
     xa = np.compress(active, columns, axis=1)
-    del columns  # a copy for stacked input; freed early, like distances, to lower peak memory
-    distances = _gemm(planes.normals, xa)
-    best, relative = _nearest(np.abs(distances, out=distances))
-    del distances
+    del columns  # a copy for stacked input; freed early to lower peak memory
+    best, relative = planes.classify(xa)
     relative /= np.compress(active, norms)
     forced = relative > tau
 

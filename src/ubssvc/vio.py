@@ -21,8 +21,8 @@ An :class:`~ubssvc.pipeline.EncodedSequence` holds its mixed and tail
 frames as these stored codes, so writing a container copies the two code
 arrays out as they are, and reading one returns read-only views over the
 bytes read: the file reproduces every field exactly, and nothing is
-dequantized here. Sequences of frames are read into, and written from, one
-(count, height, width) float64 array.
+dequantized here. A sequence of frames is read into, and written from, one
+(count, height, width) float64 array; read ones are read-only.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ import glob
 import os
 import re
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,24 +47,9 @@ _QUANT_NAME = {code: name for name, code in _QUANT_CODE.items()}
 # to the end of its line, as netpbm allows).
 _PGM_TOKEN = re.compile(rb"(?:\s|#[^\r\n]*)*([^\s#]*)")
 
-PGM_SEQUENCE = "pgm-sequence"
-RAW_PLANAR = "raw-planar"
-
 
 class ContainerError(ValueError):
     """Malformed or inconsistent container bytes."""
-
-
-@dataclass(frozen=True, eq=False)
-class SequenceSource:
-    """A loaded sequence: read-only (count, height, width) frames and their format."""
-
-    frames: np.ndarray
-    origin: str
-
-    @property
-    def count(self) -> int:
-        return len(self.frames)
 
 
 def _read_pgm(path) -> np.ndarray:
@@ -138,12 +122,13 @@ def _expand_pattern(pattern: str) -> list[str]:
     return [pattern] if os.path.exists(pattern) else []
 
 
-def read_sequence(path_or_pattern, *, width=None, height=None, count=None) -> SequenceSource:
-    """Load a frame sequence.
+def read_sequence(path_or_pattern, *, width=None, height=None, count=None) -> np.ndarray:
+    """Load a frame sequence as a read-only (count, height, width) float64 array.
 
     With ``width`` and ``height`` given, the path is one raw-planar file of
-    8-bit planes (``count`` inferred from the size when omitted). Otherwise
-    the argument is a PGM file, a glob/``{i}`` pattern, or a directory.
+    8-bit planes (``count``, at least 1, inferred from the size when
+    omitted). Otherwise the argument is a PGM file, a glob/``{i}`` pattern,
+    or a directory.
     """
     if (width is None) != (height is None):
         raise ValueError("raw input needs both width and height")
@@ -159,13 +144,12 @@ def read_sequence(path_or_pattern, *, width=None, height=None, count=None) -> Se
                     f"{path_or_pattern}: size {len(data)} is not a multiple of {plane_size}"
                 )
             count = len(data) // plane_size
+        if count < 1:
+            raise ValueError(f"{path_or_pattern}: no frames (frame count {count})")
         if len(data) < count * plane_size:
             raise ValueError(f"{path_or_pattern}: truncated raw payload")
-        if not count:
-            raise ValueError(f"{path_or_pattern}: no frames")
         codes = np.frombuffer(data, dtype=np.uint8, count=count * plane_size)
-        frames = codes.reshape(count, height, width).astype(np.float64)
-        return SequenceSource(frames=_read_only(frames), origin=RAW_PLANAR)
+        return _read_only(codes.reshape(count, height, width).astype(np.float64))
 
     paths = _expand_pattern(str(path_or_pattern))
     if not paths:
@@ -175,8 +159,7 @@ def read_sequence(path_or_pattern, *, width=None, height=None, count=None) -> Se
     for p, plane in zip(paths, planes):
         if plane.shape != (h, w):
             raise ValueError(f"{p}: dimensions {plane.shape[1]}x{plane.shape[0]} drift from {w}x{h}")
-    frames = np.stack(planes).astype(np.float64)
-    return SequenceSource(frames=_read_only(frames), origin=PGM_SEQUENCE)
+    return _read_only(np.stack(planes).astype(np.float64))
 
 
 def write_sequence(frames, pattern: str) -> list[str]:

@@ -169,7 +169,7 @@ def decode_reference(enc, cfg):
     """
     from ubssvc import build_hyperplanes, generalized_inverse, recover_block, recover_dense
 
-    m, n = cfg.m, cfg.n
+    m, n = cfg.matrix.rows, cfg.matrix.cols
     planes = build_hyperplanes(cfg.matrix)
     pinv = generalized_inverse(cfg.matrix)
     height, width = enc.height, enc.width

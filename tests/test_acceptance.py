@@ -11,9 +11,9 @@ import pytest
 
 from oracles import sparse_source
 from ubssvc import (
+    CodecConfig,
     compression_ratio,
     decode_sequence,
-    default_config,
     encode_sequence,
     frame_psnr,
     generalized_inverse,
@@ -71,7 +71,7 @@ def test_criterion_1_exact_sparse_recovery(matrix, announce):
 
 def test_criterion_2_frame_accounting(announce):
     frames = synth.generate("sparse-detail", 40, 32, 32, seed=2)
-    cfg = default_config()
+    cfg = CodecConfig()
     enc = encode_sequence(frames, cfg)
     decoded, _ = decode_sequence(enc, cfg)
     ok = len(enc.mixed_codes) == 30 and len(decoded) == 40
@@ -86,7 +86,7 @@ def test_criterion_2_frame_accounting(announce):
 
 def test_criterion_3_structural_compression_floor(announce):
     frames = synth.generate("sparse-detail", 40, 32, 32, seed=3)
-    enc = encode_sequence(frames, default_config(quantization="affine-8bit"))
+    enc = encode_sequence(frames, CodecConfig(quantization="affine-8bit"))
     raw_source = len(sequence_stream_bytes(frames))
     raw_mixed = len(mixed_stream_bytes(enc))
     payload_exact = raw_mixed * 4 == raw_source * 3  # 30/40 frames, same plane size
@@ -220,13 +220,13 @@ def test_criterion_7_determinism_and_serialization(tmp_path, announce):
     files_identical = True
     containers = []
     for name in ("a.ubss", "b.ubss"):
-        enc = encode_sequence(frames, default_config())
+        enc = encode_sequence(frames, CodecConfig())
         path = tmp_path / name
         write_container(enc, path)
         containers.append(path.read_bytes())
     files_identical = containers[0] == containers[1]
 
-    enc = encode_sequence(frames, default_config())
+    enc = encode_sequence(frames, CodecConfig())
     path = tmp_path / "c.ubss"
     write_container(enc, path)
     back = read_container(path)
@@ -252,7 +252,7 @@ def test_criterion_7_determinism_and_serialization(tmp_path, announce):
 
 def test_criterion_8_quality_regression(announce):
     frames = synth.generate(*BASELINE_ARGS)
-    report = roundtrip_eval(frames, default_config())
+    report = roundtrip_eval(frames, CodecConfig())
     mean = report.quality.mean_psnr
     ok = mean >= BASELINE_MEAN_PSNR - 0.1
     announce(

@@ -1,13 +1,19 @@
+import contextlib
+import io
+import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ubssvc import (
+    CodecConfig,
     compression_ratio,
     decode_sequence,
-    default_config,
     encode_sequence,
     read_container,
     read_sequence,
@@ -15,7 +21,7 @@ from ubssvc import (
     write_container,
     write_sequence,
 )
-from ubssvc import synth
+from ubssvc import MixingMatrix, cli, synth
 
 
 def run_cli(*args, cwd=None):
@@ -59,15 +65,79 @@ class TestValidateMatrixCommand:
     def test_porcelain(self):
         proc = run_cli("validate-matrix", "--porcelain")
         assert proc.returncode == 0
-        assert "passed=true" in proc.stdout
-        assert "det.0_1_2=" in proc.stdout
+        values = dict(line.split("=", 1) for line in proc.stdout.splitlines())
+        assert values["passed"] == "true" and "det.0_1_2" in values
+        assert float(values["gram_cond"]) == pytest.approx(5.5781, rel=1e-4)
 
     def test_failing_matrix_exits_2(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("n = 3\nm = 2\nmatrix = 1 0 1  0 1 0\n")
         proc = run_cli("validate-matrix", "--config", str(cfg))
         assert proc.returncode == 2
-        assert "FAIL" in proc.stdout
+        assert "FAIL" in proc.stdout and "near-singular" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "config, reason",
+        [
+            ("n = 3\nm = 2\nmatrix = 1e8 0.5 0.25  0.5 1.0 -0.75\n", "numerically dependent"),
+            ("n = 2\nm = 1\nmatrix = 1 2\n", "at least 2 rows"),
+            ("n = 3\n", "disagree"),
+        ],
+        ids=["gram-1e8", "one-row", "n-only"],
+    )
+    def test_fails_where_mix_fails(self, tmp_path, config, reason):
+        path = tmp_path / "codec.cfg"
+        path.write_text(config)
+        proc = run_cli("validate-matrix", "--config", str(path), "--porcelain")
+        assert proc.returncode == 2
+        assert reason in proc.stdout + proc.stderr
+        assert "passed=true" not in proc.stdout
+        write_sequence(synth.generate("noise", 4, 4, 4, seed=1), str(tmp_path / "src" / "f_{i}.pgm"))
+        proc = run_cli("mix", str(tmp_path / "src" / "*.pgm"), "--config", str(path),
+                       "--out", str(tmp_path / "o.ubss"))
+        assert proc.returncode == 2 and reason in proc.stderr
+
+
+@st.composite
+def mixing_matrices(draw):
+    kind = draw(st.sampled_from(["random", "duplicate", "scaled-row", "one-row", "tall"]))
+    if kind == "one-row":
+        m, n = 1, draw(st.integers(2, 5))
+    elif kind == "tall":
+        n = draw(st.integers(1, 3))
+        m = draw(st.integers(n, 4))
+    else:
+        n = draw(st.integers(3, 5))
+        m = draw(st.integers(2, n - 1))
+    values = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    entries = np.array(draw(st.lists(values, min_size=m * n, max_size=m * n))).reshape(m, n)
+    if kind == "duplicate":
+        entries[:, 1] = entries[:, 0]
+    elif kind == "scaled-row":
+        entries[draw(st.integers(0, m - 1))] *= 1e8
+    return entries
+
+
+class TestValidateMatrixAgreesWithConstruction:
+    @settings(max_examples=60, deadline=None)
+    @given(mixing_matrices())
+    def test_exit_code_is_the_construction_verdict(self, entries):
+        try:
+            MixingMatrix(entries)
+            expected = 0
+        except ValueError:
+            expected = 2
+        m, n = entries.shape
+        text = f"n = {n}\nm = {m}\nmatrix = " + " ".join(map(repr, entries.ravel().tolist())) + "\n"
+        with tempfile.TemporaryDirectory() as work:
+            path = os.path.join(work, "codec.cfg")
+            with open(path, "w") as fh:
+                fh.write(text)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["validate-matrix", "--config", path, "--porcelain"])
+        assert code == expected, out.getvalue() + err.getvalue()
+        assert ("passed=true" in out.getvalue()) == (expected == 0)
 
 
 class TestGenCommand:
@@ -99,8 +169,8 @@ class TestMixSeparate:
         proc = run_cli("mix", src_pattern, "--out", str(container))
         assert proc.returncode == 0, proc.stderr
 
-        frames = read_sequence(src_pattern).frames
-        cfg = default_config()
+        frames = read_sequence(src_pattern)
+        cfg = CodecConfig()
         enc_memory = encode_sequence(frames, cfg)
         reference = sequence_dir / "ref.ubss"
         write_container(enc_memory, reference)
@@ -110,7 +180,7 @@ class TestMixSeparate:
             "separate", str(container), "--out", str(sequence_dir / "rec" / "f_{i:03d}.pgm")
         )
         assert proc.returncode == 0, proc.stderr
-        decoded_files = read_sequence(str(sequence_dir / "rec" / "*.pgm")).frames
+        decoded_files = read_sequence(str(sequence_dir / "rec" / "*.pgm"))
         decoded_memory, _ = decode_sequence(enc_memory, cfg)
         assert np.array_equal(decoded_files, snap_to_8bit(decoded_memory))
 
@@ -156,7 +226,7 @@ class TestConfigOverrides:
         flags = ["--config", str(path), "--tau", "0.2", "--quant", "affine8"]
         cfg = _load_cfg(_build_parser().parse_args(["roundtrip", "--preset", "noise", *flags]))
         assert (cfg.tau, cfg.quantization) == (0.2, "affine-8bit")
-        assert cfg.pad_policy == "reject" and (cfg.m, cfg.n) == (2, 3)
+        assert cfg.pad_policy == "reject" and cfg.matrix.entries.shape == (2, 3)
         assert np.array_equal(cfg.matrix.entries, [[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])
         no_flags = _load_cfg(_build_parser().parse_args(["roundtrip", "--config", str(path)]))
         assert (no_flags.tau, no_flags.quantization) == (0.01, "float-container")
@@ -265,7 +335,7 @@ class TestExitCodes:
         container = tmp_path / "seq.ubss"
         proc = run_cli("mix", str(tmp_path / "src" / "*.pgm"), "--tau", tau, "--out", str(container))
         assert proc.returncode == 2 and not container.exists()
-        write_container(encode_sequence(frames, default_config()), container)
+        write_container(encode_sequence(frames, CodecConfig()), container)
         proc = run_cli("separate", str(container), "--tau", tau, "--out", str(tmp_path / "f_{i}.pgm"))
         assert proc.returncode == 2 and "tau must be finite" in proc.stderr
 
@@ -308,3 +378,37 @@ class TestExitCodes:
             "--out", str(tmp_path / "f_{k}.pgm"),
         )
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
+
+
+GEN = ["--preset", "noise", "--frames", "8", "--width", "8", "--height", "8"]
+CFG = ["--config", "{tmp}/codec.cfg"]
+
+# (config file bytes, arguments with {tmp} for the test directory, exit code);
+# the directory also holds seq.raw, four 4x4 frames
+HOSTILE_INPUTS = {
+    "non-utf8-config": (b"tau = 0.1 # \xff\xfe\n", ["roundtrip", *GEN, *CFG], 2),
+    "n-not-int": (b"n = x\n", ["roundtrip", *GEN, *CFG], 2),
+    "tau-not-float": (b"tau = abc\n", ["roundtrip", *GEN, *CFG], 2),
+    "one-row-matrix": (b"n = 2\nm = 1\nmatrix = 1 2\n", ["roundtrip", *GEN, *CFG], 2),
+    "negative-raw-frames": (
+        b"",
+        ["mix", "{tmp}/seq.raw", "--width", "4", "--height", "4", "--frames", "-1",
+         "--out", "{tmp}/o.ubss"],
+        2,
+    ),
+    "positional-pattern": (b"", ["gen", "--frames", "4", "--out", "{tmp}/f_{0}.pgm"], 2),
+    "unclosed-quote": (b"", ["bench", *GEN, "--codec-cmd", "cp '{in} {out}"], 2),
+    "directory-container": (b"", ["separate", "{tmp}", "--out", "{tmp}/f_{i}.pgm"], 2),
+    "removed-flag": (b"", ["validate-matrix", "--det-floor", "1e-9"], 1),
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_INPUTS)
+def test_hostile_input_exits_cleanly(tmp_path, name):
+    config, args, code = HOSTILE_INPUTS[name]
+    (tmp_path / "codec.cfg").write_bytes(config)
+    (tmp_path / "seq.raw").write_bytes(bytes(4 * 16))
+    proc = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in args))
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.strip()

@@ -10,9 +10,9 @@ from ubssvc import (
     generalized_inverse,
     mix_block,
     snap_to_8bit,
-    validate_mixing_matrix,
 )
-from ubssvc.mixcore import GRAM_COND_BOUND
+from ubssvc import cli
+from ubssvc.mixcore import DET_FLOOR, GRAM_COND_BOUND, mixing_evidence
 
 # frozen via the cofactor oracle on the built-in matrix
 DEFAULT_DET_MAGNITUDES = {
@@ -49,10 +49,10 @@ class TestFrame:
                 as_sequence([np.array([[1.0, value]])])
 
     def test_pixels_immutable(self):
-        from ubssvc import default_config, encode_sequence, synth
+        from ubssvc import CodecConfig, encode_sequence, synth
 
         frames = synth.generate("sparse-detail", 5, 4, 4, seed=1)
-        enc = encode_sequence(frames, default_config())
+        enc = encode_sequence(frames, CodecConfig())
         for arr in (frames, enc.mixed_codes, enc.tail_codes):
             with pytest.raises(ValueError):
                 arr[0, 0, 0] = 1.0
@@ -82,45 +82,54 @@ class TestBlocks:
 
 class TestValidateMixingMatrix:
     def test_default_matrix_passes_with_oracle_determinants(self, matrix):
-        report = validate_mixing_matrix(matrix, det_floor=1e-9)
-        assert report.passed
-        assert len(report.submatrix_results) == 4
-        for cols, magnitude in report.submatrix_results:
+        dets, gram_cond = mixing_evidence(matrix.entries)
+        assert len(dets) == 4
+        for cols, magnitude in dets:
             expected = abs(det_cofactor(matrix.entries[:, cols]))
             assert magnitude == pytest.approx(expected, abs=1e-12)
             assert magnitude == pytest.approx(DEFAULT_DET_MAGNITUDES[cols], abs=1e-12)
-        assert report.min_abs_determinant == pytest.approx(0.138125, abs=1e-12)
+        assert min(mag for _, mag in dets) == pytest.approx(0.138125, abs=1e-12)
+        assert gram_cond == pytest.approx(np.linalg.cond(matrix.entries @ matrix.entries.T))
+        assert gram_cond <= GRAM_COND_BOUND
 
     def test_duplicated_column_fails(self):
-        raw = [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
-        report = validate_mixing_matrix(raw)
-        assert not report.passed
-        results = dict(report.submatrix_results)
+        raw = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match=r"near-singular square submatrix: columns \(0, 2\)"):
+            MixingMatrix(raw)
+        results = dict(mixing_evidence(raw)[0])
         assert results[(0, 2)] == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_oracle_2x3(self):
-        raw = [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]
-        report = validate_mixing_matrix(raw)
-        assert report.passed
-        assert [m for _, m in report.submatrix_results] == pytest.approx([1.0, 1.0, 1.0])
+        raw = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        MixingMatrix(raw)
+        assert [m for _, m in mixing_evidence(raw)[0]] == pytest.approx([1.0, 1.0, 1.0])
+
+    def test_det_floor_is_the_verdict(self):
+        # columns (0, 2) have |det| = x; the Gram matrix stays well conditioned
+        def with_det(x):
+            return [[1.0, 0.0, 1.0], [0.0, 1.0, x]]
+
+        MixingMatrix(with_det(2 * DET_FLOOR))
+        with pytest.raises(ValueError, match="near-singular"):
+            MixingMatrix(with_det(DET_FLOOR / 2))
 
     def test_rejects_square_or_tall(self):
-        with pytest.raises(ValueError):
-            validate_mixing_matrix(np.eye(3))
+        for shape in ((3, 3), (4, 3), (1, 1)):
+            with pytest.raises(ValueError, match="underdetermined"):
+                MixingMatrix(np.ones(shape))
+        with pytest.raises(ValueError, match="2-D"):
+            MixingMatrix(np.ones(4))
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            validate_mixing_matrix([[1.0, np.inf, 0.0], [0.0, 1.0, 1.0]])
-
-    def test_rejects_bad_floor(self, matrix):
-        with pytest.raises(ValueError):
-            validate_mixing_matrix(matrix, det_floor=0.0)
+        for value in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                MixingMatrix([[1.0, value, 0.0], [0.0, 1.0, 1.0]])
 
     def test_column_permutations_pass(self, matrix):
         import itertools
 
         for perm in itertools.permutations(range(4)):
-            assert validate_mixing_matrix(matrix.entries[:, perm]).passed
+            MixingMatrix(matrix.entries[:, perm])
 
 
 class TestMixingMatrixConstruction:
@@ -131,18 +140,27 @@ class TestMixingMatrixConstruction:
     def test_shape_rejected(self):
         with pytest.raises(ValueError):
             MixingMatrix(np.eye(3))
+        with pytest.raises(ValueError, match="at least 2 rows"):
+            MixingMatrix([[1.0, 2.0]])
 
     def test_entries_immutable(self, matrix):
         with pytest.raises(ValueError):
             matrix.entries[0, 0] = 9.9
 
-    def test_ill_conditioned_gram_rejected_at_construction(self):
+    def test_ill_conditioned_gram_rejected_at_construction(self, tmp_path, capsys):
         # every 2x2 submatrix passes the determinant floor, but A A^T has a
         # condition number near 1e16, which the decoder's dense solve cannot use
         entries = [[1e8, 0.5, 0.25], [0.5, 1.0, -0.75]]
-        assert validate_mixing_matrix(entries).passed
+        dets, gram_cond = mixing_evidence(np.array(entries))
+        assert min(mag for _, mag in dets) > DET_FLOOR and gram_cond > GRAM_COND_BOUND
         with pytest.raises(ValueError, match="numerically dependent"):
             MixingMatrix(entries)
+        # validate-matrix gives the same verdict
+        path = tmp_path / "gram.cfg"
+        path.write_text("n = 3\nm = 2\nmatrix = 1e8 0.5 0.25  0.5 1.0 -0.75\n")
+        assert cli.main(["validate-matrix", "--config", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert "FAIL" in out and "numerically dependent" in out
         gram = np.array(entries) @ np.array(entries).T
         assert np.linalg.cond(gram) > GRAM_COND_BOUND
         MixingMatrix([[1e3, 0.5, 0.25], [0.5, 1.0, -0.75]])  # cond near 1e6 passes
@@ -151,6 +169,7 @@ class TestMixingMatrixConstruction:
     def test_overflowing_gram_rejected_at_construction(self):
         with pytest.raises(ValueError, match="numerically dependent"):
             MixingMatrix([[1e200, 0.5, 0.25], [0.5, 1.0, -0.75]])
+        assert mixing_evidence(np.array([[1e200, 0.5, 0.25], [0.5, 1.0, -0.75]]))[1] == np.inf
 
 
 class TestMixBlock:

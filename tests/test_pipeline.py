@@ -19,7 +19,6 @@ from ubssvc import (
     MixingMatrix,
     build_hyperplanes,
     decode_sequence,
-    default_config,
     encode_sequence,
     generalized_inverse,
     load_config,
@@ -46,45 +45,45 @@ def _band_columns(frames, band) -> np.ndarray:
 class TestEncodeAccounting:
     def test_40_frames_give_30_mixed(self):
         frames = synth.generate("sparse-detail", 40, 16, 16, seed=1)
-        enc = encode_sequence(frames, default_config())
+        enc = encode_sequence(frames, CodecConfig())
         assert len(enc.mixed_codes) == 30
         assert len(enc.tail_codes) == 0
         assert enc.block_count == 10
 
     def test_41_frames_give_30_mixed_plus_tail(self):
         frames = synth.generate("sparse-detail", 41, 16, 16, seed=1)
-        enc = encode_sequence(frames, default_config())
+        enc = encode_sequence(frames, CodecConfig())
         assert len(enc.mixed_codes) == 30
         assert len(enc.tail_codes) == 1
-        decoded, _ = decode_sequence(enc, default_config())
+        decoded, _ = decode_sequence(enc, CodecConfig())
         assert decoded.shape == (41, 16, 16)
         # tail passes through untouched (sources are 8-bit integral)
         assert np.array_equal(decoded[-1], frames[-1])
 
     def test_zero_block(self):
-        enc = encode_sequence(_zeros(4), default_config())
+        enc = encode_sequence(_zeros(4), CodecConfig())
         assert enc.mixed_codes.shape == (3, 8, 8)
         assert enc.tail_codes.shape == (0, 8, 8)
         assert not enc.mixed_codes.any()
 
     def test_too_few_frames(self):
         with pytest.raises(ValueError, match="at least"):
-            encode_sequence(_zeros(3), default_config())
+            encode_sequence(_zeros(3), CodecConfig())
 
     def test_dimension_mismatch(self):
         frames = list(_zeros(3)) + [np.zeros((8, 10))]
         with pytest.raises(ValueError, match="share dimensions"):
-            encode_sequence(frames, default_config())
+            encode_sequence(frames, CodecConfig())
         with pytest.raises(ValueError, match="finite"):
-            encode_sequence(np.full((5, 8, 8), np.inf), default_config())
+            encode_sequence(np.full((5, 8, 8), np.inf), CodecConfig())
 
     def test_odd_dimensions_rejected_by_policy(self):
         with pytest.raises(ValueError, match="odd"):
-            encode_sequence(_zeros(4, (7, 8)), default_config(pad_policy="reject"))
+            encode_sequence(_zeros(4, (7, 8)), CodecConfig(pad_policy="reject"))
 
     def test_mixed_values_sit_on_f32_grid(self):
         frames = synth.generate("sparse-detail", 9, 16, 16, seed=2)
-        enc = encode_sequence(frames, default_config())
+        enc = encode_sequence(frames, CodecConfig())
         assert enc.mixed_codes.dtype == np.float32
         mixed = mix_reference(enc.matrix.entries, frames)
         expected, _, _ = quantize_reference(mixed, "float-container")
@@ -95,7 +94,7 @@ class TestEncodeAccounting:
 
     def test_affine_values_sit_on_8bit_grid(self):
         frames = synth.generate("sparse-detail", 9, 16, 16, seed=2)
-        enc = encode_sequence(frames, default_config(quantization="affine-8bit"))
+        enc = encode_sequence(frames, CodecConfig(quantization="affine-8bit"))
         assert enc.mixed_codes.dtype == enc.tail_codes.dtype == np.uint8
         mixed = mix_reference(enc.matrix.entries, frames)
         codes, scale, offset = quantize_reference(mixed, "affine-8bit")
@@ -106,14 +105,14 @@ class TestEncodeAccounting:
         assert np.array_equal(enc.tail_codes, frames[8:])
 
     def test_flat_affine_mix_uses_unit_scale(self):
-        enc = encode_sequence(np.zeros((4, 2, 2)), default_config(quantization="affine-8bit"))
+        enc = encode_sequence(np.zeros((4, 2, 2)), CodecConfig(quantization="affine-8bit"))
         assert enc.scale == 1.0
         assert not enc.mixed_codes.any()
 
 
 def _encoded_fields(quantization="float-container"):
     frames = synth.generate("sparse-detail", 9, 6, 4, seed=3)  # 2 blocks + 1 tail
-    enc = encode_sequence(frames, default_config(quantization=quantization))
+    enc = encode_sequence(frames, CodecConfig(quantization=quantization))
     names = ("matrix", "width", "height", "quantization", "scale", "offset", "mixed_codes", "tail_codes")
     return {name: getattr(enc, name) for name in names}
 
@@ -180,12 +179,12 @@ class TestDecode:
     def test_decode_count_always_matches_source(self):
         for count in (4, 9, 11, 40):
             frames = synth.generate("sparse-detail", count, 16, 16, seed=3)
-            cfg = default_config()
+            cfg = CodecConfig()
             decoded, _ = decode_sequence(encode_sequence(frames, cfg), cfg)
             assert len(decoded) == count
 
     def test_zero_sequence_decodes_to_zero(self):
-        cfg = default_config()
+        cfg = CodecConfig()
         decoded, stats = decode_sequence(encode_sequence(_zeros(8), cfg), cfg)
         assert decoded.shape == (8, 8, 8)
         assert not decoded.any()
@@ -197,7 +196,7 @@ class TestDecode:
         # the container grid snap (float32: ~1e-4 on coefficients of ~40).
         # The low-frequency path loses exactly what the projector A+A
         # predicts.
-        cfg = default_config()
+        cfg = CodecConfig()
         pinv = generalized_inverse(matrix)
         projector = pinv @ matrix.entries
         frames = synth.generate("sparse-detail", 8, 32, 32, seed=21)
@@ -211,7 +210,7 @@ class TestDecode:
             assert np.abs(decoded_ll - projector @ source_ll).max() <= 1e-3
 
     def test_constant_frames_quantify_mixing_loss(self, matrix):
-        cfg = default_config()
+        cfg = CodecConfig()
         pinv = generalized_inverse(matrix)
         projector = pinv @ matrix.entries
         value = 100.0
@@ -225,14 +224,14 @@ class TestDecode:
 
     def test_odd_dimensions_pad_and_crop(self):
         frames = synth.generate("sparse-detail", 8, 15, 9, seed=4)
-        cfg = default_config()  # edge-replicate by default
+        cfg = CodecConfig()  # edge-replicate by default
         report = roundtrip_eval(frames, cfg)
-        assert report.decoded_count == 8
+        assert report.source_count == 8
         assert report.quality.mean_psnr > 25.0
 
     def test_matrix_mismatch_rejected(self):
         frames = synth.generate("sparse-detail", 4, 16, 16, seed=5)
-        enc = encode_sequence(frames, default_config())
+        enc = encode_sequence(frames, CodecConfig())
         other = CodecConfig(matrix=MixingMatrix([[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]]))
         with pytest.raises(ValueError, match="different mixing matrix"):
             decode_sequence(enc, other)
@@ -240,7 +239,7 @@ class TestDecode:
     def test_noise_decodes_totally(self):
         # dense data violates the sparsity premise; decode must still finish
         frames = synth.generate("noise", 4, 16, 16, seed=6)
-        cfg = default_config()
+        cfg = CodecConfig()
         decoded, stats = decode_sequence(encode_sequence(frames, cfg), cfg)
         assert len(decoded) == 4
         assert stats.forced_columns > 0
@@ -261,22 +260,22 @@ class TestSubbandCommutation:
 class TestRoundtripEval:
     def test_reports_counts_and_finite_psnr(self):
         frames = synth.generate("sparse-detail", 40, 32, 32, seed=7)
-        report = roundtrip_eval(frames, default_config())
-        assert report.source_count == report.decoded_count == 40
+        report = roundtrip_eval(frames, CodecConfig())
+        assert report.source_count == 40
         assert report.mixed_count == 30
         assert report.tail_count == 0
         assert len(report.quality.per_frame_psnr) == 40
         assert all(math.isfinite(p) or p > 0 for p in report.quality.per_frame_psnr)
 
     def test_zero_sequence_reports_infinite_psnr(self):
-        report = roundtrip_eval(_zeros(4), default_config())
+        report = roundtrip_eval(_zeros(4), CodecConfig())
         assert report.quality.infinite_count == 4
         assert math.isinf(report.quality.mean_psnr)
 
     def test_deterministic(self):
         frames = synth.generate("sparse-detail", 8, 16, 16, seed=8)
-        r1 = roundtrip_eval(frames, default_config())
-        r2 = roundtrip_eval(frames, default_config())
+        r1 = roundtrip_eval(frames, CodecConfig())
+        r2 = roundtrip_eval(frames, CodecConfig())
         assert r1.quality.per_frame_psnr == r2.quality.per_frame_psnr
         assert np.array_equal(r1.recovery.residuals, r2.recovery.residuals)
 
@@ -293,7 +292,7 @@ def test_decode_builds_plane_set_once(monkeypatch):
 
     monkeypatch.setattr(pipeline_module, "build_hyperplanes", counting)
     frames = synth.generate("sparse-detail", 14, 16, 16, seed=4)
-    cfg = default_config()
+    cfg = CodecConfig()
     decoded, stats = decode_sequence(encode_sequence(frames, cfg), cfg)
     assert len(calls) == 1 and calls[0] is cfg.matrix
     assert len(decoded) == 14
@@ -364,7 +363,7 @@ class TestTiledDecode:
     # groups of more than TILE columns per band decode in row tiles on a thread pool
 
     def _case(self, seed=3):
-        cfg = default_config(quantization="affine-8bit")
+        cfg = CodecConfig(quantization="affine-8bit")
         frames = synth.generate("sparse-detail", 9, 30, 21, seed=seed)
         return encode_sequence(frames, cfg), cfg
 
@@ -386,7 +385,7 @@ class TestTiledDecode:
         for shape, count in (((720, 1280), 8), ((288, 352), 0), ((64, 64), 0)):
             tiles = []
             enc = EncodedSequence(
-                matrix=default_config().matrix,
+                matrix=CodecConfig().matrix,
                 width=shape[1],
                 height=shape[0],
                 quantization="affine-8bit",
@@ -395,7 +394,7 @@ class TestTiledDecode:
                 mixed_codes=np.zeros((3, *shape), dtype=np.uint8),
                 tail_codes=np.zeros((0, *shape), dtype=np.uint8),
             )
-            decode_sequence(enc, default_config())
+            decode_sequence(enc, CodecConfig())
             assert [len(t) for t in tiles] == ([count] if count else [])
             if count:
                 assert {t.stop - t.start for t in tiles[0]} == {90}
@@ -440,28 +439,34 @@ class TestTiledDecode:
 
 class TestConfig:
     def test_defaults(self):
-        cfg = default_config()
-        assert (cfg.n, cfg.m) == (4, 3)
+        cfg = CodecConfig()
+        assert cfg.matrix.entries.shape == (3, 4)
         assert cfg.tau == 0.05
         assert cfg.pad_policy == "edge-replicate"
         assert cfg.quantization == "float-container"
 
-    def test_declared_counts_validated(self, matrix):
-        with pytest.raises(ValueError, match="disagree"):
-            CodecConfig(matrix=matrix, n=5, m=3)
+    def test_declared_counts_validated(self, tmp_path):
+        # without a matrix in the file, n and m are checked against the built-in one
+        path = tmp_path / "codec.cfg"
+        for counts in ("n = 5\nm = 3\n", "n = 3\n", "m = 2\n"):
+            path.write_text(counts)
+            with pytest.raises(ValueError, match="disagree"):
+                parse_config(path)
+        path.write_text("n = 4\nm = 3\ntau = 0.2\n")
+        assert parse_config(path) == {"tau": 0.2}
 
     def test_bad_policies(self):
         with pytest.raises(ValueError):
-            default_config(pad_policy="wrap")
+            CodecConfig(pad_policy="wrap")
         with pytest.raises(ValueError):
-            default_config(quantization="u16")
+            CodecConfig(quantization="u16")
         with pytest.raises(ValueError):
-            default_config(tau=-0.5)
+            CodecConfig(tau=-0.5)
 
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_non_finite_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="tau must be finite"):
-            default_config(tau=tau)
+            CodecConfig(tau=tau)
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_non_finite_tau_in_file_rejected(self, tmp_path, text):
@@ -482,7 +487,7 @@ class TestConfig:
             "quantization = affine-8bit\n"
         )
         cfg = load_config(path)
-        assert (cfg.n, cfg.m) == (3, 2)
+        assert cfg.matrix.entries.shape == (2, 3)
         assert cfg.tau == 0.01
         assert cfg.pad_policy == "reject"
         assert cfg.quantization == "affine-8bit"
@@ -493,13 +498,14 @@ class TestConfig:
         path.write_text("tau = 0.2\n")
         cfg = load_config(path)
         assert cfg.tau == 0.2
-        assert (cfg.n, cfg.m) == (4, 3)
+        assert cfg.matrix.entries.shape == (3, 4)
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "codec.cfg"
-        path.write_text("levels = 2\n")
-        with pytest.raises(ValueError, match="unknown config keys"):
-            parse_config(path)
+        for text in ("levels = 2\n", "tail_policy = passthrough\n"):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="unknown config keys"):
+                parse_config(path)
 
     def test_matrix_requires_counts(self, tmp_path):
         path = tmp_path / "codec.cfg"
@@ -520,4 +526,4 @@ class TestConfig:
         frames = synth.generate("sparse-detail", 6, 16, 16, seed=9)
         report = roundtrip_eval(frames, cfg)
         assert report.mixed_count == 4
-        assert report.decoded_count == 6
+        assert report.source_count == 6

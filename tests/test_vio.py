@@ -12,7 +12,6 @@ from ubssvc import (
     ContainerError,
     MixingMatrix,
     decode_sequence,
-    default_config,
     encode_sequence,
     read_container,
     read_sequence,
@@ -31,18 +30,18 @@ class TestPgm:
     def test_reads_minimal_header(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_bytes(b"P5\n4 2\n255\n" + bytes(range(8)))
-        src = read_sequence(str(path))
-        assert src.count == 1 and src.origin == "pgm-sequence"
-        assert src.frames.shape == (1, 2, 4) and not src.frames.flags.writeable
-        assert src.frames.ravel().tolist() == list(range(8))
+        frames = read_sequence(str(path))
+        assert frames.shape == (1, 2, 4) and frames.dtype == np.float64
+        assert not frames.flags.writeable
+        assert frames.ravel().tolist() == list(range(8))
 
     def test_reads_commented_header(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_bytes(b"P5\n# c\n2 2\n255\n" + bytes([1, 2, 3, 4]))
-        assert read_sequence(str(path)).frames[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert read_sequence(str(path))[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
         # comments may sit between any header tokens and end with CR or LF
         path.write_bytes(b"P5 #a\r2#b c\n 2 # d\n# e\n255\n" + bytes([1, 2, 3, 4]))
-        assert read_sequence(str(path)).frames[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert read_sequence(str(path))[0].tolist() == [[1.0, 2.0], [3.0, 4.0]]
         # the raster starts one whitespace byte after maxval, so no comment fits there
         path.write_bytes(b"P5\n2 2\n255#x\n" + bytes([1, 2, 3, 4]))
         with pytest.raises(ValueError, match="malformed"):
@@ -54,7 +53,7 @@ class TestPgm:
         data = open(written, "rb").read()
         commented = tmp_path / "c.pgm"
         commented.write_bytes(b"P5\n# written by another tool\n" + data[len(b"P5\n"):])
-        back = read_sequence(str(commented)).frames
+        back = read_sequence(str(commented))
         assert np.array_equal(back[0], frame)
         write_sequence(back, str(tmp_path / "again.pgm"))
         assert open(tmp_path / "again-0000.pgm", "rb").read() == data
@@ -80,14 +79,14 @@ class TestPgm:
     def test_write_clamps_and_rounds(self, tmp_path):
         frame = np.array([[255.7, -3.2], [100.5, 7.0]])
         paths = write_sequence([frame], str(tmp_path / "w.pgm"))
-        back = read_sequence(paths[0]).frames[0]
+        back = read_sequence(paths[0])[0]
         assert back.tolist() == [[255.0, 0.0], [101.0, 7.0]]
 
     def test_roundtrip_lossless_for_integral_values(self, tmp_path, rng):
         frames = rng.integers(0, 256, size=(3, 6, 4)).astype(float)
         write_sequence(frames, str(tmp_path / "s_{i}.pgm"))
         back = read_sequence(str(tmp_path / "s_*.pgm"))
-        assert _sequences_equal(frames, back.frames)
+        assert _sequences_equal(frames, back)
 
     def test_pattern_expansion_formats(self, tmp_path):
         frames = np.arange(3.0)[:, None, None] * np.ones((3, 2, 2))
@@ -95,9 +94,9 @@ class TestPgm:
         by_brace = read_sequence(str(tmp_path / "f_{i:03d}.pgm"))
         by_glob = read_sequence(str(tmp_path / "*.pgm"))
         by_dir = read_sequence(str(tmp_path))
-        assert by_brace.count == by_glob.count == by_dir.count == 3
-        assert _sequences_equal(by_brace.frames, by_glob.frames)
-        assert _sequences_equal(by_dir.frames, frames)
+        assert len(by_brace) == len(by_glob) == len(by_dir) == 3
+        assert _sequences_equal(by_brace, by_glob)
+        assert _sequences_equal(by_dir, frames)
 
     def test_dimension_drift_rejected(self, tmp_path):
         write_sequence([np.zeros((2, 2))], str(tmp_path / "a_{i}.pgm"))
@@ -124,15 +123,15 @@ class TestRawPlanar:
         payload = bytes(range(256)) * ((count * w * h) // 256 + 1)
         path = tmp_path / "seq.raw"
         path.write_bytes(payload[: count * w * h])
-        src = read_sequence(str(path), width=w, height=h, count=count)
-        assert src.count == 40 and src.origin == "raw-planar"
-        assert src.frames.shape == (40, 3, 5) and not src.frames.flags.writeable
-        assert src.frames.ravel().tolist() == list(payload[: count * w * h])
+        frames = read_sequence(str(path), width=w, height=h, count=count)
+        assert frames.shape == (40, 3, 5) and frames.dtype == np.float64
+        assert not frames.flags.writeable
+        assert frames.ravel().tolist() == list(payload[: count * w * h])
 
     def test_infers_count(self, tmp_path):
         path = tmp_path / "seq.raw"
         path.write_bytes(bytes(4 * 6))
-        assert read_sequence(str(path), width=2, height=3).count == 4
+        assert len(read_sequence(str(path), width=2, height=3)) == 4
 
     def test_rejects_truncation(self, tmp_path):
         path = tmp_path / "seq.raw"
@@ -142,11 +141,19 @@ class TestRawPlanar:
         with pytest.raises(ValueError, match="multiple"):
             read_sequence(str(path), width=2, height=3)
 
+    @pytest.mark.parametrize("count", [0, -1, -2])
+    def test_rejects_non_positive_count(self, tmp_path, count):
+        # numpy reads a negative count or reshape length as "all of it"
+        path = tmp_path / "seq.raw"
+        path.write_bytes(bytes(16))
+        with pytest.raises(ValueError, match="no frames"):
+            read_sequence(str(path), width=2, height=2, count=count)
+
 
 @pytest.fixture
 def encoded():
     frames = synth.generate("sparse-detail", 9, 16, 12, seed=5)  # 2 blocks + 1 tail
-    return frames, encode_sequence(frames, default_config())
+    return frames, encode_sequence(frames, CodecConfig())
 
 
 class TestContainer:
@@ -164,7 +171,7 @@ class TestContainer:
 
     def test_roundtrip_affine_mode(self, tmp_path):
         frames = synth.generate("sparse-detail", 8, 16, 12, seed=6)
-        enc = encode_sequence(frames, default_config(quantization="affine-8bit"))
+        enc = encode_sequence(frames, CodecConfig(quantization="affine-8bit"))
         path = tmp_path / "seq8.ubss"
         write_container(enc, path)
         back = read_container(path)
@@ -230,7 +237,7 @@ class TestContainer:
     def test_tail_too_long_for_header(self, tmp_path, rng):
         # n = 257 leaves a tail of up to 256 frames; the header field holds 255
         matrix = MixingMatrix(rng.uniform(0.5, 1.5, size=(2, 257)))
-        enc = encode_sequence(np.zeros((513, 2, 2)), default_config(matrix=matrix))
+        enc = encode_sequence(np.zeros((513, 2, 2)), CodecConfig(matrix=matrix))
         assert len(enc.tail_codes) == 256
         path = tmp_path / "x.ubss"
         with pytest.raises(ContainerError, match="tail of 256 frames"):
@@ -274,7 +281,7 @@ class TestContainer:
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
     def test_codes_read_back_as_views(self, tmp_path, quantization):
         frames = synth.generate("sparse-detail", 9, 16, 12, seed=5)
-        enc = encode_sequence(frames, default_config(quantization=quantization))
+        enc = encode_sequence(frames, CodecConfig(quantization=quantization))
         path = tmp_path / "seq.ubss"
         write_container(enc, path)
         back = read_container(path)
@@ -295,14 +302,14 @@ class TestStreams:
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
     def test_mixed_stream_is_the_codes(self, quantization):
         frames = synth.generate("sparse-detail", 9, 16, 12, seed=5)
-        enc = encode_sequence(frames, default_config(quantization=quantization))
+        enc = encode_sequence(frames, CodecConfig(quantization=quantization))
         assert mixed_stream_bytes(enc) == enc.mixed_codes.tobytes() + enc.tail_codes.tobytes()
 
     def test_mixed_stream_sizes_by_mode(self, encoded):
         frames, enc = encoded
         t = enc.width * enc.height
         assert len(mixed_stream_bytes(enc)) == 6 * t * 4 + 1 * t  # f32 mixed + u8 tail
-        enc8 = encode_sequence(frames, default_config(quantization="affine-8bit"))
+        enc8 = encode_sequence(frames, CodecConfig(quantization="affine-8bit"))
         assert len(mixed_stream_bytes(enc8)) == 6 * t + 1 * t
 
 
@@ -329,7 +336,7 @@ def _base_container(quantization) -> bytes:
     """A small valid container: 9 frames of 6x4, so 2 blocks and a 1-frame tail."""
     if quantization not in _BASES:
         frames = synth.generate("sparse-detail", 9, 6, 4, seed=11)
-        enc = encode_sequence(frames, default_config(quantization=quantization))
+        enc = encode_sequence(frames, CodecConfig(quantization=quantization))
         with tempfile.TemporaryDirectory() as work:
             path = os.path.join(work, "base.ubss")
             write_container(enc, path)
