@@ -2,7 +2,9 @@
 
 Subcommands: validate-matrix, gen, mix, separate, roundtrip, psnr, bench.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 external
-command failure. ``--porcelain`` switches reports to key=value lines.
+command failure, 141 (128 + SIGPIPE) when the reader of standard output
+closed it early, as ``| head`` does. ``--porcelain`` switches reports to
+key=value lines.
 """
 from __future__ import annotations
 
@@ -151,8 +153,8 @@ def _load_cfg(args) -> CodecConfig:
 def _load_frames(args):
     if getattr(args, "preset", None) and not getattr(args, "input", None):
         count = args.frames if args.frames is not None else 40
-        width = args.width or 64
-        height = args.height or 64
+        width = 64 if args.width is None else args.width
+        height = 64 if args.height is None else args.height
         return synth.generate(args.preset, count, width, height, args.seed)
     if not getattr(args, "input", None):
         raise ValueError("an input path or --preset is required")
@@ -318,7 +320,10 @@ def _run_codec(template: str, in_path: str, out_path: str) -> int:
         )
     if not os.path.exists(out_path):
         raise _CodecRunError(f"{argv[0]} produced no output file")
-    return os.path.getsize(out_path)
+    size = os.path.getsize(out_path)
+    if not size:
+        raise _CodecRunError(f"{argv[0]} produced an empty output file")
+    return size
 
 
 def _cmd_bench(args) -> int:
@@ -378,7 +383,20 @@ def main(argv=None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader stopped early; point stdout at the null device so that
+        # the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (OSError, ValueError):  # a stdout with no file descriptor
+            pass
+        finally:
+            os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -126,7 +126,11 @@ class RecoveryStats:
 
     ``residuals`` holds the relative residual of every non-zero column in
     column order; quantiles are derived from it on demand so that stats
-    from several runs can be pooled without losing information.
+    from several runs can be pooled without losing information. ``peak``
+    is the largest column norm the run saw (0.0 when it saw none) and
+    ``floor`` the smallest norm among the columns it counted non-zero
+    (inf when none), so a caller can tell whether a higher zero threshold
+    would have zeroed any of them.
     """
 
     total_columns: int
@@ -134,6 +138,8 @@ class RecoveryStats:
     clean_columns: int
     forced_columns: int
     residuals: np.ndarray
+    peak: float = 0.0
+    floor: float = math.inf
 
     def residual_quantiles(self, probs=(0.0, 0.25, 0.5, 0.75, 1.0)) -> tuple[float, ...]:
         if self.residuals.size == 0:
@@ -151,6 +157,8 @@ class RecoveryStats:
             clean_columns=sum(p.clean_columns for p in parts),
             forced_columns=sum(p.forced_columns for p in parts),
             residuals=np.concatenate([p.residuals for p in parts]),
+            peak=max(p.peak for p in parts),
+            floor=min(p.floor for p in parts),
         )
 
 
@@ -222,13 +230,13 @@ def recover_block(
             raise ValueError(f"peaks must be {len(own)} finite norms, each at least its group's own")
     groups, t = norms.shape
     active = (norms > DEFAULT_ZERO_EPS * peaks[:, None]).ravel()
-    norms = norms.ravel()
     # compress and take gather along the column axis several times faster
     # than boolean indexing does
+    norms = np.compress(active, norms.ravel())  # only the kept columns' norms are used again
     xa = np.compress(active, columns, axis=1)
     del columns  # a copy for stacked input; freed early to lower peak memory
     best, relative = planes.classify(xa)
-    relative /= np.compress(active, norms)
+    relative /= norms
     forced = relative > tau
 
     recovered = np.zeros((planes.sources, groups * t))
@@ -248,6 +256,8 @@ def recover_block(
         clean_columns=int((~forced).sum()),
         forced_columns=int(forced.sum()),
         residuals=relative,
+        peak=float(own.max(initial=0.0)),
+        floor=float(norms.min(initial=math.inf)),
     )
     return recovered, stats
 

@@ -308,8 +308,48 @@ class TestBenchCommand:
         assert proc.returncode == 3
         assert "codec failure" in proc.stderr
 
+    def test_empty_codec_output_exits_3(self):
+        proc = run_cli(
+            "bench", "--preset", "sparse-detail", "--frames", "4",
+            "--width", "8", "--height", "8",
+            "--codec-cmd", "touch {out}",
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "produced an empty output file" in proc.stderr
+
+
+class _BrokenStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
 
 class TestExitCodes:
+    ROUNDTRIP = ["roundtrip", "--preset", "sparse-detail", "--frames", "8", "--width", "16",
+                 "--height", "16", "--porcelain"]
+
+    def test_closed_stdout_exits_141_quietly(self, capsys, monkeypatch):
+        # a reader that stops early (`| head`) is not a data error
+        monkeypatch.setattr(sys, "stdout", _BrokenStdout())
+        assert cli.main(self.ROUNDTRIP) == 141
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_exits_141_quietly(self):
+        # the buffered output meets the closed pipe only at the last flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ubssvc", *self.ROUNDTRIP],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONUNBUFFERED": ""},
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
     def test_usage_error_is_1(self):
         assert run_cli("no-such-command").returncode == 1
         assert run_cli("gen").returncode == 1  # missing required --out
@@ -400,6 +440,7 @@ HOSTILE_INPUTS = {
     "unclosed-quote": (b"", ["bench", *GEN, "--codec-cmd", "cp '{in} {out}"], 2),
     "directory-container": (b"", ["separate", "{tmp}", "--out", "{tmp}/f_{i}.pgm"], 2),
     "removed-flag": (b"", ["validate-matrix", "--det-floor", "1e-9"], 1),
+    "zero-size-preset": (b"", ["roundtrip", "--preset", "sparse-detail", "--width", "0", "--height", "0"], 2),
 }
 
 

@@ -367,17 +367,65 @@ class TestTiledDecode:
         frames = synth.generate("sparse-detail", 9, 30, 21, seed=seed)
         return encode_sequence(frames, cfg), cfg
 
-    def test_tiles_equal_whole_groups(self):
+    @staticmethod
+    def _count_chunks(monkeypatch) -> list:
+        calls = []
+        decode_chunk = pipeline_module._decode_chunk
+
+        def counting(*args):
+            calls.append(args[0])
+            return decode_chunk(*args)
+
+        monkeypatch.setattr(pipeline_module, "_decode_chunk", counting)
+        return calls
+
+    def test_tiles_equal_whole_groups(self, monkeypatch):
         enc, cfg = self._case()
         with mock.patch.object(pipeline_module, "BUDGET", 1):
             whole, whole_stats = decode_sequence(enc, cfg)
+        calls = self._count_chunks(monkeypatch)
         for tile in (1, 7, 16):
+            calls.clear()
             with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
                 tiled, stats = decode_sequence(enc, cfg)
             assert np.array_equal(tiled, whole)
             # one group per chunk in both paths, so even the residual order agrees
             assert np.array_equal(stats.residuals, whole_stats.residuals)
             assert stats.zero_columns == whole_stats.zero_columns
+            # every tile is one of the 11 subband rows and is decoded once
+            assert len(calls) == enc.block_count * 11
+
+    def test_tile_under_the_group_threshold_is_decoded_again(self, monkeypatch):
+        # three tiles of 6, 6 and 4 rows: the first has details near 1e-7, which
+        # the last tile's codes near 1e30 put under the group's zero threshold
+        rng = np.random.default_rng(11)
+        codes = np.full((3, 16, 4), 5.0, dtype=np.float32)
+        codes[:, :6] = 1.0 + rng.integers(0, 3, size=(3, 6, 4)) * np.float32(2.0**-23)
+        codes[:, 12:] = rng.uniform(1.0, 2.0, size=(3, 4, 4)) * 1e30
+        enc = EncodedSequence(
+            matrix=CodecConfig().matrix,
+            width=4,
+            height=16,
+            quantization="float-container",
+            scale=0.0,
+            offset=0.0,
+            mixed_codes=codes,
+            tail_codes=np.zeros((0, 16, 4), dtype=np.uint8),
+        )
+        cfg = CodecConfig()
+        with mock.patch.object(pipeline_module, "BUDGET", 1):
+            whole, whole_stats = decode_sequence(enc, cfg)
+        assert whole_stats.zero_columns >= 3 * 6  # the first tile's details all zero
+        calls = self._count_chunks(monkeypatch)
+        with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
+            tiled, stats = decode_sequence(enc, cfg)
+        # each tile once, in any order, then the first tile again
+        assert sorted(c.shape[2] for c in calls[:3]) == [4, 6, 6]
+        assert len(calls) == 4 and np.array_equal(calls[3][0], codes[:, :6])
+        assert np.array_equal(tiled, whole)
+        for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
+            assert getattr(stats, field) == getattr(whole_stats, field)
+        assert np.array_equal(stats.residuals, whole_stats.residuals)
 
     def test_tile_counts(self, monkeypatch):
         # 720p: 640x360 subband columns in tiles of 45 rows, as even as rows allow

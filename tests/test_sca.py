@@ -379,7 +379,49 @@ def test_recovery_stats_merge():
     assert merged.clean_columns == 12
     assert merged.forced_columns == 1
     assert merged.residuals.tolist() == [0.1, 0.2, 0.3]
-    assert RecoveryStats.merged([]).total_columns == 0
+    # positional construction leaves the norm range empty
+    assert (merged.peak, merged.floor) == (0.0, np.inf)
+    empty = RecoveryStats.merged([])
+    assert empty.total_columns == 0
+    assert (empty.peak, empty.floor) == (0.0, np.inf)
+
+
+def test_recovery_stats_merge_norm_range():
+    a = RecoveryStats(10, 2, 7, 1, np.array([0.1, 0.2]), peak=4.0, floor=0.5)
+    b = RecoveryStats(5, 0, 5, 0, np.array([0.3]), peak=9.0, floor=2.0)
+    c = RecoveryStats(3, 3, 0, 0, np.empty(0))  # all zero: no kept column
+    merged = RecoveryStats.merged([a, b, c])
+    assert (merged.peak, merged.floor) == (9.0, 0.5)
+
+
+class TestNormRange:
+    # peak: the largest column norm of a call; floor: the smallest it kept non-zero
+
+    def test_peak_and_floor(self, matrix):
+        x = matrix.entries @ sparse_source(seed=6, t=8)
+        x[:, 3] *= 1e-9
+        x[:, 5] = 0.0
+        norms = np.linalg.norm(x, axis=0)
+        _, stats = recover_block(matrix, x, 1e-8)
+        assert stats.peak == norms.max() == column_peaks(x)[0]
+        assert stats.floor == norms[3]
+        # a group's peak zeroes column 3: the floor is the smallest norm left
+        _, piece = recover_block(matrix, x, 1e-8, column_peaks(x) * 1e4)
+        assert piece.peak == norms.max()
+        assert piece.floor == np.delete(norms, [3, 5]).min()
+
+    def test_stacked_groups(self, matrix, rng):
+        x = rng.normal(size=(2, 3, 7))
+        x[1] *= 10.0
+        norms = np.linalg.norm(x, axis=1)
+        _, stats = recover_block(matrix, x, 0.1)
+        assert stats.peak == norms.max()
+        assert stats.floor == norms.min()
+
+    @pytest.mark.parametrize("shape", [(3, 0), (3, 4), (2, 3, 0)])
+    def test_nothing_kept(self, matrix, shape):
+        _, stats = recover_block(matrix, np.zeros(shape), 0.05)
+        assert (stats.peak, stats.floor) == (0.0, np.inf)
 
 
 class TestStackedRecovery:
