@@ -7,15 +7,16 @@ PSNR sentinel (``math.inf``), which compares greater than any finite value.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mixcore import as_sequence
+from .mixcore import WORKERS, as_sequence
 
 PEAK_SQUARED = 255.0 * 255.0
 
-# Bytes of one frame slab in :func:`sequence_report`'s two reused buffers.
+# Bytes of one frame slab in each of :func:`sequence_report`'s reused buffers.
 SLAB_BYTES = 1 << 20
 
 
@@ -31,10 +32,11 @@ def frame_mse(a, b) -> float:
 def _squared_error_sums(originals, reconstructions) -> np.ndarray:
     """Sum of squared 8-bit differences of each frame of two (count, H, W) arrays.
 
-    Works through slabs of frames in two reused buffers (clip, +0.5 and
-    floor in place, subtract, one dot product per frame). Snapped pixels
-    are integers, so each sum is exact in float64 whatever the order of its
-    additions.
+    Works through slabs of frames, which ``WORKERS`` threads share out;
+    each thread has two reused buffers (clip, +0.5 and floor in place,
+    subtract, one dot product per frame) and sums of its own. Snapped
+    pixels are integers, so each sum is exact in float64 whatever the
+    order of its additions, and so whatever the split.
     """
     count = len(originals)
     originals = originals.reshape(count, -1)
@@ -42,21 +44,34 @@ def _squared_error_sums(originals, reconstructions) -> np.ndarray:
     plane = originals.shape[1]
     width = max(1, min(plane, SLAB_BYTES // 8))  # pixels of one frame per slab row
     step = max(1, SLAB_BYTES // (8 * width))  # frames per slab
-    snapped = np.empty((min(step, count), width))
-    other = np.empty_like(snapped)
-    sums = np.zeros(count)
-    for start in range(0, count, step):
-        stop = min(start + step, count)
-        for left in range(0, plane, width):
-            piece = np.s_[start:stop, left : left + width]
-            a, b = (buf[: stop - start, : min(width, plane - left)] for buf in (snapped, other))
+    slabs = [
+        np.s_[start : start + step, left : left + width]
+        for start in range(0, count, step)
+        for left in range(0, plane, width)
+    ]
+
+    def sums_of(share) -> np.ndarray:
+        snapped = np.empty((min(step, count), width))
+        other = np.empty_like(snapped)
+        sums = np.zeros(count)
+        for piece in share:
+            rows, cols = originals[piece].shape
+            a, b = snapped[:rows, :cols], other[:rows, :cols]
             for buf, frames in ((a, originals), (b, reconstructions)):
                 np.clip(frames[piece], 0.0, 255.0, out=buf)
                 buf += 0.5
                 np.floor(buf, out=buf)
             a -= b
-            sums[start:stop] += np.einsum("ij,ij->i", a, a)
-    return sums
+            sums[piece[0]] += np.einsum("ij,ij->i", a, a)
+        return sums
+
+    workers = min(WORKERS, len(slabs))
+    if workers < 2:
+        return sums_of(slabs)
+    # contiguous runs of slabs, one per thread
+    shares = [slabs[len(slabs) * i // workers : len(slabs) * (i + 1) // workers] for i in range(workers)]
+    with ThreadPoolExecutor(workers) as pool:
+        return sum(pool.map(sums_of, shares))
 
 
 def _psnr(mse: float) -> float:
@@ -118,6 +133,11 @@ def sequence_report(originals, reconstructions) -> QualityReport:
         raise ValueError(
             f"frame dimensions differ: {originals.shape[1:]} vs {reconstructions.shape[1:]}"
         )
+    return _report(originals, reconstructions)
+
+
+def _report(originals, reconstructions) -> QualityReport:
+    """:func:`sequence_report` of two (count, H, W) float64 arrays already checked."""
     plane = originals[0].size
     mses = tuple(float(total / plane) for total in _squared_error_sums(originals, reconstructions))
     psnrs = tuple(_psnr(mse) for mse in mses)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,10 @@ DEFAULT_ZERO_EPS = 1e-12
 DET_FLOOR = 1e-9
 # Largest condition number of the Gram matrix A A^T a mixing matrix may have.
 GRAM_COND_BOUND = 1e12
+
+# Threads that share out the tiles of an encode, a decode or a score: the
+# CPUs this process may use.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Reference 3x4 mixing matrix used as the default codec configuration.
 # Row weights are deliberately spread out so each mixed frame blends the
@@ -61,6 +66,22 @@ def snap_to_8bit(values) -> np.ndarray:
     return np.floor(np.clip(arr, 0.0, 255.0) + 0.5)
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every value of a float array is finite, with no full-size temporary.
+
+    One matrix-vector product dots each row of the last axis with zeros: a
+    finite value adds 0 to its row's result, NaN or +-inf make it NaN. So
+    1e308 passes, where a sum would overflow; the only temporary is one
+    value per row.
+    """
+    rows = values.reshape(-1, values.shape[-1])
+    # zeroed, because BLAS may scale the output buffer by beta = 0 and keep a NaN
+    out = np.zeros(len(rows), dtype=values.dtype)
+    with np.errstate(invalid="ignore"):
+        np.matmul(rows, np.zeros(rows.shape[1], dtype=values.dtype), out=out)
+    return bool(np.isfinite(out).all())
+
+
 def as_sequence(frames) -> np.ndarray:
     """Check a frame sequence once and return it as a (count, H, W) float64 array.
 
@@ -82,7 +103,7 @@ def as_sequence(frames) -> np.ndarray:
             f"a frame sequence must be a (count, height, width) array with positive "
             f"plane dimensions, got shape {arr.shape}"
         )
-    if not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise ValueError("frame pixels must be finite")
     return arr
 

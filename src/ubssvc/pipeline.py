@@ -4,8 +4,9 @@ A sequence travels as one (count, H, W) float64 array. A
 :class:`CodecConfig` is the mixing matrix, whose columns and rows are the
 group sizes n and m, and three settings. Encoding partitions the sequence
 into consecutive groups of n frames and mixes every group down to m frames
-in the pixel domain with one batched product; leftover frames (count
-mod n) pass through unmixed as the tail. Decoding walks the groups in
+in the pixel domain, a group of more than ``TILE`` pixels in row tiles on
+a thread pool, smaller ones in runs of whole groups; leftover frames
+(count mod n) pass through unmixed as the tail. Decoding walks the groups in
 chunks: one Haar transform of the chunk's mixed frames, recovery of the
 three sparse detail subbands by subspace classification (one stacked call
 per band, each group with its own zero threshold), the low-frequency
@@ -28,26 +29,27 @@ for bit. The affine map is applied in one place each way: quantization in
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import QualityReport, sequence_report
+from .metrics import QualityReport, _report
 from .mixcore import (
     DEFAULT_MATRIX_ENTRIES,
     DEFAULT_ZERO_EPS,
+    WORKERS,
     MixingMatrix,
     _read_only,
+    all_finite,
     as_sequence,
     default_mixing_matrix,
     generalized_inverse,
-    mix_block,
     snap_to_8bit,
 )
 from .sca import (
     RecoveryStats,
+    _gemm,
     build_hyperplanes,
     check_tau,
     recover_block,
@@ -69,15 +71,12 @@ DEFAULT_TAU = 0.05
 # temporaries fall out of cache (CIF decode ran about 40% slower).
 BUDGET = 8192
 
-# Subband columns per tile: a group with more columns than this per band is
+# Columns per tile: a group with more subband columns than this per band is
 # decoded in row tiles of about TILE columns, shared out on WORKERS threads.
 # CIF-size groups stay whole: on a 2-CPU host a 40-frame CIF decode took
 # 92 ms in tiles of 16384 columns and 104 ms in tiles of 12288, against
-# 90 ms whole.
+# 90 ms whole. Encode cuts a group of more than TILE pixels the same way.
 TILE = 32768
-
-# Threads that decode the tiles of one group: the CPUs this process may use.
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Storage dtype of the mixed codes per quantization mode, and of the tail.
 CODE_DTYPES = {QUANT_FLOAT: np.dtype("<f4"), QUANT_AFFINE: np.dtype(np.uint8)}
@@ -150,7 +149,7 @@ class EncodedSequence:
                 raise ValueError(f"{name} shape {codes.shape} disagrees with header")
             if codes.flags.writeable or not codes.flags.c_contiguous:
                 object.__setattr__(self, name, _read_only(np.array(codes, order="C")))
-        if self.quantization == QUANT_FLOAT and not np.isfinite(self.mixed_codes).all():
+        if self.quantization == QUANT_FLOAT and not all_finite(self.mixed_codes):
             raise ValueError("mixed frame values must be finite")
         mixed_count = len(self.mixed_codes)
         if not mixed_count or mixed_count % m:
@@ -171,7 +170,22 @@ class EncodedSequence:
 
 def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
     """Group and mix a (count, H, W) source sequence into its storage codes."""
-    src = as_sequence(frames)
+    return _encode(as_sequence(frames), cfg)
+
+
+def _encode(src, cfg: CodecConfig) -> EncodedSequence:
+    """:func:`encode_sequence` of a (count, H, W) float64 array already checked.
+
+    The groups are mixed task by task, each task writing the codes of its
+    pixels, so the mixed values never exist as one whole-sequence array. A
+    group of more than ``TILE`` pixels is cut into row tiles of about
+    ``TILE`` pixels, which a pool of ``WORKERS`` threads shares out; smaller
+    groups are mixed inline, in runs of whole groups of about ``TILE``
+    pixels. Affine codes take two passes over the tasks: the first finds
+    the range of the mixed values, the second mixes again and quantizes.
+    Every task gives the bits of the whole-group product, so the codes do
+    not depend on ``TILE`` or ``WORKERS``.
+    """
     count, height, width = src.shape
     m, n = cfg.matrix.rows, cfg.matrix.cols
     if count < n:
@@ -181,20 +195,54 @@ def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
             f"odd frame dimensions {width}x{height} rejected; use the edge-replicate pad policy"
         )
     blocks = count // n
-    mixed = mix_block(cfg.matrix, src[: blocks * n].reshape(blocks, n, height, width))
-    mixed = mixed.reshape(blocks * m, height, width)
+    sources = src[: blocks * n].reshape(blocks, n, height, width)
+    codes = np.empty((blocks, m, height, width), dtype=CODE_DTYPES[cfg.quantization])
+    tiles = _row_tiles(height, width)
+    run = 1 if len(tiles) > 1 else max(1, TILE // (height * width))
+    tasks = [np.s_[start : start + run, :, rows] for start in range(0, blocks, run) for rows in tiles]
+    # matmul hands a one-column product to gemv, whose bits differ from gemm's:
+    # a tile goes through gemm always, a whole group as the matmul it always was
+    product = _gemm if len(tiles) > 1 else np.matmul
 
-    if cfg.quantization == QUANT_FLOAT:
-        scale = offset = 0.0
-    else:
+    def mix(task) -> np.ndarray:
+        """The float64 mixed values of one task, shaped like its codes."""
+        piece = sources[task]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the range check
+            mixed = product(cfg.matrix.entries, piece.reshape(*piece.shape[:2], -1))
+        return mixed.reshape(codes[task].shape)
+
+    def mixed_range(mixed) -> tuple[float, float]:
         lo, hi = float(mixed.min()), float(mixed.max())
-        scale = (hi - lo) / 255.0 if hi > lo else 1.0
-        offset = lo
+        if not -_F32_MAX <= lo <= hi <= _F32_MAX:  # NaN fails too
+            raise ValueError("mixed frame values must lie in float32 range")
+        return lo, hi
+
+    def store_float(task) -> None:
+        mixed = mix(task)
+        mixed_range(mixed)
+        codes[task] = mixed
+
+    def quantize(task) -> None:
         # code = floor((x - offset) / scale + 0.5), in place
+        mixed = mix(task)
         mixed -= offset
         mixed /= scale
         mixed += 0.5
-        np.clip(np.floor(mixed, out=mixed), 0, 255, out=mixed)
+        codes[task] = np.clip(np.floor(mixed, out=mixed), 0, 255, out=mixed)
+
+    scale = offset = 0.0
+    with ThreadPoolExecutor(WORKERS) as pool:
+        # as in decode, only tiles start threads: on 64x64 groups the pool
+        # made encode slower (3.4 -> 4.1 ms for 400 frames on 2 CPUs)
+        each = pool.map if len(tiles) > 1 else map
+        if cfg.quantization == QUANT_FLOAT:
+            list(each(store_float, tasks))
+        else:
+            ranges = list(each(lambda task: mixed_range(mix(task)), tasks))
+            lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
+            scale = (hi - lo) / 255.0 if hi > lo else 1.0
+            offset = lo
+            list(each(quantize, tasks))
 
     return EncodedSequence(
         matrix=cfg.matrix,
@@ -203,9 +251,19 @@ def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
         quantization=cfg.quantization,
         scale=scale,
         offset=offset,
-        mixed_codes=_read_only(mixed.astype(CODE_DTYPES[cfg.quantization])),
+        mixed_codes=_read_only(codes.reshape(blocks * m, height, width)),
         tail_codes=_read_only(snap_to_8bit(src[blocks * n :]).astype(TAIL_DTYPE)),
     )
+
+
+def _row_tiles(rows: int, width: int) -> list[slice]:
+    """Cut ``rows`` rows of ``width`` columns into slices of about ``TILE`` columns.
+
+    The slices are as even as whole rows allow; rows that fit in one tile
+    stay one slice.
+    """
+    step = -(-rows // -(-rows * width // TILE))  # ceil(rows / ceil(rows * width / TILE))
+    return [slice(top, top + step) for top in range(0, rows, step)]
 
 
 def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray, RecoveryStats]:
@@ -229,12 +287,10 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     out = np.empty((enc.source_count, height, width))
     stats_parts: list[RecoveryStats] = []
     half_h, half_w = (height + 1) // 2, (width + 1) // 2
-    columns = half_h * half_w
     # a group of more than TILE columns per band is decoded alone, in row
-    # tiles of about TILE columns, as even as whole subband rows allow
-    rows = -(-half_h // -(-columns // TILE))  # ceil(half_h / ceil(columns / TILE))
-    tiles = [slice(2 * top, 2 * (top + rows)) for top in range(0, half_h, rows)]
-    chunk = 1 if len(tiles) > 1 else max(1, BUDGET // columns)
+    # tiles of about TILE columns
+    tiles = [slice(2 * t.start, 2 * t.stop) for t in _row_tiles(half_h, half_w)]
+    chunk = 1 if len(tiles) > 1 else max(1, BUDGET // (half_h * half_w))
     # the pool starts its threads at the first tile, so small groups never pay for them
     with ThreadPoolExecutor(WORKERS) as pool:
         for start in range(0, blocks, chunk):
@@ -329,9 +385,9 @@ class RoundtripReport:
 def roundtrip_eval(frames, cfg: CodecConfig) -> RoundtripReport:
     """Encode then decode in memory and score the reconstruction."""
     frames = as_sequence(frames)
-    enc = encode_sequence(frames, cfg)
+    enc = _encode(frames, cfg)
     decoded, stats = decode_sequence(enc, cfg)
-    quality = sequence_report(frames, decoded)
+    quality = _report(frames, decoded)
     return RoundtripReport(
         quality=quality,
         recovery=stats,

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -139,6 +140,20 @@ class TestSequenceReport:
         exact = ((snap(ref) - snap(test)) ** 2).reshape(7, -1).sum(axis=1)
         assert report.per_frame_mse == tuple(float(e) / 35 for e in exact)
         assert report.per_frame_mse == tuple(frame_mse(a, b) for a, b in zip(ref, test))
+
+    @pytest.mark.parametrize("workers", [2, 3, 8])
+    def test_threads_give_exact_sums(self, rng, monkeypatch, workers):
+        # slabs shared out on threads, a frame's pieces on different ones, give each frame the same sum
+        import ubssvc.metrics as metrics_module
+
+        ref = rng.uniform(-10, 265, size=(7, 5, 7))
+        test = ref + rng.normal(0, 30, size=ref.shape)
+        whole = sequence_report(ref, test)
+        monkeypatch.setattr(metrics_module, "SLAB_BYTES", 8 * 6)
+        monkeypatch.setattr(metrics_module, "WORKERS", workers)
+        before = threading.active_count()
+        assert sequence_report(ref, test).per_frame_mse == whole.per_frame_mse
+        assert threading.active_count() == before
 
     def test_serializations(self):
         report = sequence_report([_const(0), _const(5)], [_const(16), _const(5)])

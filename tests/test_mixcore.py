@@ -12,7 +12,7 @@ from ubssvc import (
     snap_to_8bit,
 )
 from ubssvc import cli
-from ubssvc.mixcore import DET_FLOOR, GRAM_COND_BOUND, mixing_evidence
+from ubssvc.mixcore import DET_FLOOR, GRAM_COND_BOUND, all_finite, mixing_evidence
 
 # frozen via the cofactor oracle on the built-in matrix
 DEFAULT_DET_MAGNITUDES = {
@@ -47,6 +47,20 @@ class TestFrame:
                 as_sequence(np.array([[[1.0, value]]]))
             with pytest.raises(ValueError, match="finite"):
                 as_sequence([np.array([[1.0, value]])])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value, finite", [(np.nan, False), (np.inf, False), (-np.inf, False), (1e308, True)])
+    def test_finiteness_anywhere(self, value, finite):
+        # 1e308 * 0 is 0, so the zero-dot scan accepts it where a sum would overflow
+        for index in ((0, 0, 0), (1, 2, 3), (2, 4, 6)):
+            arr = np.ones((3, 5, 7))
+            arr[index] = value
+            assert all_finite(arr) is finite
+            if finite:
+                assert as_sequence(arr) is arr
+            else:
+                with pytest.raises(ValueError, match="finite"):
+                    as_sequence(arr)
 
     def test_pixels_immutable(self):
         from ubssvc import CodecConfig, encode_sequence, synth

@@ -25,6 +25,7 @@ from ubssvc import (
     mix_block,
     read_container,
     roundtrip_eval,
+    sequence_report,
     write_container,
 )
 from ubssvc import pipeline as pipeline_module
@@ -103,6 +104,15 @@ class TestEncodeAccounting:
         # the grid spans the mixed range: its ends take the first and last codes
         assert enc.mixed_codes.min() == 0 and enc.mixed_codes.max() == 255
         assert np.array_equal(enc.tail_codes, frames[8:])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    @pytest.mark.parametrize("value", [1e308, 1.5e308, -1e308, 1e39])
+    def test_mixed_values_beyond_float32_range_raise_cleanly(self, quantization, value):
+        # 1e308 mixes past float32 range and 1.5e308 past float64's; either is
+        # a ValueError, with no overflow warning before it
+        with pytest.raises(ValueError, match="float32 range"):
+            encode_sequence(np.full((4, 8, 8), value), CodecConfig(quantization=quantization))
 
     def test_flat_affine_mix_uses_unit_scale(self):
         enc = encode_sequence(np.zeros((4, 2, 2)), CodecConfig(quantization="affine-8bit"))
@@ -272,6 +282,18 @@ class TestRoundtripEval:
         assert report.quality.infinite_count == 4
         assert math.isinf(report.quality.mean_psnr)
 
+    def test_source_is_scanned_once(self, monkeypatch):
+        import ubssvc.mixcore as mixcore_module
+
+        scans = []
+        all_finite = mixcore_module.all_finite
+        monkeypatch.setattr(mixcore_module, "all_finite", lambda arr: scans.append(arr) or all_finite(arr))
+        frames = synth.generate("sparse-detail", 9, 16, 16, seed=8)
+        report = roundtrip_eval(frames, CodecConfig())
+        assert len(scans) == 1 and scans[0] is frames
+        decoded, _ = decode_sequence(encode_sequence(frames, CodecConfig()), CodecConfig())
+        assert report.quality == sequence_report(frames, decoded)
+
     def test_deterministic(self):
         frames = synth.generate("sparse-detail", 8, 16, 16, seed=8)
         r1 = roundtrip_eval(frames, CodecConfig())
@@ -328,11 +350,13 @@ def test_array_decode_equals_frame_by_frame_decode(case):
         assume(False)
     cfg = CodecConfig(matrix=matrix, tau=0.05, quantization=quantization)
     frames = synth.sparse_detail(count, width, height, seed, group=n, max_active=m - 1)
-    enc = encode_sequence(frames, cfg)
+    sizes = {"BUDGET": budget, "TILE": tile, "WORKERS": workers}
+    # encode in row tiles or runs of groups gives the one-product-per-group codes
+    with mock.patch.multiple(pipeline_module, **sizes):
+        enc = encode_sequence(frames, cfg)
     codes, scale, offset = quantize_reference(mix_reference(matrix.entries, frames), quantization)
     assert np.array_equal(enc.mixed_codes, codes) and enc.mixed_codes.dtype == codes.dtype
     assert (enc.scale, enc.offset) == (scale, offset)
-    sizes = {"BUDGET": budget, "TILE": tile, "WORKERS": workers}
     with mock.patch.multiple(pipeline_module, **sizes):
         decoded, stats = decode_sequence(enc, cfg)
     reference, parts = decode_reference(enc, cfg)
@@ -357,6 +381,93 @@ def test_array_decode_equals_frame_by_frame_decode(case):
     assert np.array_equal(file_decoded, decoded)
     assert np.array_equal(file_stats.residuals, stats.residuals)
     assert file_stats.forced_columns == stats.forced_columns
+
+
+def _tie_column(entries, rng) -> np.ndarray:
+    """n source values whose first mixed value gemv and gemm cast to different float32 codes.
+
+    The last value is moved so that the mixed value lands on a float32
+    rounding tie; there the last bit in which gemv and gemm differ decides
+    the code.
+    """
+    while True:
+        column = rng.uniform(0, 255, entries.shape[1])
+        value = float(entries[0] @ column)
+        code = np.float32(value)
+        other = np.nextafter(code, np.float32(np.inf if float(code) <= value else -np.inf))
+        column[-1] += ((float(code) + float(other)) / 2 - value) / entries[0, -1]
+        piece = column.reshape(1, -1, 1)
+        gemv = np.matmul(entries, piece)
+        gemm = np.matmul(entries, np.concatenate((piece, piece), axis=-1))[..., :1]
+        if not np.array_equal(gemv.astype(np.float32), gemm.astype(np.float32)):
+            return column
+
+
+class TestTiledEncode:
+    # groups of more than TILE pixels mix in row tiles on a thread pool
+
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    def test_last_tile_of_one_column(self, quantization):
+        # 13 rows of width 1 in tiles of 4 rows leave a last tile of one pixel,
+        # whose product numpy would hand to gemv; its pixel sits on a float32 tie
+        rng = np.random.default_rng(5)
+        cfg = CodecConfig(quantization=quantization)
+        frames = rng.uniform(-20, 300, size=(9, 13, 1))
+        frames[:4, -1, 0] = _tie_column(cfg.matrix.entries, rng)
+        with mock.patch.multiple(pipeline_module, TILE=4, WORKERS=2):
+            assert pipeline_module._row_tiles(13, 1)[-1] == slice(12, 16)
+            enc = encode_sequence(frames, cfg)
+        codes, scale, offset = quantize_reference(mix_reference(cfg.matrix.entries, frames), quantization)
+        assert np.array_equal(enc.mixed_codes, codes)
+        assert (enc.scale, enc.offset) == (scale, offset)
+
+    def test_tile_counts(self, monkeypatch):
+        # a 720p group mixes in 29 tiles of 25 rows (the last of 20); CIF in 4
+        gemm = pipeline_module._gemm
+        for shape, rows in (((720, 1280), {25: 28, 20: 1}), ((288, 352), {72: 4})):
+            tiles = []
+            monkeypatch.setattr(pipeline_module, "_gemm", lambda a, b: tiles.append(b.shape[-1]) or gemm(a, b))
+            encode_sequence(np.zeros((4, *shape)), CodecConfig())
+            assert {r: tiles.count(r * shape[1]) for r in rows} == rows and len(tiles) == sum(rows.values())
+
+    def test_no_thread_outlives_an_encode(self):
+        frames = synth.generate("sparse-detail", 9, 30, 21, seed=3)
+        before = threading.active_count()
+        for quantization in ("float-container", "affine-8bit"):
+            with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
+                encode_sequence(frames, CodecConfig(quantization=quantization))
+            assert threading.active_count() == before
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    @pytest.mark.parametrize("value", [np.nan, 1e39])
+    def test_error_in_the_last_tile_reaches_the_caller(self, quantization, value):
+        # a non-finite pixel, or one that mixes past float32 range, in the last rows
+        frames = synth.generate("sparse-detail", 9, 30, 21, seed=3).copy()
+        frames[4, -1, -1] = value
+        before = threading.active_count()
+        with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
+            with pytest.raises(ValueError, match="finite|float32 range"):
+                encode_sequence(frames, CodecConfig(quantization=quantization))
+        assert threading.active_count() == before
+
+    def test_many_workers_with_fast_switching(self):
+        # more threads than cores, switching every microsecond: tiles write
+        # disjoint rows of the codes, so none is lost
+        frames = synth.generate("sparse-detail", 9, 30, 21, seed=5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for quantization in ("float-container", "affine-8bit"):
+                cfg = CodecConfig(quantization=quantization)
+                whole = encode_sequence(frames, cfg)
+                for _ in range(3):
+                    with mock.patch.multiple(pipeline_module, TILE=1, WORKERS=8):
+                        tiled = encode_sequence(frames, cfg)
+                    assert np.array_equal(tiled.mixed_codes, whole.mixed_codes)
+                    assert (tiled.scale, tiled.offset) == (whole.scale, whole.offset)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestTiledDecode:
