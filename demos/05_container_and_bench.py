@@ -2,7 +2,7 @@
 
 An encoded sequence holds its mixed frames as the codes the container
 stores (uint8 here, in affine-8bit mode; float32 in float mode), and the
-decoder dequantizes them one chunk at a time. The container stores the
+decoder dequantizes them one task at a time. The container stores the
 matrix and those codes bit-exactly, so decoding from a file matches
 decoding from memory. The bench harness then runs any
 external codec command on the original and the mixed raw streams; with a

@@ -30,7 +30,6 @@ from .sca import (
     HyperplaneSet,
     RecoveryStats,
     build_hyperplanes,
-    column_peaks,
     recover_block,
     recover_dense,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "as_sequence",
     "build_hyperplanes",
     "check_sparsity",
-    "column_peaks",
     "compression_ratio",
     "decode_sequence",
     "default_mixing_matrix",

@@ -4,19 +4,20 @@ A sequence travels as one (count, H, W) float64 array. A
 :class:`CodecConfig` is the mixing matrix, whose columns and rows are the
 group sizes n and m, and three settings. Encoding partitions the sequence
 into consecutive groups of n frames and mixes every group down to m frames
-in the pixel domain, a group of more than ``TILE`` pixels in row tiles on
-a thread pool, smaller ones in runs of whole groups; leftover frames
-(count mod n) pass through unmixed as the tail. Decoding walks the groups in
-chunks: one Haar transform of the chunk's mixed frames, recovery of the
-three sparse detail subbands by subspace classification (one stacked call
-per band, each group with its own zero threshold), the low-frequency
-subband by the generalized inverse, and one inverse transform written
-straight into the output array. A group too large for one chunk (more
-than ``TILE`` subband columns) is decoded the same way in row tiles,
-which a thread pool shares out over the usable CPUs. Each tile decodes
-once on its own zero threshold; a tile that held a column the whole
-group's threshold would zero is decoded again on the group's peak column
-norms, so tiles change no bit of the result.
+in the pixel domain; leftover frames (count mod n) pass through unmixed as
+the tail. Decoding recovers the sources task by task: one Haar transform
+of the task's mixed frames, recovery of the three sparse detail subbands
+by subspace classification (one stacked call per band, each group with its
+own zero threshold), the low-frequency subband by the generalized inverse,
+and one inverse transform written straight into the output array.
+
+Both directions cut their work the same way, by :func:`_tasks`: a group of
+more than ``TILE`` cells (pixels to encode, subband columns to decode) is
+cut into row tiles, which a thread pool shares out over the usable CPUs;
+smaller groups run inline, in runs of whole groups of about ``TILE``
+pixels. Each decode tile decodes once on its own zero threshold; a tile
+that held a column the whole group's threshold would zero is decoded again
+on the group's peak column norms, so tiles change no bit of the result.
 
 The encoder keeps the mixed frames in their stored form, the codes a
 container holds and a downstream codec sees: float32 in float-container
@@ -24,7 +25,7 @@ mode, uint8 on an affine grid (value = offset + scale * code) in
 affine-8bit mode. Tail frames are uint8. So writing a container and reading
 it back is lossless, and the file path reproduces the in-memory path bit
 for bit. The affine map is applied in one place each way: quantization in
-:func:`encode_sequence`, dequantization of one decode chunk at a time.
+:func:`encode_sequence`, dequantization of one decode task at a time.
 """
 from __future__ import annotations
 
@@ -57,8 +58,6 @@ from .sca import (
 )
 from .wavelet import haar_forward, haar_inverse
 
-PAD_REJECT = "reject"
-PAD_EDGE = "edge-replicate"
 QUANT_FLOAT = "float-container"
 QUANT_AFFINE = "affine-8bit"
 
@@ -66,16 +65,13 @@ QUANT_AFFINE = "affine-8bit"
 # synthetic data can use something as tight as 1e-8.
 DEFAULT_TAU = 0.05
 
-# Subband columns per recovery call: a decode chunk holds max(1, BUDGET // T)
-# groups for subband planes of T columns. Whole-sequence calls let the
-# temporaries fall out of cache (CIF decode ran about 40% slower).
-BUDGET = 8192
-
-# Columns per tile: a group with more subband columns than this per band is
-# decoded in row tiles of about TILE columns, shared out on WORKERS threads.
-# CIF-size groups stay whole: on a 2-CPU host a 40-frame CIF decode took
-# 92 ms in tiles of 16384 columns and 104 ms in tiles of 12288, against
-# 90 ms whole. Encode cuts a group of more than TILE pixels the same way.
+# Cells per task. A group of more than TILE pixels is encoded, and one of
+# more than TILE subband columns per band decoded, in row tiles of about
+# TILE cells, shared out on WORKERS threads. CIF-size groups decode whole:
+# on a 2-CPU host a 40-frame CIF decode took 92 ms in tiles of 16384
+# columns and 104 ms in tiles of 12288, against 90 ms whole. Smaller groups
+# run in runs of whole groups of about TILE pixels; whole-sequence calls
+# let the temporaries fall out of cache (CIF decode ran about 40% slower).
 TILE = 32768
 
 # Storage dtype of the mixed codes per quantization mode, and of the tail.
@@ -93,15 +89,12 @@ class CodecConfig:
 
     matrix: MixingMatrix | None = None
     tau: float = DEFAULT_TAU
-    pad_policy: str = PAD_EDGE
     quantization: str = QUANT_FLOAT
 
     def __post_init__(self):
         if self.matrix is None:
             object.__setattr__(self, "matrix", default_mixing_matrix())
         check_tau(self.tau)
-        if self.pad_policy not in (PAD_REJECT, PAD_EDGE):
-            raise ValueError(f"unknown pad policy {self.pad_policy!r}")
         if self.quantization not in (QUANT_FLOAT, QUANT_AFFINE):
             raise ValueError(f"unknown quantization mode {self.quantization!r}")
 
@@ -150,7 +143,7 @@ class EncodedSequence:
             if codes.flags.writeable or not codes.flags.c_contiguous:
                 object.__setattr__(self, name, _read_only(np.array(codes, order="C")))
         if self.quantization == QUANT_FLOAT and not all_finite(self.mixed_codes):
-            raise ValueError("mixed frame values must be finite")
+            raise ValueError("mixed frame values must be finite and lie in float32 range")
         mixed_count = len(self.mixed_codes)
         if not mixed_count or mixed_count % m:
             raise ValueError(
@@ -190,19 +183,13 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     m, n = cfg.matrix.rows, cfg.matrix.cols
     if count < n:
         raise ValueError(f"need at least n = {n} frames, got {count}")
-    if cfg.pad_policy == PAD_REJECT and (width % 2 or height % 2):
-        raise ValueError(
-            f"odd frame dimensions {width}x{height} rejected; use the edge-replicate pad policy"
-        )
     blocks = count // n
     sources = src[: blocks * n].reshape(blocks, n, height, width)
     codes = np.empty((blocks, m, height, width), dtype=CODE_DTYPES[cfg.quantization])
-    tiles = _row_tiles(height, width)
-    run = 1 if len(tiles) > 1 else max(1, TILE // (height * width))
-    tasks = [np.s_[start : start + run, :, rows] for start in range(0, blocks, run) for rows in tiles]
+    tasks, tiles = _tasks(blocks, height, width)
     # matmul hands a one-column product to gemv, whose bits differ from gemm's:
     # a tile goes through gemm always, a whole group as the matmul it always was
-    product = _gemm if len(tiles) > 1 else np.matmul
+    product = _gemm if tiles > 1 else np.matmul
 
     def mix(task) -> np.ndarray:
         """The float64 mixed values of one task, shaped like its codes."""
@@ -218,9 +205,9 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
         return lo, hi
 
     def store_float(task) -> None:
-        mixed = mix(task)
-        mixed_range(mixed)
-        codes[task] = mixed
+        # a value past float32 range casts to inf, which EncodedSequence rejects
+        with np.errstate(over="ignore"):
+            codes[task] = mix(task)
 
     def quantize(task) -> None:
         # code = floor((x - offset) / scale + 0.5), in place
@@ -234,7 +221,7 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     with ThreadPoolExecutor(WORKERS) as pool:
         # as in decode, only tiles start threads: on 64x64 groups the pool
         # made encode slower (3.4 -> 4.1 ms for 400 frames on 2 CPUs)
-        each = pool.map if len(tiles) > 1 else map
+        each = pool.map if tiles > 1 else map
         if cfg.quantization == QUANT_FLOAT:
             list(each(store_float, tasks))
         else:
@@ -256,14 +243,24 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     )
 
 
-def _row_tiles(rows: int, width: int) -> list[slice]:
-    """Cut ``rows`` rows of ``width`` columns into slices of about ``TILE`` columns.
+def _tasks(blocks: int, height: int, width: int, cell: int = 1) -> tuple[list[tuple], int]:
+    """Cut ``blocks`` groups of height x width pixels into tasks, and count the tiles per group.
 
-    The slices are as even as whole rows allow; rows that fit in one tile
-    stay one slice.
+    A task indexes the (blocks, k, height, width) arrays of a pass. A group
+    is seen as cells of ``cell`` x ``cell`` pixels (a cell cut by an odd
+    edge counts whole), and one of more than ``TILE`` cells is cut into row
+    tiles of about ``TILE`` cells, as even as whole rows of cells allow,
+    each an exact number of cell rows but the last. Groups of one tile run
+    in runs of about ``TILE`` pixels, so a task is one tile of one group or
+    a run of whole groups, never both; the tasks of a group follow each
+    other in row order.
     """
-    step = -(-rows // -(-rows * width // TILE))  # ceil(rows / ceil(rows * width / TILE))
-    return [slice(top, top + step) for top in range(0, rows, step)]
+    rows, cols = -(-height // cell), -(-width // cell)
+    step = cell * -(-rows // -(-rows * cols // TILE))  # cell * ceil(rows / ceil(rows * cols / TILE))
+    tiles = -(-height // step)
+    run = 1 if tiles > 1 else max(1, TILE // (height * width))
+    tops = range(0, height, step)
+    return [np.s_[start : start + run, :, top : top + step] for start in range(0, blocks, run) for top in tops], tiles
 
 
 def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray, RecoveryStats]:
@@ -275,9 +272,6 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     if not np.array_equal(enc.matrix.entries, cfg.matrix.entries):
         raise ValueError("encoded stream was produced with a different mixing matrix")
     height, width = enc.height, enc.width
-    if cfg.pad_policy == PAD_REJECT and (width % 2 or height % 2):
-        raise ValueError("odd frame dimensions rejected by pad policy")
-
     m, n = cfg.matrix.rows, cfg.matrix.cols
     pinv = generalized_inverse(cfg.matrix)
     planes = build_hyperplanes(cfg.matrix)
@@ -285,48 +279,32 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     codes = enc.mixed_codes.reshape(blocks, m, height, width)
     affine = (enc.scale, enc.offset) if enc.quantization == QUANT_AFFINE else None
     out = np.empty((enc.source_count, height, width))
-    stats_parts: list[RecoveryStats] = []
-    half_h, half_w = (height + 1) // 2, (width + 1) // 2
-    # a group of more than TILE columns per band is decoded alone, in row
-    # tiles of about TILE columns
-    tiles = [slice(2 * t.start, 2 * t.stop) for t in _row_tiles(half_h, half_w)]
-    chunk = 1 if len(tiles) > 1 else max(1, BUDGET // (half_h * half_w))
-    # the pool starts its threads at the first tile, so small groups never pay for them
+    dest = out[: blocks * n].reshape(blocks, n, height, width)
+    tasks, tiles = _tasks(blocks, height, width, cell=2)
+
+    def decode(task, peaks=None) -> list[RecoveryStats]:
+        return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, peaks)
+
     with ThreadPoolExecutor(WORKERS) as pool:
-        for start in range(0, blocks, chunk):
-            stop = min(start + chunk, blocks)
-            group = codes[start:stop]
-            dest = out[start * n : stop * n].reshape(stop - start, n, height, width)
-            if len(tiles) > 1:
-                stats_parts += _decode_tiles(group, affine, dest, tiles, pool, planes, pinv, cfg.tau)
-            else:
-                stats_parts += _decode_chunk(group, affine, dest, planes, pinv, cfg.tau)
+        # as in encode, only tiles start threads: runs of whole groups on the
+        # pool made cif and tiny decode 5-7% slower
+        parts = list((pool.map if tiles > 1 else map)(decode, tasks))
+    stats: list[RecoveryStats] = []
+    for start in range(0, len(tasks), tiles):
+        group = parts[start : start + tiles]
+        if tiles > 1:
+            # Each tile was decoded on its own zero threshold. The group's is
+            # never lower, and zeroes a column the tile kept only if the
+            # tile's smallest kept norm is at or under it; the rare tile where
+            # that happens is decoded again on the group's peak column norms.
+            peaks = np.max([[band.peak for band in part] for part in group], axis=0)[:, None]
+            for i, part in enumerate(group):
+                if any(band.floor <= DEFAULT_ZERO_EPS * peak for band, peak in zip(part, peaks)):
+                    group[i] = decode(tasks[start + i], peaks)
+        # band by band, the tiles in row order, as one whole-group call gives them
+        stats += [tile for band in zip(*group) for tile in band]
     out[blocks * n :] = enc.tail_codes
-    return _read_only(out), RecoveryStats.merged(stats_parts)
-
-
-def _decode_tiles(codes, affine, dest, tiles, pool, planes, pinv, tau) -> list[RecoveryStats]:
-    """Decode one (1, m, H, W) group tile by tile, the tiles shared out on ``pool``.
-
-    ``tiles`` are slices of pixel rows, each an even number but the last.
-    Each tile decodes into its rows of ``dest`` on its own zero threshold.
-    The group's threshold is never lower, and it zeroes a column the tile
-    kept only if the tile's smallest kept norm is at or under it; the rare
-    tile where that happens is decoded again on the group's peak column
-    norms. So every tile zeroes the columns the whole group would. Stats
-    come back band by band, the tiles in row order, as one whole-group call
-    gives them.
-    """
-
-    def decode(rows, peaks=None):
-        return _decode_chunk(codes[..., rows, :], affine, dest[..., rows, :], planes, pinv, tau, peaks)
-
-    parts = list(pool.map(decode, tiles))
-    peaks = np.max([[stats.peak for stats in part] for part in parts], axis=0)
-    for i, rows in enumerate(tiles):
-        if any(stats.floor <= DEFAULT_ZERO_EPS * peak for stats, peak in zip(parts[i], peaks)):
-            parts[i] = decode(rows, peaks[:, None])
-    return [RecoveryStats.merged(band) for band in zip(*parts)]
+    return _read_only(out), RecoveryStats.merged(stats)
 
 
 def _dequantize(codes, affine) -> np.ndarray:
@@ -351,7 +329,7 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[Re
 
     ``peaks`` holds the (3, k) peak column norms of the detail bands when
     the codes are a tile of their groups. A function of its own, so that
-    one chunk's temporaries are freed before the next chunk allocates its
+    one task's temporaries are freed before the next task allocates its
     own.
     """
     k, m, height, width = codes.shape
@@ -403,7 +381,7 @@ def parse_config(path) -> dict:
     Recognized keys: ``matrix`` (row-major whitespace-separated floats,
     returned as an uninterpreted (m, n) array), ``n`` and ``m`` (the
     matrix's shape, required with ``matrix``; without it, checked against
-    the built-in matrix), ``tau``, ``pad_policy``, ``quantization``. ``#``
+    the built-in matrix), ``tau``, ``quantization``. ``#``
     starts a comment. Only the keys present in the file appear in the
     result, and never ``n`` or ``m``.
     """
@@ -418,7 +396,7 @@ def parse_config(path) -> dict:
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
 
-    known = {"n", "m", "matrix", "tau", "pad_policy", "quantization"}
+    known = {"n", "m", "matrix", "tau", "quantization"}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -441,9 +419,8 @@ def parse_config(path) -> dict:
             )
     if "tau" in values:
         parsed["tau"] = float(values["tau"])
-    for key in ("pad_policy", "quantization"):
-        if key in values:
-            parsed[key] = values[key]
+    if "quantization" in values:
+        parsed["quantization"] = values["quantization"]
     return parsed
 
 

@@ -187,16 +187,6 @@ def _columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return columns, norms, peaks
 
 
-def column_peaks(mixed) -> np.ndarray:
-    """Largest column norm of each group of an (m, T) or stacked (G, m, T) input.
-
-    A (G,) array, (1,) for 2-D input, with the bits :func:`recover_block`
-    measures, so the peaks of a group split into pieces are the maximum of
-    the pieces' peaks. Observations must be finite.
-    """
-    return _columns(_observations(mixed))[2]
-
-
 def recover_block(
     planes: HyperplaneSet | MixingMatrix, mixed, tau: float, peaks=None
 ) -> tuple[np.ndarray, RecoveryStats]:
@@ -212,10 +202,10 @@ def recover_block(
     A stacked (G, m, T) input is G independent groups, each with its own
     zero threshold, and gives a (G, n, T) result and one census over all
     groups (residuals in group order): the same bits as G separate calls.
-    ``peaks`` gives each group's largest column norm when the call sees
-    only a piece of its groups, as :func:`column_peaks` of the whole groups
-    (a (G,) array, (1,) for 2-D input); the pieces of a group then recover
-    to the bits of one call on the whole. Observations must be finite.
+    ``peaks`` gives the largest column norm of each whole group when the
+    call sees only a piece of its groups (a (G,) array, (1,) for 2-D input);
+    the pieces of a group then recover to the bits of one call on the
+    whole. Observations must be finite.
     """
     check_tau(tau)
     if isinstance(planes, MixingMatrix):

@@ -21,7 +21,7 @@ BANDS = ("ll", "lh", "hl", "hh")
 # of the subbands so that a slab's bands, temporaries and output stay in
 # cache. Measured on a 4-plane stack: a CIF call fell from 3.4 to 2.0 ms
 # (46-row slabs) and a 720p call from 34 to 22 ms (12-row slabs); a
-# 64x64x8-group chunk, 256 KiB per band, stays one slab.
+# run of eight 64x64 groups, 256 KiB per band, stays one slab.
 SLAB_BYTES = 1 << 18
 
 

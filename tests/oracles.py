@@ -127,6 +127,15 @@ def haar2_inverse_reference(ll, lh, hl, hh) -> np.ndarray:
     return out
 
 
+def column_peaks(mixed) -> np.ndarray:
+    """Largest column norm of each group of an (m, T) or stacked (G, m, T) input.
+
+    A (G,) array, (1,) for 2-D input: the ``peaks`` that make a call on a
+    piece of its groups zero what a call on the whole groups would.
+    """
+    return np.atleast_1d(np.linalg.norm(mixed, axis=-2).max(axis=-1, initial=0.0))
+
+
 def mix_reference(entries, frames) -> np.ndarray:
     """Mix a (count, H, W) sequence block by block: one (n, T) product per group of n."""
     a = np.asarray(entries, dtype=float)

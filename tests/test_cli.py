@@ -215,10 +215,10 @@ class TestMixSeparate:
 class TestConfigOverrides:
     CONFIG = (
         "n = 3\nm = 2\nmatrix = 1.0 0.5 0.25  0.5 1.0 -0.75\n"
-        "tau = 0.01\npad_policy = reject\nquantization = float-container\n"
+        "tau = 0.01\nquantization = float-container\n"
     )
 
-    def test_flags_keep_matrix_and_pad_policy(self, tmp_path):
+    def test_flags_keep_matrix(self, tmp_path):
         from ubssvc.cli import _build_parser, _load_cfg
 
         path = tmp_path / "codec.cfg"
@@ -226,11 +226,10 @@ class TestConfigOverrides:
         flags = ["--config", str(path), "--tau", "0.2", "--quant", "affine8"]
         cfg = _load_cfg(_build_parser().parse_args(["roundtrip", "--preset", "noise", *flags]))
         assert (cfg.tau, cfg.quantization) == (0.2, "affine-8bit")
-        assert cfg.pad_policy == "reject" and cfg.matrix.entries.shape == (2, 3)
+        assert cfg.matrix.entries.shape == (2, 3)
         assert np.array_equal(cfg.matrix.entries, [[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])
         no_flags = _load_cfg(_build_parser().parse_args(["roundtrip", "--config", str(path)]))
         assert (no_flags.tau, no_flags.quantization) == (0.01, "float-container")
-        assert no_flags.pad_policy == "reject"
 
     def test_mix_with_overrides_writes_config_matrix(self, tmp_path):
         path = tmp_path / "codec.cfg"
@@ -245,11 +244,13 @@ class TestConfigOverrides:
         enc = read_container(container)
         assert enc.quantization == "affine-8bit" and len(enc.mixed_codes) == 4
         assert np.array_equal(enc.matrix.entries, [[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])
-        # the pad policy from the file still rejects odd frame sizes
+        # odd frame sizes are edge-padded; a pad policy is no longer a config key
         write_sequence(frames[:, :, :7], str(tmp_path / "odd" / "f_{i}.pgm"))
-        proc = run_cli("mix", str(tmp_path / "odd" / "*.pgm"), "--config", str(path), "--tau", "0.3",
-                       "--out", str(tmp_path / "odd.ubss"))
-        assert proc.returncode == 2 and "odd frame dimensions" in proc.stderr
+        odd = ("mix", str(tmp_path / "odd" / "*.pgm"), "--config", str(path), "--out", str(tmp_path / "odd.ubss"))
+        assert run_cli(*odd).returncode == 0
+        path.write_text(self.CONFIG + "pad_policy = reject\n")
+        proc = run_cli(*odd)
+        assert proc.returncode == 2 and "unknown config keys ['pad_policy']" in proc.stderr
 
 
 class TestRoundtripCommand:

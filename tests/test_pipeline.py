@@ -17,6 +17,7 @@ from ubssvc import (
     CodecConfig,
     EncodedSequence,
     MixingMatrix,
+    RecoveryStats,
     build_hyperplanes,
     decode_sequence,
     encode_sequence,
@@ -77,10 +78,6 @@ class TestEncodeAccounting:
             encode_sequence(frames, CodecConfig())
         with pytest.raises(ValueError, match="finite"):
             encode_sequence(np.full((5, 8, 8), np.inf), CodecConfig())
-
-    def test_odd_dimensions_rejected_by_policy(self):
-        with pytest.raises(ValueError, match="odd"):
-            encode_sequence(_zeros(4, (7, 8)), CodecConfig(pad_policy="reject"))
 
     def test_mixed_values_sit_on_f32_grid(self):
         frames = synth.generate("sparse-detail", 9, 16, 16, seed=2)
@@ -234,7 +231,7 @@ class TestDecode:
 
     def test_odd_dimensions_pad_and_crop(self):
         frames = synth.generate("sparse-detail", 8, 15, 9, seed=4)
-        cfg = CodecConfig()  # edge-replicate by default
+        cfg = CodecConfig()
         report = roundtrip_eval(frames, cfg)
         assert report.source_count == 8
         assert report.quality.mean_psnr > 25.0
@@ -332,8 +329,7 @@ def codec_cases(draw):
         draw(st.integers(1, 9)),  # height, odd or even
         draw(st.integers(1, 9)),  # width
         draw(st.sampled_from(["float-container", "affine-8bit"])),
-        draw(st.sampled_from([1, 7, 40, pipeline_module.BUDGET])),  # columns per recovery call
-        draw(st.sampled_from([1, 7, 40, pipeline_module.TILE])),  # columns per tile
+        draw(st.sampled_from([1, 7, 40, pipeline_module.TILE])),  # cells per task
         draw(st.sampled_from([1, 2])),  # tile workers
         draw(st.integers(0, 2**32 - 1)),
     )
@@ -342,7 +338,7 @@ def codec_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(codec_cases())
 def test_array_decode_equals_frame_by_frame_decode(case):
-    m, n, count, height, width, quantization, budget, tile, workers, seed = case
+    m, n, count, height, width, quantization, tile, workers, seed = case
     rng = np.random.default_rng(seed)
     try:
         matrix = MixingMatrix(rng.uniform(0.1, 1.0, size=(m, n)))
@@ -350,7 +346,7 @@ def test_array_decode_equals_frame_by_frame_decode(case):
         assume(False)
     cfg = CodecConfig(matrix=matrix, tau=0.05, quantization=quantization)
     frames = synth.sparse_detail(count, width, height, seed, group=n, max_active=m - 1)
-    sizes = {"BUDGET": budget, "TILE": tile, "WORKERS": workers}
+    sizes = {"TILE": tile, "WORKERS": workers}
     # encode in row tiles or runs of groups gives the one-product-per-group codes
     with mock.patch.multiple(pipeline_module, **sizes):
         enc = encode_sequence(frames, cfg)
@@ -415,7 +411,8 @@ class TestTiledEncode:
         frames = rng.uniform(-20, 300, size=(9, 13, 1))
         frames[:4, -1, 0] = _tie_column(cfg.matrix.entries, rng)
         with mock.patch.multiple(pipeline_module, TILE=4, WORKERS=2):
-            assert pipeline_module._row_tiles(13, 1)[-1] == slice(12, 16)
+            tasks, tiles = pipeline_module._tasks(2, 13, 1)
+            assert tiles == 4 and tasks[-1] == np.s_[1:2, :, 12:16]
             enc = encode_sequence(frames, cfg)
         codes, scale, offset = quantize_reference(mix_reference(cfg.matrix.entries, frames), quantization)
         assert np.array_equal(enc.mixed_codes, codes)
@@ -490,17 +487,22 @@ class TestTiledDecode:
         monkeypatch.setattr(pipeline_module, "_decode_chunk", counting)
         return calls
 
+    @staticmethod
+    def _reference(enc, cfg):
+        """Frame-by-frame decode and its stats, one call per block and band."""
+        frames, parts = decode_reference(enc, cfg)
+        return np.stack(frames), RecoveryStats.merged(parts)
+
     def test_tiles_equal_whole_groups(self, monkeypatch):
         enc, cfg = self._case()
-        with mock.patch.object(pipeline_module, "BUDGET", 1):
-            whole, whole_stats = decode_sequence(enc, cfg)
+        whole, whole_stats = self._reference(enc, cfg)
         calls = self._count_chunks(monkeypatch)
         for tile in (1, 7, 16):
             calls.clear()
             with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
                 tiled, stats = decode_sequence(enc, cfg)
             assert np.array_equal(tiled, whole)
-            # one group per chunk in both paths, so even the residual order agrees
+            # tiles report band by band in row order, so even the residual order agrees
             assert np.array_equal(stats.residuals, whole_stats.residuals)
             assert stats.zero_columns == whole_stats.zero_columns
             # every tile is one of the 11 subband rows and is decoded once
@@ -524,8 +526,7 @@ class TestTiledDecode:
             tail_codes=np.zeros((0, 16, 4), dtype=np.uint8),
         )
         cfg = CodecConfig()
-        with mock.patch.object(pipeline_module, "BUDGET", 1):
-            whole, whole_stats = decode_sequence(enc, cfg)
+        whole, whole_stats = self._reference(enc, cfg)
         assert whole_stats.zero_columns >= 3 * 6  # the first tile's details all zero
         calls = self._count_chunks(monkeypatch)
         with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
@@ -540,9 +541,9 @@ class TestTiledDecode:
 
     def test_tile_counts(self, monkeypatch):
         # 720p: 640x360 subband columns in tiles of 45 rows, as even as rows allow
-        monkeypatch.setattr(pipeline_module, "_decode_tiles", lambda *args: tiles.append(args[3]) or [])
-        for shape, count in (((720, 1280), 8), ((288, 352), 0), ((64, 64), 0)):
-            tiles = []
+        calls = self._count_chunks(monkeypatch)
+        for shape, count, rows in (((720, 1280), 8, 90), ((288, 352), 1, 288), ((64, 64), 1, 64)):
+            calls.clear()
             enc = EncodedSequence(
                 matrix=CodecConfig().matrix,
                 width=shape[1],
@@ -554,9 +555,19 @@ class TestTiledDecode:
                 tail_codes=np.zeros((0, *shape), dtype=np.uint8),
             )
             decode_sequence(enc, CodecConfig())
-            assert [len(t) for t in tiles] == ([count] if count else [])
-            if count:
-                assert {t.stop - t.start for t in tiles[0]} == {90}
+            assert len(calls) == count and {c.shape[2] for c in calls} == {rows}
+
+    def test_small_groups_share_one_call(self, monkeypatch):
+        # 58 groups of 33x17 pixels make one task of about TILE pixels, in
+        # encode and decode alike; a 59th group starts a second one
+        assert pipeline_module._tasks(58, 33, 17) == ([np.s_[0:58, :, 0:33]], 1)
+        calls = self._count_chunks(monkeypatch)
+        for blocks, runs in ((58, [58]), (59, [58, 1])):
+            calls.clear()
+            frames = synth.generate("sparse-detail", 4 * blocks, 17, 33, seed=2)
+            cfg = CodecConfig()
+            decode_sequence(encode_sequence(frames, cfg), cfg)
+            assert [len(c) for c in calls] == runs
 
     def test_no_thread_outlives_a_decode(self):
         enc, cfg = self._case()
@@ -569,8 +580,7 @@ class TestTiledDecode:
         # more threads than cores, switching every microsecond: tiles write
         # disjoint rows and return their own stats, so nothing is lost
         enc, cfg = self._case(seed=5)
-        with mock.patch.object(pipeline_module, "BUDGET", 1):
-            whole, whole_stats = decode_sequence(enc, cfg)
+        whole, whole_stats = self._reference(enc, cfg)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -601,7 +611,6 @@ class TestConfig:
         cfg = CodecConfig()
         assert cfg.matrix.entries.shape == (3, 4)
         assert cfg.tau == 0.05
-        assert cfg.pad_policy == "edge-replicate"
         assert cfg.quantization == "float-container"
 
     def test_declared_counts_validated(self, tmp_path):
@@ -615,8 +624,6 @@ class TestConfig:
         assert parse_config(path) == {"tau": 0.2}
 
     def test_bad_policies(self):
-        with pytest.raises(ValueError):
-            CodecConfig(pad_policy="wrap")
         with pytest.raises(ValueError):
             CodecConfig(quantization="u16")
         with pytest.raises(ValueError):
@@ -642,13 +649,11 @@ class TestConfig:
             "m = 2\n"
             "matrix = 1.0 0.5 0.25  0.5 1.0 -0.75\n"
             "tau = 0.01\n"
-            "pad_policy = reject\n"
             "quantization = affine-8bit\n"
         )
         cfg = load_config(path)
         assert cfg.matrix.entries.shape == (2, 3)
         assert cfg.tau == 0.01
-        assert cfg.pad_policy == "reject"
         assert cfg.quantization == "affine-8bit"
         assert_allclose(cfg.matrix.entries, [[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])
 
@@ -661,7 +666,7 @@ class TestConfig:
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "codec.cfg"
-        for text in ("levels = 2\n", "tail_policy = passthrough\n"):
+        for text in ("levels = 2\n", "tail_policy = passthrough\n", "pad_policy = reject\n"):
             path.write_text(text)
             with pytest.raises(ValueError, match="unknown config keys"):
                 parse_config(path)

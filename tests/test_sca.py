@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
+    column_peaks,
     gs_projection,
     lstsq_coefficients,
     nearest_subspace_recovery,
@@ -18,7 +19,6 @@ from oracles import (
 from ubssvc import (
     MixingMatrix,
     build_hyperplanes,
-    column_peaks,
     generalized_inverse,
     recover_block,
     recover_dense,
@@ -573,12 +573,13 @@ def test_pieces_with_group_peaks_equal_whole_call(case):
 
 class TestGroupPeaks:
     def test_peaks_are_the_largest_column_norms(self, matrix, rng):
+        # the oracle's peaks carry the bits of each group's own call
         x = rng.normal(size=(2, 3, 7))
-        assert np.array_equal(column_peaks(x), np.linalg.norm(x, axis=1).max(axis=1))
+        assert [recover_block(matrix, group, 0.1)[1].peak for group in x] == column_peaks(x).tolist()
         assert column_peaks(x[0]).shape == (1,)
         assert np.array_equal(column_peaks(np.zeros((2, 3, 0))), [0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
-            column_peaks(np.full((3, 2), np.nan))
+            recover_block(matrix, np.full((3, 2), np.nan), 0.1)
 
     def test_bad_peaks_rejected(self, matrix, rng):
         x = rng.normal(size=(2, 3, 7))

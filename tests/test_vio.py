@@ -1,6 +1,7 @@
 import os
 import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,13 +51,13 @@ class TestPgm:
     def test_commented_header_roundtrip(self, tmp_path, rng):
         frame = rng.integers(0, 256, size=(3, 5)).astype(float)
         (written,) = write_sequence([frame], str(tmp_path / "w.pgm"))
-        data = open(written, "rb").read()
+        data = Path(written).read_bytes()
         commented = tmp_path / "c.pgm"
         commented.write_bytes(b"P5\n# written by another tool\n" + data[len(b"P5\n"):])
         back = read_sequence(str(commented))
         assert np.array_equal(back[0], frame)
         write_sequence(back, str(tmp_path / "again.pgm"))
-        assert open(tmp_path / "again-0000.pgm", "rb").read() == data
+        assert (tmp_path / "again-0000.pgm").read_bytes() == data
 
     def test_rejects_16bit(self, tmp_path):
         path = tmp_path / "f.pgm"
