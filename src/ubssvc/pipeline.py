@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -267,7 +267,9 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     """Recover the full (count, H, W) source sequence from an encoded one.
 
     Total on every valid input: columns outside tolerance degrade quality
-    (counted in the stats) but never fail the decode.
+    (counted in the stats) but never fail the decode. The census lists its
+    residuals in (group, band, column) order and counts them per (group,
+    band) in ``group_residuals``.
     """
     if not np.array_equal(enc.matrix.entries, cfg.matrix.entries):
         raise ValueError("encoded stream was produced with a different mixing matrix")
@@ -304,7 +306,9 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
         # band by band, the tiles in row order, as one whole-group call gives them
         stats += [tile for band in zip(*group) for tile in band]
     out[blocks * n :] = enc.tail_codes
-    return _read_only(out), RecoveryStats.merged(stats)
+    census = RecoveryStats.merged(stats)
+    # a tile counts its residuals on its own; add up each (group, band)'s tiles
+    return _read_only(out), replace(census, group_residuals=census.group_residuals.reshape(-1, tiles).sum(axis=1))
 
 
 def _dequantize(codes, affine) -> np.ndarray:
@@ -328,9 +332,10 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[Re
     """Decode (k, m, h, W) mixed codes into the (k, n, h, W) array ``dest``.
 
     ``peaks`` holds the (3, k) peak column norms of the detail bands when
-    the codes are a tile of their groups. A function of its own, so that
-    one task's temporaries are freed before the next task allocates its
-    own.
+    the codes are a tile of their groups. Returns the census of each band,
+    or for a run of several groups one census with the residuals in
+    (group, band, column) order. A function of its own, so that one task's
+    temporaries are freed before the next task allocates its own.
     """
     k, m, height, width = codes.shape
     group = _dequantize(codes, affine)
@@ -348,7 +353,8 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[Re
         dest[...] = haar_inverse(recovered)[..., :height, :width]
     else:
         haar_inverse(recovered, out=dest)
-    return stats
+    # a run of groups reports group by group, as one call per (group, band) would
+    return [RecoveryStats.merged(stats, by_group=True)] if k > 1 else stats
 
 
 @dataclass(frozen=True, eq=False)

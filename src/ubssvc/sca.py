@@ -62,18 +62,24 @@ class HyperplaneSet:
 
         Ties break toward the smallest plane index, as with ``argmin``;
         reconstruction does not depend on the choice because tied planes
-        contain the column jointly.
+        contain the column jointly. Labels are one byte (``uint8``) while
+        there are at most 256 planes, ``intp`` beyond.
         """
         distances = _gemm(self.normals, columns)
         np.abs(distances, out=distances)
-        # A running first minimum over the few planes: np.argmin along axis 0
-        # walks the (C, T) array column by column and costs several times more.
-        best = np.zeros(distances.shape[1], dtype=np.intp)
+        # A running first minimum over the few planes, every pass into reused
+        # buffers: np.argmin along axis 0 walks the (C, T) array column by
+        # column and costs several times more.
+        labels = np.uint8 if self.count <= 256 else np.intp
+        t = distances.shape[1]
+        best = np.zeros(t, dtype=labels)
         nearest = distances[0].copy()
+        closer = np.empty(t, dtype=bool)
+        label = np.empty(t, dtype=labels)
         for q in range(1, self.count):
-            closer = distances[q] < nearest  # strict: the earlier plane keeps a tie
-            best *= ~closer
-            best += closer * q
+            np.less(distances[q], nearest, out=closer)  # strict: the earlier plane keeps a tie
+            # every label so far is below q, so the maximum takes q where closer
+            np.maximum(best, np.multiply(closer, q, out=label, dtype=labels), out=best)
             np.minimum(nearest, distances[q], out=nearest)
         return best, nearest
 
@@ -126,11 +132,13 @@ class RecoveryStats:
 
     ``residuals`` holds the relative residual of every non-zero column in
     column order; quantiles are derived from it on demand so that stats
-    from several runs can be pooled without losing information. ``peak``
-    is the largest column norm the run saw (0.0 when it saw none) and
-    ``floor`` the smallest norm among the columns it counted non-zero
-    (inf when none), so a caller can tell whether a higher zero threshold
-    would have zeroed any of them.
+    from several runs can be pooled without losing information.
+    ``group_residuals`` counts the residuals of each group in turn (one
+    group holding them all when not given), so the residual array can be
+    cut per group. ``peak`` is the largest column norm the run saw (0.0
+    when it saw none) and ``floor`` the smallest norm among the columns it
+    counted non-zero (inf when none), so a caller can tell whether a higher
+    zero threshold would have zeroed any of them.
     """
 
     total_columns: int
@@ -140,6 +148,11 @@ class RecoveryStats:
     residuals: np.ndarray
     peak: float = 0.0
     floor: float = math.inf
+    group_residuals: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.group_residuals is None:
+            object.__setattr__(self, "group_residuals", np.array([self.residuals.size]))
 
     def residual_quantiles(self, probs=(0.0, 0.25, 0.5, 0.75, 1.0)) -> tuple[float, ...]:
         if self.residuals.size == 0:
@@ -147,18 +160,38 @@ class RecoveryStats:
         return tuple(float(v) for v in np.quantile(self.residuals, probs))
 
     @classmethod
-    def merged(cls, parts) -> "RecoveryStats":
+    def merged(cls, parts, by_group: bool = False) -> "RecoveryStats":
+        """One census of several, their residuals part after part.
+
+        With ``by_group`` the parts are calls over the same groups (such as
+        the three detail bands of one run of groups), and the residuals
+        come group after group, each group's parts in turn, counted per
+        (group, part) in ``group_residuals``.
+        """
         parts = list(parts)
         if not parts:
-            return cls(0, 0, 0, 0, np.empty(0))
+            return cls(0, 0, 0, 0, np.empty(0), group_residuals=np.empty(0, dtype=np.intp))
+        if by_group:
+            sizes = np.stack([p.group_residuals for p in parts], axis=1)  # (groups, parts)
+            ends = sizes.cumsum(axis=0)
+            residuals = [
+                p.residuals[end - size : end]
+                for group in zip(ends.tolist(), sizes.tolist())
+                for p, end, size in zip(parts, *group)
+            ]
+            counts = sizes.ravel()
+        else:
+            residuals = [p.residuals for p in parts]
+            counts = np.concatenate([p.group_residuals for p in parts])
         return cls(
             total_columns=sum(p.total_columns for p in parts),
             zero_columns=sum(p.zero_columns for p in parts),
             clean_columns=sum(p.clean_columns for p in parts),
             forced_columns=sum(p.forced_columns for p in parts),
-            residuals=np.concatenate([p.residuals for p in parts]),
+            residuals=np.concatenate(residuals),
             peak=max(p.peak for p in parts),
             floor=min(p.floor for p in parts),
+            group_residuals=counts,
         )
 
 
@@ -180,36 +213,41 @@ def _columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     groups = x.shape[0] if x.ndim == 3 else 1
     columns = x if x.ndim == 2 else x.transpose(1, 0, 2).reshape(x.shape[1], -1)
-    norms = np.linalg.norm(columns, axis=0).reshape(groups, x.shape[-1])
+    # Squares added row by row, then the root, in one buffer: the bits of
+    # linalg.norm(axis=0) on C-ordered columns, without its (m, G*T)
+    # temporary of squares. For m >= 8 numpy's pairwise sum gives a
+    # one-column or Fortran-ordered input other bits; this sum does not
+    # depend on the layout.
+    norms = np.multiply(columns[0], columns[0])
+    square = np.empty_like(norms)
+    for row in columns[1:]:
+        norms += np.multiply(row, row, out=square)
+    norms = np.sqrt(norms, out=norms).reshape(groups, x.shape[-1])
     peaks = norms.max(axis=1, initial=0.0)
     if not np.isfinite(peaks).all():
         raise ValueError("mixed coefficients must be finite")
     return columns, norms, peaks
 
 
-def recover_block(
-    planes: HyperplaneSet | MixingMatrix, mixed, tau: float, peaks=None
-) -> tuple[np.ndarray, RecoveryStats]:
+def recover_block(planes: HyperplaneSet, mixed, tau: float, peaks=None) -> tuple[np.ndarray, RecoveryStats]:
     """Recover an (n, T) sparse source matrix from (m, T) observations.
 
-    ``planes`` is the :class:`HyperplaneSet` of the mixing matrix, or the
-    matrix itself, whose set is then built for this call only. Columns are
-    classified independently (vectorized over T); columns whose norm is at
-    most 1e-12 times the largest in their group short-circuit to zero.
+    ``planes`` is the :class:`HyperplaneSet` of the mixing matrix. Columns
+    are classified independently (vectorized over T); columns whose norm is
+    at most 1e-12 times the largest in their group short-circuit to zero.
     Always returns an assignment for every column; tolerance misses only
     raise the ``forced`` count.
 
     A stacked (G, m, T) input is G independent groups, each with its own
     zero threshold, and gives a (G, n, T) result and one census over all
-    groups (residuals in group order): the same bits as G separate calls.
-    ``peaks`` gives the largest column norm of each whole group when the
-    call sees only a piece of its groups (a (G,) array, (1,) for 2-D input);
-    the pieces of a group then recover to the bits of one call on the
-    whole. Observations must be finite.
+    groups (residuals in group order, ``group_residuals`` of them per
+    group): the same bits as G separate calls. ``peaks`` gives the largest
+    column norm of each whole group when the call sees only a piece of its
+    groups (a (G,) array, (1,) for 2-D input); the pieces of a group then
+    recover to the bits of one call on the whole. Observations must be
+    finite.
     """
     check_tau(tau)
-    if isinstance(planes, MixingMatrix):
-        planes = build_hyperplanes(planes)
     x = _observations(mixed, planes.dimension)
     columns, norms, own = _columns(x)
     if peaks is None:
@@ -219,22 +257,22 @@ def recover_block(
         if peaks.shape != own.shape or not np.isfinite(peaks).all() or not (peaks >= own).all():
             raise ValueError(f"peaks must be {len(own)} finite norms, each at least its group's own")
     groups, t = norms.shape
-    active = (norms > DEFAULT_ZERO_EPS * peaks[:, None]).ravel()
-    # compress and take gather along the column axis several times faster
-    # than boolean indexing does
-    norms = np.compress(active, norms.ravel())  # only the kept columns' norms are used again
-    xa = np.compress(active, columns, axis=1)
+    active_cols = np.flatnonzero(norms > DEFAULT_ZERO_EPS * peaks[:, None])
+    # take gathers along the column axis several times faster than boolean
+    # indexing or compress do
+    norms = norms.take(active_cols)  # only the kept columns' norms are used again
+    xa = columns.take(active_cols, axis=1)
     del columns  # a copy for stacked input; freed early to lower peak memory
     best, relative = planes.classify(xa)
     relative /= norms
-    forced = relative > tau
+    forced = int(np.count_nonzero(relative > tau))
 
     recovered = np.zeros((planes.sources, groups * t))
-    active_cols = np.flatnonzero(active)
+    mine = np.empty(best.shape, dtype=bool)
     for q in range(planes.count):
-        sel = np.flatnonzero(best == q)
+        sel = np.flatnonzero(np.equal(best, q, out=mine))
         if sel.size:
-            recovered[planes.index_sets[q][:, None], active_cols[sel]] = _gemm(
+            recovered[planes.index_sets[q][:, None], active_cols.take(sel)] = _gemm(
                 planes.coefficient_maps[q], xa.take(sel, axis=1)
             )
     if x.ndim == 3:
@@ -242,12 +280,13 @@ def recover_block(
 
     stats = RecoveryStats(
         total_columns=groups * t,
-        zero_columns=int(groups * t - active.sum()),
-        clean_columns=int((~forced).sum()),
-        forced_columns=int(forced.sum()),
+        zero_columns=groups * t - active_cols.size,
+        clean_columns=active_cols.size - forced,
+        forced_columns=forced,
         residuals=relative,
         peak=float(own.max(initial=0.0)),
         floor=float(norms.min(initial=math.inf)),
+        group_residuals=np.diff(np.searchsorted(active_cols, np.arange(groups + 1) * t)),
     )
     return recovered, stats
 

@@ -12,6 +12,7 @@ import pytest
 from oracles import sparse_source
 from ubssvc import (
     CodecConfig,
+    build_hyperplanes,
     compression_ratio,
     decode_sequence,
     encode_sequence,
@@ -53,7 +54,7 @@ def test_criterion_1_exact_sparse_recovery(matrix, announce):
         s = sparse_source(seed=seed, n=4, t=10000, max_active=2, amplitude=100.0)
         x = matrix.entries @ s
         start = time.perf_counter()
-        recovered, stats = recover_block(matrix, x, tau=1e-8)
+        recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         elapsed = time.perf_counter() - start
         worst_err = max(worst_err, float(np.abs(recovered - s).max()))
         worst_time = max(worst_time, elapsed)

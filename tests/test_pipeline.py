@@ -361,8 +361,9 @@ def test_array_decode_equals_frame_by_frame_decode(case):
     merged = type(stats).merged(parts)
     for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
         assert getattr(stats, field) == getattr(merged, field)
-    # residuals are pooled in call order, so compare them as a multiset
-    assert np.array_equal(np.sort(stats.residuals), np.sort(merged.residuals))
+    # one call per (block, band) lists the residuals in the decoder's order
+    assert np.array_equal(stats.residuals, merged.residuals)
+    assert np.array_equal(stats.group_residuals, merged.group_residuals)
 
     # encode -> write -> read -> decode reproduces the in-memory path bit for bit
     with tempfile.TemporaryDirectory() as work:
@@ -568,6 +569,24 @@ class TestTiledDecode:
             cfg = CodecConfig()
             decode_sequence(encode_sequence(frames, cfg), cfg)
             assert [len(c) for c in calls] == runs
+
+    def test_census_order_is_group_band_column(self):
+        # runs of 58 and 2 groups, or row tiles of each group: the residuals
+        # come in (group, band, column) order either way, as one call per
+        # (group, band) gives them
+        frames = synth.generate("sparse-detail", 240, 17, 33, seed=4)
+        cfg = CodecConfig(quantization="affine-8bit")
+        enc = encode_sequence(frames, cfg)
+        whole, whole_stats = self._reference(enc, cfg)
+        assert whole_stats.group_residuals.shape == (60 * 3,)
+        for tile in (1, 7, pipeline_module.TILE):
+            with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
+                decoded, stats = decode_sequence(enc, cfg)
+            assert np.array_equal(decoded, whole)
+            assert np.array_equal(stats.residuals, whole_stats.residuals)
+            assert np.array_equal(stats.group_residuals, whole_stats.group_residuals)
+            for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
+                assert getattr(stats, field) == getattr(whole_stats, field)
 
     def test_no_thread_outlives_a_decode(self):
         enc, cfg = self._case()

@@ -17,6 +17,7 @@ from oracles import (
     sparse_source,
 )
 from ubssvc import (
+    HyperplaneSet,
     MixingMatrix,
     build_hyperplanes,
     generalized_inverse,
@@ -129,12 +130,12 @@ class TestClassifyColumn:
         assert stats.zero_columns == 0
 
     def test_zero_column(self, matrix):
-        recovered, stats = recover_block(matrix, np.zeros((3, 1)), tau=1e-8)
+        recovered, stats = recover_block(build_hyperplanes(matrix), np.zeros((3, 1)), tau=1e-8)
         assert recovered.tolist() == [[0.0], [0.0], [0.0], [0.0]]
         assert stats.zero_columns == 1 and stats.residuals.size == 0
         # the zero threshold is relative: 1e-12 of the largest column norm
         x = np.stack([matrix.column(1), 1e-13 * matrix.column(1)], axis=1)
-        recovered, stats = recover_block(matrix, x, tau=1e-8)
+        recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         assert stats.zero_columns == 1 and stats.residuals.size == 1
         assert not recovered[:, 1].any()
         assert_allclose(recovered[:, 0], [0.0, 1.0, 0.0, 0.0], atol=1e-12)
@@ -172,8 +173,8 @@ class TestClassifyColumn:
 
     def test_forced_flag(self, matrix):
         x = np.array([[1.0], [-2.0], [1.5]])  # generic, off every plane
-        strict, strict_stats = recover_block(matrix, x, tau=1e-12)
-        loose, loose_stats = recover_block(matrix, x, tau=1.0)
+        strict, strict_stats = recover_block(build_hyperplanes(matrix), x, tau=1e-12)
+        loose, loose_stats = recover_block(build_hyperplanes(matrix), x, tau=1.0)
         assert strict_stats.forced_columns == 1 and loose_stats.forced_columns == 0
         assert np.array_equal(strict, loose)
         oracle, _, relative = nearest_subspace_recovery(matrix.entries, x[:, 0])
@@ -187,7 +188,78 @@ class TestClassifyColumn:
     @pytest.mark.parametrize("tau", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite_tau(self, matrix, tau):
         with pytest.raises(ValueError, match="tau"):
-            recover_block(matrix, np.ones((3, 1)), tau=tau)
+            recover_block(build_hyperplanes(matrix), np.ones((3, 1)), tau=tau)
+
+
+@st.composite
+def label_cases(draw):
+    # 3x4: 6 planes and uint8 labels; 5x11: C(11, 4) = 330 planes and intp labels
+    return draw(st.sampled_from([(3, 4), (5, 11)])), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(label_cases())
+def test_classify_is_the_first_argmin(case):
+    (m, n), seed = case
+    rng = np.random.default_rng(seed)
+    try:
+        matrix = MixingMatrix(rng.uniform(-1, 1, size=(m, n)))
+    except ValueError:
+        assume(False)
+    hs = build_hyperplanes(matrix)
+    # planted exact ties: a third of the planes take another plane's normal or its negation
+    normals = hs.normals.copy()
+    for q in rng.choice(hs.count, size=hs.count // 3, replace=False):
+        normals[q] = rng.choice([-1.0, 1.0]) * normals[rng.integers(hs.count)]
+    x = rng.normal(size=(m, 200))
+    x[:, rng.random(200) < 0.1] = 0.0  # at distance 0 from every plane
+    x[:, :n] = matrix.entries  # each source column lies in several planes
+    for planes in (hs, dataclasses.replace(hs, normals=normals)):
+        best, distance = planes.classify(x)
+        distances = np.abs(planes.normals @ x)
+        assert best.dtype == (np.uint8 if hs.count <= 256 else np.intp)
+        assert np.array_equal(best, np.argmin(distances, axis=0))
+        assert np.array_equal(distance, distances.min(axis=0))
+
+
+@pytest.mark.parametrize("count, dtype", [(256, np.uint8), (257, np.intp)])
+def test_last_plane_label_fits(rng, count, dtype):
+    # the largest label, count - 1, must survive the label dtype
+    normals = rng.normal(size=(count, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    planes = HyperplaneSet(
+        index_sets=np.zeros((count, 2), dtype=np.intp),
+        normals=normals,
+        coefficient_maps=np.zeros((count, 2, 3)),
+        sources=4,
+    )
+    x = rng.normal(size=(3, 5))
+    x -= np.outer(normals[-1], normals[-1] @ x)  # in the last plane only
+    best, _ = planes.classify(x)
+    assert best.dtype == dtype and best.tolist() == [count - 1] * 5
+
+
+def test_330_planes_match_per_column_path():
+    # a 5x11 matrix: intp labels, checked against the brute-force oracle
+    rng = np.random.default_rng(2)
+    matrix = MixingMatrix(rng.uniform(-1, 1, size=(5, 11)))
+    hs = build_hyperplanes(matrix)
+    assert hs.count == 330
+    s = random_sparse_source(9, 11, 40, max_active=4)
+    s[:, 3] = rng.uniform(-1, 1, size=11)  # dense: off every plane, forced
+    s[:, 5] = 0.0
+    x = matrix.entries @ s
+    recovered, stats = recover_block(hs, x, tau=1e-8)
+    zero_eps = 1e-12 * np.linalg.norm(x, axis=0).max()
+    relative = []
+    for j in range(x.shape[1]):
+        oracle, index_set, rel = nearest_subspace_recovery(matrix.entries, x[:, j], zero_eps)
+        assert_allclose(recovered[:, j], oracle, atol=1e-9)
+        if index_set is not None:
+            relative.append(rel)
+    assert_allclose(stats.residuals, relative, atol=1e-12)
+    assert stats.forced_columns == sum(r > 1e-8 for r in relative) == 1
+    assert_allclose(np.delete(recovered, 3, axis=1), np.delete(s, 3, axis=1), atol=1e-9)
 
 
 class TestReconstructColumn:
@@ -203,13 +275,13 @@ class TestReconstructColumn:
             assert not np.delete(recovered[:, 0], idx).any()
 
     def test_single_active(self, matrix):
-        recovered, _ = recover_block(matrix, matrix.entries.copy(), tau=1e-8)
+        recovered, _ = recover_block(build_hyperplanes(matrix), matrix.entries.copy(), tau=1e-8)
         assert_allclose(recovered, np.eye(4), atol=1e-12)
 
     def test_zero_assignment(self, matrix):
         x = np.zeros((3, 6))
         x[:, 2] = matrix.column(1) + matrix.column(3)
-        recovered, stats = recover_block(matrix, x, tau=1e-8)
+        recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         assert stats.zero_columns == 5
         assert not np.delete(recovered, 2, axis=1).any()
 
@@ -228,23 +300,14 @@ class TestReconstructColumn:
 class TestRecoverBlock:
     def test_exact_recovery_of_sparse_source(self, matrix):
         s = sparse_source(seed=42, t=10000)
-        recovered, stats = recover_block(matrix, matrix.entries @ s, tau=1e-8)
+        recovered, stats = recover_block(build_hyperplanes(matrix), matrix.entries @ s, tau=1e-8)
         assert np.abs(recovered - s).max() <= 1e-6
         assert stats.forced_columns == 0
         assert stats.total_columns == 10000
         assert stats.zero_columns == int((s == 0).all(axis=0).sum())
 
-    def test_matrix_and_plane_set_agree(self, matrix):
-        x = matrix.entries @ sparse_source(seed=8, t=500)
-        x[:, 7] = [1.0, -2.0, 1.5]
-        r1, st1 = recover_block(matrix, x, tau=1e-8)
-        r2, st2 = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
-        assert np.array_equal(r1, r2)
-        assert np.array_equal(st1.residuals, st2.residuals)
-        assert st1.forced_columns == st2.forced_columns == 1
-
     def test_zero_input(self, matrix):
-        recovered, stats = recover_block(matrix, np.zeros((3, 5)), tau=1e-8)
+        recovered, stats = recover_block(build_hyperplanes(matrix), np.zeros((3, 5)), tau=1e-8)
         assert not recovered.any()
         assert stats.zero_columns == 5
         assert stats.residual_quantiles() == ()
@@ -255,7 +318,7 @@ class TestRecoverBlock:
         x = matrix.entries @ s
         min_rel = oracle_residuals(matrix, x[:, 10]).min() / np.linalg.norm(x[:, 10])
         assert min_rel > 1e-8  # genericity: truly off every plane
-        recovered, stats = recover_block(matrix, x, tau=1e-8)
+        recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         assert stats.forced_columns == 1
         mask = np.ones(64, dtype=bool)
         mask[10] = False
@@ -265,7 +328,7 @@ class TestRecoverBlock:
         s = sparse_source(seed=11, t=200)
         x = matrix.entries @ s
         x[:, 5] = [1.0, -2.0, 1.5]
-        recovered, stats = recover_block(matrix, x, tau=1e-8)
+        recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         zero_eps = 1e-12 * np.linalg.norm(x, axis=0).max()
         relative = []
         for j in range(200):
@@ -279,8 +342,8 @@ class TestRecoverBlock:
     def test_deterministic(self, matrix):
         s = sparse_source(seed=3, t=500)
         x = matrix.entries @ s
-        r1, st1 = recover_block(matrix, x, tau=1e-8)
-        r2, st2 = recover_block(matrix, x, tau=1e-8)
+        r1, st1 = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
+        r2, st2 = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         assert np.array_equal(r1, r2)
         assert np.array_equal(st1.residuals, st2.residuals)
 
@@ -298,14 +361,14 @@ class TestRecoverBlock:
         s = sparse_source(seed=99, t=10000)
         x = matrix.entries @ s
         start = time.perf_counter()
-        recover_block(matrix, x, tau=1e-8)
+        recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         assert time.perf_counter() - start < 1.0
 
     def test_shape_errors(self, matrix):
         with pytest.raises(ValueError):
-            recover_block(matrix, np.zeros((4, 5)), tau=1e-8)
+            recover_block(build_hyperplanes(matrix), np.zeros((4, 5)), tau=1e-8)
         with pytest.raises(ValueError):
-            recover_block(matrix, np.zeros(5), tau=1e-8)
+            recover_block(build_hyperplanes(matrix), np.zeros(5), tau=1e-8)
 
 
 @st.composite
@@ -379,10 +442,12 @@ def test_recovery_stats_merge():
     assert merged.clean_columns == 12
     assert merged.forced_columns == 1
     assert merged.residuals.tolist() == [0.1, 0.2, 0.3]
+    # each positionally built census is one group
+    assert merged.group_residuals.tolist() == [2, 1]
     # positional construction leaves the norm range empty
     assert (merged.peak, merged.floor) == (0.0, np.inf)
     empty = RecoveryStats.merged([])
-    assert empty.total_columns == 0
+    assert empty.total_columns == 0 and empty.group_residuals.size == 0
     assert (empty.peak, empty.floor) == (0.0, np.inf)
 
 
@@ -402,11 +467,11 @@ class TestNormRange:
         x[:, 3] *= 1e-9
         x[:, 5] = 0.0
         norms = np.linalg.norm(x, axis=0)
-        _, stats = recover_block(matrix, x, 1e-8)
+        _, stats = recover_block(build_hyperplanes(matrix), x, 1e-8)
         assert stats.peak == norms.max() == column_peaks(x)[0]
         assert stats.floor == norms[3]
         # a group's peak zeroes column 3: the floor is the smallest norm left
-        _, piece = recover_block(matrix, x, 1e-8, column_peaks(x) * 1e4)
+        _, piece = recover_block(build_hyperplanes(matrix), x, 1e-8, column_peaks(x) * 1e4)
         assert piece.peak == norms.max()
         assert piece.floor == np.delete(norms, [3, 5]).min()
 
@@ -414,13 +479,13 @@ class TestNormRange:
         x = rng.normal(size=(2, 3, 7))
         x[1] *= 10.0
         norms = np.linalg.norm(x, axis=1)
-        _, stats = recover_block(matrix, x, 0.1)
+        _, stats = recover_block(build_hyperplanes(matrix), x, 0.1)
         assert stats.peak == norms.max()
         assert stats.floor == norms.min()
 
     @pytest.mark.parametrize("shape", [(3, 0), (3, 4), (2, 3, 0)])
     def test_nothing_kept(self, matrix, shape):
-        _, stats = recover_block(matrix, np.zeros(shape), 0.05)
+        _, stats = recover_block(build_hyperplanes(matrix), np.zeros(shape), 0.05)
         assert (stats.peak, stats.floor) == (0.0, np.inf)
 
 
@@ -431,10 +496,10 @@ class TestStackedRecovery:
         x = matrix.entries @ sparse_source(seed=1, t=5)
         x[1, 3] = bad
         with pytest.raises(ValueError, match="finite"):
-            recover_block(matrix, x, tau=1e-8)
+            recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         stacked = np.stack([matrix.entries @ sparse_source(seed=2, t=5), x])
         with pytest.raises(ValueError, match="finite"):
-            recover_block(matrix, stacked, tau=1e-8)
+            recover_block(build_hyperplanes(matrix), stacked, tau=1e-8)
 
     def test_threshold_is_per_group(self, matrix):
         # group 0's small column sits under its own threshold; group 1 is all
@@ -443,29 +508,29 @@ class TestStackedRecovery:
         big[:, 2] = 1e-13 * matrix.column(0)
         small = 1e-15 * (matrix.entries @ sparse_source(seed=5, t=6))
         stacked = np.stack([big, small])
-        recovered, stats = recover_block(matrix, stacked, tau=1e-8)
+        recovered, stats = recover_block(build_hyperplanes(matrix), stacked, tau=1e-8)
         assert recovered.shape == (2, 4, 6)
         assert not recovered[0, :, 2].any()
-        per_group = [recover_block(matrix, g, tau=1e-8) for g in stacked]
+        per_group = [recover_block(build_hyperplanes(matrix), g, tau=1e-8) for g in stacked]
         for g, (rec, _) in enumerate(per_group):
             assert np.array_equal(recovered[g], rec)
         assert stats.zero_columns == sum(s.zero_columns for _, s in per_group)
         assert per_group[1][1].zero_columns == int((small == 0).all(axis=0).sum())
         # one 2-D call over both groups would zero every column of group 1
-        _, joint = recover_block(matrix, np.concatenate([big, small], axis=1), tau=1e-8)
+        _, joint = recover_block(build_hyperplanes(matrix), np.concatenate([big, small], axis=1), tau=1e-8)
         assert joint.zero_columns == per_group[0][1].zero_columns + 6
 
     def test_empty_and_all_zero_groups(self, matrix):
-        recovered, stats = recover_block(matrix, np.zeros((0, 3, 4)), tau=0.1)
+        recovered, stats = recover_block(build_hyperplanes(matrix), np.zeros((0, 3, 4)), tau=0.1)
         assert recovered.shape == (0, 4, 4) and stats.total_columns == 0
-        recovered, stats = recover_block(matrix, np.zeros((2, 3, 0)), tau=0.1)
+        recovered, stats = recover_block(build_hyperplanes(matrix), np.zeros((2, 3, 0)), tau=0.1)
         assert recovered.shape == (2, 4, 0) and stats.total_columns == 0
-        recovered, stats = recover_block(matrix, np.zeros((3, 3, 5)), tau=0.1)
+        recovered, stats = recover_block(build_hyperplanes(matrix), np.zeros((3, 3, 5)), tau=0.1)
         assert not recovered.any() and stats.zero_columns == stats.total_columns == 15
         with pytest.raises(ValueError):
-            recover_block(matrix, np.zeros((2, 4, 5)), tau=0.1)
+            recover_block(build_hyperplanes(matrix), np.zeros((2, 4, 5)), tau=0.1)
         with pytest.raises(ValueError):
-            recover_block(matrix, np.zeros((1, 2, 3, 5)), tau=0.1)
+            recover_block(build_hyperplanes(matrix), np.zeros((1, 2, 3, 5)), tau=0.1)
 
 
 @st.composite
@@ -515,6 +580,8 @@ def test_stacked_call_equals_separate_calls(case):
     for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
         assert getattr(stats, field) == getattr(merged, field)
     assert np.array_equal(stats.residuals, merged.residuals)
+    # each group's residual count, so the residuals can be cut per group
+    assert np.array_equal(stats.group_residuals, merged.group_residuals)
 
 
 @st.composite
@@ -575,25 +642,25 @@ class TestGroupPeaks:
     def test_peaks_are_the_largest_column_norms(self, matrix, rng):
         # the oracle's peaks carry the bits of each group's own call
         x = rng.normal(size=(2, 3, 7))
-        assert [recover_block(matrix, group, 0.1)[1].peak for group in x] == column_peaks(x).tolist()
+        assert [recover_block(build_hyperplanes(matrix), group, 0.1)[1].peak for group in x] == column_peaks(x).tolist()
         assert column_peaks(x[0]).shape == (1,)
         assert np.array_equal(column_peaks(np.zeros((2, 3, 0))), [0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
-            recover_block(matrix, np.full((3, 2), np.nan), 0.1)
+            recover_block(build_hyperplanes(matrix), np.full((3, 2), np.nan), 0.1)
 
     def test_bad_peaks_rejected(self, matrix, rng):
         x = rng.normal(size=(2, 3, 7))
         own = column_peaks(x)
-        recover_block(matrix, x, 0.1, own * 2)  # larger peaks are a larger group's
+        recover_block(build_hyperplanes(matrix), x, 0.1, own * 2)  # larger peaks are a larger group's
         for bad in (own[:1], own / 2, np.array([np.nan, 1e9]), np.array([np.inf, 1e9])):
             with pytest.raises(ValueError, match="peaks"):
-                recover_block(matrix, x, 0.1, bad)
+                recover_block(build_hyperplanes(matrix), x, 0.1, bad)
 
     def test_larger_peaks_zero_more_columns(self, matrix):
         x = matrix.entries @ sparse_source(seed=6, t=8)
         x[:, 3] *= 1e-9
-        _, alone = recover_block(matrix, x, 1e-8)
-        _, piece = recover_block(matrix, x, 1e-8, column_peaks(x) * 1e4)
+        _, alone = recover_block(build_hyperplanes(matrix), x, 1e-8)
+        _, piece = recover_block(build_hyperplanes(matrix), x, 1e-8, column_peaks(x) * 1e4)
         assert piece.zero_columns == alone.zero_columns + 1
 
 
@@ -607,6 +674,6 @@ def test_single_columns_and_rows_take_the_gemm_path(matrix, rng):
         assert np.array_equal(recover_dense(pinv, x[:, j : j + 1])[:, 0], wide[:, j])
     two = MixingMatrix([[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])  # m = 2: one-row maps
     y = two.entries @ random_sparse_source(7, 3, 500, max_active=1)
-    whole, _ = recover_block(two, y, 0.05)
+    whole, _ = recover_block(build_hyperplanes(two), y, 0.05)
     for j in range(0, 500, 37):
-        assert np.array_equal(recover_block(two, y[:, j : j + 1], 0.05, column_peaks(y))[0][:, 0], whole[:, j])
+        assert np.array_equal(recover_block(build_hyperplanes(two), y[:, j : j + 1], 0.05, column_peaks(y))[0][:, 0], whole[:, j])
