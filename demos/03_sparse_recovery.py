@@ -20,7 +20,7 @@ print(f"{planes.count} candidate planes:", [tuple(s) for s in planes.index_sets.
 print("unit normals:\n", planes.normals.round(4))
 
 # One column, by hand: activate sources 0 and 2.
-x = 2.0 * matrix.column(0) + 3.0 * matrix.column(2)
+x = 2.0 * matrix.entries[:, 0] + 3.0 * matrix.entries[:, 2]
 print("\nobserved column", x)
 print("distance to each plane:", np.abs(planes.normals @ x).round(4))
 best, distance = planes.classify(x[:, None])

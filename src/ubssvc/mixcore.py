@@ -169,9 +169,6 @@ class MixingMatrix:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def column(self, j: int) -> np.ndarray:
-        return self.entries[:, j]
-
 
 def default_mixing_matrix() -> MixingMatrix:
     """The built-in 3x4 reference matrix (mixes 4 source frames into 3)."""

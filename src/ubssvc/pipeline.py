@@ -94,6 +94,8 @@ class CodecConfig:
     def __post_init__(self):
         if self.matrix is None:
             object.__setattr__(self, "matrix", default_mixing_matrix())
+        elif not isinstance(self.matrix, MixingMatrix):
+            raise TypeError(f"matrix must be a MixingMatrix, got {type(self.matrix).__name__}")
         check_tau(self.tau)
         if self.quantization not in (QUANT_FLOAT, QUANT_AFFINE):
             raise ValueError(f"unknown quantization mode {self.quantization!r}")

@@ -77,17 +77,20 @@ def nearest_subspace_recovery(matrix, x, zero_eps=0.0):
 
 
 def haar2_reference(plane) -> dict:
-    """One-level orthonormal 2-D Haar by explicit pair loops."""
+    """One-level orthonormal 2-D Haar by explicit pair loops.
+
+    Rows pass of sums and differences, then columns pass of those, halved:
+    each coefficient is (+-a +-b +-c +-d) / 2, the orthonormal 1/sqrt2 twice.
+    """
     a = np.asarray(plane, dtype=float)
     h, w = a.shape
     assert h % 2 == 0 and w % 2 == 0
-    s = math.sqrt(2.0)
     row_lo = np.empty((h, w // 2))
     row_hi = np.empty((h, w // 2))
     for r in range(h):
         for c in range(0, w, 2):
-            row_lo[r, c // 2] = (a[r, c] + a[r, c + 1]) / s
-            row_hi[r, c // 2] = (a[r, c] - a[r, c + 1]) / s
+            row_lo[r, c // 2] = a[r, c] + a[r, c + 1]
+            row_hi[r, c // 2] = a[r, c] - a[r, c + 1]
     out = {
         "ll": np.empty((h // 2, w // 2)),
         "lh": np.empty((h // 2, w // 2)),
@@ -96,34 +99,33 @@ def haar2_reference(plane) -> dict:
     }
     for c in range(w // 2):
         for r in range(0, h, 2):
-            out["ll"][r // 2, c] = (row_lo[r, c] + row_lo[r + 1, c]) / s
-            out["hl"][r // 2, c] = (row_lo[r, c] - row_lo[r + 1, c]) / s
-            out["lh"][r // 2, c] = (row_hi[r, c] + row_hi[r + 1, c]) / s
-            out["hh"][r // 2, c] = (row_hi[r, c] - row_hi[r + 1, c]) / s
+            out["ll"][r // 2, c] = (row_lo[r, c] + row_lo[r + 1, c]) * 0.5
+            out["hl"][r // 2, c] = (row_lo[r, c] - row_lo[r + 1, c]) * 0.5
+            out["lh"][r // 2, c] = (row_hi[r, c] + row_hi[r + 1, c]) * 0.5
+            out["hh"][r // 2, c] = (row_hi[r, c] - row_hi[r + 1, c]) * 0.5
     return out
 
 
 def haar2_inverse_reference(ll, lh, hl, hh) -> np.ndarray:
     """Inverse of :func:`haar2_reference` by explicit pair loops.
 
-    Same arithmetic per pixel as the library (columns pass, then rows pass),
-    so the results agree bit for bit.
+    Same arithmetic per pixel as the library (columns pass of sums and
+    differences, then rows pass, halved), so the results agree bit for bit.
     """
     h, w = np.shape(ll)
-    s = math.sqrt(2.0)
     row_lo = np.empty((2 * h, w))
     row_hi = np.empty((2 * h, w))
     for r in range(h):
         for c in range(w):
-            row_lo[2 * r, c] = (ll[r, c] + hl[r, c]) / s
-            row_lo[2 * r + 1, c] = (ll[r, c] - hl[r, c]) / s
-            row_hi[2 * r, c] = (lh[r, c] + hh[r, c]) / s
-            row_hi[2 * r + 1, c] = (lh[r, c] - hh[r, c]) / s
+            row_lo[2 * r, c] = ll[r, c] + hl[r, c]
+            row_lo[2 * r + 1, c] = ll[r, c] - hl[r, c]
+            row_hi[2 * r, c] = lh[r, c] + hh[r, c]
+            row_hi[2 * r + 1, c] = lh[r, c] - hh[r, c]
     out = np.empty((2 * h, 2 * w))
     for r in range(2 * h):
         for c in range(w):
-            out[r, 2 * c] = (row_lo[r, c] + row_hi[r, c]) / s
-            out[r, 2 * c + 1] = (row_lo[r, c] - row_hi[r, c]) / s
+            out[r, 2 * c] = (row_lo[r, c] + row_hi[r, c]) * 0.5
+            out[r, 2 * c + 1] = (row_lo[r, c] - row_hi[r, c]) * 0.5
     return out
 
 

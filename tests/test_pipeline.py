@@ -648,6 +648,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             CodecConfig(tau=-0.5)
 
+    @pytest.mark.parametrize("matrix", [np.ones((3, 4)), [[1.0, 0.0], [0.0, 1.0]], "default"])
+    def test_matrix_must_be_a_mixing_matrix(self, matrix):
+        # a bare array is not coerced; without this check it failed later,
+        # inside encode_sequence, on a missing ``rows`` attribute
+        with pytest.raises(TypeError, match="MixingMatrix"):
+            CodecConfig(matrix=matrix)
+
     @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
     def test_non_finite_tau_rejected(self, tau):
         with pytest.raises(ValueError, match="tau must be finite"):

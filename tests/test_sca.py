@@ -86,12 +86,12 @@ class TestColumnResidual:
     # the kernel's plane residual is |normal . x|; the oracle is ||x - P x||
     def test_membership_by_construction(self, matrix):
         hs = build_hyperplanes(matrix)
-        x = 2.0 * matrix.column(0) + 3.0 * matrix.column(2)
+        x = 2.0 * matrix.entries[:, 0] + 3.0 * matrix.entries[:, 2]
         assert abs(hs.normals[hs.index_sets.tolist().index([0, 2])] @ x) <= 1e-12
 
     def test_frozen_oracle_value(self, matrix):
         hs = build_hyperplanes(matrix)
-        x = matrix.column(3)
+        x = matrix.entries[:, 3]
         value = abs(hs.normals[0] @ x)  # index set (0, 1)
         oracle = np.linalg.norm(x - gs_projection(matrix.entries[:, [0, 1]], x))
         assert value == pytest.approx(oracle, abs=1e-14)
@@ -121,7 +121,7 @@ class TestColumnResidual:
 class TestClassifyColumn:
     def test_in_plane_column(self, matrix):
         hs = build_hyperplanes(matrix)
-        x = 2.0 * matrix.column(0) + 3.0 * matrix.column(2)
+        x = 2.0 * matrix.entries[:, 0] + 3.0 * matrix.entries[:, 2]
         best, _ = hs.classify(x[:, None])
         assert tuple(hs.index_sets[best[0]]) == (0, 2)
         recovered, stats = recover_block(hs, x[:, None], tau=1e-8)
@@ -134,7 +134,7 @@ class TestClassifyColumn:
         assert recovered.tolist() == [[0.0], [0.0], [0.0], [0.0]]
         assert stats.zero_columns == 1 and stats.residuals.size == 0
         # the zero threshold is relative: 1e-12 of the largest column norm
-        x = np.stack([matrix.column(1), 1e-13 * matrix.column(1)], axis=1)
+        x = np.stack([matrix.entries[:, 1], 1e-13 * matrix.entries[:, 1]], axis=1)
         recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         assert stats.zero_columns == 1 and stats.residuals.size == 1
         assert not recovered[:, 1].any()
@@ -152,16 +152,16 @@ class TestClassifyColumn:
         assert_allclose(recovered[[0, 1]], hs.coefficient_maps[0] @ x, atol=1e-12)
         assert not recovered[[2, 3]].any()
         # a single active column lies in three planes; any of them rebuilds it
-        best, _ = hs.classify(matrix.column(0)[:, None])
+        best, _ = hs.classify(matrix.entries[:, 0][:, None])
         assert 0 in hs.index_sets[best[0]]
-        recovered, _ = recover_block(hs, matrix.column(0)[:, None], tau=1e-8)
-        oracle = lstsq_coefficients(matrix.entries[:, [0, 1]], matrix.column(0))
+        recovered, _ = recover_block(hs, matrix.entries[:, 0][:, None], tau=1e-8)
+        oracle = lstsq_coefficients(matrix.entries[:, [0, 1]], matrix.entries[:, 0])
         assert_allclose(oracle, [1.0, 0.0], atol=1e-12)
         assert_allclose(recovered[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
     def test_scale_invariance(self, matrix):
         hs = build_hyperplanes(matrix)
-        x = (1.5 * matrix.column(1) - 0.25 * matrix.column(3))[:, None]
+        x = (1.5 * matrix.entries[:, 1] - 0.25 * matrix.entries[:, 3])[:, None]
         base_best, _ = hs.classify(x)
         base, base_stats = recover_block(hs, x, tau=1e-8)
         for c in (2.0, -1.0, 1e-6, 1e6):
@@ -280,7 +280,7 @@ class TestReconstructColumn:
 
     def test_zero_assignment(self, matrix):
         x = np.zeros((3, 6))
-        x[:, 2] = matrix.column(1) + matrix.column(3)
+        x[:, 2] = matrix.entries[:, 1] + matrix.entries[:, 3]
         recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         assert stats.zero_columns == 5
         assert not np.delete(recovered, 2, axis=1).any()
@@ -349,7 +349,7 @@ class TestRecoverBlock:
 
     def test_tie_safety(self, matrix):
         # a column in several planes reconstructs identically from any of them
-        x = 4.0 * matrix.column(2)
+        x = 4.0 * matrix.entries[:, 2]
         target = np.array([0.0, 0.0, 4.0, 0.0])
         for index_set in ((0, 2), (1, 2), (2, 3)):
             lam = lstsq_coefficients(matrix.entries[:, index_set], x)
@@ -505,7 +505,7 @@ class TestStackedRecovery:
         # group 0's small column sits under its own threshold; group 1 is all
         # small, so the same size is active there
         big = matrix.entries @ sparse_source(seed=4, t=6)
-        big[:, 2] = 1e-13 * matrix.column(0)
+        big[:, 2] = 1e-13 * matrix.entries[:, 0]
         small = 1e-15 * (matrix.entries @ sparse_source(seed=5, t=6))
         stacked = np.stack([big, small])
         recovered, stats = recover_block(build_hyperplanes(matrix), stacked, tau=1e-8)

@@ -116,6 +116,40 @@ class TestSlabs:
         assert haar_inverse(bands).shape == (0, 6, 4)
 
 
+class TestForwardSlabs:
+    @pytest.mark.parametrize("slab_rows", [1, 2, 3, 5, 7, 100])
+    def test_slabs_give_whole_call_bits(self, rng, monkeypatch, slab_rows):
+        stack = rng.uniform(-300, 300, size=(2, 3, 14, 10))
+        whole = haar_forward(stack)
+        # one subband row of the stack is 2 * 3 * 5 float64s
+        monkeypatch.setattr(wavelet, "SLAB_BYTES", slab_rows * 2 * 3 * 5 * 8)
+        bands = haar_forward(stack)
+        for got, want in zip(bands, whole):
+            assert np.array_equal(got, want)
+        reference = haar2_reference(stack[1, 2])
+        for name, got in zip(BANDS, bands):
+            assert np.array_equal(got[1, 2], reference[name])
+
+    @pytest.mark.parametrize(
+        "shape, slabs",
+        [
+            ((8, 3, 64, 64), 1),  # a run of eight 64x64 groups: 192 KiB per band, one slab
+            ((1, 3, 288, 352), 3),  # CIF: 62-row slabs
+            ((1, 3, 720, 1280), 22),  # 720p: 17-row slabs
+        ],
+    )
+    def test_slab_count(self, monkeypatch, shape, slabs):
+        calls = []
+        inner = wavelet._forward_slab
+        monkeypatch.setattr(wavelet, "_forward_slab", lambda *args: calls.append(inner(*args)))
+        haar_forward(np.zeros(shape))
+        assert len(calls) == slabs
+
+    def test_empty_stack(self):
+        bands = haar_forward(np.zeros((0, 6, 4)))
+        assert [band.shape for band in bands] == [(0, 3, 2)] * 4
+
+
 class TestProperties:
     def test_perfect_reconstruction_many_shapes(self, rng):
         for _ in range(50):
@@ -124,6 +158,20 @@ class TestProperties:
             plane = rng.uniform(0, 255, size=(h, w))
             back = haar_inverse(haar_forward(plane))
             assert np.abs(back - plane).max() <= 1e-12
+
+    @pytest.mark.parametrize("slab_bytes", [8, 100, 1 << 10, wavelet.SLAB_BYTES])
+    def test_round_trip_is_bitwise_on_8bit_and_float32_planes(self, rng, monkeypatch, slab_bytes):
+        # each coefficient is (+-a +-b +-c +-d) / 2, exact in float64 for
+        # such values, and so is every step back
+        monkeypatch.setattr(wavelet, "SLAB_BYTES", slab_bytes)
+        for _ in range(40):
+            lead = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(0, 3))))
+            shape = (*lead, 2 * int(rng.integers(1, 20)), 2 * int(rng.integers(1, 20)))
+            pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
+            codes = rng.uniform(-300, 300, size=shape).astype(np.float32)
+            for plane in (pixels, codes):
+                back = haar_inverse(haar_forward(plane))
+                assert np.array_equal(back, plane)
 
     def test_parseval(self, rng):
         for _ in range(20):
