@@ -6,7 +6,7 @@ sources back by classifying wavelet-coefficient columns onto the subspaces
 spanned by the matrix columns.
 """
 from .cli import BenchResult, compression_ratio
-from .metrics import QualityReport, frame_mse, frame_psnr, sequence_report
+from .metrics import QualityReport, sequence_report
 from .mixcore import (
     MixingMatrix,
     SparsityReport,
@@ -64,8 +64,6 @@ __all__ = [
     "decode_sequence",
     "default_mixing_matrix",
     "encode_sequence",
-    "frame_mse",
-    "frame_psnr",
     "generalized_inverse",
     "generate",
     "haar_forward",

@@ -1,4 +1,4 @@
-"""MSE / PSNR in the 8-bit display domain, plus sequence aggregation.
+"""Per-frame MSE / PSNR of two frame sequences in the 8-bit display domain.
 
 Both inputs are clamped to [0, 255] and rounded before comparison, matching
 the 255^2 peak in the PSNR definition. Identical frames get an infinite
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixcore import WORKERS, as_sequence
+from .mixcore import NOT_FINITE, WORKERS, _to_sequence, all_finite
 
 PEAK_SQUARED = 255.0 * 255.0
 
@@ -20,49 +20,47 @@ PEAK_SQUARED = 255.0 * 255.0
 SLAB_BYTES = 1 << 20
 
 
-def frame_mse(a, b) -> float:
-    """Mean squared pixel difference between two (H, W) planes."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ValueError(f"frame dimensions differ: {a.shape} vs {b.shape}")
-    return float(_squared_error_sums(a[None], b[None])[0] / a.size)
-
-
 def _squared_error_sums(originals, reconstructions) -> np.ndarray:
     """Sum of squared 8-bit differences of each frame of two (count, H, W) arrays.
 
-    Works through slabs of frames, which ``WORKERS`` threads share out;
-    each thread has two reused buffers (clip, +0.5 and floor in place,
-    subtract, one dot product per frame) and sums of its own. Snapped
-    pixels are integers, so each sum is exact in float64 whatever the
-    order of its additions, and so whatever the split.
+    Works through slabs of whole pixel rows, several frames or a band of
+    one, which ``WORKERS`` threads share out; each thread has two reused
+    buffers (+0.5, floor and clip in place, subtract, one dot product per
+    frame) and sums of its own. Snapped pixels are integers, so each sum
+    is exact in float64 whatever the order of its additions, and so
+    whatever the split. Each slab is checked for non-finite pixels while
+    it is in cache, before clipping would turn an infinity into 0 or 255.
     """
-    count = len(originals)
-    originals = originals.reshape(count, -1)
-    reconstructions = reconstructions.reshape(count, -1)
-    plane = originals.shape[1]
-    width = max(1, min(plane, SLAB_BYTES // 8))  # pixels of one frame per slab row
-    step = max(1, SLAB_BYTES // (8 * width))  # frames per slab
+    count, height, width = originals.shape
+    band = max(1, min(height, SLAB_BYTES // (8 * width)))  # rows of one frame per slab
+    step = max(1, SLAB_BYTES // (8 * width * band))  # frames per slab
     slabs = [
-        np.s_[start : start + step, left : left + width]
+        np.s_[start : start + step, top : top + band]
         for start in range(0, count, step)
-        for left in range(0, plane, width)
+        for top in range(0, height, band)
     ]
 
     def sums_of(share) -> np.ndarray:
-        snapped = np.empty((min(step, count), width))
+        snapped = np.empty((min(step, count), band, width))
         other = np.empty_like(snapped)
+        # each pixel row dotted with zeros: NaN or +-inf make its result NaN
+        zeros, dots = np.zeros(width), np.zeros(len(snapped) * band)
         sums = np.zeros(count)
         for piece in share:
-            rows, cols = originals[piece].shape
-            a, b = snapped[:rows, :cols], other[:rows, :cols]
-            for buf, frames in ((a, originals), (b, reconstructions)):
-                np.clip(frames[piece], 0.0, 255.0, out=buf)
-                buf += 0.5
+            frames, rows = originals[piece].shape[:2]
+            a, b = snapped[:frames, :rows], other[:frames, :rows]
+            for buf, source in ((a, originals), (b, reconstructions)):
+                # floor(clip(x) + 0.5) == clip(floor(x + 0.5)) for finite x
+                np.add(source[piece], 0.5, out=buf)
+                # a slab is whole frames or rows of one frame, so buf is contiguous
+                with np.errstate(invalid="ignore"):
+                    np.matmul(buf.reshape(-1, width), zeros, out=dots[: frames * rows])
+                if not np.isfinite(dots).all():
+                    raise ValueError(NOT_FINITE)
                 np.floor(buf, out=buf)
+                np.clip(buf, 0.0, 255.0, out=buf)
             a -= b
-            sums[piece[0]] += np.einsum("ij,ij->i", a, a)
+            sums[piece[0]] += np.einsum("ijk,ijk->i", a, a)
         return sums
 
     workers = min(WORKERS, len(slabs))
@@ -76,11 +74,6 @@ def _squared_error_sums(originals, reconstructions) -> np.ndarray:
 
 def _psnr(mse: float) -> float:
     return math.inf if mse == 0.0 else 10.0 * math.log10(PEAK_SQUARED / mse)
-
-
-def frame_psnr(a, b) -> float:
-    """10 log10(255^2 / MSE) in dB; math.inf when the frames match."""
-    return _psnr(frame_mse(a, b))
 
 
 @dataclass(frozen=True)
@@ -117,27 +110,36 @@ class QualityReport:
 def sequence_report(originals, reconstructions) -> QualityReport:
     """Per-frame metrics plus the mean PSNR over finite entries.
 
-    Both sequences are (count, H, W) arrays or iterables of planes; each
-    frame's MSE is computed once, as in :func:`frame_mse`, and its PSNR
-    derived from it.
+    Both sequences are (count, H, W) arrays or iterables of planes of one
+    shape, with finite pixels (for one pair of planes, pass 1-frame
+    sequences); each frame's MSE is computed once, in one pass over both
+    that checks each slab for non-finite pixels, and its PSNR derived from
+    it. The inputs are scanned whole only when a shape check fails, so
+    that a non-finite pixel is still the error reported first.
     """
-    originals = as_sequence(originals)
-    reconstructions = as_sequence(reconstructions)
-    if len(originals) != len(reconstructions):
-        raise ValueError(
-            f"sequence lengths differ: {len(originals)} vs {len(reconstructions)}"
-        )
-    if not len(originals):
-        raise ValueError("cannot report on empty sequences")
-    if originals.shape != reconstructions.shape:
-        raise ValueError(
-            f"frame dimensions differ: {originals.shape[1:]} vs {reconstructions.shape[1:]}"
-        )
+    checked = [_to_sequence(originals)]
+    try:
+        checked.append(_to_sequence(reconstructions))
+        originals, reconstructions = checked
+        if len(originals) != len(reconstructions):
+            raise ValueError(
+                f"sequence lengths differ: {len(originals)} vs {len(reconstructions)}"
+            )
+        if not len(originals):
+            raise ValueError("cannot report on empty sequences")
+        if originals.shape != reconstructions.shape:
+            raise ValueError(
+                f"frame dimensions differ: {originals.shape[1:]} vs {reconstructions.shape[1:]}"
+            )
+    except ValueError:
+        if all(all_finite(arr) for arr in checked):
+            raise
+        raise ValueError(NOT_FINITE) from None
     return _report(originals, reconstructions)
 
 
 def _report(originals, reconstructions) -> QualityReport:
-    """:func:`sequence_report` of two (count, H, W) float64 arrays already checked."""
+    """:func:`sequence_report` of two float64 arrays of one checked (count, H, W) shape."""
     plane = originals[0].size
     mses = tuple(float(total / plane) for total in _squared_error_sums(originals, reconstructions))
     psnrs = tuple(_psnr(mse) for mse in mses)

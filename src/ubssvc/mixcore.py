@@ -1,10 +1,11 @@
 """Core data model: frame sequences and the mixing matrix.
 
-A sequence of frames is one (count, height, width) float64 array, checked
-once where it enters the codec (:func:`as_sequence`); 8-bit integers appear
-only at the I/O boundary. Mixed frames routinely exceed the [0, 255] source
-range (the reference matrix has row sums up to 1.75), so nothing in here
-clamps.
+A sequence of frames is one (count, height, width) float64 array of finite
+pixels, checked where it enters the codec: by :func:`as_sequence`, or, in
+encode and score, which read each input once, by a shape check up front
+and checks the pixels pass anyway. 8-bit integers appear only at the I/O
+boundary. Mixed frames routinely exceed the [0, 255] source range (the
+reference matrix has row sums up to 1.75), so nothing in here clamps.
 
 A mixing matrix must be underdetermined (fewer rows than columns) and every
 square submatrix of it must be nonsingular. That second condition is what
@@ -29,6 +30,9 @@ DEFAULT_ZERO_EPS = 1e-12
 DET_FLOOR = 1e-9
 # Largest condition number of the Gram matrix A A^T a mixing matrix may have.
 GRAM_COND_BOUND = 1e12
+
+# The error every entry point raises for a NaN or infinite pixel.
+NOT_FINITE = "frame pixels must be finite"
 
 # Threads that share out the tiles of an encode, a decode or a score: the
 # CPUs this process may use.
@@ -89,6 +93,14 @@ def as_sequence(frames) -> np.ndarray:
     C-contiguous float64 array passes through without a copy; every pixel
     must be finite.
     """
+    arr = _to_sequence(frames)
+    if not all_finite(arr):
+        raise ValueError(NOT_FINITE)
+    return arr
+
+
+def _to_sequence(frames) -> np.ndarray:
+    """:func:`as_sequence` without the finiteness scan: conversion and shape only."""
     if isinstance(frames, np.ndarray):
         arr = np.ascontiguousarray(frames, dtype=np.float64)
     else:
@@ -103,8 +115,6 @@ def as_sequence(frames) -> np.ndarray:
             f"a frame sequence must be a (count, height, width) array with positive "
             f"plane dimensions, got shape {arr.shape}"
         )
-    if not all_finite(arr):
-        raise ValueError("frame pixels must be finite")
     return arr
 
 

@@ -39,9 +39,11 @@ from .metrics import QualityReport, _report
 from .mixcore import (
     DEFAULT_MATRIX_ENTRIES,
     DEFAULT_ZERO_EPS,
+    NOT_FINITE,
     WORKERS,
     MixingMatrix,
     _read_only,
+    _to_sequence,
     all_finite,
     as_sequence,
     default_mixing_matrix,
@@ -164,12 +166,28 @@ class EncodedSequence:
 
 
 def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
-    """Group and mix a (count, H, W) source sequence into its storage codes."""
-    return _encode(as_sequence(frames), cfg)
+    """Group and mix a (count, H, W) source sequence into its storage codes.
+
+    Every pixel must be finite, but only the tail frames, which are never
+    mixed, are scanned for it up front. A NaN or infinite source pixel
+    makes at least one mixed value of its pixel NaN or infinite, as no
+    column of the matrix is all zero, and the range check of the codes
+    rejects that; only then are the sources scanned, so that the error
+    names the pixels, as :func:`as_sequence` does.
+    """
+    src = _to_sequence(frames)
+    if not all_finite(src[len(src) - len(src) % cfg.matrix.cols :]):
+        raise ValueError(NOT_FINITE)
+    try:
+        return _encode(src, cfg)
+    except ValueError:
+        if all_finite(src):
+            raise
+        raise ValueError(NOT_FINITE) from None
 
 
 def _encode(src, cfg: CodecConfig) -> EncodedSequence:
-    """:func:`encode_sequence` of a (count, H, W) float64 array already checked.
+    """:func:`encode_sequence` of a (count, H, W) float64 array whose shape is checked.
 
     The groups are mixed task by task, each task writing the codes of its
     pixels, so the mixed values never exist as one whole-sequence array. A

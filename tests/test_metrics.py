@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import psnr_reference
-from ubssvc import frame_mse, frame_psnr, sequence_report
+from ubssvc import metrics as metrics_module
+from ubssvc import mixcore, pipeline, sequence_report
 
 # frozen: 10*log10(255^2 / 16^2) and 20*log10(2)
 PSNR_DIFF16 = 24.04840395556061
@@ -14,6 +15,16 @@ DOUBLING_DROP = 6.020599913279624
 
 def _const(value, shape=(4, 4)):
     return np.full(shape, float(value))
+
+
+def frame_mse(a, b) -> float:
+    """The MSE of one pair of (H, W) planes, scored as 1-frame sequences."""
+    return sequence_report([a], [b]).per_frame_mse[0]
+
+
+def frame_psnr(a, b) -> float:
+    """The PSNR of one pair of (H, W) planes, scored as 1-frame sequences."""
+    return sequence_report([a], [b]).per_frame_psnr[0]
 
 
 class TestFrameMse:
@@ -154,6 +165,48 @@ class TestSequenceReport:
         before = threading.active_count()
         assert sequence_report(ref, test).per_frame_mse == whole.per_frame_mse
         assert threading.active_count() == before
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("slab_bytes", [8 * 6, 8 * 35 * 2, 1 << 20])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_pixel_in_any_slab_raises(self, rng, monkeypatch, slab_bytes, workers):
+        # each slab is checked: a bad pixel in the first or last slab of
+        # either argument fails the report, and no thread outlives it
+        monkeypatch.setattr(metrics_module, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(metrics_module, "WORKERS", workers)
+        ref = rng.uniform(-10, 265, size=(7, 5, 7))
+        before = threading.active_count()
+        for value in (np.nan, np.inf, -np.inf):
+            for where in ((0, 0, 0), (-1, -1, -1)):
+                for side in range(2):
+                    pair = [ref.copy(), ref.copy()]
+                    pair[side][where] = value
+                    with pytest.raises(ValueError, match="frame pixels must be finite"):
+                        sequence_report(*pair)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_pixel_is_reported_before_a_shape_error(self, value):
+        # as when each input was scanned whole before the shapes were compared
+        good, bad = np.zeros((3, 4, 4)), np.zeros((3, 4, 4))
+        bad[1, 2, 3] = value
+        for pair in ((bad, np.zeros((2, 4, 4))), (good[:2], bad), (bad, np.zeros((3, 4, 5))), (bad, [])):
+            with pytest.raises(ValueError, match="frame pixels must be finite"):
+                sequence_report(*pair)
+        with pytest.raises(ValueError, match="a frame sequence must be"):
+            sequence_report(good, np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="sequence lengths differ"):
+            sequence_report(good, good[:2])
+
+    def test_no_whole_array_scan(self, rng, monkeypatch):
+        # the slabs are the only check: all_finite is never called on success
+        scans = []
+        for module in (mixcore, pipeline, metrics_module):
+            scan = module.all_finite
+            monkeypatch.setattr(module, "all_finite", lambda arr, scan=scan: scans.append(arr) or scan(arr))
+        ref = rng.uniform(0, 250, size=(5, 6, 7))
+        report = sequence_report(ref, ref + 1.0)
+        assert scans == [] and report.per_frame_mse == (1.0,) * 5
 
     def test_serializations(self):
         report = sequence_report([_const(0), _const(5)], [_const(16), _const(5)])

@@ -449,6 +449,58 @@ class TestTiledEncode:
                 encode_sequence(frames, CodecConfig(quantization=quantization))
         assert threading.active_count() == before
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    @pytest.mark.parametrize("tile", [7, pipeline_module.TILE])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_pixel_anywhere_raises(self, quantization, tile, workers):
+        # the sources are not scanned up front; a bad pixel in the first group,
+        # in the last row tile or in the tail still names the pixels
+        frames = synth.generate("sparse-detail", 9, 30, 21, seed=3)
+        cfg = CodecConfig(quantization=quantization)
+        before = threading.active_count()
+        for value in (np.nan, np.inf, -np.inf):
+            for where in ((0, 0, 0), (4, -1, -1), (8, 3, 5)):
+                bad = frames.copy()
+                bad[where] = value
+                with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=workers):
+                    with pytest.raises(ValueError, match="frame pixels must be finite"):
+                        encode_sequence(bad, cfg)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    def test_non_finite_pixel_is_reported_before_other_errors(self, quantization):
+        # as when the sources were scanned whole before the encode
+        cfg = CodecConfig(quantization=quantization)
+        frames = np.full((8, 4, 4), 1e308)
+        frames[5, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="frame pixels must be finite"):
+            encode_sequence(frames, cfg)
+        with pytest.raises(ValueError, match="frame pixels must be finite"):
+            encode_sequence(np.full((3, 4, 4), np.inf), cfg)
+        with pytest.raises(ValueError, match="float32 range"):
+            encode_sequence(np.full((8, 4, 4), 1e308), cfg)
+
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    @pytest.mark.parametrize("count", [8, 11])
+    def test_only_the_tail_is_scanned(self, monkeypatch, quantization, count):
+        # mixed sources are checked by the codes' range check, not by a scan
+        import ubssvc.metrics as metrics_module
+        import ubssvc.mixcore as mixcore_module
+
+        scans = []
+        for module in (mixcore_module, pipeline_module, metrics_module):
+            scan = module.all_finite
+            monkeypatch.setattr(module, "all_finite", lambda arr, scan=scan: scans.append(arr) or scan(arr))
+        frames = synth.generate("sparse-detail", count, 30, 21, seed=3)
+        with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
+            enc = encode_sequence(frames, CodecConfig(quantization=quantization))
+        # float codes are scanned as the EncodedSequence check; no float64 array but the tail
+        sources = [arr for arr in scans if arr.dtype == np.float64]
+        assert len(sources) == 1 and np.array_equal(sources[0], frames[8:])
+        assert len(scans) == 1 + (quantization == "float-container")
+        assert len(enc.tail_codes) == count % 4
+
     def test_many_workers_with_fast_switching(self):
         # more threads than cores, switching every microsecond: tiles write
         # disjoint rows of the codes, so none is lost
