@@ -13,6 +13,7 @@ import time
 import numpy as np
 
 from ubssvc import build_hyperplanes, default_mixing_matrix, recover_block
+from ubssvc.sca import QUANTILE_PERCENTS
 
 matrix = default_mixing_matrix()
 planes = build_hyperplanes(matrix)
@@ -50,4 +51,4 @@ print(f"columns: zero={stats.zero_columns} clean={stats.clean_columns} forced={s
 sources[:, 123] = [10.0, -5.0, 3.0, 0.0]  # three active sources
 _, stats = recover_block(planes, matrix.entries @ sources, tau=1e-8)
 print(f"\nafter planting a 3-active column: forced={stats.forced_columns}")
-print("residual quantiles (0/25/50/75/100%):", stats.residual_quantiles())
+print(f"residual quantiles ({'/'.join(map(str, QUANTILE_PERCENTS))}%):", stats.residual_quantiles())

@@ -9,12 +9,9 @@ from .cli import BenchResult, compression_ratio
 from .metrics import QualityReport, sequence_report
 from .mixcore import (
     MixingMatrix,
-    SparsityReport,
     as_sequence,
-    check_sparsity,
     default_mixing_matrix,
     generalized_inverse,
-    mix_block,
     snap_to_8bit,
 )
 from .pipeline import (
@@ -56,10 +53,8 @@ __all__ = [
     "QualityReport",
     "RecoveryStats",
     "RoundtripReport",
-    "SparsityReport",
     "as_sequence",
     "build_hyperplanes",
-    "check_sparsity",
     "compression_ratio",
     "decode_sequence",
     "default_mixing_matrix",
@@ -69,7 +64,6 @@ __all__ = [
     "haar_forward",
     "haar_inverse",
     "load_config",
-    "mix_block",
     "read_container",
     "read_sequence",
     "recover_block",

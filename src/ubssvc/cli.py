@@ -22,6 +22,7 @@ import numpy as np
 from . import pipeline, synth, vio
 from .mixcore import DEFAULT_MATRIX_ENTRIES, MixingMatrix, mixing_evidence
 from .pipeline import QUANT_AFFINE, QUANT_FLOAT, CodecConfig
+from .sca import QUANTILE_PERCENTS
 
 _QUANT_FLAG = {"float": QUANT_FLOAT, "affine8": QUANT_AFFINE}
 
@@ -252,7 +253,7 @@ def _print_stats(stats) -> None:
     q = stats.residual_quantiles()
     if q:
         print(
-            "relative residual quantiles (0/25/50/75/100%): "
+            f"relative residual quantiles ({'/'.join(map(str, QUANTILE_PERCENTS))}%): "
             + " ".join(f"{v:.3e}" for v in q)
         )
 
@@ -262,8 +263,8 @@ def _print_stats_porcelain(stats) -> None:
     print(f"columns.zero={stats.zero_columns}")
     print(f"columns.clean={stats.clean_columns}")
     print(f"columns.forced={stats.forced_columns}")
-    for prob, value in zip((0, 25, 50, 75, 100), stats.residual_quantiles()):
-        print(f"residual.q{prob}={value!r}")
+    for percent, value in zip(QUANTILE_PERCENTS, stats.residual_quantiles()):
+        print(f"residual.q{percent}={value!r}")
 
 
 def _cmd_roundtrip(args) -> int:

@@ -61,13 +61,13 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 def snap_to_8bit(values) -> np.ndarray:
     """Clamp to [0, 255] and round half away from zero.
 
-    Returns float64 values that are exactly representable as uint8. This is
-    the definition of the 8-bit display domain used by serialization and
-    tail-frame passthrough; :mod:`ubssvc.metrics` applies the same steps in
-    place, in reused buffers.
+    Returns the uint8 codes. This is the definition of the 8-bit display
+    domain used by serialization and tail-frame passthrough;
+    :mod:`ubssvc.metrics` applies the same steps in place, in reused
+    buffers.
     """
     arr = np.asarray(values, dtype=np.float64)
-    return np.floor(np.clip(arr, 0.0, 255.0) + 0.5)
+    return np.floor(np.clip(arr, 0.0, 255.0) + 0.5).astype(np.uint8)
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -185,20 +185,6 @@ def default_mixing_matrix() -> MixingMatrix:
     return MixingMatrix(DEFAULT_MATRIX_ENTRIES)
 
 
-def mix_block(matrix: MixingMatrix, sources) -> np.ndarray:
-    """Mix n source frames into m frames: pixelwise x = A s.
-
-    ``sources`` is an (..., n, H, W) array, one group of n frames or a stack
-    of groups; the result is (..., m, H, W). Every group goes through one
-    batched ``matmul``, which gives the same bits as mixing it alone.
-    """
-    s = np.asarray(sources, dtype=np.float64)
-    if s.ndim < 3 or s.shape[-3] != matrix.cols:
-        raise ValueError(f"sources must be (..., {matrix.cols}, H, W) for this matrix, got {s.shape}")
-    mixed = np.matmul(matrix.entries, s.reshape(*s.shape[:-2], -1))
-    return mixed.reshape(*s.shape[:-3], matrix.rows, *s.shape[-2:])
-
-
 def generalized_inverse(matrix: MixingMatrix) -> np.ndarray:
     """Minimum-norm right inverse A+ = A^T (A A^T)^-1, as an (n, m) array.
 
@@ -208,42 +194,3 @@ def generalized_inverse(matrix: MixingMatrix) -> np.ndarray:
     """
     gram = matrix.entries @ matrix.entries.T
     return np.linalg.solve(gram, matrix.entries).T
-
-
-@dataclass(frozen=True)
-class SparsityReport:
-    """Per-column nonzero census of a source matrix against the m-1 bound.
-
-    ``histogram[k]`` counts columns with exactly k nonzeros.
-    """
-
-    satisfied: bool
-    max_nonzeros: int
-    fraction_ok: float
-    histogram: tuple[int, ...]
-    column_count: int
-
-
-def check_sparsity(source, m: int, zero_eps: float = DEFAULT_ZERO_EPS) -> SparsityReport:
-    """Count nonzeros per column; satisfied iff every column has <= m-1.
-
-    ``source`` is an (n, T) array. Diagnostic only: real video only
-    approximates the bound and the recovery stage tolerates violations,
-    this just quantifies them.
-    """
-    mat = np.asarray(source, dtype=np.float64)
-    if mat.ndim != 2:
-        raise ValueError("source must be 2-D")
-    n, t = mat.shape
-    if not 1 <= m <= n:
-        raise ValueError(f"m = {m} must be in 1..{n}")
-    counts = np.count_nonzero(np.abs(mat) > zero_eps, axis=0)
-    hist = np.bincount(counts, minlength=n + 1) if t else np.zeros(n + 1, dtype=int)
-    ok = counts <= m - 1
-    return SparsityReport(
-        satisfied=bool(ok.all()) if t else True,
-        max_nonzeros=int(counts.max()) if t else 0,
-        fraction_ok=float(ok.mean()) if t else 1.0,
-        histogram=tuple(int(c) for c in hist),
-        column_count=t,
-    )

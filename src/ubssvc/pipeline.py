@@ -259,7 +259,7 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
         scale=scale,
         offset=offset,
         mixed_codes=_read_only(codes.reshape(blocks * m, height, width)),
-        tail_codes=_read_only(snap_to_8bit(src[blocks * n :]).astype(TAIL_DTYPE)),
+        tail_codes=_read_only(snap_to_8bit(src[blocks * n :])),
     )
 
 

@@ -30,6 +30,9 @@ import numpy as np
 
 from .mixcore import DEFAULT_ZERO_EPS, MixingMatrix, _freeze
 
+# The percents at which :meth:`RecoveryStats.residual_quantiles` reports.
+QUANTILE_PERCENTS = (0, 25, 50, 75, 100)
+
 
 @dataclass(frozen=True, eq=False)
 class HyperplaneSet:
@@ -154,10 +157,11 @@ class RecoveryStats:
         if self.group_residuals is None:
             object.__setattr__(self, "group_residuals", np.array([self.residuals.size]))
 
-    def residual_quantiles(self, probs=(0.0, 0.25, 0.5, 0.75, 1.0)) -> tuple[float, ...]:
+    def residual_quantiles(self) -> tuple[float, ...]:
+        """The residuals at each percent of :data:`QUANTILE_PERCENTS`; empty when there are none."""
         if self.residuals.size == 0:
             return ()
-        return tuple(float(v) for v in np.quantile(self.residuals, probs))
+        return tuple(float(v) for v in np.quantile(self.residuals, np.divide(QUANTILE_PERCENTS, 100)))
 
     @classmethod
     def merged(cls, parts, by_group: bool = False) -> "RecoveryStats":
@@ -193,15 +197,6 @@ class RecoveryStats:
             floor=min(p.floor for p in parts),
             group_residuals=counts,
         )
-
-
-def _observations(mixed, dimension: int | None = None) -> np.ndarray:
-    x = np.asarray(mixed, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ValueError("mixed coefficients must be (m, T) or stacked (G, m, T)")
-    if dimension is not None and x.shape[-2] != dimension:
-        raise ValueError(f"mixed matrix has {x.shape[-2]} rows, matrix expects {dimension}")
-    return x
 
 
 def _columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -248,7 +243,11 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, peaks=None) -> tuple
     finite.
     """
     check_tau(tau)
-    x = _observations(mixed, planes.dimension)
+    x = np.asarray(mixed, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ValueError("mixed coefficients must be (m, T) or stacked (G, m, T)")
+    if x.shape[-2] != planes.dimension:
+        raise ValueError(f"mixed matrix has {x.shape[-2]} rows, matrix expects {planes.dimension}")
     columns, norms, own = _columns(x)
     if peaks is None:
         peaks = own

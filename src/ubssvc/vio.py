@@ -86,7 +86,7 @@ def _write_pgm(plane: np.ndarray, path) -> None:
     height, width = plane.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(snap_to_8bit(plane).astype(np.uint8).tobytes())
+        fh.write(snap_to_8bit(plane).tobytes())
 
 
 def _format_pattern(pattern: str, i: int) -> str:
@@ -186,7 +186,7 @@ def write_sequence(frames, pattern: str) -> list[str]:
 
 def sequence_stream_bytes(frames) -> bytes:
     """Concatenated 8-bit planes (frame-major, row-major) of a sequence."""
-    return b"".join(snap_to_8bit(plane).astype(np.uint8) for plane in as_sequence(frames))
+    return b"".join(snap_to_8bit(plane) for plane in as_sequence(frames))
 
 
 def mixed_stream_bytes(enc: EncodedSequence) -> bytes:

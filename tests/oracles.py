@@ -216,6 +216,20 @@ def psnr_reference(a, b) -> float:
     return 10.0 * math.log10(255.0 * 255.0 / mse)
 
 
+def sparsity_census(source, m, zero_eps=1e-12):
+    """Nonzero census of an (n, T) source against the m-1 bound, one column at a time.
+
+    Returns ``(counts, histogram, satisfied)``: per column the number of
+    entries above ``zero_eps`` in magnitude, as an array; ``histogram[k]``,
+    the number of columns with exactly k of them, for k = 0..n; and whether
+    every column has at most m-1.
+    """
+    columns = np.asarray(source, dtype=float).T
+    counts = np.array([sum(abs(float(v)) > zero_eps for v in column) for column in columns], dtype=int)
+    histogram = tuple(int(np.sum(counts == k)) for k in range(columns.shape[1] + 1))
+    return counts, histogram, all(c <= m - 1 for c in counts)
+
+
 def sparse_source(seed, n=4, t=10000, max_active=2, amplitude=100.0) -> np.ndarray:
     """Ground-truth sparse matrix: <= max_active nonzeros per column.
 

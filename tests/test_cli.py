@@ -200,7 +200,7 @@ class TestMixSeparate:
 
     def test_raw_input(self, tmp_path):
         frames = synth.generate("sparse-detail", 8, 8, 6, seed=12)
-        raw = snap_to_8bit(frames).astype(np.uint8).tobytes()
+        raw = snap_to_8bit(frames).tobytes()
         raw_path = tmp_path / "seq.raw"
         raw_path.write_bytes(raw)
         proc = run_cli(
