@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .wavelet import SLAB_BYTES
+
 DEFAULT_ZERO_EPS = 1e-12
 # Smallest |det| an m x m submatrix of a mixing matrix may have.
 DET_FLOOR = 1e-9
@@ -73,16 +75,21 @@ def snap_to_8bit(values) -> np.ndarray:
 def all_finite(values: np.ndarray) -> bool:
     """Whether every value of a float array is finite, with no full-size temporary.
 
-    One matrix-vector product dots each row of the last axis with zeros: a
-    finite value adds 0 to its row's result, NaN or +-inf make it NaN. So
-    1e308 passes, where a sum would overflow; the only temporary is one
-    value per row.
+    Walks row slabs of about :data:`~ubssvc.wavelet.SLAB_BYTES`, in each
+    one matrix-vector product that dots each row of the last axis with
+    zeros: a finite value adds 0 to its row's result, NaN or +-inf make it
+    NaN. So 1e308 passes, where a sum would overflow; the temporaries are
+    one value per row, and numpy's aligned copy of a slab when ``values``
+    is an unaligned view, such as a container's codes.
     """
     rows = values.reshape(-1, values.shape[-1])
+    zeros = np.zeros(rows.shape[1], dtype=values.dtype)
+    step = max(1, SLAB_BYTES // max(1, rows[:1].nbytes))
     # zeroed, because BLAS may scale the output buffer by beta = 0 and keep a NaN
     out = np.zeros(len(rows), dtype=values.dtype)
     with np.errstate(invalid="ignore"):
-        np.matmul(rows, np.zeros(rows.shape[1], dtype=values.dtype), out=out)
+        for top in range(0, len(rows), step):
+            np.matmul(rows[top : top + step], zeros, out=out[top : top + step])
     return bool(np.isfinite(out).all())
 
 
@@ -123,8 +130,8 @@ def mixing_evidence(entries) -> tuple[list[tuple[tuple[int, ...], float]], float
 
     Returns |det| of every m x m column submatrix, as (0-based column
     subset, magnitude) pairs in lexicographic subset order, and the
-    condition number of the Gram matrix A A^T, infinite when A A^T
-    overflows.
+    condition number of the Gram matrix A A^T, infinite when A A^T is
+    empty (m = 0) or overflows.
     """
     m, n = entries.shape
     with np.errstate(invalid="ignore"):  # non-finite entries give NaN, reported as is
@@ -133,7 +140,7 @@ def mixing_evidence(entries) -> tuple[list[tuple[tuple[int, ...], float]], float
             for cols in itertools.combinations(range(n), m)
         ]
     gram = entries @ entries.T
-    return dets, float(np.linalg.cond(gram)) if np.isfinite(gram).all() else math.inf
+    return dets, float(np.linalg.cond(gram)) if gram.size and np.isfinite(gram).all() else math.inf
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,8 @@ mode, uint8 on an affine grid (value = offset + scale * code) in
 affine-8bit mode. Tail frames are uint8. So writing a container and reading
 it back is lossless, and the file path reproduces the in-memory path bit
 for bit. The affine map is applied in one place each way: quantization in
-:func:`encode_sequence`, dequantization of one decode task at a time.
+:func:`encode_sequence`, dequantization of one row slab at a time inside
+each decode task's Haar transform.
 """
 from __future__ import annotations
 
@@ -332,14 +333,13 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
 
 
 def _dequantize(codes, affine) -> np.ndarray:
-    """Float64 values of (k, m, h, w) codes, edge-padded to even h and w.
+    """Float64 values of an array of codes, of any shape.
 
     ``affine`` is the (scale, offset) of affine-8bit codes, None for float
-    codes.
+    codes. Each value depends on its code alone, so :func:`haar_forward`
+    calls this on one row slab at a time and the values of a whole task
+    never exist at once.
     """
-    odd = (codes.shape[2] % 2, codes.shape[3] % 2)
-    if any(odd):
-        codes = np.pad(codes, ((0, 0), (0, 0), (0, odd[0]), (0, odd[1])), mode="edge")
     if affine is None:
         return codes.astype(np.float64)
     # offset + scale * code: cast and scale in one pass, then shift in place
@@ -358,18 +358,21 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[Re
     temporaries are freed before the next task allocates its own.
     """
     k, m, height, width = codes.shape
-    group = _dequantize(codes, affine)
+    if height % 2 or width % 2:
+        # edge-padded to even h and W in the code dtype, dequantized by slab below
+        codes = np.pad(codes, ((0, 0), (0, 0), (0, height % 2), (0, width % 2)), mode="edge")
+    bands = haar_forward(codes, lambda slab: _dequantize(slab, affine))
+    half = bands[0].shape[2:]
     # each band is popped into its recovery call, so its memory is freed once used
-    bands = [band.reshape(k, m, -1) for band in haar_forward(group)]
+    bands = [band.reshape(k, m, -1) for band in bands]
     recovered = [recover_dense(pinv, bands.pop(0))]
     stats = []
     for band_peaks in [None] * 3 if peaks is None else peaks:
         sources, band_stats = recover_block(planes, bands.pop(0), tau, band_peaks)
         recovered.append(sources)
         stats.append(band_stats)
-    half = (group.shape[2] // 2, group.shape[3] // 2)
     recovered = [r.reshape(k, -1, *half) for r in recovered]
-    if group.shape[2:] != (height, width):
+    if codes.shape[2:] != (height, width):
         dest[...] = haar_inverse(recovered)[..., :height, :width]
     else:
         haar_inverse(recovered, out=dest)

@@ -100,17 +100,20 @@ def _format_pattern(pattern: str, i: int) -> str:
         ) from exc
 
 
+def _frame_path(paths: dict, pattern: str, i: int) -> str:
+    """Frame ``i``'s path; a ValueError when ``paths`` (path -> index) holds it for an earlier frame."""
+    path = _format_pattern(pattern, i)
+    if path in paths:
+        raise ValueError(f"frame pattern {pattern!r} gives frames {paths[path]} and {i} the same path {path!r}")
+    return path
+
+
 def _expand_pattern(pattern: str) -> list[str]:
     if "{" in pattern:
-        paths = []
-        i = 0
-        while True:
-            candidate = _format_pattern(pattern, i)
-            if not os.path.exists(candidate):
-                break
-            paths.append(candidate)
-            i += 1
-        return paths
+        paths: dict[str, int] = {}
+        while os.path.exists(path := _frame_path(paths, pattern, len(paths))):
+            paths[path] = len(paths)
+        return list(paths)
     if any(ch in pattern for ch in "*?["):
         return sorted(glob.glob(pattern))
     if os.path.isdir(pattern):
@@ -166,22 +169,23 @@ def write_sequence(frames, pattern: str) -> list[str]:
     """Write frames as 8-bit PGM files; returns the paths written.
 
     Values are clamped to [0, 255] and rounded half away from zero. The
-    pattern may contain an ``{i}`` format field; otherwise an index suffix
-    is inserted before the extension.
+    pattern may contain an ``{i}`` format field, which must give each frame
+    its own path; otherwise an index suffix is inserted before the extension.
     """
     frames = as_sequence(frames)
     if "{" not in pattern:
         stem, ext = os.path.splitext(pattern)
         pattern = stem + "-{i:04d}" + (ext or ".pgm")
-    paths = []
-    for i, plane in enumerate(frames):
-        path = _format_pattern(pattern, i)
+    # every path is checked before the first file is written
+    paths: dict[str, int] = {}
+    for i in range(len(frames)):
+        paths[_frame_path(paths, pattern, i)] = i
+    for plane, path in zip(frames, paths):
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
         _write_pgm(plane, path)
-        paths.append(path)
-    return paths
+    return list(paths)
 
 
 def sequence_stream_bytes(frames) -> bytes:

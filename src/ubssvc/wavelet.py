@@ -26,6 +26,7 @@ BANDS = ("ll", "lh", "hl", "hh")
 # 2.1 to 1.7 ms inverse (4 planes, 46-row slabs); a 720p call fell from 26
 # to 22 ms forward (17-row slabs) and from 33 to 22 ms inverse (12-row
 # slabs); a run of eight 64x64 groups stays one slab either way.
+# mixcore.all_finite walks row slabs of the same size.
 SLAB_BYTES = 1 << 18
 
 
@@ -35,20 +36,26 @@ def _slabs(band) -> list[slice]:
     return [slice(top, top + rows) for top in range(0, band.shape[-2], rows)]
 
 
-def haar_forward(planes) -> tuple[np.ndarray, ...]:
+def haar_forward(planes, convert=None) -> tuple[np.ndarray, ...]:
     """One-level orthonormal Haar decomposition of (..., H, W) planes, H and W even.
 
     Returns four (..., H/2, W/2) arrays, the bands in :data:`BANDS` order:
     ll is the low-frequency approximation, lh horizontal detail (row-pass
     detail), hl vertical detail (column-pass detail), hh diagonal.
+    ``planes`` keeps its dtype; each row slab is turned into float64 as the
+    transform reaches it, by ``convert`` (an elementwise function of a
+    (..., rows, W) slab) or by a plain cast, so no float64 copy of whole
+    integer or float32 planes is built.
     """
-    a = np.asarray(planes, dtype=np.float64)
+    a = np.asarray(planes)
     if a.ndim < 2 or a.shape[-2] % 2 or a.shape[-1] % 2:
         raise ValueError(f"planes must have even height and width, got shape {a.shape}")
     shape = (*a.shape[:-2], a.shape[-2] // 2, a.shape[-1] // 2)
     bands = tuple(np.empty(shape) for _ in BANDS)
     for slab in _slabs(bands[0]):
-        _forward_slab(a[..., 2 * slab.start : 2 * slab.stop, :], *(band[..., slab, :] for band in bands))
+        pixels = a[..., 2 * slab.start : 2 * slab.stop, :]
+        pixels = np.asarray(pixels, dtype=np.float64) if convert is None else convert(pixels)
+        _forward_slab(pixels, *(band[..., slab, :] for band in bands))
     return bands
 
 
@@ -64,10 +71,14 @@ def _forward_slab(a, ll, lh, hl, hh) -> None:
 
 
 def haar_inverse(bands, out=None) -> np.ndarray:
-    """Exact inverse of :func:`haar_forward`.
+    """Inverse of :func:`haar_forward`.
 
     ``bands`` holds the ll, lh, hl and hh planes, (..., h, w) each; the
-    result is (..., 2h, 2w), written into ``out`` when given.
+    result is (..., 2h, 2w), written into ``out`` when given. The two
+    sums of each row pair are halved before the pixels are added up from
+    them, which gives the bits of halving the pixels' full sums whenever
+    those halves are normal floats: always for 8-bit and float32-valued
+    data.
     """
     ll, lh, hl, hh = (np.asarray(b, dtype=np.float64) for b in bands)
     if ll.ndim < 2 or not ll.shape == lh.shape == hl.shape == hh.shape:
@@ -85,12 +96,11 @@ def haar_inverse(bands, out=None) -> np.ndarray:
 
 def _inverse_slab(ll, lh, hl, hh, out) -> None:
     # Row parity r: the columns pass gives that row of the rows-pass pair
-    # (lo, hi), and the rows pass turns it into the even and odd pixels,
-    # computed contiguously and halved into their strided place once.
-    lo, hi, pixels = np.empty(ll.shape), np.empty(ll.shape), np.empty(ll.shape)
+    # (lo, hi), halved once, and the rows pass writes the even and odd
+    # pixels, lo + hi and lo - hi, straight into their strided place.
+    lo, hi = np.empty(ll.shape), np.empty(ll.shape)
     for r, op in enumerate((np.add, np.subtract)):
-        op(ll, hl, out=lo)
-        op(lh, hh, out=hi)
-        for c, pair_op in enumerate((np.add, np.subtract)):
-            pair_op(lo, hi, out=pixels)
-            np.multiply(pixels, 0.5, out=out[..., r::2, c::2])
+        np.multiply(op(ll, hl, out=lo), 0.5, out=lo)
+        np.multiply(op(lh, hh, out=hi), 0.5, out=hi)
+        np.add(lo, hi, out=out[..., r::2, 0::2])
+        np.subtract(lo, hi, out=out[..., r::2, 1::2])

@@ -24,12 +24,13 @@ from ubssvc import (
 from ubssvc import MixingMatrix, cli, synth
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "ubssvc", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        timeout=timeout,
     )
 
 
@@ -81,9 +82,10 @@ class TestValidateMatrixCommand:
         [
             ("n = 3\nm = 2\nmatrix = 1e8 0.5 0.25  0.5 1.0 -0.75\n", "numerically dependent"),
             ("n = 2\nm = 1\nmatrix = 1 2\n", "at least 2 rows"),
+            ("n = 3\nm = 0\nmatrix =\n", "at least 2 rows"),
             ("n = 3\n", "disagree"),
         ],
-        ids=["gram-1e8", "one-row", "n-only"],
+        ids=["gram-1e8", "one-row", "empty", "n-only"],
     )
     def test_fails_where_mix_fails(self, tmp_path, config, reason):
         path = tmp_path / "codec.cfg"
@@ -152,6 +154,15 @@ class TestGenCommand:
             a = (tmp_path / "a" / f"f_{i:02d}.pgm").read_bytes()
             b = (tmp_path / "b" / f"f_{i:02d}.pgm").read_bytes()
             assert a == b
+
+    def test_pattern_giving_two_frames_one_path_exits_2(self, tmp_path):
+        proc = run_cli(
+            "gen", "--frames", "3", "--width", "8", "--height", "8",
+            "--out", str(tmp_path / "f{i!s:.0}.pgm"), "--porcelain",
+        )
+        assert proc.returncode == 2 and not proc.stdout
+        assert "gives frames 0 and 1 the same path" in proc.stderr
+        assert not list(tmp_path.iterdir())
 
 
 class TestMixSeparate:
@@ -266,6 +277,12 @@ class TestRoundtripCommand:
         assert "sources=40" in first.stdout
         assert "mixed=30" in first.stdout
         assert "decoded=40" in first.stdout
+
+    def test_input_pattern_giving_two_frames_one_path_exits_2(self, tmp_path):
+        write_sequence(synth.generate("noise", 1, 8, 8, seed=1), str(tmp_path / "frame{i!s:.0}.pgm"))
+        proc = run_cli("roundtrip", str(tmp_path / "frame{i!s:.0}.pgm"), timeout=60)
+        assert proc.returncode == 2
+        assert "gives frames 0 and 1 the same path" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestPsnrCommand:

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from oracles import det_cofactor, mix_reference, sparsity_census
 from ubssvc import MixingMatrix, as_sequence, generalized_inverse, snap_to_8bit
-from ubssvc import cli
+from ubssvc import cli, mixcore
 from ubssvc.mixcore import DET_FLOOR, GRAM_COND_BOUND, all_finite, mixing_evidence
 
 # frozen via the cofactor oracle on the built-in matrix
@@ -54,6 +56,25 @@ class TestFrame:
             else:
                 with pytest.raises(ValueError, match="finite"):
                     as_sequence(arr)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value, finite", [(np.nan, False), (np.inf, False), (-np.inf, False), (1e38, True)])
+    def test_finiteness_of_unaligned_float32_in_slabs(self, value, finite):
+        # a container's float32 codes start at an odd byte offset; 4000 rows of
+        # 1000 bytes are 16 slabs of 262 rows
+        codes = np.frombuffer(bytearray(3 + 4 * 40 * 100 * 250), dtype=np.float32, offset=3).reshape(40, 100, 250)
+        assert not codes.flags.aligned and mixcore.SLAB_BYTES // 1000 == 262
+        for index in ((0, 0, 0), (20, 50, 125), (39, 99, 249)):  # first, middle and last slab
+            codes[index] = value
+            tracemalloc.start()
+            try:
+                assert all_finite(codes) is finite
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            codes[index] = 0.0
+            # one slab's aligned copy, never the whole 4 MB array's
+            assert peak < 2 * mixcore.SLAB_BYTES
 
     def test_pixels_immutable(self):
         from ubssvc import CodecConfig, encode_sequence, synth
@@ -179,6 +200,12 @@ class TestMixingMatrixConstruction:
         with pytest.raises(ValueError, match="numerically dependent"):
             MixingMatrix([[1e200, 0.5, 0.25], [0.5, 1.0, -0.75]])
         assert mixing_evidence(np.array([[1e200, 0.5, 0.25], [0.5, 1.0, -0.75]]))[1] == np.inf
+
+    def test_empty_matrix_has_infinite_gram_cond(self):
+        for shape in ((0, 3), (0, 0)):
+            with pytest.raises(ValueError):
+                MixingMatrix(np.zeros(shape))
+            assert mixing_evidence(np.zeros(shape))[1] == np.inf
 
 
 class TestMixBlock:

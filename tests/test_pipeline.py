@@ -3,6 +3,7 @@ import os
 import sys
 import tempfile
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -234,6 +235,25 @@ class TestDecode:
         report = roundtrip_eval(frames, cfg)
         assert report.source_count == 8
         assert report.quality.mean_psnr > 25.0
+
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    def test_temporaries_of_one_cif_group(self, quantization):
+        # a 352x288 group decodes whole, in one task; above its output, the
+        # task holds the bands and the recovered sources, but no float64 copy
+        # of its codes and no second store of its pixels
+        cfg = CodecConfig(quantization=quantization)
+        enc = encode_sequence(synth.generate("sparse-detail", 4, 352, 288, seed=1), cfg)
+        decode_sequence(enc, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            decoded, _ = decode_sequence(enc, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the four bands of the group hold 8 bytes a code; the temporaries are
+        # 2.1 times that, and were 3.1 times it with the copy and the store
+        assert peak - base - decoded.nbytes < 2.5 * 8 * enc.mixed_codes.size
 
     def test_matrix_mismatch_rejected(self):
         frames = synth.generate("sparse-detail", 4, 16, 16, seed=5)

@@ -19,7 +19,7 @@ from ubssvc import (
     write_container,
     write_sequence,
 )
-from ubssvc import synth
+from ubssvc import synth, vio
 from ubssvc.vio import mixed_stream_bytes, sequence_stream_bytes
 
 
@@ -116,6 +116,24 @@ class TestPgm:
             read_sequence(pattern)
         with pytest.raises(ValueError, match="bad frame pattern"):
             write_sequence([np.zeros((2, 2))], pattern)
+
+    def test_pattern_giving_two_frames_one_path_is_value_error(self, tmp_path, monkeypatch):
+        (tmp_path / "frame.pgm").write_bytes(b"P5\n2 2\n255\n" + bytes(4))
+        fmt = vio._format_pattern
+
+        def bounded(pattern, i):
+            assert i < 100, "the pattern expansion does not stop"
+            return fmt(pattern, i)
+
+        monkeypatch.setattr(vio, "_format_pattern", bounded)
+        with pytest.raises(ValueError, match="gives frames 0 and 1 the same path"):
+            read_sequence(str(tmp_path / "frame{i!s:.0}.pgm"))
+        # frames 1 and 10 both give f1.pgm; no file is written
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="gives frames 1 and 10 the same path"):
+            write_sequence(np.zeros((11, 2, 2)), str(out / "f{i!s:.1}.pgm"))
+        assert not out.exists()
+        assert len(write_sequence(np.zeros((10, 2, 2)), str(out / "f{i!s:.1}.pgm"))) == 10
 
 
 class TestRawPlanar:

@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 from oracles import haar2_inverse_reference, haar2_reference, mix_reference
 from ubssvc import BANDS, haar_forward, haar_inverse
 from ubssvc import wavelet
+from ubssvc.pipeline import _dequantize
 
 
 def bands_of(plane) -> dict:
@@ -129,6 +130,26 @@ class TestForwardSlabs:
         reference = haar2_reference(stack[1, 2])
         for name, got in zip(BANDS, bands):
             assert np.array_equal(got[1, 2], reference[name])
+
+    @pytest.mark.parametrize("slab_rows", [1, 2, 3, 5, 7, 100])
+    @pytest.mark.parametrize("shape", [(2, 3, 14, 10), (2, 3, 13, 9)])
+    def test_converted_slabs_give_whole_array_bits(self, rng, monkeypatch, slab_rows, shape):
+        # the decoder's codes, edge-padded to even sides in their own dtype as
+        # the pipeline pads them, dequantized slab by slab inside the transform
+        pad = ((0, 0), (0, 0), (0, shape[2] % 2), (0, shape[3] % 2))
+        cases = [
+            (rng.integers(0, 256, size=shape).astype(np.uint8), (0.7131, -41.25)),
+            (rng.uniform(-300, 300, size=shape).astype(np.float32), None),
+        ]
+        for codes, affine in cases:
+            codes = np.pad(codes, pad, mode="edge")
+            whole = haar_forward(_dequantize(codes, affine))
+            # one subband row of the stack is 2 * 3 * 5 float64s
+            monkeypatch.setattr(wavelet, "SLAB_BYTES", slab_rows * 2 * 3 * 5 * 8)
+            bands = haar_forward(codes, lambda slab: _dequantize(slab, affine))
+            monkeypatch.undo()
+            for got, want in zip(bands, whole):
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
         "shape, slabs",
