@@ -209,8 +209,7 @@ def _cmd_mix(args) -> int:
     frames = _load_frames(args)
     cfg = _load_cfg(args)
     enc = pipeline.encode_sequence(frames, cfg)
-    vio.write_container(enc, args.out)
-    size = os.path.getsize(args.out)
+    size = vio.write_container(enc, args.out)
     if args.porcelain:
         print(f"sources={len(frames)}")
         print(f"mixed={len(enc.mixed_codes)}")

@@ -23,12 +23,28 @@ arrays out as they are, and reading one returns read-only views over the
 bytes read: the file reproduces every field exactly, and nothing is
 dequantized here. A sequence of frames is read into, and written from, one
 (count, height, width) float64 array; read ones are read-only.
+
+Every file is written as ``open(path, "wb")`` would write it: the same
+bytes, and an existing file keeps its inode, its hard links and its mode.
+An existing regular file is rewritten in place rather than truncated
+first, because truncating a file that holds data makes ext4 (with its
+default ``auto_da_alloc``) start writeback of the whole file when it is
+closed. The magic (``UBSS`` or ``P5``) goes out as zeros, then the rest,
+then the file is cut at its new length and the magic is written last. So
+a rewrite that raises or is killed part-way leaves a bad magic, which
+:func:`read_container` rejects with :class:`ContainerError` and a PGM read
+with ``ValueError``, even where the old file had the new file's length. A
+write to a new path costs what it did before. A non-regular file (the
+null device, a FIFO, a terminal) gets the bytes straight through, with no
+seek and no truncation. Neither way calls ``fsync``: what survives a power
+loss is up to the file system, as with ``"wb"``.
 """
 from __future__ import annotations
 
 import glob
 import os
 import re
+import stat
 import struct
 
 import numpy as np
@@ -82,11 +98,27 @@ def _read_pgm(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
 
 
+def _write_file(path, magic: bytes, *chunks) -> int:
+    """Write ``magic`` and then ``chunks`` (bytes-like) to ``path``; returns the byte count.
+
+    The bytes, inode and mode are those of ``open(path, "wb")``; a regular
+    file is rewritten in place with its magic written last (see the module
+    docstring).
+    """
+    # "wb" opens with O_WRONLY | O_CREAT | O_TRUNC and mode 0o666
+    with open(path, "wb", opener=lambda name, flags: os.open(name, flags & ~os.O_TRUNC, 0o666)) as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return sum(fh.write(chunk) for chunk in (magic, *chunks))
+        size = fh.write(bytes(len(magic))) + sum(fh.write(chunk) for chunk in chunks)
+        fh.truncate(size)
+        fh.seek(0)
+        fh.write(magic)
+    return size
+
+
 def _write_pgm(plane: np.ndarray, path) -> None:
     height, width = plane.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        fh.write(snap_to_8bit(plane).tobytes())
+    _write_file(path, b"P5", f"\n{width} {height}\n255\n".encode("ascii"), snap_to_8bit(plane).tobytes())
 
 
 def _format_pattern(pattern: str, i: int) -> str:
@@ -176,14 +208,14 @@ def write_sequence(frames, pattern: str) -> list[str]:
     if "{" not in pattern:
         stem, ext = os.path.splitext(pattern)
         pattern = stem + "-{i:04d}" + (ext or ".pgm")
-    # every path is checked before the first file is written
+    # every path is checked before the first directory or file is made
     paths: dict[str, int] = {}
     for i in range(len(frames)):
         paths[_frame_path(paths, pattern, i)] = i
-    for plane, path in zip(frames, paths):
-        parent = os.path.dirname(path)
+    for parent in dict.fromkeys(os.path.dirname(path) for path in paths):
         if parent:
             os.makedirs(parent, exist_ok=True)
+    for plane, path in zip(frames, paths):
         _write_pgm(plane, path)
     return list(paths)
 
@@ -202,11 +234,12 @@ def mixed_stream_bytes(enc: EncodedSequence) -> bytes:
     return b"".join((enc.mixed_codes, enc.tail_codes))
 
 
-def write_container(enc: EncodedSequence, path) -> None:
+def write_container(enc: EncodedSequence, path) -> int:
     """Serialize an encoded sequence; exact inverse of :func:`read_container`.
 
-    Raises :class:`ContainerError` before the file is opened when the
-    sequence does not fit the header fields.
+    Returns the number of bytes written. Raises :class:`ContainerError`
+    before the file is opened when the sequence does not fit the header
+    fields.
     """
     if len(enc.tail_codes) > MAX_TAIL:
         raise ContainerError(
@@ -226,11 +259,14 @@ def write_container(enc: EncodedSequence, path) -> None:
         enc.scale,
         enc.offset,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(enc.matrix.entries.astype("<f8").tobytes())
-        fh.write(enc.mixed_codes)
-        fh.write(enc.tail_codes)
+    return _write_file(
+        path,
+        MAGIC,
+        header[len(MAGIC) :],
+        enc.matrix.entries.astype("<f8").tobytes(),
+        enc.mixed_codes,
+        enc.tail_codes,
+    )
 
 
 def read_container(path) -> EncodedSequence:

@@ -202,6 +202,25 @@ class TestMixSeparate:
         assert run_cli("mix", src_pattern, "--out", str(out2)).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_mix_onto_one_path_twice_equals_fresh_mix(self, sequence_dir):
+        src_pattern = str(sequence_dir / "src" / "*.pgm")
+        out, fresh = sequence_dir / "out.ubss", sequence_dir / "fresh.ubss"
+        out.write_bytes(b"x" * 200_000)  # a longer old file
+        assert run_cli("mix", src_pattern, "--out", str(out)).returncode == 0
+        assert run_cli("mix", src_pattern, "--out", str(out)).returncode == 0
+        assert run_cli("mix", src_pattern, "--out", str(fresh)).returncode == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_mix_to_null_device_reports_bytes_written(self, sequence_dir):
+        src_pattern = str(sequence_dir / "src" / "*.pgm")
+        fresh = sequence_dir / "fresh.ubss"
+        proc = run_cli("mix", src_pattern, "--out", os.devnull, "--porcelain")
+        assert proc.returncode == 0, proc.stderr
+        assert run_cli("mix", src_pattern, "--out", str(fresh)).returncode == 0
+        assert f"container_bytes={fresh.stat().st_size}" in proc.stdout.splitlines()
+        human = run_cli("mix", src_pattern, "--out", os.devnull)
+        assert f"({fresh.stat().st_size} bytes)" in human.stdout
+
     def test_separate_respects_container_matrix(self, sequence_dir):
         src_pattern = str(sequence_dir / "src" / "*.pgm")
         container = sequence_dir / "seq.ubss"

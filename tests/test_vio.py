@@ -1,7 +1,12 @@
+import contextlib
+import dataclasses
 import os
+import stat
 import struct
 import tempfile
+import threading
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,6 +139,15 @@ class TestPgm:
             write_sequence(np.zeros((11, 2, 2)), str(out / "f{i!s:.1}.pgm"))
         assert not out.exists()
         assert len(write_sequence(np.zeros((10, 2, 2)), str(out / "f{i!s:.1}.pgm"))) == 10
+
+    def test_output_directories_are_made_once(self, tmp_path, monkeypatch):
+        made = []
+        makedirs = os.makedirs
+        monkeypatch.setattr(os, "makedirs", lambda path, **kw: (made.append(path), makedirs(path, **kw)))
+        # frames 1, 10 and 11 share d1
+        paths = write_sequence(np.zeros((12, 2, 2)), str(tmp_path / "d{i!s:.1}" / "f{i}.pgm"))
+        assert len(paths) == 12 and all(os.path.exists(path) for path in paths)
+        assert made == [str(tmp_path / f"d{d}") for d in range(10)]
 
 
 class TestRawPlanar:
@@ -311,6 +325,106 @@ class TestContainer:
             assert not stored.flags.owndata and not stored.flags.writeable
         # the payload after the header and matrix is the codes, as they are
         assert path.read_bytes()[39 + 96 :] == mixed_stream_bytes(enc)
+
+
+class _NoBuffer:
+    """A code array stand-in with a length but no buffer: writing it raises."""
+
+    def __len__(self):
+        return 1
+
+
+class TestRewrite:
+    """Writing onto an existing file leaves the bytes that a fresh write would."""
+
+    @pytest.fixture
+    def cif_and_tiny(self):
+        big = encode_sequence(synth.generate("sparse-detail", 5, 352, 288, seed=3), CodecConfig())
+        small = encode_sequence(synth.generate("sparse-detail", 9, 64, 64, seed=4), CodecConfig())
+        return big, small
+
+    def test_smaller_container_over_larger_equals_fresh_write(self, tmp_path, cif_and_tiny):
+        big, small = cif_and_tiny
+        path, fresh = tmp_path / "seq.ubss", tmp_path / "fresh.ubss"
+        assert write_container(big, path) == path.stat().st_size
+        assert write_container(small, path) == path.stat().st_size
+        write_container(small, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        # and back up to the larger one
+        write_container(big, path)
+        write_container(big, fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_shorter_pgm_over_longer_equals_fresh_write(self, tmp_path, rng):
+        large = rng.integers(0, 256, size=(2, 288, 352)).astype(float)
+        small = rng.integers(0, 256, size=(2, 6, 4)).astype(float)
+        paths = write_sequence(large, str(tmp_path / "f{i}.pgm"))
+        assert write_sequence(small, str(tmp_path / "f{i}.pgm")) == paths
+        fresh = write_sequence(small, str(tmp_path / "fresh{i}.pgm"))
+        for path, other in zip(paths, fresh):
+            assert Path(path).read_bytes() == Path(other).read_bytes()
+        assert _sequences_equal(read_sequence(str(tmp_path / "f{i}.pgm")), small)
+
+    def test_interrupted_same_shape_rewrite_is_rejected(self, tmp_path, encoded):
+        _, enc = encoded
+        path = tmp_path / "seq.ubss"
+        size = write_container(enc, path)
+        fields = {field.name: getattr(enc, field.name) for field in dataclasses.fields(enc)}
+        broken = SimpleNamespace(**{**fields, "tail_codes": _NoBuffer()})
+        with pytest.raises(TypeError):
+            write_container(broken, path)
+        # the old file had the new length and the header and mixed codes
+        # were rewritten before the failure: only the magic tells them apart
+        assert path.stat().st_size == size
+        with pytest.raises(ContainerError, match="magic"):
+            read_container(path)
+        write_container(enc, path)
+        assert _sequences_equal(read_container(path).mixed_codes, enc.mixed_codes)
+
+    def test_interrupted_pgm_rewrite_is_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        write_sequence([np.full((2, 2), 7.0)], str(tmp_path / "f{i!s:.0}.pgm"))
+        with pytest.raises(TypeError):
+            vio._write_file(path, b"P5", b"\n2 2\n255\n", object())
+        with pytest.raises(ValueError, match="P5"):
+            read_sequence(str(path))
+
+    def test_rewrite_keeps_inode_mode_and_hard_links(self, tmp_path, cif_and_tiny):
+        big, small = cif_and_tiny
+        path, link, fresh = tmp_path / "seq.ubss", tmp_path / "link.ubss", tmp_path / "fresh.ubss"
+        write_container(big, path)
+        path.chmod(0o640)
+        os.link(path, link)
+        before = path.stat()
+        write_container(small, path)
+        after = path.stat()
+        assert (after.st_ino, after.st_nlink, stat.S_IMODE(after.st_mode)) == (before.st_ino, 2, 0o640)
+        write_container(small, fresh)
+        assert link.read_bytes() == path.read_bytes() == fresh.read_bytes()
+
+    def test_write_to_null_device_returns_byte_count(self, tmp_path, encoded):
+        _, enc = encoded
+        fresh = tmp_path / "fresh.ubss"
+        assert write_container(enc, os.devnull) == write_container(enc, fresh) == fresh.stat().st_size
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_write_to_fifo_passes_bytes_through(self, tmp_path, encoded):
+        _, enc = encoded
+        fifo, fresh = tmp_path / "pipe", tmp_path / "fresh.ubss"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            size = write_container(enc, fifo)
+        finally:
+            if not received:  # a writer that never opened the FIFO leaves the reader blocked
+                with contextlib.suppress(OSError):
+                    os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        write_container(enc, fresh)
+        assert size == len(received[0]) and received[0] == fresh.read_bytes()
 
 
 class TestStreams:
