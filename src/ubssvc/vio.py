@@ -31,13 +31,22 @@ first, because truncating a file that holds data makes ext4 (with its
 default ``auto_da_alloc``) start writeback of the whole file when it is
 closed. The magic (``UBSS`` or ``P5``) goes out as zeros, then the rest,
 then the file is cut at its new length and the magic is written last. So
-a rewrite that raises or is killed part-way leaves a bad magic, which
-:func:`read_container` rejects with :class:`ContainerError` and a PGM read
-with ``ValueError``, even where the old file had the new file's length. A
-write to a new path costs what it did before. A non-regular file (the
-null device, a FIFO, a terminal) gets the bytes straight through, with no
-seek and no truncation. Neither way calls ``fsync``: what survives a power
-loss is up to the file system, as with ``"wb"``.
+a rewrite that raises, or whose process is killed, part-way leaves a bad
+magic, which :func:`read_container` rejects with :class:`ContainerError`
+and a PGM read with ``ValueError``, even where the old file had the new
+file's length. That is all the zeroed magic covers. A reader running
+alongside a rewrite can read the old first page (valid magic and header)
+and new later pages; after an operating-system crash or power loss, the
+page with the new magic can reach the disk before later pages do. Either
+way a file of the right size with a valid header and a mix of old and
+new codes reads back as a valid container. Neither arose with the
+truncating ``"wb"``: a concurrent reader saw a short file, which fails the
+size check, and the truncate freed the old codes. Do not share one output
+path between a writer and a reader, and do not trust a rewritten file
+after a crash. A write to a new path costs what it did before. A
+non-regular file (the null device, a FIFO, a terminal) gets the bytes
+straight through, with no seek and no truncation. Neither way calls
+``fsync``.
 """
 from __future__ import annotations
 
