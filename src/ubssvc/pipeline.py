@@ -13,11 +13,14 @@ and one inverse transform written straight into the output array.
 
 Both directions cut their work the same way, by :func:`_tasks`: a group of
 more than ``TILE`` cells (pixels to encode, subband columns to decode) is
-cut into row tiles, which a thread pool shares out over the usable CPUs;
-smaller groups run inline, in runs of whole groups of about ``TILE``
-pixels. Each decode tile decodes once on its own zero threshold; a tile
-that held a column the whole group's threshold would zero is decoded again
-on the group's peak column norms, so tiles change no bit of the result.
+cut into row tiles, and groups of at most ``TILE`` pixels run in runs of
+whole groups of about ``TILE`` pixels. Both run their tasks by one rule,
+:func:`_pooled`: the tasks of groups of more than ``TILE`` pixels, row
+tiles or whole groups (a CIF group decodes whole), share a thread pool
+over the usable CPUs; runs of smaller groups run inline. Each decode tile
+decodes once on its own zero threshold; a tile that held a column the
+whole group's threshold would zero is decoded again on the group's peak
+column norms, so tiles change no bit of the result.
 
 The encoder keeps the mixed frames in their stored form, the codes a
 container holds and a downstream codec sees: float32 in float-container
@@ -59,7 +62,7 @@ from .sca import (
     recover_block,
     recover_dense,
 )
-from .wavelet import haar_forward, haar_inverse
+from .wavelet import BANDS, haar_forward, haar_inverse
 
 QUANT_FLOAT = "float-container"
 QUANT_AFFINE = "affine-8bit"
@@ -70,11 +73,12 @@ DEFAULT_TAU = 0.05
 
 # Cells per task. A group of more than TILE pixels is encoded, and one of
 # more than TILE subband columns per band decoded, in row tiles of about
-# TILE cells, shared out on WORKERS threads. CIF-size groups decode whole:
-# on a 2-CPU host a 40-frame CIF decode took 92 ms in tiles of 16384
-# columns and 104 ms in tiles of 12288, against 90 ms whole. Smaller groups
-# run in runs of whole groups of about TILE pixels; whole-sequence calls
-# let the temporaries fall out of cache (CIF decode ran about 40% slower).
+# TILE cells; the tasks of groups of more than TILE pixels are shared out on
+# WORKERS threads (_pooled). CIF-size groups decode whole: on a 2-CPU host
+# a 40-frame CIF decode took 92 ms in tiles of 16384 columns and 104 ms in
+# tiles of 12288, against 90 ms whole. Smaller groups run in runs of whole
+# groups of about TILE pixels; whole-sequence calls let the temporaries
+# fall out of cache (CIF decode ran about 40% slower).
 TILE = 32768
 
 # Storage dtype of the mixed codes per quantization mode, and of the tail.
@@ -193,10 +197,12 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     The groups are mixed task by task, each task writing the codes of its
     pixels, so the mixed values never exist as one whole-sequence array. A
     group of more than ``TILE`` pixels is cut into row tiles of about
-    ``TILE`` pixels, which a pool of ``WORKERS`` threads shares out; smaller
-    groups are mixed inline, in runs of whole groups of about ``TILE``
-    pixels. Affine codes take two passes over the tasks: the first finds
-    the range of the mixed values, the second mixes again and quantizes.
+    ``TILE`` pixels (one a pixel high stays whole), and its tasks go to a
+    pool of ``WORKERS`` threads by the rule decode shares, :func:`_pooled`;
+    smaller groups are mixed inline, in runs of whole groups of about
+    ``TILE`` pixels. Affine codes take two passes over the tasks: the first
+    finds the range of the mixed values, the second mixes again and
+    quantizes.
     Every task gives the bits of the whole-group product, so the codes do
     not depend on ``TILE`` or ``WORKERS``.
     """
@@ -240,9 +246,7 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
 
     scale = offset = 0.0
     with ThreadPoolExecutor(WORKERS) as pool:
-        # as in decode, only tiles start threads: on 64x64 groups the pool
-        # made encode slower (3.4 -> 4.1 ms for 400 frames on 2 CPUs)
-        each = pool.map if tiles > 1 else map
+        each = pool.map if _pooled(height, width) else map
         if cfg.quantization == QUANT_FLOAT:
             list(each(store_float, tasks))
         else:
@@ -284,6 +288,19 @@ def _tasks(blocks: int, height: int, width: int, cell: int = 1) -> tuple[list[tu
     return [np.s_[start : start + run, :, top : top + step] for start in range(0, blocks, run) for top in tops], tiles
 
 
+def _pooled(height: int, width: int) -> bool:
+    """Whether encode and decode run the tasks of height x width groups on the thread pool.
+
+    A group of more than ``TILE`` pixels goes to the pool of ``WORKERS``
+    threads, whether it is cut into row tiles or decodes whole (a CIF group
+    decodes whole, one group a task); smaller groups run inline, in runs.
+    On 2 CPUs the pool made runs of 64x64 groups slower (encode 3.4 -> 4.1
+    ms for 400 frames, decode 43-44 -> 37 Mpix/s), and a 40-frame CIF
+    decode about 20% faster, as long as the second CPU is free.
+    """
+    return height * width > TILE
+
+
 def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray, RecoveryStats]:
     """Recover the full (count, H, W) source sequence from an encoded one.
 
@@ -309,9 +326,7 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
         return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, peaks)
 
     with ThreadPoolExecutor(WORKERS) as pool:
-        # as in encode, only tiles start threads: runs of whole groups on the
-        # pool made cif and tiny decode 5-7% slower
-        parts = list((pool.map if tiles > 1 else map)(decode, tasks))
+        parts = list((pool.map if _pooled(height, width) else map)(decode, tasks))
     stats: list[RecoveryStats] = []
     for start in range(0, len(tasks), tiles):
         group = parts[start : start + tiles]
@@ -332,20 +347,41 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     return _read_only(out), replace(census, group_residuals=census.group_residuals.reshape(-1, tiles).sum(axis=1))
 
 
-def _dequantize(codes, affine) -> np.ndarray:
-    """Float64 values of an array of codes, of any shape.
+def _dequantize(codes, affine, out=None) -> np.ndarray:
+    """Float64 values of an array of codes, of any shape, written into ``out`` when given.
 
     ``affine`` is the (scale, offset) of affine-8bit codes, None for float
     codes. Each value depends on its code alone, so :func:`haar_forward`
     calls this on one row slab at a time and the values of a whole task
     never exist at once.
     """
+    if out is None:
+        out = np.empty(codes.shape)
     if affine is None:
-        return codes.astype(np.float64)
-    # offset + scale * code: cast and scale in one pass, then shift in place
-    values = np.multiply(codes, affine[0], dtype=np.float64)
-    values += affine[1]
-    return values
+        np.copyto(out, codes)
+    else:
+        # offset + scale * code: cast and scale in one pass, then shift in place
+        np.multiply(codes, affine[0], out=out, dtype=np.float64)
+        out += affine[1]
+    return out
+
+
+def _pieces(height: int, width: int) -> list[tuple]:
+    """(pixel, subband) index pairs that cover a height x width plane and its Haar bands.
+
+    The even part comes first; then an odd last row and an odd last column,
+    each one row or column of subband cells, which the transforms see
+    edge-padded to even size. Empty pieces are left out.
+    """
+    rows, cols = height // 2, width // 2
+    pieces = []
+    if rows and cols:
+        pieces.append((np.s_[..., : 2 * rows, : 2 * cols], np.s_[..., :rows, :cols]))
+    if height % 2:
+        pieces.append((np.s_[..., 2 * rows :, :], np.s_[..., rows:, :]))
+    if width % 2 and rows:
+        pieces.append((np.s_[..., : 2 * rows, 2 * cols :], np.s_[..., :rows, cols:]))
+    return pieces
 
 
 def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[RecoveryStats]:
@@ -356,13 +392,22 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[Re
     or for a run of several groups one census with the residuals in
     (group, band, column) order. A function of its own, so that one task's
     temporaries are freed before the next task allocates its own.
+
+    Odd sides are decoded as if edge-padded to even, as a whole-frame
+    transform of the padded codes would: the even part of the codes and of
+    ``dest`` goes through the transforms in place, and only an odd last row
+    or column of them through a small padded copy.
     """
     k, m, height, width = codes.shape
-    if height % 2 or width % 2:
-        # edge-padded to even h and W in the code dtype, dequantized by slab below
-        codes = np.pad(codes, ((0, 0), (0, 0), (0, height % 2), (0, width % 2)), mode="edge")
-    bands = haar_forward(codes, lambda slab: _dequantize(slab, affine))
-    half = bands[0].shape[2:]
+    half = (-(-height // 2), -(-width // 2))
+    bands = [np.empty((k, m, *half)) for _ in BANDS]
+    pieces = _pieces(height, width)
+    for pixels, cells in pieces:
+        piece = codes[pixels]
+        odd = (piece.shape[2] % 2, piece.shape[3] % 2)
+        if any(odd):
+            piece = np.pad(piece, ((0, 0), (0, 0), (0, odd[0]), (0, odd[1])), mode="edge")
+        haar_forward(piece, lambda slab, values: _dequantize(slab, affine, values), [band[cells] for band in bands])
     # each band is popped into its recovery call, so its memory is freed once used
     bands = [band.reshape(k, m, -1) for band in bands]
     recovered = [recover_dense(pinv, bands.pop(0))]
@@ -372,10 +417,12 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[Re
         recovered.append(sources)
         stats.append(band_stats)
     recovered = [r.reshape(k, -1, *half) for r in recovered]
-    if codes.shape[2:] != (height, width):
-        dest[...] = haar_inverse(recovered)[..., :height, :width]
-    else:
-        haar_inverse(recovered, out=dest)
+    for pixels, cells in pieces:
+        part, piece = dest[pixels], [r[cells] for r in recovered]
+        if part.shape[2] % 2 or part.shape[3] % 2:
+            part[...] = haar_inverse(piece)[..., : part.shape[2], : part.shape[3]]
+        else:
+            haar_inverse(piece, out=part)
     # a run of groups reports group by group, as one call per (group, band) would
     return [RecoveryStats.merged(stats, by_group=True)] if k > 1 else stats
 

@@ -36,34 +36,54 @@ def _slabs(band) -> list[slice]:
     return [slice(top, top + rows) for top in range(0, band.shape[-2], rows)]
 
 
-def haar_forward(planes, convert=None) -> tuple[np.ndarray, ...]:
+def haar_forward(planes, convert=None, out=None) -> tuple[np.ndarray, ...]:
     """One-level orthonormal Haar decomposition of (..., H, W) planes, H and W even.
 
     Returns four (..., H/2, W/2) arrays, the bands in :data:`BANDS` order:
     ll is the low-frequency approximation, lh horizontal detail (row-pass
-    detail), hl vertical detail (column-pass detail), hh diagonal.
+    detail), hl vertical detail (column-pass detail), hh diagonal. They are
+    written into ``out``, four arrays of that shape, when given.
     ``planes`` keeps its dtype; each row slab is turned into float64 as the
-    transform reaches it, by ``convert`` (an elementwise function of a
-    (..., rows, W) slab) or by a plain cast, so no float64 copy of whole
-    integer or float32 planes is built.
+    transform reaches it, by ``convert(slab, buffer)`` (an elementwise
+    function that writes the values of a (..., rows, W) slab into a float64
+    buffer of its shape) or by a plain cast, so no float64 copy of whole
+    integer or float32 planes is built. The slab buffer and the row-pass
+    arrays are allocated once per call and reused by every slab.
     """
     a = np.asarray(planes)
     if a.ndim < 2 or a.shape[-2] % 2 or a.shape[-1] % 2:
         raise ValueError(f"planes must have even height and width, got shape {a.shape}")
     shape = (*a.shape[:-2], a.shape[-2] // 2, a.shape[-1] // 2)
-    bands = tuple(np.empty(shape) for _ in BANDS)
-    for slab in _slabs(bands[0]):
-        pixels = a[..., 2 * slab.start : 2 * slab.stop, :]
-        pixels = np.asarray(pixels, dtype=np.float64) if convert is None else convert(pixels)
-        _forward_slab(pixels, *(band[..., slab, :] for band in bands))
-    return bands
+    if out is None:
+        out = tuple(np.empty(shape) for _ in BANDS)
+    elif len(out) != len(BANDS) or any(band.shape != shape for band in out):
+        raise ValueError(f"output bands must be {len(BANDS)} arrays of shape {shape}")
+    if convert is None and a.dtype != np.float64:
+        convert = _cast
+    slabs = _slabs(out[0])
+    # buffers for the first slab, the largest; a later slab uses their leading rows
+    rows = 2 * min(shape[-2], slabs[0].stop) if slabs else 0
+    pixels = np.empty((*a.shape[:-2], rows, a.shape[-1])) if convert is not None else None
+    row_pass = [np.empty((*a.shape[:-2], rows, shape[-1])) for _ in range(2)]
+    for slab in slabs:
+        source = a[..., 2 * slab.start : 2 * slab.stop, :]
+        rows = source.shape[-2]
+        if convert is not None:
+            convert(source, pixels[..., :rows, :])
+            source = pixels[..., :rows, :]
+        _forward_slab(source, *(buf[..., :rows, :] for buf in row_pass), *(band[..., slab, :] for band in out))
+    return tuple(out)
 
 
-def _forward_slab(a, ll, lh, hl, hh) -> None:
-    # rows pass: sums and differences of column pairs; columns pass: sums
-    # and differences of their row pairs, halved once into the bands
-    row_lo = np.add(a[..., 0::2], a[..., 1::2])
-    row_hi = np.subtract(a[..., 0::2], a[..., 1::2])
+def _cast(slab, values) -> None:
+    np.copyto(values, slab, casting="unsafe")
+
+
+def _forward_slab(a, row_lo, row_hi, ll, lh, hl, hh) -> None:
+    # rows pass: sums and differences of column pairs into row_lo and row_hi;
+    # columns pass: sums and differences of their row pairs, halved once into the bands
+    np.add(a[..., 0::2], a[..., 1::2], out=row_lo)
+    np.subtract(a[..., 0::2], a[..., 1::2], out=row_hi)
     pairs = ((row_lo, np.add, ll), (row_hi, np.add, lh), (row_lo, np.subtract, hl), (row_hi, np.subtract, hh))
     for rows, op, band in pairs:
         op(rows[..., 0::2, :], rows[..., 1::2, :], out=band)

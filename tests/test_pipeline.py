@@ -255,6 +255,25 @@ class TestDecode:
         # 2.1 times that, and were 3.1 times it with the copy and the store
         assert peak - base - decoded.nbytes < 2.5 * 8 * enc.mixed_codes.size
 
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    def test_temporaries_of_an_odd_group(self, quantization):
+        # a 353x287 group decodes its even part in place and only its last row
+        # and column through small padded copies, so its temporaries stay
+        # those of a 352x288 group, not 1.7 times them with a padded output
+        cfg = CodecConfig(quantization=quantization)
+        temporaries = []
+        for width, height in ((352, 288), (353, 287)):
+            enc = encode_sequence(synth.generate("sparse-detail", 4, width, height, seed=1), cfg)
+            decode_sequence(enc, cfg)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                decoded, _ = decode_sequence(enc, cfg)
+                temporaries.append(tracemalloc.get_traced_memory()[1] - base - decoded.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert temporaries[1] <= 1.1 * temporaries[0]
+
     def test_matrix_mismatch_rejected(self):
         frames = synth.generate("sparse-detail", 4, 16, 16, seed=5)
         enc = encode_sequence(frames, CodecConfig())
@@ -540,7 +559,9 @@ class TestTiledEncode:
 
 
 class TestTiledDecode:
-    # groups of more than TILE columns per band decode in row tiles on a thread pool
+    # groups of more than TILE pixels decode on a thread pool, in row tiles
+    # when they hold more than TILE columns per band, else one group a task;
+    # smaller groups decode inline, in runs
 
     def _case(self, seed=3):
         cfg = CodecConfig(quantization="affine-8bit")
@@ -548,12 +569,14 @@ class TestTiledDecode:
         return encode_sequence(frames, cfg), cfg
 
     @staticmethod
-    def _count_chunks(monkeypatch) -> list:
+    def _count_chunks(monkeypatch, threads=None) -> list:
         calls = []
         decode_chunk = pipeline_module._decode_chunk
 
         def counting(*args):
             calls.append(args[0])
+            if threads is not None:
+                threads.append(threading.current_thread())
             return decode_chunk(*args)
 
         monkeypatch.setattr(pipeline_module, "_decode_chunk", counting)
@@ -658,6 +681,57 @@ class TestTiledDecode:
             assert np.array_equal(stats.group_residuals, whole_stats.group_residuals)
             for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
                 assert getattr(stats, field) == getattr(whole_stats, field)
+
+    @pytest.mark.parametrize("tile", [200, 629])
+    def test_whole_groups_of_more_than_tile_pixels_decode_on_the_pool(self, monkeypatch, tile):
+        # 30x21 groups hold 630 pixels and 165 columns per band: more than
+        # TILE pixels, at most TILE columns, so each group is one pooled task
+        enc, cfg = self._case()
+        whole, whole_stats = self._reference(enc, cfg)
+        threads = []
+        calls = self._count_chunks(monkeypatch, threads)
+        with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
+            decoded, stats = decode_sequence(enc, cfg)
+        assert [c.shape[:3] for c in calls] == [(1, 3, 21)] * enc.block_count
+        assert threading.main_thread() not in threads
+        assert np.array_equal(decoded, whole)
+        assert np.array_equal(stats.residuals, whole_stats.residuals)
+        assert np.array_equal(stats.group_residuals, whole_stats.group_residuals)
+
+    @pytest.mark.parametrize("tile", [630, pipeline_module.TILE])
+    def test_groups_of_at_most_tile_pixels_decode_inline(self, monkeypatch, tile):
+        enc, cfg = self._case()
+        whole, whole_stats = self._reference(enc, cfg)
+        threads = []
+        calls = self._count_chunks(monkeypatch, threads)
+        with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
+            decoded, stats = decode_sequence(enc, cfg)
+        assert calls and threads == [threading.main_thread()] * len(calls)
+        assert np.array_equal(decoded, whole)
+        assert np.array_equal(stats.residuals, whole_stats.residuals)
+        assert np.array_equal(stats.group_residuals, whole_stats.group_residuals)
+
+    def test_encode_and_decode_pool_the_same_shapes(self, monkeypatch):
+        # one rule: groups of more than TILE pixels, cut into tiles or not
+        pooled = []
+
+        class Recording(pipeline_module.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                pooled.append(True)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", Recording)
+        cfg = CodecConfig()
+        for height, width in ((1, 1), (1, 9), (2, 3), (5, 1), (4, 4), (7, 5), (21, 30)):
+            frames = synth.generate("sparse-detail", 8, width, height, seed=1)
+            for tile in (1, 5, 8, 16, 40, 630, pipeline_module.TILE):
+                with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
+                    pooled.clear()
+                    enc = encode_sequence(frames, cfg)
+                    encoded_on_pool = bool(pooled)
+                    pooled.clear()
+                    decode_sequence(enc, cfg)
+                assert encoded_on_pool == bool(pooled) == (height * width > tile), (height, width, tile)
 
     def test_no_thread_outlives_a_decode(self):
         enc, cfg = self._case()

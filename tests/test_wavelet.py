@@ -97,6 +97,33 @@ class TestSlabs:
         reference = haar2_inverse_reference(*(band[1, 2] for band in bands))
         assert np.array_equal(out[1, 2], reference)
 
+    def test_one_slab_buffer_per_call(self, monkeypatch):
+        # every slab is converted into the same float64 buffer
+        monkeypatch.setattr(wavelet, "SLAB_BYTES", 2 * 3 * 5 * 8)  # one subband row per slab
+        codes = np.arange(2 * 3 * 14 * 10, dtype=np.float32).reshape(2, 3, 14, 10)
+        buffers = []
+
+        def convert(slab, values):
+            buffers.append(values.__array_interface__["data"][0])
+            np.copyto(values, slab)
+
+        bands = haar_forward(codes, convert)
+        assert len(buffers) == 7 and len(set(buffers)) == 1
+        for got, want in zip(bands, haar_forward(codes.astype(np.float64))):
+            assert np.array_equal(got, want)
+
+    def test_out_bands(self, rng):
+        stack = rng.uniform(-300, 300, size=(2, 3, 14, 10))
+        out = [np.full((2, 3, 7, 5), np.nan) for _ in BANDS]
+        bands = haar_forward(stack, out=out)
+        assert all(got is band for got, band in zip(bands, out))
+        for got, want in zip(bands, haar_forward(stack)):
+            assert np.array_equal(got, want)
+        with pytest.raises(ValueError, match="output bands"):
+            haar_forward(stack, out=out[:3])
+        with pytest.raises(ValueError, match="output bands"):
+            haar_forward(stack, out=[band[..., :6, :] for band in out])
+
     @pytest.mark.parametrize(
         "shape, slabs",
         [
@@ -135,7 +162,8 @@ class TestForwardSlabs:
     @pytest.mark.parametrize("shape", [(2, 3, 14, 10), (2, 3, 13, 9)])
     def test_converted_slabs_give_whole_array_bits(self, rng, monkeypatch, slab_rows, shape):
         # the decoder's codes, edge-padded to even sides in their own dtype as
-        # the pipeline pads them, dequantized slab by slab inside the transform
+        # the pipeline pads an odd last row or column, dequantized slab by slab
+        # into the transform's reused buffer
         pad = ((0, 0), (0, 0), (0, shape[2] % 2), (0, shape[3] % 2))
         cases = [
             (rng.integers(0, 256, size=shape).astype(np.uint8), (0.7131, -41.25)),
@@ -146,7 +174,7 @@ class TestForwardSlabs:
             whole = haar_forward(_dequantize(codes, affine))
             # one subband row of the stack is 2 * 3 * 5 float64s
             monkeypatch.setattr(wavelet, "SLAB_BYTES", slab_rows * 2 * 3 * 5 * 8)
-            bands = haar_forward(codes, lambda slab: _dequantize(slab, affine))
+            bands = haar_forward(codes, lambda slab, values: _dequantize(slab, affine, values))
             monkeypatch.undo()
             for got, want in zip(bands, whole):
                 assert np.array_equal(got, want)
