@@ -7,9 +7,11 @@ into consecutive groups of n frames and mixes every group down to m frames
 in the pixel domain; leftover frames (count mod n) pass through unmixed as
 the tail. Decoding recovers the sources task by task: one Haar transform
 of the task's mixed frames, recovery of the three sparse detail subbands
-by subspace classification (one stacked call per band, each group with its
-own zero threshold), the low-frequency subband by the generalized inverse,
-and one inverse transform written straight into the output array.
+by subspace classification, the low-frequency subband by the generalized
+inverse, and one inverse transform written straight into the output array.
+A task of groups of at most ``TILE`` pixels recovers its three detail
+bands in one stacked call, each (group, band) plane with its own zero
+threshold; a task of a larger group makes one call per band.
 
 Both directions cut their work the same way, by :func:`_tasks`: a group of
 more than ``TILE`` cells (pixels to encode, subband columns to decode) is
@@ -17,10 +19,11 @@ cut into row tiles, and groups of at most ``TILE`` pixels run in runs of
 whole groups of about ``TILE`` pixels. Both run their tasks by one rule,
 :func:`_pooled`: the tasks of groups of more than ``TILE`` pixels, row
 tiles or whole groups (a CIF group decodes whole), share a thread pool
-over the usable CPUs; runs of smaller groups run inline. Each decode tile
-decodes once on its own zero threshold; a tile that held a column the
-whole group's threshold would zero is decoded again on the group's peak
-column norms, so tiles change no bit of the result.
+over the usable CPUs when there are two or more; runs of smaller groups
+run inline. Each decode tile decodes once on its own zero threshold; a
+tile that held a column the whole group's threshold would zero is decoded
+again on the group's peak column norms, so tiles change no bit of the
+result.
 
 The encoder keeps the mixed frames in their stored form, the codes a
 container holds and a downstream codec sees: float32 in float-container
@@ -296,9 +299,11 @@ def _pooled(height: int, width: int) -> bool:
     decodes whole, one group a task); smaller groups run inline, in runs.
     On 2 CPUs the pool made runs of 64x64 groups slower (encode 3.4 -> 4.1
     ms for 400 frames, decode 43-44 -> 37 Mpix/s), and a 40-frame CIF
-    decode about 20% faster, as long as the second CPU is free.
+    decode about 20% faster, as long as the second CPU is free. With one
+    usable CPU every task runs inline: a one-thread pool made that CIF
+    decode slower (108 ms inline against 125 ms pooled).
     """
-    return height * width > TILE
+    return height * width > TILE and WORKERS > 1
 
 
 def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray, RecoveryStats]:
@@ -321,9 +326,10 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     out = np.empty((enc.source_count, height, width))
     dest = out[: blocks * n].reshape(blocks, n, height, width)
     tasks, tiles = _tasks(blocks, height, width, cell=2)
+    stack = height * width <= TILE
 
     def decode(task, peaks=None) -> list[RecoveryStats]:
-        return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, peaks)
+        return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, stack, peaks)
 
     with ThreadPoolExecutor(WORKERS) as pool:
         parts = list((pool.map if _pooled(height, width) else map)(decode, tasks))
@@ -384,14 +390,19 @@ def _pieces(height: int, width: int) -> list[tuple]:
     return pieces
 
 
-def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[RecoveryStats]:
+def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> list[RecoveryStats]:
     """Decode (k, m, h, W) mixed codes into the (k, n, h, W) array ``dest``.
 
-    ``peaks`` holds the (3, k) peak column norms of the detail bands when
-    the codes are a tile of their groups. Returns the census of each band,
-    or for a run of several groups one census with the residuals in
-    (group, band, column) order. A function of its own, so that one task's
-    temporaries are freed before the next task allocates its own.
+    With ``stack`` (whole groups of at most ``TILE`` pixels) the three
+    detail bands are recovered in one stacked call over 3k (group, band)
+    planes, each with its own zero threshold, which returns one census with
+    the residuals in (group, band, column) order; the bands are written into
+    one (m, k, 3, h/2, w/2) buffer, whose columns that call reads without a
+    copy. Otherwise there is one call per band, each band freed once used,
+    and one census per band. ``peaks`` holds the (3, k) peak column norms of
+    the detail bands when the codes are a tile of their groups. A function
+    of its own, so that one task's temporaries are freed before the next
+    task allocates its own.
 
     Odd sides are decoded as if edge-padded to even, as a whole-frame
     transform of the padded codes would: the even part of the codes and of
@@ -400,7 +411,11 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[Re
     """
     k, m, height, width = codes.shape
     half = (-(-height // 2), -(-width // 2))
-    bands = [np.empty((k, m, *half)) for _ in BANDS]
+    if stack:
+        details = np.empty((m, k, 3, *half))
+        bands = [np.empty((k, m, *half)), *details.transpose(2, 1, 0, 3, 4)]
+    else:
+        bands = [np.empty((k, m, *half)) for _ in BANDS]
     pieces = _pieces(height, width)
     for pixels, cells in pieces:
         piece = codes[pixels]
@@ -411,11 +426,17 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[Re
     # each band is popped into its recovery call, so its memory is freed once used
     bands = [band.reshape(k, m, -1) for band in bands]
     recovered = [recover_dense(pinv, bands.pop(0))]
-    stats = []
-    for band_peaks in [None] * 3 if peaks is None else peaks:
-        sources, band_stats = recover_block(planes, bands.pop(0), tau, band_peaks)
-        recovered.append(sources)
-        stats.append(band_stats)
+    if stack:
+        # one call, whose 3k groups are the (group, band) planes in turn
+        sources, census = recover_block(planes, details.reshape(m, 3 * k, -1).transpose(1, 0, 2), tau)
+        recovered.extend(sources.reshape(k, 3, *sources.shape[1:]).swapaxes(0, 1))
+        stats = [census]
+    else:
+        stats = []
+        for band_peaks in [None] * 3 if peaks is None else peaks:
+            sources, band_stats = recover_block(planes, bands.pop(0), tau, band_peaks)
+            recovered.append(sources)
+            stats.append(band_stats)
     recovered = [r.reshape(k, -1, *half) for r in recovered]
     for pixels, cells in pieces:
         part, piece = dest[pixels], [r[cells] for r in recovered]
@@ -423,8 +444,7 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, peaks=None) -> list[Re
             part[...] = haar_inverse(piece)[..., : part.shape[2], : part.shape[3]]
         else:
             haar_inverse(piece, out=part)
-    # a run of groups reports group by group, as one call per (group, band) would
-    return [RecoveryStats.merged(stats, by_group=True)] if k > 1 else stats
+    return stats
 
 
 @dataclass(frozen=True, eq=False)

@@ -164,38 +164,20 @@ class RecoveryStats:
         return tuple(float(v) for v in np.quantile(self.residuals, np.divide(QUANTILE_PERCENTS, 100)))
 
     @classmethod
-    def merged(cls, parts, by_group: bool = False) -> "RecoveryStats":
-        """One census of several, their residuals part after part.
-
-        With ``by_group`` the parts are calls over the same groups (such as
-        the three detail bands of one run of groups), and the residuals
-        come group after group, each group's parts in turn, counted per
-        (group, part) in ``group_residuals``.
-        """
+    def merged(cls, parts) -> "RecoveryStats":
+        """One census of several, their residuals and per-group counts part after part."""
         parts = list(parts)
         if not parts:
             return cls(0, 0, 0, 0, np.empty(0), group_residuals=np.empty(0, dtype=np.intp))
-        if by_group:
-            sizes = np.stack([p.group_residuals for p in parts], axis=1)  # (groups, parts)
-            ends = sizes.cumsum(axis=0)
-            residuals = [
-                p.residuals[end - size : end]
-                for group in zip(ends.tolist(), sizes.tolist())
-                for p, end, size in zip(parts, *group)
-            ]
-            counts = sizes.ravel()
-        else:
-            residuals = [p.residuals for p in parts]
-            counts = np.concatenate([p.group_residuals for p in parts])
         return cls(
             total_columns=sum(p.total_columns for p in parts),
             zero_columns=sum(p.zero_columns for p in parts),
             clean_columns=sum(p.clean_columns for p in parts),
             forced_columns=sum(p.forced_columns for p in parts),
-            residuals=np.concatenate(residuals),
+            residuals=np.concatenate([p.residuals for p in parts]),
             peak=max(p.peak for p in parts),
             floor=min(p.floor for p in parts),
-            group_residuals=counts,
+            group_residuals=np.concatenate([p.group_residuals for p in parts]),
         )
 
 
@@ -203,7 +185,9 @@ def _columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Columns, norms and group peaks of an (m, T) or stacked (G, m, T) input.
 
     The columns come as one (m, G*T) array, group after group, their norms
-    as (G, T) and each group's largest norm as (G,). Rejects non-finite
+    as (G, T) and each group's largest norm as (G,). The columns are a view
+    of a 2-D input and of a stacked one laid out as (m, G, T) in memory
+    (``x.transpose(1, 0, 2)`` C-contiguous), else a copy. Rejects non-finite
     observations, which the peaks reveal.
     """
     groups = x.shape[0] if x.ndim == 3 else 1
@@ -261,7 +245,7 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, peaks=None) -> tuple
     # indexing or compress do
     norms = norms.take(active_cols)  # only the kept columns' norms are used again
     xa = columns.take(active_cols, axis=1)
-    del columns  # a copy for stacked input; freed early to lower peak memory
+    del columns  # a copy for stacked input not laid out (m, G, T); freed early to lower peak memory
     best, relative = planes.classify(xa)
     relative /= norms
     forced = int(np.count_nonzero(relative > tau))

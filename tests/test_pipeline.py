@@ -256,6 +256,24 @@ class TestDecode:
         assert peak - base - decoded.nbytes < 2.5 * 8 * enc.mixed_codes.size
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    def test_temporaries_of_runs_of_small_groups(self, quantization):
+        # 100 groups of 64x64 decode in runs of eight, each run's detail bands
+        # in one buffer and one recovery call; above the output, the decode
+        # holds a run's temporaries and the census, 0.41 times the 8 bytes a
+        # code (0.40 with one call and one buffer per band)
+        cfg = CodecConfig(quantization=quantization)
+        enc = encode_sequence(synth.generate("sparse-detail", 400, 64, 64, seed=1), cfg)
+        decode_sequence(enc, cfg)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            decoded, _ = decode_sequence(enc, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base - decoded.nbytes < 0.45 * 8 * enc.mixed_codes.size
+
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
     def test_temporaries_of_an_odd_group(self, quantization):
         # a 353x287 group decodes its even part in place and only its last row
         # and column through small padded copies, so its temporaries stay
@@ -665,22 +683,28 @@ class TestTiledDecode:
             assert [len(c) for c in calls] == runs
 
     def test_census_order_is_group_band_column(self):
-        # runs of 58 and 2 groups, or row tiles of each group: the residuals
-        # come in (group, band, column) order either way, as one call per
-        # (group, band) gives them
-        frames = synth.generate("sparse-detail", 240, 17, 33, seed=4)
-        cfg = CodecConfig(quantization="affine-8bit")
-        enc = encode_sequence(frames, cfg)
-        whole, whole_stats = self._reference(enc, cfg)
-        assert whole_stats.group_residuals.shape == (60 * 3,)
-        for tile in (1, 7, pipeline_module.TILE):
-            with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
-                decoded, stats = decode_sequence(enc, cfg)
-            assert np.array_equal(decoded, whole)
-            assert np.array_equal(stats.residuals, whole_stats.residuals)
-            assert np.array_equal(stats.group_residuals, whole_stats.group_residuals)
-            for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
-                assert getattr(stats, field) == getattr(whole_stats, field)
+        # runs of whole groups (one stacked call each), whole groups one a
+        # task (one call per band) or row tiles of each group: the residuals
+        # come in (group, band, column) order every way, as one call per
+        # (group, band) gives them; in 3x3 and 1x9 groups the subband cells
+        # outnumber a quarter of the pixels
+        big = pipeline_module.TILE
+        cases = [("affine-8bit", 17, 33, (1, 7, big)), ("float-container", 17, 33, (18, big))]
+        cases += [(q, w, h, (1, 7, 18, big)) for q in ("float-container", "affine-8bit") for w, h in ((3, 3), (9, 1), (1, 9))]
+        for quantization, width, height, tiles in cases:
+            cfg = CodecConfig(quantization=quantization)
+            enc = encode_sequence(synth.generate("sparse-detail", 240, width, height, seed=4), cfg)
+            whole, whole_stats = self._reference(enc, cfg)
+            assert whole_stats.group_residuals.shape == (60 * 3,)
+            for tile in tiles:
+                with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
+                    decoded, stats = decode_sequence(enc, cfg)
+                case = (quantization, width, height, tile)
+                assert np.array_equal(decoded, whole), case
+                assert np.array_equal(stats.residuals, whole_stats.residuals), case
+                assert np.array_equal(stats.group_residuals, whole_stats.group_residuals), case
+                for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
+                    assert getattr(stats, field) == getattr(whole_stats, field), case
 
     @pytest.mark.parametrize("tile", [200, 629])
     def test_whole_groups_of_more_than_tile_pixels_decode_on_the_pool(self, monkeypatch, tile):
@@ -732,6 +756,64 @@ class TestTiledDecode:
                     pooled.clear()
                     decode_sequence(enc, cfg)
                 assert encoded_on_pool == bool(pooled) == (height * width > tile), (height, width, tile)
+
+    def test_one_cpu_runs_every_task_inline(self, monkeypatch):
+        # with one worker, groups of more than TILE pixels run inline too, to
+        # the same codes and frames
+        pooled = []
+
+        class Recording(pipeline_module.ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                pooled.append(True)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", Recording)
+        for quantization in ("float-container", "affine-8bit"):
+            cfg = CodecConfig(quantization=quantization)
+            frames = synth.generate("sparse-detail", 9, 30, 21, seed=3)
+            results = {}
+            for workers in (1, 2):
+                with mock.patch.multiple(pipeline_module, TILE=200, WORKERS=workers):
+                    pooled.clear()
+                    enc = encode_sequence(frames, cfg)
+                    decoded, stats = decode_sequence(enc, cfg)
+                results[workers] = enc, decoded, stats, bool(pooled)
+            (enc, decoded, stats, on_pool), (pool_enc, pool_decoded, pool_stats, pool_on_pool) = results.values()
+            assert not on_pool and pool_on_pool
+            assert np.array_equal(enc.mixed_codes, pool_enc.mixed_codes)
+            assert (enc.scale, enc.offset) == (pool_enc.scale, pool_enc.offset)
+            assert np.array_equal(decoded, pool_decoded)
+            assert np.array_equal(stats.residuals, pool_stats.residuals)
+            assert np.array_equal(stats.group_residuals, pool_stats.group_residuals)
+
+    def test_recovery_calls_per_task(self, monkeypatch):
+        # a run of groups of at most TILE pixels recovers its three detail
+        # bands in one call over its (group, band) planes; a larger group,
+        # whole (CIF) or in row tiles (720p), makes one call per band
+        shapes = []
+        recover = pipeline_module.recover_block
+        counting = lambda planes, x, *args: shapes.append(x.shape) or recover(planes, x, *args)  # noqa: E731
+        monkeypatch.setattr(pipeline_module, "recover_block", counting)
+        cases = (
+            ((64, 64), 100, [(24, 3, 32 * 32)] * 12 + [(12, 3, 32 * 32)]),
+            ((288, 352), 10, [(1, 3, 144 * 176)] * 30),
+            ((720, 1280), 1, [(1, 3, 45 * 640)] * 24),
+        )
+        for (height, width), blocks, calls in cases:
+            shapes.clear()
+            enc = EncodedSequence(
+                matrix=CodecConfig().matrix,
+                width=width,
+                height=height,
+                quantization="float-container",
+                scale=0.0,
+                offset=0.0,
+                mixed_codes=np.zeros((3 * blocks, height, width), dtype=np.float32),
+                tail_codes=np.zeros((0, height, width), dtype=np.uint8),
+            )
+            with mock.patch.multiple(pipeline_module, WORKERS=2):
+                decode_sequence(enc, CodecConfig())
+            assert shapes == calls, (height, width)
 
     def test_no_thread_outlives_a_decode(self):
         enc, cfg = self._case()

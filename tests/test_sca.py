@@ -582,6 +582,13 @@ def test_stacked_call_equals_separate_calls(case):
     assert np.array_equal(stats.residuals, merged.residuals)
     # each group's residual count, so the residuals can be cut per group
     assert np.array_equal(stats.group_residuals, merged.group_residuals)
+    # groups laid out (m, G, T) in memory, whose columns are read without a copy
+    laid_out = np.ascontiguousarray(stacked.transpose(1, 0, 2)).transpose(1, 0, 2)
+    viewed, view_stats = recover_block(hs, laid_out, tau=1e-6)
+    assert np.array_equal(viewed, recovered)
+    assert np.array_equal(view_stats.residuals, stats.residuals)
+    assert np.array_equal(view_stats.group_residuals, stats.group_residuals)
+    assert (view_stats.zero_columns, view_stats.forced_columns) == (stats.zero_columns, stats.forced_columns)
 
 
 @st.composite
