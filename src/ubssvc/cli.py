@@ -17,10 +17,8 @@ import sys
 import tempfile
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from . import pipeline, synth, vio
-from .mixcore import DEFAULT_MATRIX_ENTRIES, MixingMatrix, mixing_evidence
+from .mixcore import MixingMatrix, default_mixing_matrix, mixing_evidence
 from .pipeline import QUANT_AFFINE, QUANT_FLOAT, CodecConfig
 from .sca import QUANTILE_PERCENTS
 
@@ -88,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int)
     p.add_argument("--frames", type=int, help="frame count for raw input")
     p.add_argument("--config")
-    p.add_argument("--tau", type=float)
     p.add_argument("--quant", choices=sorted(_QUANT_FLAG))
     p.add_argument("--out", required=True, help="container path")
     p.set_defaults(func=_cmd_mix)
@@ -168,7 +165,7 @@ def _load_frames(args):
 
 def _cmd_validate_matrix(args) -> int:
     parsed = pipeline.parse_config(args.config) if args.config else {}
-    entries = np.asarray(parsed.get("matrix", DEFAULT_MATRIX_ENTRIES), dtype=np.float64)
+    entries = parsed["matrix"] if "matrix" in parsed else default_mixing_matrix().entries
     try:
         MixingMatrix(entries)
         failure = None

@@ -135,11 +135,6 @@ def sequence_report(originals, reconstructions) -> QualityReport:
         if all(all_finite(arr) for arr in checked):
             raise
         raise ValueError(NOT_FINITE) from None
-    return _report(originals, reconstructions)
-
-
-def _report(originals, reconstructions) -> QualityReport:
-    """:func:`sequence_report` of two float64 arrays of one checked (count, H, W) shape."""
     plane = originals[0].size
     mses = tuple(float(total / plane) for total in _squared_error_sums(originals, reconstructions))
     psnrs = tuple(_psnr(mse) for mse in mses)

@@ -25,13 +25,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .wavelet import SLAB_BYTES
+from .wavelet import _slabs
 
 DEFAULT_ZERO_EPS = 1e-12
 # Smallest |det| an m x m submatrix of a mixing matrix may have.
 DET_FLOOR = 1e-9
 # Largest condition number of the Gram matrix A A^T a mixing matrix may have.
 GRAM_COND_BOUND = 1e12
+# Most float64s the C(n, m) m x m submatrices of an m x n mixing matrix, or
+# the decoder's C(n, m-1) m x (m-1) hyperplane bases, may take. Checked
+# before either is enumerated, so a container header cannot ask for hours
+# of determinants or gigabytes of bases; 2x362 and 4x26 are the widest
+# 2- and 4-row shapes that pass.
+SUBSET_BOUND = 1 << 18
 
 # The error every entry point raises for a NaN or infinite pixel.
 NOT_FINITE = "frame pixels must be finite"
@@ -75,8 +81,8 @@ def snap_to_8bit(values) -> np.ndarray:
 def all_finite(values: np.ndarray) -> bool:
     """Whether every value of a float array is finite, with no full-size temporary.
 
-    Walks row slabs of about :data:`~ubssvc.wavelet.SLAB_BYTES`, in each
-    one matrix-vector product that dots each row of the last axis with
+    Walks the Haar transform's row slabs (:func:`~ubssvc.wavelet._slabs`),
+    in each one matrix-vector product that dots each row of the last axis with
     zeros: a finite value adds 0 to its row's result, NaN or +-inf make it
     NaN. So 1e308 passes, where a sum would overflow; the temporaries are
     one value per row, and numpy's aligned copy of a slab when ``values``
@@ -84,12 +90,11 @@ def all_finite(values: np.ndarray) -> bool:
     """
     rows = values.reshape(-1, values.shape[-1])
     zeros = np.zeros(rows.shape[1], dtype=values.dtype)
-    step = max(1, SLAB_BYTES // max(1, rows[:1].nbytes))
     # zeroed, because BLAS may scale the output buffer by beta = 0 and keep a NaN
     out = np.zeros(len(rows), dtype=values.dtype)
     with np.errstate(invalid="ignore"):
-        for top in range(0, len(rows), step):
-            np.matmul(rows[top : top + step], zeros, out=out[top : top + step])
+        for slab in _slabs(rows):
+            np.matmul(rows[slab], zeros, out=out[slab])
     return bool(np.isfinite(out).all())
 
 
@@ -131,9 +136,14 @@ def mixing_evidence(entries) -> tuple[list[tuple[tuple[int, ...], float]], float
     Returns |det| of every m x m column submatrix, as (0-based column
     subset, magnitude) pairs in lexicographic subset order, and the
     condition number of the Gram matrix A A^T, infinite when A A^T is
-    empty (m = 0) or overflows.
+    empty (m = 0) or overflows. Raises ``ValueError``, before it
+    enumerates anything, when the subsets or the decoder's hyperplane bases
+    would hold more than :data:`SUBSET_BOUND` float64s.
     """
     m, n = entries.shape
+    bases = math.comb(n, m - 1) * m * (m - 1) if m else 0
+    if max(math.comb(n, m) * m * m, bases) > SUBSET_BOUND:
+        raise ValueError(f"a {m}x{n} mixing matrix has too many column subsets to check (bound {SUBSET_BOUND})")
     with np.errstate(invalid="ignore"):  # non-finite entries give NaN, reported as is
         dets = [
             (cols, float(abs(np.linalg.det(entries[:, cols]))))

@@ -42,9 +42,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import QualityReport, _report
+from .metrics import QualityReport, sequence_report
 from .mixcore import (
-    DEFAULT_MATRIX_ENTRIES,
     DEFAULT_ZERO_EPS,
     NOT_FINITE,
     WORKERS,
@@ -52,7 +51,6 @@ from .mixcore import (
     _read_only,
     _to_sequence,
     all_finite,
-    as_sequence,
     default_mixing_matrix,
     generalized_inverse,
     snap_to_8bit,
@@ -353,23 +351,15 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     return _read_only(out), replace(census, group_residuals=census.group_residuals.reshape(-1, tiles).sum(axis=1))
 
 
-def _dequantize(codes, affine, out=None) -> np.ndarray:
-    """Float64 values of an array of codes, of any shape, written into ``out`` when given.
+def _dequantize(codes, affine, out) -> None:
+    """Write the float64 values of affine-8bit codes with (scale, offset) ``affine`` into ``out``.
 
-    ``affine`` is the (scale, offset) of affine-8bit codes, None for float
-    codes. Each value depends on its code alone, so :func:`haar_forward`
-    calls this on one row slab at a time and the values of a whole task
-    never exist at once.
+    :func:`haar_forward` calls this on one row slab at a time, so the
+    values of a whole task never exist at once; it casts float codes itself.
     """
-    if out is None:
-        out = np.empty(codes.shape)
-    if affine is None:
-        np.copyto(out, codes)
-    else:
-        # offset + scale * code: cast and scale in one pass, then shift in place
-        np.multiply(codes, affine[0], out=out, dtype=np.float64)
-        out += affine[1]
-    return out
+    # offset + scale * code: cast and scale in one pass, then shift in place
+    np.multiply(codes, affine[0], out=out, dtype=np.float64)
+    out += affine[1]
 
 
 def _pieces(height: int, width: int) -> list[tuple]:
@@ -417,12 +407,13 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> 
     else:
         bands = [np.empty((k, m, *half)) for _ in BANDS]
     pieces = _pieces(height, width)
+    convert = None if affine is None else lambda slab, values: _dequantize(slab, affine, values)
     for pixels, cells in pieces:
         piece = codes[pixels]
         odd = (piece.shape[2] % 2, piece.shape[3] % 2)
         if any(odd):
             piece = np.pad(piece, ((0, 0), (0, 0), (0, odd[0]), (0, odd[1])), mode="edge")
-        haar_forward(piece, lambda slab, values: _dequantize(slab, affine, values), [band[cells] for band in bands])
+        haar_forward(piece, convert, [band[cells] for band in bands])
     # each band is popped into its recovery call, so its memory is freed once used
     bands = [band.reshape(k, m, -1) for band in bands]
     recovered = [recover_dense(pinv, bands.pop(0))]
@@ -457,13 +448,12 @@ class RoundtripReport:
 
 
 def roundtrip_eval(frames, cfg: CodecConfig) -> RoundtripReport:
-    """Encode then decode in memory and score the reconstruction."""
-    frames = as_sequence(frames)
-    enc = _encode(frames, cfg)
+    """Encode, decode and score in memory; encode scans the source's tail, the score each slab."""
+    frames = _to_sequence(frames)
+    enc = encode_sequence(frames, cfg)
     decoded, stats = decode_sequence(enc, cfg)
-    quality = _report(frames, decoded)
     return RoundtripReport(
-        quality=quality,
+        quality=sequence_report(frames, decoded),
         recovery=stats,
         source_count=len(frames),
         mixed_count=len(enc.mixed_codes),
@@ -479,9 +469,9 @@ def parse_config(path) -> dict:
     matrix's shape, required with ``matrix``; without it, checked against
     the built-in matrix), ``tau``, ``quantization``. ``#``
     starts a comment. Only the keys present in the file appear in the
-    result, and never ``n`` or ``m``.
+    result, and never ``n`` or ``m``. A key may be given once.
     """
-    values = {}
+    values, linenos = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -490,7 +480,10 @@ def parse_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in linenos:
+                raise ValueError(f"{path}:{lineno}: key {key!r} given twice, on lines {linenos[key]} and {lineno}")
+            values[key], linenos[key] = value.strip(), lineno
 
     known = {"n", "m", "matrix", "tau", "quantization"}
     unknown = set(values) - known
@@ -507,7 +500,7 @@ def parse_config(path) -> dict:
             raise ValueError(f"{path}: matrix has {entries.size} entries, expected m*n = {m * n}")
         parsed["matrix"] = entries.reshape(m, n)
     else:
-        rows, cols = np.shape(DEFAULT_MATRIX_ENTRIES)
+        rows, cols = default_mixing_matrix().entries.shape
         m, n = int(values.get("m", rows)), int(values.get("n", cols))
         if (m, n) != (rows, cols):
             raise ValueError(

@@ -293,12 +293,6 @@ def read_container(path) -> EncodedSequence:
     if quant_code not in _QUANT_NAME:
         raise ContainerError(f"{path}: unknown quantization code {quant_code}")
     quantization = _QUANT_NAME[quant_code]
-    if mixed_count == 0 or (m and mixed_count % m):
-        raise ContainerError(
-            f"{path}: mixed count {mixed_count} is not a positive multiple of m = {m}"
-        )
-    if tail_count >= n:
-        raise ContainerError(f"{path}: tail count {tail_count} not below n = {n}")
 
     plane_size = width * height
     mixed_dtype = CODE_DTYPES[quantization]

@@ -26,7 +26,7 @@ BANDS = ("ll", "lh", "hl", "hh")
 # 2.1 to 1.7 ms inverse (4 planes, 46-row slabs); a 720p call fell from 26
 # to 22 ms forward (17-row slabs) and from 33 to 22 ms inverse (12-row
 # slabs); a run of eight 64x64 groups stays one slab either way.
-# mixcore.all_finite walks row slabs of the same size.
+# mixcore.all_finite walks the same row slabs, through _slabs.
 SLAB_BYTES = 1 << 18
 
 

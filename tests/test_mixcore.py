@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,8 @@ from numpy.testing import assert_allclose
 
 from oracles import det_cofactor, mix_reference, sparsity_census
 from ubssvc import MixingMatrix, as_sequence, generalized_inverse, snap_to_8bit
-from ubssvc import cli, mixcore
-from ubssvc.mixcore import DET_FLOOR, GRAM_COND_BOUND, all_finite, mixing_evidence
+from ubssvc import cli, mixcore, wavelet
+from ubssvc.mixcore import DET_FLOOR, GRAM_COND_BOUND, SUBSET_BOUND, all_finite, mixing_evidence
 
 # frozen via the cofactor oracle on the built-in matrix
 DEFAULT_DET_MAGNITUDES = {
@@ -63,7 +64,7 @@ class TestFrame:
         # a container's float32 codes start at an odd byte offset; 4000 rows of
         # 1000 bytes are 16 slabs of 262 rows
         codes = np.frombuffer(bytearray(3 + 4 * 40 * 100 * 250), dtype=np.float32, offset=3).reshape(40, 100, 250)
-        assert not codes.flags.aligned and mixcore.SLAB_BYTES // 1000 == 262
+        assert not codes.flags.aligned and wavelet.SLAB_BYTES // 1000 == 262
         for index in ((0, 0, 0), (20, 50, 125), (39, 99, 249)):  # first, middle and last slab
             codes[index] = value
             tracemalloc.start()
@@ -74,7 +75,7 @@ class TestFrame:
                 tracemalloc.stop()
             codes[index] = 0.0
             # one slab's aligned copy, never the whole 4 MB array's
-            assert peak < 2 * mixcore.SLAB_BYTES
+            assert peak < 2 * wavelet.SLAB_BYTES
 
     def test_pixels_immutable(self):
         from ubssvc import CodecConfig, encode_sequence, synth
@@ -200,6 +201,19 @@ class TestMixingMatrixConstruction:
         with pytest.raises(ValueError, match="numerically dependent"):
             MixingMatrix([[1e200, 0.5, 0.25], [0.5, 1.0, -0.75]])
         assert mixing_evidence(np.array([[1e200, 0.5, 0.25], [0.5, 1.0, -0.75]]))[1] == np.inf
+
+    def test_shape_bound(self, rng):
+        # every shape the tests and the docs use passes, up to the widest
+        for m, n in ((3, 4), (2, 3), (2, 4), (3, 6), (2, 8), (5, 11), (2, 257), (2, 362), (4, 26)):
+            MixingMatrix(rng.uniform(0.5, 1.5, size=(m, n)))
+        # C(363, 2) 2x2 determinants, C(2000, 2) of them, and C(301, 299)
+        # 300x299 hyperplane bases are each past the bound
+        assert math.comb(363, 2) * 4 > SUBSET_BOUND
+        for m, n in ((2, 363), (2, 2000), (4, 27), (300, 301)):
+            with pytest.raises(ValueError, match="too many column subsets"):
+                mixing_evidence(np.ones((m, n)))
+            with pytest.raises(ValueError, match="too many column subsets"):
+                MixingMatrix(rng.uniform(0.5, 1.5, size=(m, n)))
 
     def test_empty_matrix_has_infinite_gram_cond(self):
         for shape in ((0, 3), (0, 0)):

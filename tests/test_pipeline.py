@@ -30,7 +30,7 @@ from ubssvc import (
     write_container,
 )
 from ubssvc import pipeline as pipeline_module
-from ubssvc import synth
+from ubssvc import cli, synth
 from ubssvc.pipeline import parse_config
 from ubssvc.wavelet import haar_forward
 
@@ -335,15 +335,20 @@ class TestRoundtripEval:
         assert report.quality.infinite_count == 4
         assert math.isinf(report.quality.mean_psnr)
 
-    def test_source_is_scanned_once(self, monkeypatch):
+    def test_only_the_tail_of_the_source_is_scanned(self, monkeypatch):
+        # encode scans the tail and the score checks each slab; the float
+        # codes are scanned as the EncodedSequence check
+        import ubssvc.metrics as metrics_module
         import ubssvc.mixcore as mixcore_module
 
         scans = []
-        all_finite = mixcore_module.all_finite
-        monkeypatch.setattr(mixcore_module, "all_finite", lambda arr: scans.append(arr) or all_finite(arr))
+        for module in (mixcore_module, pipeline_module, metrics_module):
+            scan = module.all_finite
+            monkeypatch.setattr(module, "all_finite", lambda arr, scan=scan: scans.append(arr) or scan(arr))
         frames = synth.generate("sparse-detail", 9, 16, 16, seed=8)
         report = roundtrip_eval(frames, CodecConfig())
-        assert len(scans) == 1 and scans[0] is frames
+        assert len(scans) == 2 and scans[0].dtype == np.float64 and np.array_equal(scans[0], frames[8:])
+        assert scans[1].dtype == np.float32 and len(scans[1]) == 6
         decoded, _ = decode_sequence(encode_sequence(frames, CodecConfig()), CodecConfig())
         assert report.quality == sequence_report(frames, decoded)
 
@@ -923,6 +928,13 @@ class TestConfig:
             path.write_text(text)
             with pytest.raises(ValueError, match="unknown config keys"):
                 parse_config(path)
+
+    def test_repeated_key_rejected(self, tmp_path):
+        path = tmp_path / "codec.cfg"
+        path.write_text("tau = 0.2\n# comment\ntau = 0.3\n")
+        with pytest.raises(ValueError, match="key 'tau' given twice, on lines 1 and 3"):
+            parse_config(path)
+        assert cli.main(["validate-matrix", "--config", str(path)]) == 2
 
     def test_matrix_requires_counts(self, tmp_path):
         path = tmp_path / "codec.cfg"

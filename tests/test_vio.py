@@ -5,6 +5,8 @@ import stat
 import struct
 import tempfile
 import threading
+import time
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -256,6 +258,37 @@ class TestContainer:
         path.write_bytes(bytes(data))
         with pytest.raises(ContainerError):
             read_container(path)
+        # counts that the size check passes are EncodedSequence's to reject
+        plane = enc.width * enc.height
+        header, matrix = bytes(data[:39]), bytes(data[39:135])
+        tail = data[135 + 6 * 4 * plane :]
+        for mixed_count, tail_count, reason in ((0, 1, "positive multiple of m = 3"), (6, 4, "must be < n = 4")):
+            data = bytearray(header + matrix)
+            struct.pack_into("<IB", data, 18, mixed_count, tail_count)
+            data += enc.mixed_codes[:mixed_count].tobytes() + bytes(tail) * tail_count
+            path.write_bytes(bytes(data))
+            with pytest.raises(ContainerError, match=reason):
+                read_container(path)
+
+    @pytest.mark.parametrize("m, n", [(2, 2000), (300, 301)])
+    def test_wide_matrix_rejected_before_enumeration(self, tmp_path, m, n):
+        # a 32 KB or a 727 KB file would ask for C(n, m) determinants or
+        # C(n, m-1) hyperplane bases
+        path = tmp_path / "wide.ubss"
+        entries = np.random.default_rng(1).uniform(0.5, 1.5, size=m * n)
+        codes = np.zeros(m * 4, dtype="<f4")
+        path.write_bytes(struct.pack("<4sBBHHIIIBdd", b"UBSS", 1, 0, m, n, 2, 2, m, 0, 0.0, 0.0)
+                         + entries.astype("<f8").tobytes() + codes.tobytes())
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            with pytest.raises(ContainerError, match="too many column subsets"):
+                read_container(path)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1 and peak < 4 << 20
 
     def test_non_finite_payload(self, tmp_path, encoded):
         _, enc = encoded
@@ -483,7 +516,7 @@ def mutated_containers(draw):
     quantization = draw(st.sampled_from(["float-container", "affine-8bit"]))
     data = bytearray(_base_container(quantization))
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["flip", "truncate", "extend", "field", "matrix", "payload"]))
+        kind = draw(st.sampled_from(["flip", "truncate", "extend", "field", "matrix", "shape", "payload"]))
         if kind == "flip" and data:
             pos = draw(st.integers(0, len(data) - 1))
             data[pos] ^= draw(st.integers(1, 255))
@@ -500,6 +533,13 @@ def mutated_containers(draw):
                 value = draw(st.sampled_from([0, 1, 2, 3, 4, 5, top - 1, top]) | st.integers(0, top))
             if len(data) >= offset + struct.calcsize(fmt):
                 struct.pack_into(fmt, data, offset, value)
+        elif kind == "shape" and len(data) >= 39:  # m, n and a matrix block of m*n <= 64 entries
+            m = draw(st.integers(0, 8))
+            n = draw(st.integers(0, 64 // max(m, 1)))
+            old = 8 * struct.unpack_from("<H", data, 6)[0] * struct.unpack_from("<H", data, 8)[0]
+            entries = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-2.0, 2.0, size=m * n)
+            data[39 : 39 + old] = entries.astype("<f8").tobytes()
+            struct.pack_into("<HH", data, 6, m, n)
         elif kind == "matrix":  # one f64 matrix entry
             pos = 39 + 8 * draw(st.integers(0, 11))
             if len(data) >= pos + 8:
