@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass, replace
 
 from . import pipeline, synth, vio
-from .mixcore import MixingMatrix, default_mixing_matrix, mixing_evidence
+from .mixcore import DEFAULT_MATRIX_ENTRIES, _freeze, mixing_evidence, mixing_fault
 from .pipeline import QUANT_AFFINE, QUANT_FLOAT, CodecConfig
 from .sca import QUANTILE_PERCENTS
 
@@ -138,8 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args) -> CodecConfig:
-    cfg = pipeline.load_config(args.config) if getattr(args, "config", None) else CodecConfig()
+def _load_cfg(args, default=None) -> CodecConfig:
+    """The ``--config`` file's config, else ``default`` (the built-in one if None), with the flags applied."""
+    cfg = pipeline.load_config(args.config) if getattr(args, "config", None) else default or CodecConfig()
     overrides = {}
     if getattr(args, "tau", None) is not None:
         overrides["tau"] = args.tau
@@ -148,30 +149,27 @@ def _load_cfg(args) -> CodecConfig:
     return replace(cfg, **overrides)
 
 
-def _load_frames(args):
-    if getattr(args, "preset", None) and not getattr(args, "input", None):
-        count = args.frames if args.frames is not None else 40
-        width = 64 if args.width is None else args.width
-        height = 64 if args.height is None else args.height
-        return synth.generate(args.preset, count, width, height, args.seed)
-    if not getattr(args, "input", None):
+def _load_inputs(args):
+    """The frames and the codec config; ``--preset`` frames are made for the config's matrix."""
+    cfg = _load_cfg(args)
+    if args.input:
+        return vio.read_sequence(args.input, width=args.width, height=args.height, count=args.frames), cfg
+    if not getattr(args, "preset", None):
         raise ValueError("an input path or --preset is required")
-    if args.width is not None or args.height is not None:
-        return vio.read_sequence(
-            args.input, width=args.width, height=args.height, count=getattr(args, "frames", None)
-        )
-    return vio.read_sequence(args.input)
+    count = args.frames if args.frames is not None else 40
+    width = 64 if args.width is None else args.width
+    height = 64 if args.height is None else args.height
+    m, n = cfg.matrix.rows, cfg.matrix.cols
+    return synth.generate(args.preset, count, width, height, args.seed, group=n, max_active=m - 1), cfg
 
 
 def _cmd_validate_matrix(args) -> int:
     parsed = pipeline.parse_config(args.config) if args.config else {}
-    entries = parsed["matrix"] if "matrix" in parsed else default_mixing_matrix().entries
-    try:
-        MixingMatrix(entries)
-        failure = None
-    except ValueError as exc:
-        failure = str(exc)
-    dets, gram_cond = mixing_evidence(entries)
+    entries = parsed["matrix"] if "matrix" in parsed else _freeze(DEFAULT_MATRIX_ENTRIES)
+    evidence = subsets, magnitudes, gram_cond = mixing_evidence(entries)
+    failure = mixing_fault(entries, evidence)
+    # Python floats and ints print as "0.5" and "(0, 2)", numpy's as "np.float64(0.5)"
+    dets = list(zip(map(tuple, subsets.tolist()), magnitudes.tolist()))
     min_det = min((mag for _, mag in dets), default=math.nan)
     if args.porcelain:
         for cols, mag in dets:
@@ -203,8 +201,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_mix(args) -> int:
-    frames = _load_frames(args)
-    cfg = _load_cfg(args)
+    frames, cfg = _load_inputs(args)
     enc = pipeline.encode_sequence(frames, cfg)
     size = vio.write_container(enc, args.out)
     if args.porcelain:
@@ -222,14 +219,7 @@ def _cmd_mix(args) -> int:
 
 def _cmd_separate(args) -> int:
     enc = vio.read_container(args.input)
-    if args.config:
-        cfg = _load_cfg(args)
-    else:
-        cfg = CodecConfig(
-            matrix=enc.matrix,
-            tau=args.tau if args.tau is not None else pipeline.DEFAULT_TAU,
-            quantization=enc.quantization,
-        )
+    cfg = _load_cfg(args, CodecConfig(matrix=enc.matrix, quantization=enc.quantization))
     decoded, stats = pipeline.decode_sequence(enc, cfg)
     paths = vio.write_sequence(decoded, args.out)
     if args.porcelain:
@@ -264,8 +254,7 @@ def _print_stats_porcelain(stats) -> None:
 
 
 def _cmd_roundtrip(args) -> int:
-    frames = _load_frames(args)
-    cfg = _load_cfg(args)
+    frames, cfg = _load_inputs(args)
     report = pipeline.roundtrip_eval(frames, cfg)
     if args.porcelain:
         print(f"sources={report.source_count}")
@@ -324,8 +313,7 @@ def _run_codec(template: str, in_path: str, out_path: str) -> int:
 
 
 def _cmd_bench(args) -> int:
-    frames = _load_frames(args)
-    cfg = _load_cfg(args)
+    frames, cfg = _load_inputs(args)
     original_raw = vio.sequence_stream_bytes(frames)
     enc = pipeline.encode_sequence(frames, cfg)
     mixed_raw = vio.mixed_stream_bytes(enc)

@@ -13,8 +13,8 @@ guarantees that any subset of its columns spans a full-rank subspace, which
 the recovery stage in :mod:`ubssvc.sca` depends on. Construction also
 bounds the condition number of the Gram matrix A A^T, which the decoder's
 dense solve inverts, so a matrix that constructs is one the decoder can
-use. :class:`MixingMatrix` construction is the one verdict on a matrix;
-:func:`mixing_evidence` lists the numbers it is made from.
+use. :func:`mixing_fault` is the one verdict on a matrix, which construction
+raises; :func:`mixing_evidence` lists the numbers it is made from.
 """
 from __future__ import annotations
 
@@ -56,8 +56,8 @@ DEFAULT_MATRIX_ENTRIES = (
 )
 
 
-def _freeze(values, dtype=np.float64) -> np.ndarray:
-    return _read_only(np.array(values, dtype=dtype))
+def _freeze(values) -> np.ndarray:
+    return _read_only(np.array(values, dtype=np.float64))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -130,62 +130,72 @@ def _to_sequence(frames) -> np.ndarray:
     return arr
 
 
-def mixing_evidence(entries) -> tuple[list[tuple[tuple[int, ...], float]], float]:
-    """What :class:`MixingMatrix` judges an (m, n) array by.
+def column_subsets(n: int, k: int) -> np.ndarray:
+    """Every k-column subset of n columns: a read-only (C(n, k), k) ``intp`` array in lexicographic order."""
+    count = math.comb(n, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return _read_only(np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k))
 
-    Returns |det| of every m x m column submatrix, as (0-based column
-    subset, magnitude) pairs in lexicographic subset order, and the
-    condition number of the Gram matrix A A^T, infinite when A A^T is
-    empty (m = 0) or overflows. Raises ``ValueError``, before it
-    enumerates anything, when the subsets or the decoder's hyperplane bases
-    would hold more than :data:`SUBSET_BOUND` float64s.
+
+def mixing_evidence(entries) -> tuple[np.ndarray, np.ndarray, float]:
+    """What :func:`mixing_fault` judges an (m, n) array by.
+
+    Returns the :func:`column_subsets` of its m x m submatrices, the |det|
+    of each from one stacked call (NaN for non-finite entries), and the
+    condition number of A A^T, infinite when that is empty (m = 0) or
+    overflows. Raises ``ValueError``, before it enumerates anything, when
+    the subsets or the decoder's hyperplane bases would hold more than
+    :data:`SUBSET_BOUND` float64s.
     """
     m, n = entries.shape
     bases = math.comb(n, m - 1) * m * (m - 1) if m else 0
     if max(math.comb(n, m) * m * m, bases) > SUBSET_BOUND:
         raise ValueError(f"a {m}x{n} mixing matrix has too many column subsets to check (bound {SUBSET_BOUND})")
+    subsets = column_subsets(n, m)
     with np.errstate(invalid="ignore"):  # non-finite entries give NaN, reported as is
-        dets = [
-            (cols, float(abs(np.linalg.det(entries[:, cols]))))
-            for cols in itertools.combinations(range(n), m)
-        ]
+        magnitudes = np.abs(np.linalg.det(entries[:, subsets].transpose(1, 0, 2)))
     gram = entries @ entries.T
-    return dets, float(np.linalg.cond(gram)) if gram.size and np.isfinite(gram).all() else math.inf
+    return subsets, magnitudes, float(np.linalg.cond(gram)) if gram.size and np.isfinite(gram).all() else math.inf
+
+
+def mixing_fault(entries: np.ndarray, evidence=None) -> str | None:
+    """Why :class:`MixingMatrix` refuses a float64 array, or ``None`` if it accepts it.
+
+    ``evidence`` is :func:`mixing_evidence` of the same array, when the caller has it.
+    """
+    if entries.ndim != 2:
+        return "mixing matrix must be 2-D"
+    m, n = entries.shape
+    if m >= n:
+        return f"matrix must be underdetermined: rows ({m}) must be < columns ({n})"
+    if m < 2:
+        return "mixing matrix needs at least 2 rows"
+    if not np.isfinite(entries).all():
+        return "mixing matrix entries must be finite"
+    subsets, magnitudes, gram_cond = mixing_evidence(entries) if evidence is None else evidence
+    # the first smallest |det| by Python's min, to which a NaN is least only in first place
+    worst = 0 if math.isnan(magnitudes[0]) else int(np.nanargmin(magnitudes))
+    if not magnitudes[worst] > DET_FLOOR:
+        return (
+            f"mixing matrix has a near-singular square submatrix: columns {tuple(subsets[worst].tolist())} "
+            f"give |det| = {float(magnitudes[worst]):.3e} (floor {DET_FLOOR:g})"
+        )
+    # the decoder's LL solve inverts the Gram matrix
+    if not gram_cond <= GRAM_COND_BOUND:
+        return "mixing matrix rows are numerically dependent"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """The m x n mixing matrix, validated at construction.
-
-    Construction fails unless 2 <= m < n, all entries are finite, every
-    m x m submatrix has |det| above :data:`DET_FLOOR`, and the Gram matrix
-    A A^T has a condition number of at most :data:`GRAM_COND_BOUND`, so
-    that :func:`generalized_inverse` can solve with it.
-    """
+    """The m x n mixing matrix; construction raises ``ValueError`` with :func:`mixing_fault`'s reason."""
 
     entries: np.ndarray
 
     def __post_init__(self):
         arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError("mixing matrix must be 2-D")
-        m, n = arr.shape
-        if m >= n:
-            raise ValueError(f"matrix must be underdetermined: rows ({m}) must be < columns ({n})")
-        if m < 2:
-            raise ValueError("mixing matrix needs at least 2 rows")
-        if not np.isfinite(arr).all():
-            raise ValueError("mixing matrix entries must be finite")
-        dets, gram_cond = mixing_evidence(arr)
-        worst = min(dets, key=lambda item: item[1])
-        if not worst[1] > DET_FLOOR:
-            raise ValueError(
-                f"mixing matrix has a near-singular square submatrix: columns {worst[0]} "
-                f"give |det| = {worst[1]:.3e} (floor {DET_FLOOR:g})"
-            )
-        # the decoder's LL solve inverts the Gram matrix
-        if not gram_cond <= GRAM_COND_BOUND:
-            raise ValueError("mixing matrix rows are numerically dependent")
+        if fault := mixing_fault(arr):
+            raise ValueError(fault)
         object.__setattr__(self, "entries", _freeze(arr))
 
     @property

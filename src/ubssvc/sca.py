@@ -22,13 +22,12 @@ whole group's peak column norms, and every product goes through BLAS gemm
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mixcore import DEFAULT_ZERO_EPS, MixingMatrix, _freeze
+from .mixcore import DEFAULT_ZERO_EPS, MixingMatrix, _freeze, column_subsets
 
 # The percents at which :meth:`RecoveryStats.residual_quantiles` reports.
 QUANTILE_PERCENTS = (0, 25, 50, 75, 100)
@@ -111,15 +110,14 @@ def build_hyperplanes(matrix: MixingMatrix) -> HyperplaneSet:
     hyperplane, and its normal is the left-singular vector of the spanning
     columns that lies outside their range.
     """
-    m, n = matrix.rows, matrix.cols
-    index_sets = np.array(list(itertools.combinations(range(n), m - 1)))
+    index_sets = column_subsets(matrix.cols, matrix.rows - 1)
     bases = matrix.entries[:, index_sets].transpose(1, 0, 2)  # (C, m, m-1)
     bases_t = bases.transpose(0, 2, 1)
     return HyperplaneSet(
-        index_sets=_freeze(index_sets, dtype=np.intp),
+        index_sets=index_sets,
         normals=_freeze(np.linalg.svd(bases)[0][:, :, -1]),
         coefficient_maps=_freeze(np.linalg.solve(bases_t @ bases, bases_t)),
-        sources=n,
+        sources=matrix.cols,
     )
 
 

@@ -67,9 +67,10 @@ def noise(count, width, height, seed) -> np.ndarray:
     return _read_only(np.stack(planes).astype(np.float64))
 
 
-def generate(preset, count, width, height, seed) -> np.ndarray:
+def generate(preset, count, width, height, seed, group=4, max_active=2) -> np.ndarray:
+    """Frames of a preset; ``group`` and ``max_active`` shape ``sparse-detail`` (see :func:`sparse_detail`)."""
     if preset == "sparse-detail":
-        return sparse_detail(count, width, height, seed)
+        return sparse_detail(count, width, height, seed, group, max_active)
     if preset == "noise":
         return noise(count, width, height, seed)
     raise ValueError(f"unknown preset {preset!r}; choose from {PRESETS}")

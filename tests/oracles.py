@@ -7,7 +7,9 @@ the vectorized one, SVD (numpy.linalg.pinv) against the normal-equations
 inverse, a per-column search over every subspace instead of the
 vectorized recovery kernel, a frame-by-frame, block-by-block decode
 instead of the chunked array pipeline, and a quantizer that handles one
-Python scalar at a time instead of whole arrays.
+Python scalar at a time instead of whole arrays. The one exception is
+:func:`det_magnitudes_loop`, the same LAPACK determinant one column subset
+at a time, which the stacked call must match bit for bit.
 """
 import itertools
 import math
@@ -27,6 +29,17 @@ def det_cofactor(matrix) -> float:
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
         total += ((-1.0) ** j) * m[0][j] * det_cofactor(minor)
     return total
+
+
+def det_magnitudes_loop(entries) -> list[tuple[tuple[int, ...], float]]:
+    """|det| of every m x m column submatrix, one ``np.linalg.det`` call per subset.
+
+    Returns (0-based column subset, magnitude) pairs in lexicographic subset
+    order.
+    """
+    m, n = entries.shape
+    with np.errstate(invalid="ignore"):
+        return [(cols, float(abs(np.linalg.det(entries[:, cols])))) for cols in itertools.combinations(range(n), m)]
 
 
 def gs_projection(columns, x) -> np.ndarray:

@@ -1,5 +1,7 @@
 import contextlib
+import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -21,7 +23,7 @@ from ubssvc import (
     write_container,
     write_sequence,
 )
-from ubssvc import MixingMatrix, cli, synth
+from ubssvc import MixingMatrix, cli, mixcore, synth
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -56,6 +58,59 @@ class TestCompressionRatio:
             compression_ratio(5, -1)
 
 
+# (config, reason) of matrices that validate-matrix and mix both refuse
+FAILING_CONFIGS = {
+    "gram-1e8": ("n = 3\nm = 2\nmatrix = 1e8 0.5 0.25  0.5 1.0 -0.75\n", "numerically dependent"),
+    "one-row": ("n = 2\nm = 1\nmatrix = 1 2\n", "at least 2 rows"),
+    "empty": ("n = 3\nm = 0\nmatrix =\n", "at least 2 rows"),
+    "n-only": ("n = 3\n", "disagree"),
+    # refused before any of its C(2000, 2) determinants, which took 19 s
+    "2x2000": ("n = 2000\nm = 2\nmatrix =" + " 1.5 0.5" * 2000 + "\n", "too many column subsets"),
+}
+
+
+def _matrix_config(entries) -> str:
+    m, n = entries.shape
+    return f"n = {n}\nm = {m}\nmatrix = " + " ".join(map(repr, entries.ravel().tolist())) + "\n"
+
+
+def validate_matrix_configs() -> dict:
+    """The config text of each case in data/validate_matrix_outputs.json; None is no --config.
+
+    The outputs were recorded from the earlier validate-matrix, which took
+    one determinant per column subset in a loop and enumerated them again
+    inside MixingMatrix; the command keeps them byte for byte.
+    """
+    rng = np.random.default_rng(21)
+    configs = {"default": None, "duplicate-column": "n = 3\nm = 2\nmatrix = 1 0 1  0 1 0\n"}
+    configs.update((name, config) for name, (config, _) in FAILING_CONFIGS.items())
+    configs.update({
+        "nan-first": "n = 3\nm = 2\nmatrix = nan 0.5 0.25  0.5 1.0 -0.75\n",
+        "nan-last": "n = 3\nm = 2\nmatrix = 1.0 0.5 nan  0.5 1.0 -0.75\n",
+        "inf": "n = 4\nm = 3\nmatrix = 0.5 0.75 0.25 0.15  0.4 inf 0.1 1.0  0.45 0.1 0.85 0.25\n",
+        "square-3x3": "n = 3\nm = 3\nmatrix = 1 0 0  0 1 0  0 0 1\n",
+        "tall-4x3": "n = 3\nm = 4\nmatrix =" + " 1 2 3" * 4 + "\n",
+        "2x8": _matrix_config(rng.uniform(0.0, 1.0, size=(2, 8))),
+        "2x362": _matrix_config(rng.uniform(0.5, 1.5, size=(2, 362))),
+        "3x56": _matrix_config(rng.uniform(0.5, 1.5, size=(3, 56))),
+    })
+    return configs
+
+
+def run_validate_matrix(config, porcelain, work) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of an in-process validate-matrix; the config path reads {config}."""
+    argv = ["validate-matrix"] + (["--porcelain"] if porcelain else [])
+    path = os.path.join(work, "codec.cfg")
+    if config is not None:
+        with open(path, "w") as fh:
+            fh.write(config)
+        argv += ["--config", path]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue().replace(path, "{config}")
+
+
 class TestValidateMatrixCommand:
     def test_default_matrix_passes(self):
         proc = run_cli("validate-matrix")
@@ -77,18 +132,7 @@ class TestValidateMatrixCommand:
         assert proc.returncode == 2
         assert "FAIL" in proc.stdout and "near-singular" in proc.stdout
 
-    @pytest.mark.parametrize(
-        "config, reason",
-        [
-            ("n = 3\nm = 2\nmatrix = 1e8 0.5 0.25  0.5 1.0 -0.75\n", "numerically dependent"),
-            ("n = 2\nm = 1\nmatrix = 1 2\n", "at least 2 rows"),
-            ("n = 3\nm = 0\nmatrix =\n", "at least 2 rows"),
-            ("n = 3\n", "disagree"),
-            # refused before any of its C(2000, 2) determinants, which took 19 s
-            ("n = 2000\nm = 2\nmatrix =" + " 1.5 0.5" * 2000 + "\n", "too many column subsets"),
-        ],
-        ids=["gram-1e8", "one-row", "empty", "n-only", "2x2000"],
-    )
+    @pytest.mark.parametrize("config, reason", list(FAILING_CONFIGS.values()), ids=list(FAILING_CONFIGS))
     def test_fails_where_mix_fails(self, tmp_path, config, reason):
         path = tmp_path / "codec.cfg"
         path.write_text(config)
@@ -100,6 +144,42 @@ class TestValidateMatrixCommand:
         proc = run_cli("mix", str(tmp_path / "src" / "*.pgm"), "--config", str(path),
                        "--out", str(tmp_path / "o.ubss"))
         assert proc.returncode == 2 and reason in proc.stderr
+
+
+with open(os.path.join(os.path.dirname(__file__), "data", "validate_matrix_outputs.json")) as _fh:
+    VALIDATE_MATRIX_OUTPUTS = json.load(_fh)
+
+
+class TestValidateMatrixOutputs:
+    @pytest.mark.parametrize("name", list(VALIDATE_MATRIX_OUTPUTS))
+    def test_outputs_are_pinned(self, tmp_path, name):
+        # the human and porcelain reports, byte for byte, with exit code and error
+        config = validate_matrix_configs()[name]
+        for mode, expected in VALIDATE_MATRIX_OUTPUTS[name].items():
+            code, out, err = run_validate_matrix(config, mode == "porcelain", str(tmp_path))
+            assert (code, err) == (expected["exit"], expected["stderr"]), mode
+            if "stdout" in expected:
+                assert out == expected["stdout"], mode
+            else:
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                assert (len(out.encode()), digest) == (expected["stdout_bytes"], expected["stdout_sha256"]), mode
+
+    def test_determinants_are_enumerated_once(self, tmp_path, monkeypatch):
+        # the verdict comes from the evidence the report prints, not a second
+        # enumeration inside MixingMatrix
+        real, calls = mixcore.mixing_evidence, []
+
+        def counting(entries):
+            calls.append(entries.shape)
+            return real(entries)
+
+        monkeypatch.setattr(mixcore, "mixing_evidence", counting)
+        monkeypatch.setattr(cli, "mixing_evidence", counting)
+        configs = validate_matrix_configs()
+        for name in ("default", "duplicate-column", "one-row", "gram-1e8", "2x8"):
+            calls.clear()
+            run_validate_matrix(configs[name], True, str(tmp_path))
+            assert len(calls) == 1, name
 
 
 @st.composite
@@ -297,6 +377,20 @@ class TestRoundtripCommand:
         assert "sources=40" in first.stdout
         assert "mixed=30" in first.stdout
         assert "decoded=40" in first.stdout
+
+    def test_preset_frames_are_made_for_the_config_matrix(self, tmp_path, monkeypatch):
+        # sparse-detail groups n frames with at most m-1 active per 2x2 cell;
+        # the built-in 3x4 matrix keeps the frames of synth.generate's defaults
+        real, seen = cli.pipeline.roundtrip_eval, []
+        monkeypatch.setattr(cli.pipeline, "roundtrip_eval", lambda frames, cfg: seen.append(frames) or real(frames, cfg))
+        path = tmp_path / "codec.cfg"
+        path.write_text(validate_matrix_configs()["2x8"])
+        argv = ["roundtrip", "--preset", "sparse-detail", "--frames", "16", "--width", "16", "--height", "16"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv + ["--config", str(path)]) == 0
+            assert cli.main(argv) == 0
+        assert np.array_equal(seen[0], synth.sparse_detail(16, 16, 16, 1, group=8, max_active=1))
+        assert np.array_equal(seen[1], synth.generate("sparse-detail", 16, 16, 16, 1))
 
     def test_input_pattern_giving_two_frames_one_path_exits_2(self, tmp_path):
         write_sequence(synth.generate("noise", 1, 8, 8, seed=1), str(tmp_path / "frame{i!s:.0}.pgm"))

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import det_cofactor, mix_reference, sparsity_census
+from oracles import det_cofactor, det_magnitudes_loop, mix_reference, sparsity_census
 from ubssvc import MixingMatrix, as_sequence, generalized_inverse, snap_to_8bit
 from ubssvc import cli, mixcore, wavelet
-from ubssvc.mixcore import DET_FLOOR, GRAM_COND_BOUND, SUBSET_BOUND, all_finite, mixing_evidence
+from ubssvc.mixcore import DET_FLOOR, GRAM_COND_BOUND, SUBSET_BOUND, all_finite, mixing_evidence, mixing_fault
 
 # frozen via the cofactor oracle on the built-in matrix
 DEFAULT_DET_MAGNITUDES = {
@@ -113,13 +113,13 @@ class TestBlocks:
 
 class TestValidateMixingMatrix:
     def test_default_matrix_passes_with_oracle_determinants(self, matrix):
-        dets, gram_cond = mixing_evidence(matrix.entries)
-        assert len(dets) == 4
-        for cols, magnitude in dets:
+        subsets, magnitudes, gram_cond = mixing_evidence(matrix.entries)
+        assert len(magnitudes) == 4
+        for cols, magnitude in zip(map(tuple, subsets.tolist()), magnitudes):
             expected = abs(det_cofactor(matrix.entries[:, cols]))
             assert magnitude == pytest.approx(expected, abs=1e-12)
             assert magnitude == pytest.approx(DEFAULT_DET_MAGNITUDES[cols], abs=1e-12)
-        assert min(mag for _, mag in dets) == pytest.approx(0.138125, abs=1e-12)
+        assert magnitudes.min() == pytest.approx(0.138125, abs=1e-12)
         assert gram_cond == pytest.approx(np.linalg.cond(matrix.entries @ matrix.entries.T))
         assert gram_cond <= GRAM_COND_BOUND
 
@@ -127,13 +127,14 @@ class TestValidateMixingMatrix:
         raw = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match=r"near-singular square submatrix: columns \(0, 2\)"):
             MixingMatrix(raw)
-        results = dict(mixing_evidence(raw)[0])
+        subsets, magnitudes, _ = mixing_evidence(raw)
+        results = dict(zip(map(tuple, subsets.tolist()), magnitudes))
         assert results[(0, 2)] == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_oracle_2x3(self):
         raw = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
         MixingMatrix(raw)
-        assert [m for _, m in mixing_evidence(raw)[0]] == pytest.approx([1.0, 1.0, 1.0])
+        assert mixing_evidence(raw)[1].tolist() == pytest.approx([1.0, 1.0, 1.0])
 
     def test_det_floor_is_the_verdict(self):
         # columns (0, 2) have |det| = x; the Gram matrix stays well conditioned
@@ -182,8 +183,8 @@ class TestMixingMatrixConstruction:
         # every 2x2 submatrix passes the determinant floor, but A A^T has a
         # condition number near 1e16, which the decoder's dense solve cannot use
         entries = [[1e8, 0.5, 0.25], [0.5, 1.0, -0.75]]
-        dets, gram_cond = mixing_evidence(np.array(entries))
-        assert min(mag for _, mag in dets) > DET_FLOOR and gram_cond > GRAM_COND_BOUND
+        _, magnitudes, gram_cond = mixing_evidence(np.array(entries))
+        assert magnitudes.min() > DET_FLOOR and gram_cond > GRAM_COND_BOUND
         with pytest.raises(ValueError, match="numerically dependent"):
             MixingMatrix(entries)
         # validate-matrix gives the same verdict
@@ -200,7 +201,7 @@ class TestMixingMatrixConstruction:
     def test_overflowing_gram_rejected_at_construction(self):
         with pytest.raises(ValueError, match="numerically dependent"):
             MixingMatrix([[1e200, 0.5, 0.25], [0.5, 1.0, -0.75]])
-        assert mixing_evidence(np.array([[1e200, 0.5, 0.25], [0.5, 1.0, -0.75]]))[1] == np.inf
+        assert mixing_evidence(np.array([[1e200, 0.5, 0.25], [0.5, 1.0, -0.75]]))[2] == np.inf
 
     def test_shape_bound(self, rng):
         # every shape the tests and the docs use passes, up to the widest
@@ -215,11 +216,35 @@ class TestMixingMatrixConstruction:
             with pytest.raises(ValueError, match="too many column subsets"):
                 MixingMatrix(rng.uniform(0.5, 1.5, size=(m, n)))
 
+    @pytest.mark.parametrize(
+        "shape", [(3, 4), (2, 8), (3, 6), (5, 11), (4, 26), (2, 362), (0, 3), (3, 3), (4, 3)]
+    )
+    def test_stacked_determinants_equal_the_per_subset_loop(self, shape):
+        # one stacked det call gives the loop's magnitudes bit for bit, in its
+        # order; m = 0 has one empty subset (det 1.0), m > n none
+        entries = np.random.default_rng(sum(shape)).uniform(-1.0, 2.0, size=shape)
+        for values in (entries, np.where(entries > 1.5, np.nan, entries)):
+            subsets, magnitudes, _ = mixing_evidence(values)
+            loop = det_magnitudes_loop(values)
+            assert subsets.tolist() == [list(cols) for cols, _ in loop]
+            assert np.array_equal(magnitudes, [mag for _, mag in loop], equal_nan=True)
+            assert subsets.dtype == np.intp and not subsets.flags.writeable
+
+    def test_worst_subset_is_the_first_minimum_as_python_min_picks_it(self):
+        # NaN compares false: it is the minimum in first place only
+        entries = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
+        subsets = np.array([[0, 1], [0, 2], [1, 2]])
+        for magnitudes, worst in (([np.nan, 1.0, 0.0], "(0, 1) give |det| = nan"),
+                                  ([1.0, np.nan, 0.0], "(1, 2) give |det| = 0.000e+00"),
+                                  ([0.0, np.nan, 0.0], "(0, 1) give |det| = 0.000e+00")):
+            assert worst in mixing_fault(entries, (subsets, np.array(magnitudes), 1.0))
+        assert mixing_fault(entries, (subsets, np.array([1.0, np.nan, 1.0]), 1.0)) is None
+
     def test_empty_matrix_has_infinite_gram_cond(self):
         for shape in ((0, 3), (0, 0)):
             with pytest.raises(ValueError):
                 MixingMatrix(np.zeros(shape))
-            assert mixing_evidence(np.zeros(shape))[1] == np.inf
+            assert mixing_evidence(np.zeros(shape))[2] == np.inf
 
 
 class TestMixBlock:

@@ -21,6 +21,7 @@ from ubssvc import (
     RecoveryStats,
     build_hyperplanes,
     decode_sequence,
+    default_mixing_matrix,
     encode_sequence,
     generalized_inverse,
     load_config,
@@ -197,24 +198,43 @@ class TestDecode:
         assert not decoded.any()
         assert stats.zero_columns == stats.total_columns
 
-    def test_detail_subbands_recovered_and_ll_matches_projector(self, matrix):
-        # The sparse-detail preset keeps every detail-coefficient column at
-        # <= m-1 active sources, so the high-frequency path is exact up to
-        # the container grid snap (float32: ~1e-4 on coefficients of ~40).
-        # The low-frequency path loses exactly what the projector A+A
-        # predicts.
-        cfg = CodecConfig()
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 4), (3, 6), (2, 8), (4, 8)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_detail_subbands_recovered_and_ll_matches_projector(self, shape):
+        # sparse_detail(group=n, max_active=m-1) keeps every detail-coefficient
+        # column at <= m-1 active sources, so the high-frequency path is exact
+        # up to the float32 codes. The low-frequency path loses exactly what
+        # the projector A+A predicts. 3x4 is the built-in matrix, the others
+        # random non-negative ones.
+        #
+        # The bound: a code is within u|x| of its mixed value x (u = 2^-24,
+        # float32 rounding to nearest), and |x| <= 255 times A's largest row
+        # sum, as A >= 0 and pixels lie in [0, 255]. A Haar coefficient is
+        # (+-a +-b +-c +-d)/2 of four codes, so each of a column's m
+        # coefficients is off by at most 2u max|x|, and the column by
+        # e = 2u max|x| sqrt(m). The sources' coefficients are multiples of
+        # 1/2, which keeps a column nearest a plane q that holds its sources,
+        # so its recovered coefficients are off by at most ||C_q||_2 e (C_q
+        # the plane's coefficient map), and its ll coefficients by
+        # ||A+||_2 e. The float64 arithmetic adds errors near 1e-13.
+        m, n = shape
+        entries = np.random.default_rng(21).uniform(0.0, 1.0, size=shape)
+        matrix = default_mixing_matrix() if shape == (3, 4) else MixingMatrix(entries)
+        cfg = CodecConfig(matrix=matrix)
         pinv = generalized_inverse(matrix)
         projector = pinv @ matrix.entries
-        frames = synth.generate("sparse-detail", 8, 32, 32, seed=21)
+        column_error = 2 * 2.0**-24 * 255 * matrix.entries.sum(axis=1).max() * math.sqrt(m)
+        maps = build_hyperplanes(matrix).coefficient_maps
+        detail_bound = max(np.linalg.norm(c, 2) for c in maps) * column_error
+        ll_bound = np.linalg.norm(pinv, 2) * column_error
+        frames = synth.sparse_detail(2 * n, 32, 32, seed=21, group=n, max_active=m - 1)
         decoded, stats = decode_sequence(encode_sequence(frames, cfg), cfg)
         for b in range(2):
-            src, got = frames[b * 4 : (b + 1) * 4], decoded[b * 4 : (b + 1) * 4]
+            src, got = frames[b * n : (b + 1) * n], decoded[b * n : (b + 1) * n]
             for band in ("lh", "hl", "hh"):
-                assert np.abs(_band_columns(src, band) - _band_columns(got, band)).max() <= 1e-3
+                assert np.abs(_band_columns(src, band) - _band_columns(got, band)).max() <= detail_bound
             source_ll = _band_columns(src, "ll")
             decoded_ll = _band_columns(got, "ll")
-            assert np.abs(decoded_ll - projector @ source_ll).max() <= 1e-3
+            assert np.abs(decoded_ll - projector @ source_ll).max() <= ll_bound
 
     def test_constant_frames_quantify_mixing_loss(self, matrix):
         cfg = CodecConfig()
@@ -382,7 +402,7 @@ def test_decode_builds_plane_set_once(monkeypatch):
 @st.composite
 def codec_cases(draw):
     m = draw(st.integers(2, 4))
-    n = draw(st.integers(m + 1, 5))
+    n = draw(st.integers(m + 1, 8))
     return (
         m,
         n,

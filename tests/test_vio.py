@@ -290,6 +290,23 @@ class TestContainer:
             tracemalloc.stop()
         assert elapsed < 0.1 and peak < 4 << 20
 
+    def test_widest_two_row_matrix_reads_quickly(self, tmp_path):
+        # 2x362 is the widest 2-row shape that passes SUBSET_BOUND; its 65,341
+        # determinants, one np.linalg.det call each, took about 0.8 s a read
+        m, n = 2, 362
+        path = tmp_path / "wide.ubss"
+        entries = np.random.default_rng(1).uniform(0.5, 1.5, size=m * n)
+        codes = np.zeros(m * 8 * 8, dtype="<f4")
+        path.write_bytes(struct.pack("<4sBBHHIIIBdd", b"UBSS", 1, 0, m, n, 8, 8, m, 0, 0.0, 0.0)
+                         + entries.astype("<f8").tobytes() + codes.tobytes())
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            enc = read_container(path)
+            times.append(time.perf_counter() - start)
+        assert enc.matrix.entries.shape == (m, n) and enc.source_count == n
+        assert min(times) < 0.1
+
     def test_non_finite_payload(self, tmp_path, encoded):
         _, enc = encoded
         path = tmp_path / "x.ubss"
