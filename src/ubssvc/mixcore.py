@@ -18,6 +18,7 @@ raises; :func:`mixing_evidence` lists the numbers it is made from.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -207,8 +208,9 @@ class MixingMatrix:
         return self.entries.shape[1]
 
 
+@functools.cache
 def default_mixing_matrix() -> MixingMatrix:
-    """The built-in 3x4 reference matrix (mixes 4 source frames into 3)."""
+    """The built-in 3x4 reference matrix (mixes 4 source frames into 3), built and validated once."""
     return MixingMatrix(DEFAULT_MATRIX_ENTRIES)
 
 

@@ -362,24 +362,6 @@ def _dequantize(codes, affine, out) -> None:
     out += affine[1]
 
 
-def _pieces(height: int, width: int) -> list[tuple]:
-    """(pixel, subband) index pairs that cover a height x width plane and its Haar bands.
-
-    The even part comes first; then an odd last row and an odd last column,
-    each one row or column of subband cells, which the transforms see
-    edge-padded to even size. Empty pieces are left out.
-    """
-    rows, cols = height // 2, width // 2
-    pieces = []
-    if rows and cols:
-        pieces.append((np.s_[..., : 2 * rows, : 2 * cols], np.s_[..., :rows, :cols]))
-    if height % 2:
-        pieces.append((np.s_[..., 2 * rows :, :], np.s_[..., rows:, :]))
-    if width % 2 and rows:
-        pieces.append((np.s_[..., : 2 * rows, 2 * cols :], np.s_[..., :rows, cols:]))
-    return pieces
-
-
 def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> list[RecoveryStats]:
     """Decode (k, m, h, W) mixed codes into the (k, n, h, W) array ``dest``.
 
@@ -394,10 +376,8 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> 
     of its own, so that one task's temporaries are freed before the next
     task allocates its own.
 
-    Odd sides are decoded as if edge-padded to even, as a whole-frame
-    transform of the padded codes would: the even part of the codes and of
-    ``dest`` goes through the transforms in place, and only an odd last row
-    or column of them through a small padded copy.
+    Odd sides decode as if edge-padded to even: the transforms pad the
+    codes and crop ``dest`` themselves, so each is called once.
     """
     k, m, height, width = codes.shape
     half = (-(-height // 2), -(-width // 2))
@@ -406,14 +386,8 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> 
         bands = [np.empty((k, m, *half)), *details.transpose(2, 1, 0, 3, 4)]
     else:
         bands = [np.empty((k, m, *half)) for _ in BANDS]
-    pieces = _pieces(height, width)
     convert = None if affine is None else lambda slab, values: _dequantize(slab, affine, values)
-    for pixels, cells in pieces:
-        piece = codes[pixels]
-        odd = (piece.shape[2] % 2, piece.shape[3] % 2)
-        if any(odd):
-            piece = np.pad(piece, ((0, 0), (0, 0), (0, odd[0]), (0, odd[1])), mode="edge")
-        haar_forward(piece, convert, [band[cells] for band in bands])
+    haar_forward(codes, convert, bands)
     # each band is popped into its recovery call, so its memory is freed once used
     bands = [band.reshape(k, m, -1) for band in bands]
     recovered = [recover_dense(pinv, bands.pop(0))]
@@ -428,13 +402,7 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> 
             sources, band_stats = recover_block(planes, bands.pop(0), tau, band_peaks)
             recovered.append(sources)
             stats.append(band_stats)
-    recovered = [r.reshape(k, -1, *half) for r in recovered]
-    for pixels, cells in pieces:
-        part, piece = dest[pixels], [r[cells] for r in recovered]
-        if part.shape[2] % 2 or part.shape[3] % 2:
-            part[...] = haar_inverse(piece)[..., : part.shape[2], : part.shape[3]]
-        else:
-            haar_inverse(piece, out=part)
+    haar_inverse([r.reshape(k, -1, *half) for r in recovered], out=dest)
     return stats
 
 

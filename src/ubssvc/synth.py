@@ -26,10 +26,11 @@ def sparse_detail(count, width, height, seed, group=4, max_active=2) -> np.ndarr
 
     Frames come in groups of ``group``; each group shares one
     piecewise-constant base plane (constant on aligned 16x16 tiles, hence
-    on every 2x2 cell). Per 2x2 cell, at most ``max_active`` frames of the
-    group receive an additive intra-cell pattern, so after a one-level
-    transform every detail-coefficient column has at most ``max_active``
-    active sources. Defaults match the built-in 4-into-3 codec.
+    on every 2x2 cell). Per 2x2 cell, ``active`` frames of the group, drawn
+    from 0 to ``max_active`` and all distinct, receive an additive
+    intra-cell pattern, so after a one-level transform every
+    detail-coefficient column has at most ``max_active`` active sources.
+    Defaults match the built-in 4-into-3 codec.
     """
     if count < 1 or width < 1 or height < 1:
         raise ValueError("count, width, height must be positive")
@@ -49,9 +50,16 @@ def sparse_detail(count, width, height, seed, group=4, max_active=2) -> np.ndarr
         active = rng.integers(0, max_active + 1, size=(cells_h, cells_w))
         first = rng.integers(0, group, size=(cells_h, cells_w))
         second = (first + rng.integers(1, group, size=(cells_h, cells_w))) % group
+        chosen = [first, second]
+        if max_active > 2:
+            # the other frames of each cell in a random order, after first and second
+            keys = rng.random((group, cells_h, cells_w))
+            members = np.arange(group)[:, None, None]
+            keys[(members == first) | (members == second)] = -1.0
+            chosen += list(keys.argsort(axis=0)[2:max_active])
         detail = rng.integers(-_DETAIL_AMP, _DETAIL_AMP + 1, size=(group, height, width))
         for j in range(group):
-            cell_mask = ((active >= 1) & (first == j)) | ((active >= 2) & (second == j))
+            cell_mask = np.any([(active > i) & (frame == j) for i, frame in enumerate(chosen)], axis=0)
             mask = np.repeat(np.repeat(cell_mask, 2, 0), 2, 1)[:height, :width]
             np.clip(base + detail[j] * mask, 0, 255, out=frames[g * group + j])
     return _read_only(frames[:count])

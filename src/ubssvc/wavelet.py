@@ -10,8 +10,9 @@ the coefficient domain. Its round trip is bitwise exact whenever the sums
 of a cell are exact in float64, as they are for 8-bit planes and for
 float32 planes whose nonzero magnitudes span less than 2**27.
 Both directions work on the last two axes of an array of any rank, so one
-call transforms a whole stack of frames. Odd dimensions are rejected here;
-padding policy belongs to the pipeline.
+call transforms a whole stack of frames. An odd side is transformed as if
+its last row or column were repeated once (edge padding), and the inverse
+can leave that row or column out of its output.
 """
 from __future__ import annotations
 
@@ -37,39 +38,47 @@ def _slabs(band) -> list[slice]:
 
 
 def haar_forward(planes, convert=None, out=None) -> tuple[np.ndarray, ...]:
-    """One-level orthonormal Haar decomposition of (..., H, W) planes, H and W even.
+    """One-level orthonormal Haar decomposition of (..., H, W) planes.
 
-    Returns four (..., H/2, W/2) arrays, the bands in :data:`BANDS` order:
-    ll is the low-frequency approximation, lh horizontal detail (row-pass
-    detail), hl vertical detail (column-pass detail), hh diagonal. They are
-    written into ``out``, four arrays of that shape, when given.
+    Returns four (..., ceil(H/2), ceil(W/2)) arrays, the bands in
+    :data:`BANDS` order: ll is the low-frequency approximation, lh
+    horizontal detail (row-pass detail), hl vertical detail (column-pass
+    detail), hh diagonal. They are written into ``out``, four arrays of that
+    shape, when given. An odd side gives the bands of the planes
+    edge-padded to even: the last column, then the last row, is repeated.
     ``planes`` keeps its dtype; each row slab is turned into float64 as the
     transform reaches it, by ``convert(slab, buffer)`` (an elementwise
     function that writes the values of a (..., rows, W) slab into a float64
     buffer of its shape) or by a plain cast, so no float64 copy of whole
-    integer or float32 planes is built. The slab buffer and the row-pass
-    arrays are allocated once per call and reused by every slab.
+    integer or float32 planes is built, and the padding is written into that
+    buffer. The slab buffer and the row-pass arrays are allocated once per
+    call and reused by every slab.
     """
     a = np.asarray(planes)
-    if a.ndim < 2 or a.shape[-2] % 2 or a.shape[-1] % 2:
-        raise ValueError(f"planes must have even height and width, got shape {a.shape}")
-    shape = (*a.shape[:-2], a.shape[-2] // 2, a.shape[-1] // 2)
+    if a.ndim < 2:
+        raise ValueError(f"planes must have a height and a width, got shape {a.shape}")
+    height, width = a.shape[-2:]
+    shape = (*a.shape[:-2], -(-height // 2), -(-width // 2))
     if out is None:
         out = tuple(np.empty(shape) for _ in BANDS)
     elif len(out) != len(BANDS) or any(band.shape != shape for band in out):
         raise ValueError(f"output bands must be {len(BANDS)} arrays of shape {shape}")
-    if convert is None and a.dtype != np.float64:
+    if convert is None and (a.dtype != np.float64 or height % 2 or width % 2):
         convert = _cast
     slabs = _slabs(out[0])
     # buffers for the first slab, the largest; a later slab uses their leading rows
     rows = 2 * min(shape[-2], slabs[0].stop) if slabs else 0
-    pixels = np.empty((*a.shape[:-2], rows, a.shape[-1])) if convert is not None else None
+    pixels = np.empty((*a.shape[:-2], rows, 2 * shape[-1])) if convert is not None else None
     row_pass = [np.empty((*a.shape[:-2], rows, shape[-1])) for _ in range(2)]
     for slab in slabs:
         source = a[..., 2 * slab.start : 2 * slab.stop, :]
-        rows = source.shape[-2]
+        rows, given = 2 * (min(slab.stop, shape[-2]) - slab.start), source.shape[-2]
         if convert is not None:
-            convert(source, pixels[..., :rows, :])
+            convert(source, pixels[..., :given, :width])
+            if width % 2:
+                pixels[..., :given, width] = pixels[..., :given, width - 1]
+            if given < rows:
+                pixels[..., given, :] = pixels[..., given - 1, :]
             source = pixels[..., :rows, :]
         _forward_slab(source, *(buf[..., :rows, :] for buf in row_pass), *(band[..., slab, :] for band in out))
     return tuple(out)
@@ -94,11 +103,12 @@ def haar_inverse(bands, out=None) -> np.ndarray:
     """Inverse of :func:`haar_forward`.
 
     ``bands`` holds the ll, lh, hl and hh planes, (..., h, w) each; the
-    result is (..., 2h, 2w), written into ``out`` when given. The two
-    sums of each row pair are halved before the pixels are added up from
-    them, which gives the bits of halving the pixels' full sums whenever
-    those halves are normal floats: always for 8-bit and float32-valued
-    data.
+    result is (..., 2h, 2w), written into ``out`` when given. An ``out``
+    one row and/or one column short of that receives the pixels of an odd
+    side, and the edge-padded row or column is left out. The two sums of
+    each row pair are halved before the pixels are added up from them,
+    which gives the bits of halving the pixels' full sums whenever those
+    halves are normal floats: always for 8-bit and float32-valued data.
     """
     ll, lh, hl, hh = (np.asarray(b, dtype=np.float64) for b in bands)
     if ll.ndim < 2 or not ll.shape == lh.shape == hl.shape == hh.shape:
@@ -106,8 +116,9 @@ def haar_inverse(bands, out=None) -> np.ndarray:
     shape = (*ll.shape[:-2], 2 * ll.shape[-2], 2 * ll.shape[-1])
     if out is None:
         out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"output shape {out.shape} is not twice the subband shape {ll.shape}")
+    short = [full - side for full, side in zip(shape, out.shape)]
+    if out.ndim != len(shape) or any(short[:-2]) or not set(short[-2:]) <= {0, 1}:
+        raise ValueError(f"output shape {out.shape} is not twice the subband shape {ll.shape}, or one less")
     for slab in _slabs(ll):
         dest = out[..., 2 * slab.start : 2 * slab.stop, :]
         _inverse_slab(*(band[..., slab, :] for band in (ll, lh, hl, hh)), dest)
@@ -117,10 +128,13 @@ def haar_inverse(bands, out=None) -> np.ndarray:
 def _inverse_slab(ll, lh, hl, hh, out) -> None:
     # Row parity r: the columns pass gives that row of the rows-pass pair
     # (lo, hi), halved once, and the rows pass writes the even and odd
-    # pixels, lo + hi and lo - hi, straight into their strided place.
+    # pixels, lo + hi and lo - hi, straight into their strided place; an
+    # odd side's last row or column has no place there and is not written.
     lo, hi = np.empty(ll.shape), np.empty(ll.shape)
     for r, op in enumerate((np.add, np.subtract)):
         np.multiply(op(ll, hl, out=lo), 0.5, out=lo)
         np.multiply(op(lh, hh, out=hi), 0.5, out=hi)
-        np.add(lo, hi, out=out[..., r::2, 0::2])
-        np.subtract(lo, hi, out=out[..., r::2, 1::2])
+        for c, pixel in enumerate((np.add, np.subtract)):
+            dest = out[..., r::2, c::2]
+            cut = np.s_[..., : dest.shape[-2], : dest.shape[-1]]
+            pixel(lo[cut], hi[cut], out=dest)

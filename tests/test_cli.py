@@ -355,7 +355,8 @@ class TestConfigOverrides:
         enc = read_container(container)
         assert enc.quantization == "affine-8bit" and len(enc.mixed_codes) == 4
         assert np.array_equal(enc.matrix.entries, [[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])
-        # odd frame sizes are edge-padded; a pad policy is no longer a config key
+        # odd frame sizes are transformed as if edge-padded, with no config
+        # key for it: a pad policy is refused as an unknown key
         write_sequence(frames[:, :, :7], str(tmp_path / "odd" / "f_{i}.pgm"))
         odd = ("mix", str(tmp_path / "odd" / "*.pgm"), "--config", str(path), "--out", str(tmp_path / "odd.ubss"))
         assert run_cli(*odd).returncode == 0
@@ -464,6 +465,17 @@ class TestExitCodes:
         monkeypatch.setattr(sys, "stdout", _BrokenStdout())
         assert cli.main(self.ROUNDTRIP) == 141
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 298. GiB for an array with shape (4, 100000, 100000)", ""])
+    def test_out_of_memory_exits_2_cleanly(self, capsys, monkeypatch, message):
+        # frames too large for memory end as an error line, not a traceback;
+        # the allocation fails by stand-in, as a real one could exhaust the host
+        def allocate(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli.synth, "generate", allocate)
+        assert cli.main(self.ROUNDTRIP) == 2
+        assert capsys.readouterr().err == f"error: {message or 'out of memory'}\n"
 
     def test_closed_pipe_exits_141_quietly(self):
         # the buffered output meets the closed pipe only at the last flush

@@ -31,7 +31,7 @@ from ubssvc import (
     write_container,
 )
 from ubssvc import pipeline as pipeline_module
-from ubssvc import cli, synth
+from ubssvc import cli, mixcore, synth
 from ubssvc.pipeline import parse_config
 from ubssvc.wavelet import haar_forward
 
@@ -295,9 +295,10 @@ class TestDecode:
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
     def test_temporaries_of_an_odd_group(self, quantization):
-        # a 353x287 group decodes its even part in place and only its last row
-        # and column through small padded copies, so its temporaries stay
-        # those of a 352x288 group, not 1.7 times them with a padded output
+        # a 353x287 group is padded inside the transforms' slab buffers, and
+        # its output written without the padded row and column, so its
+        # temporaries stay those of a 352x288 group, not 1.7 times them with
+        # a padded output
         cfg = CodecConfig(quantization=quantization)
         temporaries = []
         for width, height in ((352, 288), (353, 287)):
@@ -883,6 +884,19 @@ class TestConfig:
         assert cfg.matrix.entries.shape == (3, 4)
         assert cfg.tau == 0.05
         assert cfg.quantization == "float-container"
+
+    def test_built_in_matrix_is_validated_once(self, tmp_path, monkeypatch):
+        # every config without a matrix, and parse_config's shape check, share
+        # one built-in matrix, whose determinants are enumerated once
+        real, calls = mixcore.mixing_evidence, []
+        monkeypatch.setattr(mixcore, "mixing_evidence", lambda entries: calls.append(entries.shape) or real(entries))
+        mixcore.default_mixing_matrix.cache_clear()
+        configs = [CodecConfig() for _ in range(3)]
+        path = tmp_path / "codec.cfg"
+        path.write_text("n = 4\nm = 3\n")
+        configs.append(load_config(path))
+        assert calls == [(3, 4)]
+        assert all(cfg.matrix is default_mixing_matrix() for cfg in configs)
 
     def test_declared_counts_validated(self, tmp_path):
         # without a matrix in the file, n and m are checked against the built-in one

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,31 @@ class TestSparseDetail:
                 coeffs = group[band].reshape(4, -1)
                 counts, _, satisfied = sparsity_census(coeffs, m=3, zero_eps=1e-9)
                 assert satisfied, f"group {g} band {band}: {counts.max()}"
+
+    @pytest.mark.parametrize(
+        "group, max_active, digest",
+        [
+            (4, 2, "dbcf425efa1c12711043407dcdbbc48520e25181ba8de835854488ec890d2ea9"),
+            (8, 1, "6d9b22db7331031dedc36ecafdac731308bc8b331c460935947443ccc6a88660"),
+            (3, 2, "c5d8ce8a61980fb87e3e3e3304e19bcce1118db9a84cd0f15e8350af639dfa45"),
+        ],
+    )
+    def test_frames_pinned_up_to_two_active(self, group, max_active, digest):
+        # the frames of every max_active <= 2 draw, the bench's among them,
+        # are pinned to their sha256: more active frames add draws only above 2
+        frames = sparse_detail(16, 31, 9, seed=3, group=group, max_active=max_active)
+        assert hashlib.sha256(frames.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("group, max_active", [(8, 3), (7, 6)])
+    def test_cells_reach_max_active_distinct_sources(self, group, max_active):
+        # a cell drawn with k active frames has k distinct ones, so detail
+        # columns with exactly max_active active sources occur, and none more
+        frames = sparse_detail(2 * group, 32, 32, seed=21, group=group, max_active=max_active)
+        for g in range(2):
+            bands = haar_forward(frames[g * group : (g + 1) * group])
+            for band in bands[1:]:
+                active = (np.abs(band.reshape(group, -1)) > 1e-9).sum(axis=0)
+                assert active.max() == max_active
 
     def test_group_parameters_validated(self):
         with pytest.raises(ValueError):

@@ -29,13 +29,29 @@ class TestForward:
         for plane in haar_forward(np.zeros((6, 4))):
             assert plane.shape == (3, 2) and not plane.any()
 
-    def test_rejects_odd_dimensions(self):
-        with pytest.raises(ValueError):
-            haar_forward(np.zeros((3, 4)))
-        with pytest.raises(ValueError):
-            haar_forward(np.zeros((4, 5)))
+    def test_rejects_one_dimension(self):
         with pytest.raises(ValueError):
             haar_forward(np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 4), (4, 5), (1, 1), (1, 8), (1, 9), (7, 1), (8, 1), (2, 3, 5, 7), (3, 0), (0, 5), (0, 4)]
+    )
+    def test_odd_sides_are_edge_padded(self, rng, shape):
+        # an odd side gives, bit for bit, the bands of its edge-padded copy,
+        # from float64, float32 and converted 8-bit planes alike
+        pad = [(0, 0)] * (len(shape) - 2) + [(0, shape[-2] % 2), (0, shape[-1] % 2)]
+        planes = rng.uniform(-300, 300, size=shape)
+        codes = rng.integers(0, 256, size=shape).astype(np.uint8)
+        dequantize = lambda slab, out: _dequantize(slab, (0.7131, -41.25), out)  # noqa: E731
+        cases = [(planes, None), (planes.astype(np.float32), None), (codes, dequantize)]
+        for plane, convert in cases:
+            padded = np.pad(plane, pad, mode="edge")
+            values = padded.astype(np.float64)
+            if convert is not None:
+                convert(padded, values)
+            for got, want in zip(haar_forward(plane, convert), haar_forward(values)):
+                assert got.shape == (*shape[:-2], -(-shape[-2] // 2), -(-shape[-1] // 2))
+                assert np.array_equal(got, want)
 
     def test_matches_pair_loop_oracle(self, rng):
         for _ in range(5):
@@ -77,10 +93,27 @@ class TestInverse:
 
     def test_rejects_wrong_original_dims(self):
         bands = [np.zeros((2, 2))] * 4
+        for shape in [(4, 5), (2, 4), (4, 2), (1, 1), (4,), (1, 4, 4), (4, 4, 4)]:
+            with pytest.raises(ValueError):
+                haar_inverse(bands, out=np.empty(shape))
         with pytest.raises(ValueError):
-            haar_inverse(bands, out=np.empty((4, 5)))
+            haar_inverse([np.zeros((2, 3, 2, 2))] * 4, out=np.empty((3, 2, 4, 4)))
         out = np.empty((4, 4))
         assert haar_inverse(bands, out=out) is out
+
+    @pytest.mark.parametrize("shape", [(2, 3, 4, 6), (2, 3, 3, 6), (2, 3, 4, 5), (2, 3, 3, 5), (1, 1), (1, 2), (2, 1)])
+    def test_out_one_short_is_the_cropped_inverse(self, rng, shape):
+        # an out one row and/or one column short of (2h, 2w) gets the full
+        # inverse's pixels without its last row or column, which stay unwritten
+        half = (*shape[:-2], -(-shape[-2] // 2), -(-shape[-1] // 2))
+        bands = [rng.uniform(-300, 300, size=half) for _ in BANDS]
+        whole = haar_inverse(bands)
+        out = np.full(shape, np.nan)
+        assert haar_inverse(bands, out=out) is out
+        assert np.array_equal(out, whole[..., : shape[-2], : shape[-1]])
+        frame = np.full((*shape[:-2], 2 * half[-2] + 1, 2 * half[-1] + 1), np.nan)
+        haar_inverse(bands, out=frame[..., : shape[-2], : shape[-1]])
+        assert np.isnan(frame[..., shape[-2] :, :]).all() and np.isnan(frame[..., shape[-1] :]).all()
 
 
 class TestSlabs:
@@ -161,17 +194,14 @@ class TestForwardSlabs:
     @pytest.mark.parametrize("slab_rows", [1, 2, 3, 5, 7, 100])
     @pytest.mark.parametrize("shape", [(2, 3, 14, 10), (2, 3, 13, 9)])
     def test_converted_slabs_give_whole_array_bits(self, rng, monkeypatch, slab_rows, shape):
-        # the decoder's codes, edge-padded to even sides in their own dtype as
-        # the pipeline pads an odd last row or column, dequantized slab by slab
-        # into the transform's reused buffer; float codes are cast by the
-        # transform itself, with no converter
-        pad = ((0, 0), (0, 0), (0, shape[2] % 2), (0, shape[3] % 2))
+        # the decoder's codes, odd sides and all, dequantized slab by slab into
+        # the transform's reused buffer, which holds their edge padding too;
+        # float codes are cast by the transform itself, with no converter
         cases = [
             (rng.integers(0, 256, size=shape).astype(np.uint8), (0.7131, -41.25)),
             (rng.uniform(-300, 300, size=shape).astype(np.float32), None),
         ]
         for codes, affine in cases:
-            codes = np.pad(codes, pad, mode="edge")
             convert = None if affine is None else lambda slab, out: _dequantize(slab, affine, out)
             values = codes.astype(np.float64)
             if convert is not None:
