@@ -5,7 +5,6 @@ matrix before a conventional encoder sees them; the decoder gets the
 sources back by classifying wavelet-coefficient columns onto the subspaces
 spanned by the matrix columns.
 """
-from .cli import BenchResult, compression_ratio
 from .metrics import QualityReport, sequence_report
 from .mixcore import (
     MixingMatrix,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BANDS",
-    "BenchResult",
     "CodecConfig",
     "ContainerError",
     "EncodedSequence",
@@ -55,7 +53,6 @@ __all__ = [
     "RoundtripReport",
     "as_sequence",
     "build_hyperplanes",
-    "compression_ratio",
     "decode_sequence",
     "default_mixing_matrix",
     "encode_sequence",

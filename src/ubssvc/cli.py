@@ -4,7 +4,10 @@ Subcommands: validate-matrix, gen, mix, separate, roundtrip, psnr, bench.
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 external
 command failure, 141 (128 + SIGPIPE) when the reader of standard output
 closed it early, as ``| head`` does. ``--porcelain`` switches reports to
-key=value lines.
+key=value lines. ``separate`` decodes with the matrix and quantization its
+container holds; its ``--config`` and ``--tau`` give only tau. ``bench``
+reports each codec's ratio against the original frames' raw bytes, and
+their ratio of ratios. ``import ubssvc`` does not load this module.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import pipeline, synth, vio
 from .mixcore import DEFAULT_MATRIX_ENTRIES, _freeze, mixing_evidence, mixing_fault
@@ -23,30 +26,6 @@ from .pipeline import QUANT_AFFINE, QUANT_FLOAT, CodecConfig
 from .sca import QUANTILE_PERCENTS
 
 _QUANT_FLAG = {"float": QUANT_FLOAT, "affine8": QUANT_AFFINE}
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    """One row of compression accounting: ratio against a common original."""
-
-    label: str
-    original_bytes: int
-    compressed_bytes: int
-    ratio: float
-    improvement_percent: float
-
-
-def compression_ratio(original_bytes, compressed_bytes, label="") -> BenchResult:
-    if original_bytes <= 0 or compressed_bytes <= 0:
-        raise ValueError("byte counts must be positive")
-    ratio = original_bytes / compressed_bytes
-    return BenchResult(
-        label=label,
-        original_bytes=original_bytes,
-        compressed_bytes=compressed_bytes,
-        ratio=ratio,
-        improvement_percent=(ratio - 1.0) * 100.0,
-    )
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("separate", "decode a container back into frames")
     p.add_argument("input", help="container path")
-    p.add_argument("--config")
+    p.add_argument("--config", help="config file; only its tau is read")
     p.add_argument("--tau", type=float)
     p.add_argument("--out", required=True, help="PGM output pattern")
     p.set_defaults(func=_cmd_separate)
@@ -138,9 +117,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_cfg(args, default=None) -> CodecConfig:
-    """The ``--config`` file's config, else ``default`` (the built-in one if None), with the flags applied."""
-    cfg = pipeline.load_config(args.config) if getattr(args, "config", None) else default or CodecConfig()
+def _load_cfg(args) -> CodecConfig:
+    """The ``--config`` file's config, else the built-in one, with the flags applied."""
+    cfg = pipeline.load_config(args.config) if getattr(args, "config", None) else CodecConfig()
     overrides = {}
     if getattr(args, "tau", None) is not None:
         overrides["tau"] = args.tau
@@ -218,9 +197,8 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    enc = vio.read_container(args.input)
-    cfg = _load_cfg(args, CodecConfig(matrix=enc.matrix, quantization=enc.quantization))
-    decoded, stats = pipeline.decode_sequence(enc, cfg)
+    # the container fixes the matrix and quantization; --config and --tau give tau
+    decoded, stats = pipeline.decode_sequence(vio.read_container(args.input), _load_cfg(args))
     paths = vio.write_sequence(decoded, args.out)
     if args.porcelain:
         print(f"decoded={len(paths)}")
@@ -318,7 +296,7 @@ def _cmd_bench(args) -> int:
     enc = pipeline.encode_sequence(frames, cfg)
     mixed_raw = vio.mixed_stream_bytes(enc)
 
-    rows: list[BenchResult] = []
+    rows: list[tuple[str, int]] = []  # (label, compressed bytes)
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="ubssvc-bench-") as workdir:
         for label, payload in (("codec", original_raw), ("ubss+codec", mixed_raw)):
@@ -327,29 +305,31 @@ def _cmd_bench(args) -> int:
             with open(in_path, "wb") as fh:
                 fh.write(payload)
             try:
-                compressed = _run_codec(args.codec_cmd, in_path, out_path)
-                rows.append(compression_ratio(len(original_raw), compressed, label))
+                rows.append((label, _run_codec(args.codec_cmd, in_path, out_path)))
             except _CodecRunError as exc:
                 failures.append(f"{label}: {exc}")
 
+    # each ratio is against the original frames' raw bytes
+    original = len(original_raw)
+    ratios = [original / compressed for _, compressed in rows]
     if args.porcelain:
-        print(f"raw.original_bytes={len(original_raw)}")
+        print(f"raw.original_bytes={original}")
         print(f"raw.mixed_bytes={len(mixed_raw)}")
-        for row in rows:
-            key = row.label.replace("+", "_")
-            print(f"{key}.original_bytes={row.original_bytes}")
-            print(f"{key}.compressed_bytes={row.compressed_bytes}")
-            print(f"{key}.ratio={row.ratio!r}")
-            print(f"{key}.improvement_percent={row.improvement_percent!r}")
+        for (label, compressed), ratio in zip(rows, ratios):
+            key = label.replace("+", "_")
+            print(f"{key}.original_bytes={original}")
+            print(f"{key}.compressed_bytes={compressed}")
+            print(f"{key}.ratio={ratio!r}")
+            print(f"{key}.improvement_percent={(ratio - 1.0) * 100.0!r}")
     else:
-        print(f"raw payload: original {len(original_raw)} bytes, mixed {len(mixed_raw)} bytes")
-        for row in rows:
+        print(f"raw payload: original {original} bytes, mixed {len(mixed_raw)} bytes")
+        for (label, compressed), ratio in zip(rows, ratios):
             print(
-                f"{row.label:>10}: {row.original_bytes} -> {row.compressed_bytes} bytes, "
-                f"ratio {row.ratio:.3f} ({row.improvement_percent:+.1f}%)"
+                f"{label:>10}: {original} -> {compressed} bytes, "
+                f"ratio {ratio:.3f} ({(ratio - 1.0) * 100.0:+.1f}%)"
             )
     if len(rows) == 2:
-        ratio_of_ratios = rows[1].ratio / rows[0].ratio
+        ratio_of_ratios = ratios[1] / ratios[0]
         improvement = (ratio_of_ratios - 1.0) * 100.0
         if args.porcelain:
             print(f"ratio_of_ratios={ratio_of_ratios!r}")

@@ -2,16 +2,18 @@
 
 A sequence travels as one (count, H, W) float64 array. A
 :class:`CodecConfig` is the mixing matrix, whose columns and rows are the
-group sizes n and m, and three settings. Encoding partitions the sequence
-into consecutive groups of n frames and mixes every group down to m frames
-in the pixel domain; leftover frames (count mod n) pass through unmixed as
-the tail. Decoding recovers the sources task by task: one Haar transform
-of the task's mixed frames, recovery of the three sparse detail subbands
-by subspace classification, the low-frequency subband by the generalized
-inverse, and one inverse transform written straight into the output array.
-A task of groups of at most ``TILE`` pixels recovers its three detail
-bands in one stacked call, each (group, band) plane with its own zero
-threshold; a task of a larger group makes one call per band.
+group sizes n and m, tau and the quantization. Encoding partitions the
+sequence into consecutive groups of n frames and mixes every group down to
+m frames in the pixel domain; leftover frames (count mod n) pass through
+unmixed as the tail. Decoding takes the matrix and quantization from the
+encoded sequence and tau from the config, and recovers the sources task by
+task: one Haar transform of the task's mixed frames, recovery of the three
+sparse detail subbands by subspace classification, the low-frequency
+subband by the generalized inverse, and one inverse transform written
+straight into the output array. A task of groups of at most ``TILE``
+pixels recovers its three detail bands in one stacked call, each (group,
+band) plane with its own zero threshold; a task of a larger group makes
+one call per band.
 
 Both directions cut their work the same way, by :func:`_tasks`: a group of
 more than ``TILE`` cells (pixels to encode, subband columns to decode) is
@@ -307,17 +309,18 @@ def _pooled(height: int, width: int) -> bool:
 def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray, RecoveryStats]:
     """Recover the full (count, H, W) source sequence from an encoded one.
 
-    Total on every valid input: columns outside tolerance degrade quality
-    (counted in the stats) but never fail the decode. The census lists its
-    residuals in (group, band, column) order and counts them per (group,
-    band) in ``group_residuals``.
+    ``enc`` carries everything the stream fixes: the matrix, and so n, m,
+    ``A+`` and the hyperplanes, and the quantization. ``cfg`` gives only
+    the decoder's tolerance ``tau``; its matrix and quantization are not
+    read. Total on every valid input: columns outside tolerance degrade
+    quality (counted in the stats) but never fail the decode. The census
+    lists its residuals in (group, band, column) order and counts them per
+    (group, band) in ``group_residuals``.
     """
-    if not np.array_equal(enc.matrix.entries, cfg.matrix.entries):
-        raise ValueError("encoded stream was produced with a different mixing matrix")
     height, width = enc.height, enc.width
-    m, n = cfg.matrix.rows, cfg.matrix.cols
-    pinv = generalized_inverse(cfg.matrix)
-    planes = build_hyperplanes(cfg.matrix)
+    m, n = enc.matrix.rows, enc.matrix.cols
+    pinv = generalized_inverse(enc.matrix)
+    planes = build_hyperplanes(enc.matrix)
     blocks = enc.block_count
     codes = enc.mixed_codes.reshape(blocks, m, height, width)
     affine = (enc.scale, enc.offset) if enc.quantization == QUANT_AFFINE else None

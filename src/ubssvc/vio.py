@@ -98,12 +98,12 @@ def _read_pgm(path) -> np.ndarray:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval 255, got {maxval})")
     if not data[pos : pos + 1].isspace():
         raise ValueError(f"{path}: malformed PGM header (maxval must end with one whitespace byte)")
+    if width < 1 or height < 1:
+        raise ValueError(f"{path}: PGM dimensions must be positive")
     pos += 1
     payload = data[pos : pos + width * height]
     if len(payload) != width * height:
         raise ValueError(f"{path}: truncated PGM payload")
-    if width < 1 or height < 1:
-        raise ValueError(f"{path}: PGM dimensions must be positive")
     return np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
 
 

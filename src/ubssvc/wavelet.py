@@ -46,13 +46,13 @@ def haar_forward(planes, convert=None, out=None) -> tuple[np.ndarray, ...]:
     detail), hh diagonal. They are written into ``out``, four arrays of that
     shape, when given. An odd side gives the bands of the planes
     edge-padded to even: the last column, then the last row, is repeated.
-    ``planes`` keeps its dtype; each row slab is turned into float64 as the
-    transform reaches it, by ``convert(slab, buffer)`` (an elementwise
-    function that writes the values of a (..., rows, W) slab into a float64
-    buffer of its shape) or by a plain cast, so no float64 copy of whole
-    integer or float32 planes is built, and the padding is written into that
-    buffer. The slab buffer and the row-pass arrays are allocated once per
-    call and reused by every slab.
+    ``planes`` keeps its dtype; each row slab, of any dtype, is written into
+    a float64 slab buffer as the transform reaches it, by
+    ``convert(slab, buffer)`` (an elementwise function that writes the
+    values of a (..., rows, W) slab into a float64 buffer of its shape) or
+    by a plain cast, so no float64 copy of whole planes is built, and the
+    padding is written into that buffer. The slab buffer and the row-pass
+    arrays are allocated once per call and reused by every slab.
     """
     a = np.asarray(planes)
     if a.ndim < 2:
@@ -63,24 +63,22 @@ def haar_forward(planes, convert=None, out=None) -> tuple[np.ndarray, ...]:
         out = tuple(np.empty(shape) for _ in BANDS)
     elif len(out) != len(BANDS) or any(band.shape != shape for band in out):
         raise ValueError(f"output bands must be {len(BANDS)} arrays of shape {shape}")
-    if convert is None and (a.dtype != np.float64 or height % 2 or width % 2):
-        convert = _cast
+    convert = convert or _cast
     slabs = _slabs(out[0])
     # buffers for the first slab, the largest; a later slab uses their leading rows
     rows = 2 * min(shape[-2], slabs[0].stop) if slabs else 0
-    pixels = np.empty((*a.shape[:-2], rows, 2 * shape[-1])) if convert is not None else None
+    pixels = np.empty((*a.shape[:-2], rows, 2 * shape[-1]))
     row_pass = [np.empty((*a.shape[:-2], rows, shape[-1])) for _ in range(2)]
     for slab in slabs:
         source = a[..., 2 * slab.start : 2 * slab.stop, :]
         rows, given = 2 * (min(slab.stop, shape[-2]) - slab.start), source.shape[-2]
-        if convert is not None:
-            convert(source, pixels[..., :given, :width])
-            if width % 2:
-                pixels[..., :given, width] = pixels[..., :given, width - 1]
-            if given < rows:
-                pixels[..., given, :] = pixels[..., given - 1, :]
-            source = pixels[..., :rows, :]
-        _forward_slab(source, *(buf[..., :rows, :] for buf in row_pass), *(band[..., slab, :] for band in out))
+        convert(source, pixels[..., :given, :width])
+        if width % 2:
+            pixels[..., :given, width] = pixels[..., :given, width - 1]
+        if given < rows:
+            pixels[..., given, :] = pixels[..., given - 1, :]
+        cut = np.s_[..., :rows, :]
+        _forward_slab(pixels[cut], *(buf[cut] for buf in row_pass), *(band[..., slab, :] for band in out))
     return tuple(out)
 
 

@@ -219,6 +219,17 @@ def decode_reference(enc, cfg):
     return decoded, stats
 
 
+def compression_ratio(original_bytes, compressed_bytes) -> tuple[float, float]:
+    """The ratio and the improvement in percent of a codec's output over its input.
+
+    The arithmetic of one ``ubssvc bench`` row, which computes it inline.
+    """
+    if original_bytes <= 0 or compressed_bytes <= 0:
+        raise ValueError("byte counts must be positive")
+    ratio = original_bytes / compressed_bytes
+    return ratio, (ratio - 1.0) * 100.0
+
+
 def psnr_reference(a, b) -> float:
     """PSNR straight from its definition on clamped-rounded 8-bit planes."""
     qa = np.floor(np.clip(np.asarray(a, dtype=float), 0, 255) + 0.5)

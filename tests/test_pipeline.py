@@ -313,12 +313,20 @@ class TestDecode:
                 tracemalloc.stop()
         assert temporaries[1] <= 1.1 * temporaries[0]
 
-    def test_matrix_mismatch_rejected(self):
-        frames = synth.generate("sparse-detail", 4, 16, 16, seed=5)
-        enc = encode_sequence(frames, CodecConfig())
-        other = CodecConfig(matrix=MixingMatrix([[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]]))
-        with pytest.raises(ValueError, match="different mixing matrix"):
-            decode_sequence(enc, other)
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    def test_decodes_with_the_containers_matrix(self, quantization):
+        # the container fixes matrix and quantization; cfg gives tau alone
+        frames = synth.generate("sparse-detail", 9, 16, 16, seed=5)
+        cfg = CodecConfig(quantization=quantization, tau=0.1)
+        enc = encode_sequence(frames, cfg)
+        other = CodecConfig(matrix=MixingMatrix([[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]]), tau=0.1)
+        decoded, stats = decode_sequence(enc, cfg)
+        other_decoded, other_stats = decode_sequence(enc, other)
+        assert np.array_equal(other_decoded, decoded)
+        for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns", "peak", "floor"):
+            assert getattr(other_stats, field) == getattr(stats, field)
+        for field in ("residuals", "group_residuals"):
+            assert np.array_equal(getattr(other_stats, field), getattr(stats, field))
 
     def test_noise_decodes_totally(self):
         # dense data violates the sparsity premise; decode must still finish

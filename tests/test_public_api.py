@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import ubssvc
 
 
@@ -7,3 +11,12 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from ubssvc import *", namespace)
     assert set(ubssvc.__all__) <= namespace.keys()
+
+
+def test_import_leaves_the_command_line_out():
+    # the library's names do not pull in argparse, subprocess and the rest of the CLI
+    src = os.path.dirname(os.path.dirname(ubssvc.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, ubssvc; print(ubssvc.__file__); print('ubssvc.cli' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines() == [ubssvc.__file__, "False"]

@@ -84,6 +84,15 @@ class TestPgm:
         with pytest.raises(ValueError, match="truncated"):
             read_sequence(str(path))
 
+    @pytest.mark.parametrize("dims", [b"-5 64", b"64 -5"])
+    def test_rejects_negative_dimension(self, tmp_path, dims):
+        # checked before the payload is cut, whose length a negative side
+        # would make negative, so the message names the header, not the payload
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n" + dims + b"\n255\n" + bytes(320))
+        with pytest.raises(ValueError, match="dimensions must be positive"):
+            read_sequence(str(path))
+
     def test_write_clamps_and_rounds(self, tmp_path):
         frame = np.array([[255.7, -3.2], [100.5, 7.0]])
         paths = write_sequence([frame], str(tmp_path / "w.pgm"))
