@@ -71,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("separate", "decode a container back into frames")
     p.add_argument("input", help="container path")
-    p.add_argument("--config", help="config file; only its tau is read")
+    p.add_argument("--config", help="config file; only its tau is read, as the container fixes the rest")
     p.add_argument("--tau", type=float)
     p.add_argument("--out", required=True, help="PGM output pattern")
     p.set_defaults(func=_cmd_separate)
@@ -197,8 +197,11 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    # the container fixes the matrix and quantization; --config and --tau give tau
-    decoded, stats = pipeline.decode_sequence(vio.read_container(args.input), _load_cfg(args))
+    # the container fixes the matrix and quantization, so a config file's
+    # matrix is neither built nor checked; it and --tau give tau
+    parsed = pipeline.parse_config(args.config) if args.config else {}
+    cfg = CodecConfig(tau=parsed.get("tau", pipeline.DEFAULT_TAU) if args.tau is None else args.tau)
+    decoded, stats = pipeline.decode_sequence(vio.read_container(args.input), cfg)
     paths = vio.write_sequence(decoded, args.out)
     if args.porcelain:
         print(f"decoded={len(paths)}")

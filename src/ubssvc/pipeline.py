@@ -18,14 +18,14 @@ one call per band.
 Both directions cut their work the same way, by :func:`_tasks`: a group of
 more than ``TILE`` cells (pixels to encode, subband columns to decode) is
 cut into row tiles, and groups of at most ``TILE`` pixels run in runs of
-whole groups of about ``TILE`` pixels. Both run their tasks by one rule,
-:func:`_pooled`: the tasks of groups of more than ``TILE`` pixels, row
-tiles or whole groups (a CIF group decodes whole), share a thread pool
-over the usable CPUs when there are two or more; runs of smaller groups
-run inline. Each decode tile decodes once on its own zero threshold; a
-tile that held a column the whole group's threshold would zero is decoded
-again on the group's peak column norms, so tiles change no bit of the
-result.
+whole groups of about ``TILE`` pixels. When there are two or more usable
+CPUs, tasks share a thread pool over them, by one rule each way: encode
+pools the tasks of groups of more than ``TILE`` pixels (:func:`_pooled`)
+and mixes runs of smaller groups inline; decode pools every pass of two
+or more tasks, runs of small groups too, and runs a lone task inline.
+Each decode tile decodes once on its own zero threshold; a tile that held
+a column the whole group's threshold would zero is decoded again on the
+group's peak column norms, so tiles change no bit of the result.
 
 The encoder keeps the mixed frames in their stored form, the codes a
 container holds and a downstream codec sees: float32 in float-container
@@ -76,12 +76,15 @@ DEFAULT_TAU = 0.05
 
 # Cells per task. A group of more than TILE pixels is encoded, and one of
 # more than TILE subband columns per band decoded, in row tiles of about
-# TILE cells; the tasks of groups of more than TILE pixels are shared out on
-# WORKERS threads (_pooled). CIF-size groups decode whole: on a 2-CPU host
-# a 40-frame CIF decode took 92 ms in tiles of 16384 columns and 104 ms in
-# tiles of 12288, against 90 ms whole. Smaller groups run in runs of whole
-# groups of about TILE pixels; whole-sequence calls let the temporaries
-# fall out of cache (CIF decode ran about 40% slower).
+# TILE cells. CIF-size groups decode whole: on a 2-CPU host a 40-frame CIF
+# decode took 92 ms in tiles of 16384 columns and 104 ms in tiles of 12288,
+# against 90 ms whole. Smaller groups run in runs of whole groups of about
+# TILE pixels; whole-sequence calls let the temporaries fall out of cache
+# (CIF decode ran about 40% slower). Decode shares the runs out on WORKERS
+# threads too: on 2 CPUs, 400 64x64 frames decoded in 28 ms in runs of 8
+# groups against 38 ms inline (medians of 40 in-process alternations), in
+# 44 ms in runs of 4 (the GIL and BLAS contend on small operations), and in
+# 27 ms in runs of 16, whose traced peak was 3.7 MB higher (22.1 MB).
 TILE = 32768
 
 # Storage dtype of the mixed codes per quantization mode, and of the tail.
@@ -201,11 +204,10 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     pixels, so the mixed values never exist as one whole-sequence array. A
     group of more than ``TILE`` pixels is cut into row tiles of about
     ``TILE`` pixels (one a pixel high stays whole), and its tasks go to a
-    pool of ``WORKERS`` threads by the rule decode shares, :func:`_pooled`;
-    smaller groups are mixed inline, in runs of whole groups of about
-    ``TILE`` pixels. Affine codes take two passes over the tasks: the first
-    finds the range of the mixed values, the second mixes again and
-    quantizes.
+    pool of ``WORKERS`` threads (:func:`_pooled`); smaller groups are mixed
+    inline, in runs of whole groups of about ``TILE`` pixels. Affine codes
+    take two passes over the tasks: the first finds the range of the mixed
+    values, the second mixes again and quantizes.
     Every task gives the bits of the whole-group product, so the codes do
     not depend on ``TILE`` or ``WORKERS``.
     """
@@ -292,16 +294,14 @@ def _tasks(blocks: int, height: int, width: int, cell: int = 1) -> tuple[list[tu
 
 
 def _pooled(height: int, width: int) -> bool:
-    """Whether encode and decode run the tasks of height x width groups on the thread pool.
+    """Whether encode mixes the tasks of height x width groups on the thread pool.
 
     A group of more than ``TILE`` pixels goes to the pool of ``WORKERS``
-    threads, whether it is cut into row tiles or decodes whole (a CIF group
-    decodes whole, one group a task); smaller groups run inline, in runs.
-    On 2 CPUs the pool made runs of 64x64 groups slower (encode 3.4 -> 4.1
-    ms for 400 frames, decode 43-44 -> 37 Mpix/s), and a 40-frame CIF
-    decode about 20% faster, as long as the second CPU is free. With one
-    usable CPU every task runs inline: a one-thread pool made that CIF
-    decode slower (108 ms inline against 125 ms pooled).
+    threads, cut into row tiles; smaller groups are mixed inline, in runs.
+    On 2 CPUs the pool made runs of 64x64 groups slower (400 frames: 2.8
+    -> 3.4 ms, medians of 60 in-process alternations). With one usable CPU
+    every task runs inline.
+    Decode pools by a rule of its own, in :func:`decode_sequence`.
     """
     return height * width > TILE and WORKERS > 1
 
@@ -316,6 +316,14 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     quality (counted in the stats) but never fail the decode. The census
     lists its residuals in (group, band, column) order and counts them per
     (group, band) in ``group_residuals``.
+
+    A pass of two or more tasks, row tiles, whole groups or runs of small
+    groups, shares a pool of ``WORKERS`` threads when there are two or
+    more; a lone task, and every task on one usable CPU, runs inline. A
+    pooled decode needs a free second CPU to gain: 400 64x64 frames decode
+    on the pool in about 46 ms of CPU time, against 38 ms inline. With
+    one usable CPU a one-thread pool only adds cost (a 40-frame CIF decode
+    took 108 ms inline against 125 ms pooled).
     """
     height, width = enc.height, enc.width
     m, n = enc.matrix.rows, enc.matrix.cols
@@ -333,7 +341,7 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
         return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, stack, peaks)
 
     with ThreadPoolExecutor(WORKERS) as pool:
-        parts = list((pool.map if _pooled(height, width) else map)(decode, tasks))
+        parts = list((pool.map if WORKERS > 1 and len(tasks) > 1 else map)(decode, tasks))
     stats: list[RecoveryStats] = []
     for start in range(0, len(tasks), tiles):
         group = parts[start : start + tiles]
@@ -373,11 +381,15 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> 
     planes, each with its own zero threshold, which returns one census with
     the residuals in (group, band, column) order; the bands are written into
     one (m, k, 3, h/2, w/2) buffer, whose columns that call reads without a
-    copy. Otherwise there is one call per band, each band freed once used,
-    and one census per band. ``peaks`` holds the (3, k) peak column norms of
-    the detail bands when the codes are a tile of their groups. A function
-    of its own, so that one task's temporaries are freed before the next
-    task allocates its own.
+    copy. Otherwise there is one call per band and one census per band.
+    ``peaks`` holds the (3, k) peak column norms of the detail bands when
+    the codes are a tile of their groups. A function of its own, so that one
+    task's temporaries are freed before the next task allocates its own.
+
+    Each band, and the stacked buffer, goes into its recovery call as the
+    only reference to it, so that the call frees it once it has gathered
+    the columns it keeps (on CPython 3.11 and later; 3.10 keeps a call's
+    arguments alive until it returns).
 
     Odd sides decode as if edge-padded to even: the transforms pad the
     codes and crop ``dest`` themselves, so each is called once.
@@ -391,18 +403,20 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> 
         bands = [np.empty((k, m, *half)) for _ in BANDS]
     convert = None if affine is None else lambda slab, values: _dequantize(slab, affine, values)
     haar_forward(codes, convert, bands)
-    # each band is popped into its recovery call, so its memory is freed once used
-    bands = [band.reshape(k, m, -1) for band in bands]
-    recovered = [recover_dense(pinv, bands.pop(0))]
     if stack:
         # one call, whose 3k groups are the (group, band) planes in turn
-        sources, census = recover_block(planes, details.reshape(m, 3 * k, -1).transpose(1, 0, 2), tau)
+        bands[1:] = [details.reshape(m, 3 * k, -1).transpose(1, 0, 2)]
+        del details
+    # each band is popped into its call, which holds its last reference
+    recovered = [recover_dense(pinv, bands.pop(0).reshape(k, m, -1))]
+    if stack:
+        sources, census = recover_block(planes, bands.pop(), tau)
         recovered.extend(sources.reshape(k, 3, *sources.shape[1:]).swapaxes(0, 1))
         stats = [census]
     else:
         stats = []
         for band_peaks in [None] * 3 if peaks is None else peaks:
-            sources, band_stats = recover_block(planes, bands.pop(0), tau, band_peaks)
+            sources, band_stats = recover_block(planes, bands.pop(0).reshape(k, m, -1), tau, band_peaks)
             recovered.append(sources)
             stats.append(band_stats)
     haar_inverse([r.reshape(k, -1, *half) for r in recovered], out=dest)

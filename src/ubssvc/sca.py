@@ -223,6 +223,12 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, peaks=None) -> tuple
     groups (a (G,) array, (1,) for 2-D input); the pieces of a group then
     recover to the bits of one call on the whole. Observations must be
     finite.
+
+    The observations are not read once the kept columns are gathered, and
+    the call drops its references to them there: when the caller handed
+    over its only reference, their memory is freed before the recovery's
+    own temporaries are made (on CPython 3.11 and later; 3.10 keeps a
+    call's arguments alive until it returns).
     """
     check_tau(tau)
     x = np.asarray(mixed, dtype=np.float64)
@@ -243,7 +249,8 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, peaks=None) -> tuple
     # indexing or compress do
     norms = norms.take(active_cols)  # only the kept columns' norms are used again
     xa = columns.take(active_cols, axis=1)
-    del columns  # a copy for stacked input not laid out (m, G, T); freed early to lower peak memory
+    stacked = x.ndim == 3
+    del columns, x, mixed  # see the docstring; a copy of stacked input not laid out (m, G, T)
     best, relative = planes.classify(xa)
     relative /= norms
     forced = int(np.count_nonzero(relative > tau))
@@ -256,7 +263,7 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, peaks=None) -> tuple
             recovered[planes.index_sets[q][:, None], active_cols.take(sel)] = _gemm(
                 planes.coefficient_maps[q], xa.take(sel, axis=1)
             )
-    if x.ndim == 3:
+    if stacked:
         recovered = recovered.reshape(planes.sources, groups, t).transpose(1, 0, 2)
 
     stats = RecoveryStats(

@@ -51,8 +51,9 @@ def haar_forward(planes, convert=None, out=None) -> tuple[np.ndarray, ...]:
     ``convert(slab, buffer)`` (an elementwise function that writes the
     values of a (..., rows, W) slab into a float64 buffer of its shape) or
     by a plain cast, so no float64 copy of whole planes is built, and the
-    padding is written into that buffer. The slab buffer and the row-pass
-    arrays are allocated once per call and reused by every slab.
+    padding is written into that buffer. The slab buffer and one row-pass
+    buffer, which holds the column-pair sums and then their differences,
+    are allocated once per call and reused by every slab.
     """
     a = np.asarray(planes)
     if a.ndim < 2:
@@ -68,7 +69,7 @@ def haar_forward(planes, convert=None, out=None) -> tuple[np.ndarray, ...]:
     # buffers for the first slab, the largest; a later slab uses their leading rows
     rows = 2 * min(shape[-2], slabs[0].stop) if slabs else 0
     pixels = np.empty((*a.shape[:-2], rows, 2 * shape[-1]))
-    row_pass = [np.empty((*a.shape[:-2], rows, shape[-1])) for _ in range(2)]
+    row_pass = np.empty((*a.shape[:-2], rows, shape[-1]))
     for slab in slabs:
         source = a[..., 2 * slab.start : 2 * slab.stop, :]
         rows, given = 2 * (min(slab.stop, shape[-2]) - slab.start), source.shape[-2]
@@ -78,7 +79,7 @@ def haar_forward(planes, convert=None, out=None) -> tuple[np.ndarray, ...]:
         if given < rows:
             pixels[..., given, :] = pixels[..., given - 1, :]
         cut = np.s_[..., :rows, :]
-        _forward_slab(pixels[cut], *(buf[cut] for buf in row_pass), *(band[..., slab, :] for band in out))
+        _forward_slab(pixels[cut], row_pass[cut], *(band[..., slab, :] for band in out))
     return tuple(out)
 
 
@@ -86,15 +87,14 @@ def _cast(slab, values) -> None:
     np.copyto(values, slab, casting="unsafe")
 
 
-def _forward_slab(a, row_lo, row_hi, ll, lh, hl, hh) -> None:
-    # rows pass: sums and differences of column pairs into row_lo and row_hi;
-    # columns pass: sums and differences of their row pairs, halved once into the bands
-    np.add(a[..., 0::2], a[..., 1::2], out=row_lo)
-    np.subtract(a[..., 0::2], a[..., 1::2], out=row_hi)
-    pairs = ((row_lo, np.add, ll), (row_hi, np.add, lh), (row_lo, np.subtract, hl), (row_hi, np.subtract, hh))
-    for rows, op, band in pairs:
-        op(rows[..., 0::2, :], rows[..., 1::2, :], out=band)
-        band *= 0.5
+def _forward_slab(a, row_pass, ll, lh, hl, hh) -> None:
+    # rows pass: sums, then differences, of column pairs into row_pass;
+    # columns pass: sums and differences of its row pairs, halved once into the bands
+    for row_op, (lo, hi) in ((np.add, (ll, hl)), (np.subtract, (lh, hh))):
+        row_op(a[..., 0::2], a[..., 1::2], out=row_pass)
+        for op, band in ((np.add, lo), (np.subtract, hi)):
+            op(row_pass[..., 0::2, :], row_pass[..., 1::2, :], out=band)
+            band *= 0.5
 
 
 def haar_inverse(bands, out=None) -> np.ndarray:

@@ -352,6 +352,25 @@ class TestSeparateConfig:
         assert runs["config"] == runs["flag"]
         assert runs["config"]["columns.forced"] != runs["default"]["columns.forced"]
 
+    def test_config_matrix_is_not_read(self, tmp_path):
+        # a matrix that MixingMatrix refuses and a quantization the container
+        # does not hold: separate takes the config's tau and nothing else
+        container = self._mix(tmp_path, "noise")
+        config = tmp_path / "bad-matrix.cfg"
+        config.write_text("tau = 0.1\nn = 3\nm = 2\nmatrix = 1e8 0.5 0.25  0.5 1.0 -0.75\nquantization = affine-8bit\n")
+        runs = {}
+        for name, flags in {"config": ("--config", str(config)), "flag": ("--tau", "0.1"), "default": ()}.items():
+            proc = run_cli("separate", str(container), *flags, "--porcelain", "--out", str(tmp_path / name / "f_{i}.pgm"))
+            assert proc.returncode == 0, proc.stderr
+            runs[name] = dict(line.split("=", 1) for line in proc.stdout.splitlines())
+        assert runs["config"] == runs["flag"]
+        assert runs["config"]["columns.forced"] != runs["default"]["columns.forced"]
+        # --tau overrides the config's tau
+        flags = ("--config", str(config), "--tau", "0.05", "--porcelain")
+        proc = run_cli("separate", str(container), *flags, "--out", str(tmp_path / "both" / "f_{i}.pgm"))
+        assert proc.returncode == 0, proc.stderr
+        assert dict(line.split("=", 1) for line in proc.stdout.splitlines()) == runs["default"]
+
     def test_mix_config_on_a_built_in_matrix_container(self, tmp_path, m2x8):
         container = self._mix(tmp_path, "sparse-detail")
         for name, flags in {"config": ("--config", str(m2x8)), "plain": ()}.items():

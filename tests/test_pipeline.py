@@ -276,22 +276,45 @@ class TestDecode:
         assert peak - base - decoded.nbytes < 2.5 * 8 * enc.mixed_codes.size
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
-    def test_temporaries_of_runs_of_small_groups(self, quantization):
+    @pytest.mark.parametrize(
+        "workers, bound",
+        [
+            # one run in flight: the census of residuals (0.17 times the 8
+            # bytes a code) and one run's temporaries; reads 0.36. On 3.10,
+            # where a caller keeps its arguments alive until the call returns,
+            # a run's detail buffer outlives its recovery call: it reads 0.41
+            (1, 0.40 if sys.version_info >= (3, 11) else 0.45),
+            # two runs in flight: the census and two runs' temporaries, each
+            # 0.22 times the 8 bytes a code of the whole sequence (2.7 times
+            # those of the run's own codes), so 0.17 + 2 x 0.22; reads 0.53-0.57
+            pytest.param(
+                2,
+                0.60,
+                marks=pytest.mark.skipif(
+                    sys.version_info < (3, 11),
+                    reason="3.10 keeps a call's arguments alive until it returns, so a "
+                    "recovery call cannot free the bands handed to it",
+                ),
+            ),
+        ],
+    )
+    def test_temporaries_of_runs_of_small_groups(self, quantization, workers, bound):
         # 100 groups of 64x64 decode in runs of eight, each run's detail bands
-        # in one buffer and one recovery call; above the output, the decode
-        # holds a run's temporaries and the census, 0.41 times the 8 bytes a
-        # code (0.40 with one call and one buffer per band)
+        # in one buffer and one recovery call, which frees the buffer once it
+        # has gathered its columns; above the output, the decode holds the
+        # census and the temporaries of the runs in flight
         cfg = CodecConfig(quantization=quantization)
         enc = encode_sequence(synth.generate("sparse-detail", 400, 64, 64, seed=1), cfg)
-        decode_sequence(enc, cfg)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            decoded, _ = decode_sequence(enc, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - base - decoded.nbytes < 0.45 * 8 * enc.mixed_codes.size
+        with mock.patch.object(pipeline_module, "WORKERS", workers):
+            decode_sequence(enc, cfg)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                decoded, _ = decode_sequence(enc, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - base - decoded.nbytes < bound * 8 * enc.mixed_codes.size
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
     def test_temporaries_of_an_odd_group(self, quantization):
@@ -611,9 +634,9 @@ class TestTiledEncode:
 
 
 class TestTiledDecode:
-    # groups of more than TILE pixels decode on a thread pool, in row tiles
-    # when they hold more than TILE columns per band, else one group a task;
-    # smaller groups decode inline, in runs
+    # groups of more than TILE pixels decode in row tiles when they hold more
+    # than TILE columns per band, else one group a task; smaller groups decode
+    # in runs; a pass of two or more tasks runs on a thread pool
 
     def _case(self, seed=3):
         cfg = CodecConfig(quantization="affine-8bit")
@@ -756,40 +779,75 @@ class TestTiledDecode:
         assert np.array_equal(stats.residuals, whole_stats.residuals)
         assert np.array_equal(stats.group_residuals, whole_stats.group_residuals)
 
-    @pytest.mark.parametrize("tile", [630, pipeline_module.TILE])
-    def test_groups_of_at_most_tile_pixels_decode_inline(self, monkeypatch, tile):
+    @pytest.mark.parametrize("tile, runs", [(630, 2), (pipeline_module.TILE, 1)])
+    def test_runs_of_small_groups_decode_on_the_pool(self, monkeypatch, tile, runs):
+        # two 30x21 groups of at most TILE pixels: two runs of one group share
+        # the pool, and one run of both, a lone task, decodes inline
         enc, cfg = self._case()
         whole, whole_stats = self._reference(enc, cfg)
         threads = []
         calls = self._count_chunks(monkeypatch, threads)
         with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
             decoded, stats = decode_sequence(enc, cfg)
-        assert calls and threads == [threading.main_thread()] * len(calls)
+        assert [len(c) for c in calls] == [enc.block_count // runs] * runs
+        assert (threading.main_thread() in threads) == (runs == 1)
         assert np.array_equal(decoded, whole)
         assert np.array_equal(stats.residuals, whole_stats.residuals)
         assert np.array_equal(stats.group_residuals, whole_stats.group_residuals)
 
-    def test_encode_and_decode_pool_the_same_shapes(self, monkeypatch):
-        # one rule: groups of more than TILE pixels, cut into tiles or not
-        pooled = []
+    def test_pooling_rules_of_encode_and_decode(self, monkeypatch):
+        # encode pools the tasks of groups of more than TILE pixels; decode
+        # pools any pass of two or more tasks, whatever the group size
+        pooled, passes = [], []
+        tasks = pipeline_module._tasks
 
         class Recording(pipeline_module.ThreadPoolExecutor):
             def submit(self, *args, **kwargs):
                 pooled.append(True)
                 return super().submit(*args, **kwargs)
 
+        def counting(*args, **kwargs):
+            result = tasks(*args, **kwargs)
+            passes.append(result[0])
+            return result
+
         monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(pipeline_module, "_tasks", counting)
         cfg = CodecConfig()
         for height, width in ((1, 1), (1, 9), (2, 3), (5, 1), (4, 4), (7, 5), (21, 30)):
             frames = synth.generate("sparse-detail", 8, width, height, seed=1)
             for tile in (1, 5, 8, 16, 40, 630, pipeline_module.TILE):
+                case = (height, width, tile)
                 with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
                     pooled.clear()
                     enc = encode_sequence(frames, cfg)
-                    encoded_on_pool = bool(pooled)
+                    assert bool(pooled) == (height * width > tile), case
                     pooled.clear()
+                    passes.clear()
                     decode_sequence(enc, cfg)
-                assert encoded_on_pool == bool(pooled) == (height * width > tile), (height, width, tile)
+                    assert bool(pooled) == (len(passes[0]) > 1), case
+
+    @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+    @pytest.mark.parametrize("count, height, width", [(400, 64, 64), (36, 64, 64), (241, 17, 33)])
+    def test_pooled_runs_decode_the_bits_of_inline_runs(self, monkeypatch, quantization, count, height, width):
+        # runs of 8 64x64 groups (13 runs, or two, the second of one group)
+        # and 60 33x17 groups in runs of 58 and 2 with a tail frame, on one
+        # CPU and on the pool: the same frames and census, residuals in order
+        cfg = CodecConfig(quantization=quantization)
+        enc = encode_sequence(synth.generate("sparse-detail", count, width, height, seed=6), cfg)
+        threads, results = [], []
+        self._count_chunks(monkeypatch, threads)
+        for workers in (1, 2):
+            threads.clear()
+            with mock.patch.object(pipeline_module, "WORKERS", workers):
+                results.append(decode_sequence(enc, cfg))
+            assert len(threads) > 1 and (threading.main_thread() in threads) == (workers == 1)
+        (decoded, stats), (pooled, pooled_stats) = results
+        assert np.array_equal(pooled, decoded)
+        for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns", "peak", "floor"):
+            assert getattr(pooled_stats, field) == getattr(stats, field)
+        for field in ("residuals", "group_residuals"):
+            assert np.array_equal(getattr(pooled_stats, field), getattr(stats, field))
 
     def test_one_cpu_runs_every_task_inline(self, monkeypatch):
         # with one worker, groups of more than TILE pixels run inline too, to

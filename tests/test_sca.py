@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -519,6 +521,30 @@ class TestStackedRecovery:
         # one 2-D call over both groups would zero every column of group 1
         _, joint = recover_block(build_hyperplanes(matrix), np.concatenate([big, small], axis=1), tau=1e-8)
         assert joint.zero_columns == per_group[0][1].zero_columns + 6
+
+    @pytest.mark.skipif(
+        sys.version_info < (3, 11), reason="3.10 keeps a call's arguments alive until it returns"
+    )
+    def test_handed_over_observations_are_freed_during_the_call(self, matrix):
+        # 24 groups laid out (m, G, T), as a decode run's detail buffer is: the
+        # call reads their columns without a copy, and once it has gathered the
+        # kept ones it frees the buffer, if the caller holds no reference to it
+        planes = build_hyperplanes(matrix)
+        sources = sparse_source(seed=7, t=24 * 1024)
+        observations = (matrix.entries @ sources).reshape(3, 24, 1024)
+
+        def peak(hand_over) -> int:
+            tracemalloc.start()
+            try:
+                held = [observations.copy().transpose(1, 0, 2)]
+                recovered, _ = recover_block(planes, held.pop() if hand_over else held[0], 0.05)
+                top = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.abs(recovered.transpose(1, 0, 2).reshape(4, -1) - sources).max() <= 1e-6
+            return top
+
+        assert peak(True) < peak(False) - 0.5 * observations.nbytes
 
     def test_empty_and_all_zero_groups(self, matrix):
         recovered, stats = recover_block(build_hyperplanes(matrix), np.zeros((0, 3, 4)), tau=0.1)
