@@ -10,10 +10,14 @@ encoded sequence and tau from the config, and recovers the sources task by
 task: one Haar transform of the task's mixed frames, recovery of the three
 sparse detail subbands by subspace classification, the low-frequency
 subband by the generalized inverse, and one inverse transform written
-straight into the output array. A task of groups of at most ``TILE``
-pixels recovers its three detail bands in one stacked call, each (group,
-band) plane with its own zero threshold; a task of a larger group makes
-one call per band.
+straight into the output array. A task of whole groups recovers its
+three detail bands in one stacked call, each (group, band) plane with its
+own zero threshold, when its groups are of at most ``TILE`` pixels or the
+pass runs on the thread pool; a row tile, and a whole larger group decoded
+inline, makes one call per band. The transforms are the plain
+sum/difference Haar pair, without their halvings, and ``A+`` and the
+coefficient maps are scaled by 1/4 once per decode instead: powers of two
+commute with rounding, so this gives the bits of the orthonormal pair.
 
 Both directions cut their work the same way, by :func:`_tasks`: a group of
 more than ``TILE`` cells (pixels to encode, subband columns to decode) is
@@ -242,12 +246,13 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
             codes[task] = mix(task)
 
     def quantize(task) -> None:
-        # code = floor((x - offset) / scale + 0.5), in place
+        # code = floor((x - offset) / scale + 0.5), in place; the cast to
+        # uint8 truncates, which is floor on the clipped range [0, 255]
         mixed = mix(task)
         mixed -= offset
         mixed /= scale
         mixed += 0.5
-        codes[task] = np.clip(np.floor(mixed, out=mixed), 0, 255, out=mixed)
+        codes[task] = np.clip(mixed, 0, 255, out=mixed)
 
     scale = offset = 0.0
     with ThreadPoolExecutor(WORKERS) as pool:
@@ -317,31 +322,51 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     lists its residuals in (group, band, column) order and counts them per
     (group, band) in ``group_residuals``.
 
+    The tasks transform without halving (``orthonormal=False``), so their
+    bands are twice the orthonormal ones, and recover with ``A+`` and the
+    coefficient maps scaled by 1/4, so the recovered bands are half the
+    orthonormal ones, which the unhalved inverse takes: each halving is
+    folded into a product made once per decode instead of an element pass
+    per slab. Residuals and zero thresholds are ratios of norms and do not
+    change; the census ``peak`` and ``floor``, norms of doubled bands, are
+    halved back. Every step scales by a power of two, so frames and census
+    are bit for bit those of the orthonormal pair while every value stays a
+    normal float (see :mod:`ubssvc.wavelet`).
+
     A pass of two or more tasks, row tiles, whole groups or runs of small
     groups, shares a pool of ``WORKERS`` threads when there are two or
     more; a lone task, and every task on one usable CPU, runs inline. A
     pooled decode needs a free second CPU to gain: 400 64x64 frames decode
     on the pool in about 46 ms of CPU time, against 38 ms inline. With
     one usable CPU a one-thread pool only adds cost (a 40-frame CIF decode
-    took 108 ms inline against 125 ms pooled).
+    took 108 ms inline against 125 ms pooled). A pooled task of whole
+    groups stacks its detail bands into one recovery call whatever their
+    size, because on the pool each numpy call costs about 10 us more while
+    the interpreter lock changes hands, and stacking makes a third of the
+    calls; inline, a stacked CIF group's temporaries leave the L2 cache
+    and cost more than the calls save, so a whole group of more than
+    ``TILE`` pixels recovers band by band there.
     """
     height, width = enc.height, enc.width
     m, n = enc.matrix.rows, enc.matrix.cols
-    pinv = generalized_inverse(enc.matrix)
+    # a quarter of A+ and of the coefficient maps takes the unhalved bands to half the sources
+    pinv = generalized_inverse(enc.matrix) * 0.25
     planes = build_hyperplanes(enc.matrix)
+    planes = replace(planes, coefficient_maps=_read_only(planes.coefficient_maps * 0.25))
     blocks = enc.block_count
     codes = enc.mixed_codes.reshape(blocks, m, height, width)
     affine = (enc.scale, enc.offset) if enc.quantization == QUANT_AFFINE else None
     out = np.empty((enc.source_count, height, width))
     dest = out[: blocks * n].reshape(blocks, n, height, width)
     tasks, tiles = _tasks(blocks, height, width, cell=2)
-    stack = height * width <= TILE
+    pooled = WORKERS > 1 and len(tasks) > 1
+    stack = tiles == 1 and (pooled or height * width <= TILE)
 
     def decode(task, peaks=None) -> list[RecoveryStats]:
         return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, stack, peaks)
 
     with ThreadPoolExecutor(WORKERS) as pool:
-        parts = list((pool.map if WORKERS > 1 and len(tasks) > 1 else map)(decode, tasks))
+        parts = list((pool.map if pooled else map)(decode, tasks))
     stats: list[RecoveryStats] = []
     for start in range(0, len(tasks), tiles):
         group = parts[start : start + tiles]
@@ -358,8 +383,14 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
         stats += [tile for band in zip(*group) for tile in band]
     out[blocks * n :] = enc.tail_codes
     census = RecoveryStats.merged(stats)
-    # a tile counts its residuals on its own; add up each (group, band)'s tiles
-    return _read_only(out), replace(census, group_residuals=census.group_residuals.reshape(-1, tiles).sum(axis=1))
+    return _read_only(out), replace(
+        census,
+        # norms of the unhalved bands, halved back to the orthonormal ones
+        peak=census.peak * 0.5,
+        floor=census.floor * 0.5,
+        # a tile counts its residuals on its own; add up each (group, band)'s tiles
+        group_residuals=census.group_residuals.reshape(-1, tiles).sum(axis=1),
+    )
 
 
 def _dequantize(codes, affine, out) -> None:
@@ -376,12 +407,16 @@ def _dequantize(codes, affine, out) -> None:
 def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> list[RecoveryStats]:
     """Decode (k, m, h, W) mixed codes into the (k, n, h, W) array ``dest``.
 
-    With ``stack`` (whole groups of at most ``TILE`` pixels) the three
-    detail bands are recovered in one stacked call over 3k (group, band)
-    planes, each with its own zero threshold, which returns one census with
-    the residuals in (group, band, column) order; the bands are written into
-    one (m, k, 3, h/2, w/2) buffer, whose columns that call reads without a
-    copy. Otherwise there is one call per band and one census per band.
+    ``pinv`` and ``planes`` carry the ``A+`` and coefficient maps scaled
+    by 1/4 that :func:`decode_sequence` pairs with the unhalved transforms,
+    so the census ``peak`` and ``floor`` are twice the orthonormal norms.
+
+    With ``stack`` (whole groups, of at most ``TILE`` pixels or pooled)
+    the three detail bands are recovered in one stacked call over 3k
+    (group, band) planes, each with its own zero threshold, which returns
+    one census with the residuals in (group, band, column) order; the bands
+    are written into one (m, k, 3, h/2, w/2) buffer, whose columns that
+    call reads without a copy. Otherwise there is one call per band and one census per band.
     ``peaks`` holds the (3, k) peak column norms of the detail bands when
     the codes are a tile of their groups. A function of its own, so that one
     task's temporaries are freed before the next task allocates its own.
@@ -402,7 +437,7 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> 
     else:
         bands = [np.empty((k, m, *half)) for _ in BANDS]
     convert = None if affine is None else lambda slab, values: _dequantize(slab, affine, values)
-    haar_forward(codes, convert, bands)
+    haar_forward(codes, convert, bands, orthonormal=False)
     if stack:
         # one call, whose 3k groups are the (group, band) planes in turn
         bands[1:] = [details.reshape(m, 3 * k, -1).transpose(1, 0, 2)]
@@ -419,7 +454,7 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> 
             sources, band_stats = recover_block(planes, bands.pop(0).reshape(k, m, -1), tau, band_peaks)
             recovered.append(sources)
             stats.append(band_stats)
-    haar_inverse([r.reshape(k, -1, *half) for r in recovered], out=dest)
+    haar_inverse([r.reshape(k, -1, *half) for r in recovered], out=dest, orthonormal=False)
     return stats
 
 

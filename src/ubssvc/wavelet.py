@@ -9,6 +9,15 @@ pixelwise frame mixing, which is what allows source separation to run in
 the coefficient domain. Its round trip is bitwise exact whenever the sums
 of a cell are exact in float64, as they are for 8-bit planes and for
 float32 planes whose nonzero magnitudes span less than 2**27.
+Both directions take one keyword-only flag, ``orthonormal``. Left True
+they are the pair above; set False, they drop their halvings and are the
+plain sum/difference pair, bands twice the orthonormal ones and an inverse
+that takes half-scaled bands, so an unhalved round trip has a gain of 4.
+Because the halvings are powers of two, this is exact: the unhalved
+forward gives bitwise 2x the orthonormal bands, and the unhalved inverse of
+half-scaled bands gives the bits of :func:`haar_inverse`, whenever every
+value stays a normal float. That holds for float32-range codes and for
+affine codes whose scale is far above 2**-1000.
 Both directions work on the last two axes of an array of any rank, so one
 call transforms a whole stack of frames. An odd side is transformed as if
 its last row or column were repeated once (edge padding), and the inverse
@@ -37,7 +46,7 @@ def _slabs(band) -> list[slice]:
     return [slice(top, top + rows) for top in range(0, band.shape[-2], rows)]
 
 
-def haar_forward(planes, convert=None, out=None) -> tuple[np.ndarray, ...]:
+def haar_forward(planes, convert=None, out=None, *, orthonormal=True) -> tuple[np.ndarray, ...]:
     """One-level orthonormal Haar decomposition of (..., H, W) planes.
 
     Returns four (..., ceil(H/2), ceil(W/2)) arrays, the bands in
@@ -53,7 +62,9 @@ def haar_forward(planes, convert=None, out=None) -> tuple[np.ndarray, ...]:
     by a plain cast, so no float64 copy of whole planes is built, and the
     padding is written into that buffer. The slab buffer and one row-pass
     buffer, which holds the column-pair sums and then their differences,
-    are allocated once per call and reused by every slab.
+    are allocated once per call and reused by every slab. With
+    ``orthonormal=False`` the bands are not halved: each is twice the
+    orthonormal band, bit for bit.
     """
     a = np.asarray(planes)
     if a.ndim < 2:
@@ -79,7 +90,7 @@ def haar_forward(planes, convert=None, out=None) -> tuple[np.ndarray, ...]:
         if given < rows:
             pixels[..., given, :] = pixels[..., given - 1, :]
         cut = np.s_[..., :rows, :]
-        _forward_slab(pixels[cut], row_pass[cut], *(band[..., slab, :] for band in out))
+        _forward_slab(pixels[cut], row_pass[cut], *(band[..., slab, :] for band in out), orthonormal=orthonormal)
     return tuple(out)
 
 
@@ -87,17 +98,19 @@ def _cast(slab, values) -> None:
     np.copyto(values, slab, casting="unsafe")
 
 
-def _forward_slab(a, row_pass, ll, lh, hl, hh) -> None:
+def _forward_slab(a, row_pass, ll, lh, hl, hh, *, orthonormal) -> None:
     # rows pass: sums, then differences, of column pairs into row_pass;
-    # columns pass: sums and differences of its row pairs, halved once into the bands
+    # columns pass: sums and differences of its row pairs into the bands,
+    # halved once there when orthonormal
     for row_op, (lo, hi) in ((np.add, (ll, hl)), (np.subtract, (lh, hh))):
         row_op(a[..., 0::2], a[..., 1::2], out=row_pass)
         for op, band in ((np.add, lo), (np.subtract, hi)):
             op(row_pass[..., 0::2, :], row_pass[..., 1::2, :], out=band)
-            band *= 0.5
+            if orthonormal:
+                band *= 0.5
 
 
-def haar_inverse(bands, out=None) -> np.ndarray:
+def haar_inverse(bands, out=None, *, orthonormal=True) -> np.ndarray:
     """Inverse of :func:`haar_forward`.
 
     ``bands`` holds the ll, lh, hl and hh planes, (..., h, w) each; the
@@ -107,6 +120,8 @@ def haar_inverse(bands, out=None) -> np.ndarray:
     each row pair are halved before the pixels are added up from them,
     which gives the bits of halving the pixels' full sums whenever those
     halves are normal floats: always for 8-bit and float32-valued data.
+    With ``orthonormal=False`` nothing is halved, and bands that are half
+    the orthonormal ones give the bits of the orthonormal inverse.
     """
     ll, lh, hl, hh = (np.asarray(b, dtype=np.float64) for b in bands)
     if ll.ndim < 2 or not ll.shape == lh.shape == hl.shape == hh.shape:
@@ -119,19 +134,23 @@ def haar_inverse(bands, out=None) -> np.ndarray:
         raise ValueError(f"output shape {out.shape} is not twice the subband shape {ll.shape}, or one less")
     for slab in _slabs(ll):
         dest = out[..., 2 * slab.start : 2 * slab.stop, :]
-        _inverse_slab(*(band[..., slab, :] for band in (ll, lh, hl, hh)), dest)
+        _inverse_slab(*(band[..., slab, :] for band in (ll, lh, hl, hh)), dest, orthonormal=orthonormal)
     return out
 
 
-def _inverse_slab(ll, lh, hl, hh, out) -> None:
+def _inverse_slab(ll, lh, hl, hh, out, *, orthonormal) -> None:
     # Row parity r: the columns pass gives that row of the rows-pass pair
-    # (lo, hi), halved once, and the rows pass writes the even and odd
-    # pixels, lo + hi and lo - hi, straight into their strided place; an
-    # odd side's last row or column has no place there and is not written.
+    # (lo, hi), halved once when orthonormal, and the rows pass writes the
+    # even and odd pixels, lo + hi and lo - hi, straight into their strided
+    # place; an odd side's last row or column has no place there and is not
+    # written.
     lo, hi = np.empty(ll.shape), np.empty(ll.shape)
     for r, op in enumerate((np.add, np.subtract)):
-        np.multiply(op(ll, hl, out=lo), 0.5, out=lo)
-        np.multiply(op(lh, hh, out=hi), 0.5, out=hi)
+        op(ll, hl, out=lo)
+        op(lh, hh, out=hi)
+        if orthonormal:
+            lo *= 0.5
+            hi *= 0.5
         for c, pixel in enumerate((np.add, np.subtract)):
             dest = out[..., r::2, c::2]
             cut = np.s_[..., : dest.shape[-2], : dest.shape[-1]]

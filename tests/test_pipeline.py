@@ -91,6 +91,16 @@ class TestEncodeAccounting:
         assert enc.tail_codes.dtype == np.uint8
         assert np.array_equal(enc.tail_codes, frames[8:])
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_affine_codes_of_non_integer_sources(self, seed):
+        # mixed values between the grid points: the cast of the clipped
+        # values to uint8 rounds them as the oracle's int() does
+        frames = np.random.default_rng(seed).uniform(-40.5, 300.5, size=(9, 7, 5))
+        enc = encode_sequence(frames, CodecConfig(quantization="affine-8bit"))
+        codes, scale, offset = quantize_reference(mix_reference(enc.matrix.entries, frames), "affine-8bit")
+        assert (enc.scale, enc.offset) == (scale, offset)
+        assert np.array_equal(enc.mixed_codes, codes)
+
     def test_affine_values_sit_on_8bit_grid(self):
         frames = synth.generate("sparse-detail", 9, 16, 16, seed=2)
         enc = encode_sequence(frames, CodecConfig(quantization="affine-8bit"))
@@ -472,7 +482,7 @@ def test_array_decode_equals_frame_by_frame_decode(case):
     assert decoded.shape == (count, height, width)
     assert np.array_equal(decoded, np.stack(reference))
     merged = type(stats).merged(parts)
-    for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
+    for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns", "peak", "floor"):
         assert getattr(stats, field) == getattr(merged, field)
     # one call per (block, band) lists the residuals in the decoder's order
     assert np.array_equal(stats.residuals, merged.residuals)
@@ -778,6 +788,7 @@ class TestTiledDecode:
         assert np.array_equal(decoded, whole)
         assert np.array_equal(stats.residuals, whole_stats.residuals)
         assert np.array_equal(stats.group_residuals, whole_stats.group_residuals)
+        assert (stats.peak, stats.floor) == (whole_stats.peak, whole_stats.floor)
 
     @pytest.mark.parametrize("tile, runs", [(630, 2), (pipeline_module.TILE, 1)])
     def test_runs_of_small_groups_decode_on_the_pool(self, monkeypatch, tile, runs):
@@ -828,11 +839,13 @@ class TestTiledDecode:
                     assert bool(pooled) == (len(passes[0]) > 1), case
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
-    @pytest.mark.parametrize("count, height, width", [(400, 64, 64), (36, 64, 64), (241, 17, 33)])
+    @pytest.mark.parametrize("count, height, width", [(400, 64, 64), (36, 64, 64), (241, 17, 33), (9, 288, 352)])
     def test_pooled_runs_decode_the_bits_of_inline_runs(self, monkeypatch, quantization, count, height, width):
-        # runs of 8 64x64 groups (13 runs, or two, the second of one group)
-        # and 60 33x17 groups in runs of 58 and 2 with a tail frame, on one
-        # CPU and on the pool: the same frames and census, residuals in order
+        # runs of 8 64x64 groups (13 runs, or two, the second of one group),
+        # 60 33x17 groups in runs of 58 and 2 with a tail frame, and two CIF
+        # groups, one a task, whose bands are stacked on the pool and
+        # recovered one by one inline, on one CPU and on the pool: the same
+        # frames and census, residuals in order
         cfg = CodecConfig(quantization=quantization)
         enc = encode_sequence(synth.generate("sparse-detail", count, width, height, seed=6), cfg)
         threads, results = [], []
@@ -880,18 +893,20 @@ class TestTiledDecode:
 
     def test_recovery_calls_per_task(self, monkeypatch):
         # a run of groups of at most TILE pixels recovers its three detail
-        # bands in one call over its (group, band) planes; a larger group,
-        # whole (CIF) or in row tiles (720p), makes one call per band
+        # bands in one call over its (group, band) planes; so does a larger
+        # whole group (CIF) on the pool, while inline it makes one call per
+        # band; row tiles (720p) make one call per band on the pool too
         shapes = []
         recover = pipeline_module.recover_block
         counting = lambda planes, x, *args: shapes.append(x.shape) or recover(planes, x, *args)  # noqa: E731
         monkeypatch.setattr(pipeline_module, "recover_block", counting)
         cases = (
-            ((64, 64), 100, [(24, 3, 32 * 32)] * 12 + [(12, 3, 32 * 32)]),
-            ((288, 352), 10, [(1, 3, 144 * 176)] * 30),
-            ((720, 1280), 1, [(1, 3, 45 * 640)] * 24),
+            ((64, 64), 100, 2, [(24, 3, 32 * 32)] * 12 + [(12, 3, 32 * 32)]),
+            ((288, 352), 10, 2, [(3, 3, 144 * 176)] * 10),
+            ((288, 352), 10, 1, [(1, 3, 144 * 176)] * 30),
+            ((720, 1280), 1, 2, [(1, 3, 45 * 640)] * 24),
         )
-        for (height, width), blocks, calls in cases:
+        for (height, width), blocks, workers, calls in cases:
             shapes.clear()
             enc = EncodedSequence(
                 matrix=CodecConfig().matrix,
@@ -903,9 +918,10 @@ class TestTiledDecode:
                 mixed_codes=np.zeros((3 * blocks, height, width), dtype=np.float32),
                 tail_codes=np.zeros((0, height, width), dtype=np.uint8),
             )
-            with mock.patch.multiple(pipeline_module, WORKERS=2):
+            with mock.patch.multiple(pipeline_module, WORKERS=workers):
                 decode_sequence(enc, CodecConfig())
-            assert shapes == calls, (height, width)
+            # pooled tasks call in the order their threads run, not task order
+            assert sorted(shapes) == sorted(calls), (height, width, workers)
 
     def test_no_thread_outlives_a_decode(self):
         enc, cfg = self._case()

@@ -168,7 +168,7 @@ class TestSlabs:
     def test_slab_count(self, monkeypatch, shape, slabs):
         calls = []
         inner = wavelet._inverse_slab
-        monkeypatch.setattr(wavelet, "_inverse_slab", lambda *args: calls.append(inner(*args)))
+        monkeypatch.setattr(wavelet, "_inverse_slab", lambda *args, **kw: calls.append(inner(*args, **kw)))
         haar_inverse([np.zeros(shape)] * 4)
         assert len(calls) == slabs
 
@@ -225,7 +225,7 @@ class TestForwardSlabs:
     def test_slab_count(self, monkeypatch, shape, slabs):
         calls = []
         inner = wavelet._forward_slab
-        monkeypatch.setattr(wavelet, "_forward_slab", lambda *args: calls.append(inner(*args)))
+        monkeypatch.setattr(wavelet, "_forward_slab", lambda *args, **kw: calls.append(inner(*args, **kw)))
         haar_forward(np.zeros(shape))
         assert len(calls) == slabs
 
@@ -271,3 +271,33 @@ class TestProperties:
             expected = matrix.entries @ source_band.reshape(4, -1)
             scale = max(1.0, np.abs(expected).max())
             assert np.abs(mixed_band.reshape(3, -1) - expected).max() <= 1e-9 * scale
+
+
+class TestUnhalved:
+    # orthonormal=False drops the halvings: the decoder folds them into A+
+    # and the coefficient maps, which needs the bits of the orthonormal pair
+
+    SHAPES = [(2, 3, 14, 10), (2, 3, 13, 9), (1, 1), (1, 2), (5, 1), (7, 6), (3, 16, 15)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_forward_is_twice_the_orthonormal_bands(self, rng, shape):
+        for planes in (rng.uniform(-300, 300, size=shape), rng.uniform(-1e30, 1e30, size=shape).astype(np.float32)):
+            for orthonormal, plain in zip(haar_forward(planes), haar_forward(planes, orthonormal=False)):
+                assert np.array_equal(plain, 2 * orthonormal)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_inverse_of_half_bands_is_the_orthonormal_inverse(self, rng, shape):
+        # full size and, for an odd side, the cropped out the decoder passes
+        half = (*shape[:-2], -(-shape[-2] // 2), -(-shape[-1] // 2))
+        bands = [rng.uniform(-300, 300, size=half) for _ in BANDS]
+        for size in {(*half[:-2], 2 * half[-2], 2 * half[-1]), shape}:
+            want = haar_inverse(bands, out=np.empty(size))
+            got = haar_inverse([0.5 * band for band in bands], out=np.empty(size), orthonormal=False)
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_round_trip_has_a_gain_of_4(self, rng, shape):
+        pixels = rng.integers(0, 256, size=shape).astype(np.uint8)
+        bands = haar_forward(pixels, orthonormal=False)
+        out = np.empty(shape)
+        assert np.array_equal(haar_inverse(bands, out=out, orthonormal=False), 4.0 * pixels)
