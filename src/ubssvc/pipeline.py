@@ -10,11 +10,13 @@ encoded sequence and tau from the config, and recovers the sources task by
 task: one Haar transform of the task's mixed frames, recovery of the three
 sparse detail subbands by subspace classification, the low-frequency
 subband by the generalized inverse, and one inverse transform written
-straight into the output array. A task of whole groups recovers its
-three detail bands in one stacked call, each (group, band) plane with its
-own zero threshold, when its groups are of at most ``TILE`` pixels or the
-pass runs on the thread pool; a row tile, and a whole larger group decoded
-inline, makes one call per band. The transforms are the plain
+straight into the output array. A detail column is zero when its norm is
+at most ``DEFAULT_ZERO_EPS`` times the norm of the mixed LL column of its
+own 2x2 cell, so every task holds its zero test and decodes once. A task
+of whole groups recovers its three detail bands in one stacked call when
+its groups are of at most ``TILE`` pixels or the pass runs on the thread
+pool; a row tile, and a whole larger group decoded inline, makes one call
+per band. The transforms are the plain
 sum/difference Haar pair, without their halvings, and ``A+`` and the
 coefficient maps are scaled by 1/4 once per decode instead: powers of two
 commute with rounding, so this gives the bits of the orthonormal pair.
@@ -27,9 +29,8 @@ CPUs, tasks share a thread pool over them, by one rule each way: encode
 pools the tasks of groups of more than ``TILE`` pixels (:func:`_pooled`)
 and mixes runs of smaller groups inline; decode pools every pass of two
 or more tasks, runs of small groups too, and runs a lone task inline.
-Each decode tile decodes once on its own zero threshold; a tile that held
-a column the whole group's threshold would zero is decoded again on the
-group's peak column norms, so tiles change no bit of the result.
+A tile, like a whole group, decodes once: the zero test of a cell needs
+nothing outside it, so tiles change no bit of the result.
 
 The encoder keeps the mixed frames in their stored form, the codes a
 container holds and a downstream codec sees: float32 in float-container
@@ -327,11 +328,11 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     coefficient maps scaled by 1/4, so the recovered bands are half the
     orthonormal ones, which the unhalved inverse takes: each halving is
     folded into a product made once per decode instead of an element pass
-    per slab. Residuals and zero thresholds are ratios of norms and do not
-    change; the census ``peak`` and ``floor``, norms of doubled bands, are
-    halved back. Every step scales by a power of two, so frames and census
-    are bit for bit those of the orthonormal pair while every value stays a
-    normal float (see :mod:`ubssvc.wavelet`).
+    per slab. Residuals and zero tests are ratios of norms and do not
+    change. Every step scales by a power of two, so frames and census are
+    bit for bit those of the orthonormal pair while every value stays a
+    normal float (see :mod:`ubssvc.wavelet`). Each task decodes once, and
+    its output is final when it returns.
 
     A pass of two or more tasks, row tiles, whole groups or runs of small
     groups, shares a pool of ``WORKERS`` threads when there are two or
@@ -345,7 +346,9 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     the interpreter lock changes hands, and stacking makes a third of the
     calls; inline, a stacked CIF group's temporaries leave the L2 cache
     and cost more than the calls save, so a whole group of more than
-    ``TILE`` pixels recovers band by band there.
+    ``TILE`` pixels recovers band by band there. Row tiles recover band by
+    band too: stacked 720p tiles took more memory (76.5 -> 83.3 MB traced
+    peak) and no less time.
     """
     height, width = enc.height, enc.width
     m, n = enc.matrix.rows, enc.matrix.cols
@@ -360,34 +363,22 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     dest = out[: blocks * n].reshape(blocks, n, height, width)
     tasks, tiles = _tasks(blocks, height, width, cell=2)
     pooled = WORKERS > 1 and len(tasks) > 1
+    # stacking costs memory: row tiles and inline groups of more than TILE
+    # pixels recover band by band (see the docstring)
     stack = tiles == 1 and (pooled or height * width <= TILE)
 
-    def decode(task, peaks=None) -> list[RecoveryStats]:
-        return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, stack, peaks)
+    def decode(task) -> list[RecoveryStats]:
+        return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, stack)
 
     with ThreadPoolExecutor(WORKERS) as pool:
         parts = list((pool.map if pooled else map)(decode, tasks))
-    stats: list[RecoveryStats] = []
-    for start in range(0, len(tasks), tiles):
-        group = parts[start : start + tiles]
-        if tiles > 1:
-            # Each tile was decoded on its own zero threshold. The group's is
-            # never lower, and zeroes a column the tile kept only if the
-            # tile's smallest kept norm is at or under it; the rare tile where
-            # that happens is decoded again on the group's peak column norms.
-            peaks = np.max([[band.peak for band in part] for part in group], axis=0)[:, None]
-            for i, part in enumerate(group):
-                if any(band.floor <= DEFAULT_ZERO_EPS * peak for band, peak in zip(part, peaks)):
-                    group[i] = decode(tasks[start + i], peaks)
-        # band by band, the tiles in row order, as one whole-group call gives them
-        stats += [tile for band in zip(*group) for tile in band]
+    # band by band, the tiles of a group in row order, as one whole-group call gives them
+    groups = (parts[start : start + tiles] for start in range(0, len(parts), tiles))
+    stats = [tile for group in groups for band in zip(*group) for tile in band]
     out[blocks * n :] = enc.tail_codes
     census = RecoveryStats.merged(stats)
     return _read_only(out), replace(
         census,
-        # norms of the unhalved bands, halved back to the orthonormal ones
-        peak=census.peak * 0.5,
-        floor=census.floor * 0.5,
         # a tile counts its residuals on its own; add up each (group, band)'s tiles
         group_residuals=census.group_residuals.reshape(-1, tiles).sum(axis=1),
     )
@@ -404,22 +395,22 @@ def _dequantize(codes, affine, out) -> None:
     out += affine[1]
 
 
-def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> list[RecoveryStats]:
+def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack) -> list[RecoveryStats]:
     """Decode (k, m, h, W) mixed codes into the (k, n, h, W) array ``dest``.
 
     ``pinv`` and ``planes`` carry the ``A+`` and coefficient maps scaled
-    by 1/4 that :func:`decode_sequence` pairs with the unhalved transforms,
-    so the census ``peak`` and ``floor`` are twice the orthonormal norms.
+    by 1/4 that :func:`decode_sequence` pairs with the unhalved transforms.
+    A detail column is zero when its norm is at most ``DEFAULT_ZERO_EPS``
+    times its cell's mixed LL norm: one (k, T) floor, made once per task.
 
     With ``stack`` (whole groups, of at most ``TILE`` pixels or pooled)
-    the three detail bands are recovered in one stacked call over 3k
-    (group, band) planes, each with its own zero threshold, which returns
-    one census with the residuals in (group, band, column) order; the bands
-    are written into one (m, k, 3, h/2, w/2) buffer, whose columns that
-    call reads without a copy. Otherwise there is one call per band and one census per band.
-    ``peaks`` holds the (3, k) peak column norms of the detail bands when
-    the codes are a tile of their groups. A function of its own, so that one
-    task's temporaries are freed before the next task allocates its own.
+    the three detail bands are recovered in one call on a (k, 3, m, T)
+    view of one (m, k, 3, h/2, w/2) buffer, whose columns that call reads
+    without a copy, beside the floor as (k, 1, T); it returns one census
+    with the residuals in (group, band, column) order. Otherwise there is
+    one call per band and one census per band. A function of its own, so
+    that one task's temporaries are freed before the next task allocates
+    its own.
 
     Each band, and the stacked buffer, goes into its recovery call as the
     only reference to it, so that the call frees it once it has gathered
@@ -440,18 +431,28 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack, peaks=None) -> 
     haar_forward(codes, convert, bands, orthonormal=False)
     if stack:
         # one call, whose 3k groups are the (group, band) planes in turn
-        bands[1:] = [details.reshape(m, 3 * k, -1).transpose(1, 0, 2)]
+        bands[1:] = [details.reshape(m, k, 3, -1).transpose(1, 2, 0, 3)]
         del details
-    # each band is popped into its call, which holds its last reference
-    recovered = [recover_dense(pinv, bands.pop(0).reshape(k, m, -1))]
+    ll = bands.pop(0).reshape(k, m, -1)
+    recovered = [recover_dense(pinv, ll)]
+    # each cell's LL norm, in the LL band's buffer, read no more: the squares
+    # added frame by frame, as recover_block adds its columns' squares, so
+    # the bits do not depend on the task's shape
+    np.square(ll, out=ll)
+    for i in range(1, m):
+        ll[:, 0] += ll[:, i]
+    floor = np.sqrt(ll[:, 0])
+    floor *= DEFAULT_ZERO_EPS
+    del ll
+    # each detail band is popped into its call, which holds its last reference
     if stack:
-        sources, census = recover_block(planes, bands.pop(), tau)
-        recovered.extend(sources.reshape(k, 3, *sources.shape[1:]).swapaxes(0, 1))
+        sources, census = recover_block(planes, bands.pop(), tau, floor[:, None])
+        recovered.extend(sources.swapaxes(0, 1))
         stats = [census]
     else:
         stats = []
-        for band_peaks in [None] * 3 if peaks is None else peaks:
-            sources, band_stats = recover_block(planes, bands.pop(0).reshape(k, m, -1), tau, band_peaks)
+        for _ in range(3):
+            sources, band_stats = recover_block(planes, bands.pop(0).reshape(k, m, -1), tau, floor)
             recovered.append(sources)
             stats.append(band_stats)
     haar_inverse([r.reshape(k, -1, *half) for r in recovered], out=dest, orthonormal=False)

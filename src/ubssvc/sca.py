@@ -15,10 +15,10 @@ Real coefficients are only approximately sparse, so classification works on
 the relative residual against a tolerance ``tau``, and columns that miss
 every subspace are still assigned to the nearest one, flagged ``forced``.
 
-A column's result does not depend on what else is in the call: stacked
-groups keep their own zero thresholds, a piece of a group can be given the
-whole group's peak column norms, and every product goes through BLAS gemm
-(never gemv), whose bits for a column do not depend on its position.
+A column's result does not depend on what else is in the call: its zero
+test is its own norm against its own floor, and every product goes through
+BLAS gemm (never gemv), whose bits for a column do not depend on its
+position.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixcore import DEFAULT_ZERO_EPS, MixingMatrix, _freeze, column_subsets
+from .mixcore import MixingMatrix, _freeze, column_subsets
 
 # The percents at which :meth:`RecoveryStats.residual_quantiles` reports.
 QUANTILE_PERCENTS = (0, 25, 50, 75, 100)
@@ -136,10 +136,7 @@ class RecoveryStats:
     from several runs can be pooled without losing information.
     ``group_residuals`` counts the residuals of each group in turn (one
     group holding them all when not given), so the residual array can be
-    cut per group. ``peak`` is the largest column norm the run saw (0.0
-    when it saw none) and ``floor`` the smallest norm among the columns it
-    counted non-zero (inf when none), so a caller can tell whether a higher
-    zero threshold would have zeroed any of them.
+    cut per group.
     """
 
     total_columns: int
@@ -147,8 +144,6 @@ class RecoveryStats:
     clean_columns: int
     forced_columns: int
     residuals: np.ndarray
-    peak: float = 0.0
-    floor: float = math.inf
     group_residuals: np.ndarray | None = None
 
     def __post_init__(self):
@@ -173,56 +168,25 @@ class RecoveryStats:
             clean_columns=sum(p.clean_columns for p in parts),
             forced_columns=sum(p.forced_columns for p in parts),
             residuals=np.concatenate([p.residuals for p in parts]),
-            peak=max(p.peak for p in parts),
-            floor=min(p.floor for p in parts),
             group_residuals=np.concatenate([p.group_residuals for p in parts]),
         )
 
 
-def _columns(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Columns, norms and group peaks of an (m, T) or stacked (G, m, T) input.
-
-    The columns come as one (m, G*T) array, group after group, their norms
-    as (G, T) and each group's largest norm as (G,). The columns are a view
-    of a 2-D input and of a stacked one laid out as (m, G, T) in memory
-    (``x.transpose(1, 0, 2)`` C-contiguous), else a copy. Rejects non-finite
-    observations, which the peaks reveal.
-    """
-    groups = x.shape[0] if x.ndim == 3 else 1
-    columns = x if x.ndim == 2 else x.transpose(1, 0, 2).reshape(x.shape[1], -1)
-    # Squares added row by row, then the root, in one buffer: the bits of
-    # linalg.norm(axis=0) on C-ordered columns, without its (m, G*T)
-    # temporary of squares. For m >= 8 numpy's pairwise sum gives a
-    # one-column or Fortran-ordered input other bits; this sum does not
-    # depend on the layout.
-    norms = np.multiply(columns[0], columns[0])
-    square = np.empty_like(norms)
-    for row in columns[1:]:
-        norms += np.multiply(row, row, out=square)
-    norms = np.sqrt(norms, out=norms).reshape(groups, x.shape[-1])
-    peaks = norms.max(axis=1, initial=0.0)
-    if not np.isfinite(peaks).all():
-        raise ValueError("mixed coefficients must be finite")
-    return columns, norms, peaks
-
-
-def recover_block(planes: HyperplaneSet, mixed, tau: float, peaks=None) -> tuple[np.ndarray, RecoveryStats]:
+def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[np.ndarray, RecoveryStats]:
     """Recover an (n, T) sparse source matrix from (m, T) observations.
 
     ``planes`` is the :class:`HyperplaneSet` of the mixing matrix. Columns
-    are classified independently (vectorized over T); columns whose norm is
-    at most 1e-12 times the largest in their group short-circuit to zero.
-    Always returns an assignment for every column; tolerance misses only
-    raise the ``forced`` count.
+    are classified independently (vectorized over T); a column whose norm
+    is at most ``floor`` short-circuits to zero. ``floor`` broadcasts to one
+    value per column, finite and non-negative; the default 0 zeroes exact
+    zeros only. Always returns an assignment for every column; tolerance
+    misses only raise the ``forced`` count.
 
-    A stacked (G, m, T) input is G independent groups, each with its own
-    zero threshold, and gives a (G, n, T) result and one census over all
-    groups (residuals in group order, ``group_residuals`` of them per
-    group): the same bits as G separate calls. ``peaks`` gives the largest
-    column norm of each whole group when the call sees only a piece of its
-    groups (a (G,) array, (1,) for 2-D input); the pieces of a group then
-    recover to the bits of one call on the whole. Observations must be
-    finite.
+    A stacked (..., m, T) input is that many independent groups and gives
+    an (..., n, T) result and one census over all groups (residuals in
+    group order, ``group_residuals`` of them per group): the same bits as
+    one call per group, or per piece of a group given its slice of the
+    floor. Observations must be finite.
 
     The observations are not read once the kept columns are gathered, and
     the call drops its references to them there: when the caller handed
@@ -232,30 +196,46 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, peaks=None) -> tuple
     """
     check_tau(tau)
     x = np.asarray(mixed, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ValueError("mixed coefficients must be (m, T) or stacked (G, m, T)")
+    if x.ndim < 2:
+        raise ValueError("mixed coefficients must be (m, T) or stacked (..., m, T)")
     if x.shape[-2] != planes.dimension:
         raise ValueError(f"mixed matrix has {x.shape[-2]} rows, matrix expects {planes.dimension}")
-    columns, norms, own = _columns(x)
-    if peaks is None:
-        peaks = own
-    else:
-        peaks = np.asarray(peaks, dtype=np.float64)
-        if peaks.shape != own.shape or not np.isfinite(peaks).all() or not (peaks >= own).all():
-            raise ValueError(f"peaks must be {len(own)} finite norms, each at least its group's own")
-    groups, t = norms.shape
-    active_cols = np.flatnonzero(norms > DEFAULT_ZERO_EPS * peaks[:, None])
+    floor = np.asarray(floor, dtype=np.float64)
+    if not (floor.min(initial=0.0) >= 0 and math.isfinite(floor.max(initial=0.0))):
+        raise ValueError("floor must hold finite norms >= 0")
+    # The columns group after group, as one (m, G*T) array: a view when the
+    # m axis leads in memory, as in a decode run's detail buffer, else a copy
+    # (np.moveaxis, without its overhead).
+    nd, lead, t = x.ndim, x.shape[:-2], x.shape[-1]
+    columns = x.transpose(nd - 2, *range(nd - 2), nd - 1).reshape(x.shape[-2], -1)
+    # Squares added row by row, then the root, in one buffer: the bits of
+    # linalg.norm(axis=0) on C-ordered columns, without its (m, G*T)
+    # temporary of squares. For m >= 8 numpy's pairwise sum gives a
+    # one-column or Fortran-ordered input other bits; this sum does not
+    # depend on the layout. The rows are indexed, not iterated: a loop
+    # variable would keep a view of the observations past the hand-over.
+    norms = np.multiply(columns[0], columns[0])
+    square = np.empty_like(norms)
+    for i in range(1, len(columns)):
+        norms += np.multiply(columns[i], columns[i], out=square)
+    norms = np.sqrt(norms, out=norms).reshape(*lead, t)
+    if not math.isfinite(norms.max(initial=0.0)):
+        raise ValueError("mixed coefficients must be finite")
+    active = np.greater(norms, floor)  # a ValueError where floor does not broadcast
+    if active.shape != norms.shape:
+        raise ValueError(f"floor of shape {floor.shape} does not give one value per column of {norms.shape}")
+    active_cols = np.flatnonzero(active)
+    total = norms.size
     # take gathers along the column axis several times faster than boolean
     # indexing or compress do
     norms = norms.take(active_cols)  # only the kept columns' norms are used again
     xa = columns.take(active_cols, axis=1)
-    stacked = x.ndim == 3
-    del columns, x, mixed  # see the docstring; a copy of stacked input not laid out (m, G, T)
+    del columns, x, mixed, active, square  # see the docstring; a copy of stacked input not laid out (m, ..., T)
     best, relative = planes.classify(xa)
     relative /= norms
     forced = int(np.count_nonzero(relative > tau))
 
-    recovered = np.zeros((planes.sources, groups * t))
+    recovered = np.zeros((planes.sources, total))
     mine = np.empty(best.shape, dtype=bool)
     for q in range(planes.count):
         sel = np.flatnonzero(np.equal(best, q, out=mine))
@@ -263,20 +243,16 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, peaks=None) -> tuple
             recovered[planes.index_sets[q][:, None], active_cols.take(sel)] = _gemm(
                 planes.coefficient_maps[q], xa.take(sel, axis=1)
             )
-    if stacked:
-        recovered = recovered.reshape(planes.sources, groups, t).transpose(1, 0, 2)
 
     stats = RecoveryStats(
-        total_columns=groups * t,
-        zero_columns=groups * t - active_cols.size,
+        total_columns=total,
+        zero_columns=total - active_cols.size,
         clean_columns=active_cols.size - forced,
         forced_columns=forced,
         residuals=relative,
-        peak=float(own.max(initial=0.0)),
-        floor=float(norms.min(initial=math.inf)),
-        group_residuals=np.diff(np.searchsorted(active_cols, np.arange(groups + 1) * t)),
+        group_residuals=np.diff(np.searchsorted(active_cols, np.arange(math.prod(lead) + 1) * t)),
     )
-    return recovered, stats
+    return recovered.reshape(planes.sources, *lead, t).transpose(*range(1, nd - 1), 0, nd - 1), stats
 
 
 def recover_dense(pseudo_inverse, mixed) -> np.ndarray:

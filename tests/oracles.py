@@ -145,8 +145,9 @@ def haar2_inverse_reference(ll, lh, hl, hh) -> np.ndarray:
 def column_peaks(mixed) -> np.ndarray:
     """Largest column norm of each group of an (m, T) or stacked (G, m, T) input.
 
-    A (G,) array, (1,) for 2-D input: the ``peaks`` that make a call on a
-    piece of its groups zero what a call on the whole groups would.
+    A (G,) array, (1,) for 2-D input. A column at most 1e-12 of its
+    (group, band)'s peak is zero under the whole-group rule, which the
+    tests hold the decoder's cell-local rule to.
     """
     return np.atleast_1d(np.linalg.norm(mixed, axis=-2).max(axis=-1, initial=0.0))
 
@@ -187,9 +188,10 @@ def decode_reference(enc, cfg):
     Per block: edge-pad each mixed frame to even size, transform it alone,
     recover each detail band with one 2-D ``recover_block`` call and the ll
     band with one 2-D ``recover_dense`` product, then inverse-transform and crop
-    frame by frame. Affine codes are dequantized frame by frame as
-    ``offset + scale * code``. Returns the list of decoded planes and the
-    list of per-call recovery stats.
+    frame by frame. A detail column is zero when its norm is at most 1e-12
+    times the ``np.linalg.norm`` of its cell's ll column. Affine codes are
+    dequantized frame by frame as ``offset + scale * code``. Returns the
+    list of decoded planes and the list of per-call recovery stats.
     """
     from ubssvc import build_hyperplanes, generalized_inverse, recover_block, recover_dense
 
@@ -207,9 +209,11 @@ def decode_reference(enc, cfg):
                 frame = enc.offset + enc.scale * frame
             padded = np.pad(frame, ((0, height % 2), (0, width % 2)), mode="edge")
             bands.append(haar2_reference(padded))
-        rec = {"ll": recover_dense(pinv, np.stack([sb["ll"].ravel() for sb in bands]))}
+        ll = np.stack([sb["ll"].ravel() for sb in bands])
+        rec = {"ll": recover_dense(pinv, ll)}
+        floor = 1e-12 * np.linalg.norm(ll, axis=0)
         for band in ("lh", "hl", "hh"):
-            rec[band], part = recover_block(planes, np.stack([sb[band].ravel() for sb in bands]), cfg.tau)
+            rec[band], part = recover_block(planes, np.stack([sb[band].ravel() for sb in bands]), cfg.tau, floor)
             stats.append(part)
         half = bands[0]["ll"].shape
         for j in range(n):

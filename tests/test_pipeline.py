@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from oracles import decode_reference, mix_reference, quantize_reference
+from oracles import column_peaks, decode_reference, mix_reference, quantize_reference
 from ubssvc import (
     BANDS,
     CodecConfig,
@@ -356,7 +356,7 @@ class TestDecode:
         decoded, stats = decode_sequence(enc, cfg)
         other_decoded, other_stats = decode_sequence(enc, other)
         assert np.array_equal(other_decoded, decoded)
-        for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns", "peak", "floor"):
+        for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
             assert getattr(other_stats, field) == getattr(stats, field)
         for field in ("residuals", "group_residuals"):
             assert np.array_equal(getattr(other_stats, field), getattr(stats, field))
@@ -482,7 +482,7 @@ def test_array_decode_equals_frame_by_frame_decode(case):
     assert decoded.shape == (count, height, width)
     assert np.array_equal(decoded, np.stack(reference))
     merged = type(stats).merged(parts)
-    for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns", "peak", "floor"):
+    for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
         assert getattr(stats, field) == getattr(merged, field)
     # one call per (block, band) lists the residuals in the decoder's order
     assert np.array_equal(stats.residuals, merged.residuals)
@@ -501,6 +501,101 @@ def test_array_decode_equals_frame_by_frame_decode(case):
     assert np.array_equal(file_decoded, decoded)
     assert np.array_equal(file_stats.residuals, stats.residuals)
     assert file_stats.forced_columns == stats.forced_columns
+
+
+def _matrix(name) -> MixingMatrix:
+    """The default matrix, or a seeded one: non-negative uniform, or Gaussian ("g" prefix)."""
+    if name == "default":
+        return default_mixing_matrix()
+    m, n = map(int, name.lstrip("g").split("x"))
+    rng = np.random.default_rng(m * 10 + n)
+    return MixingMatrix(rng.normal(size=(m, n)) if name.startswith("g") else rng.uniform(0.0, 1.0, size=(m, n)))
+
+
+@pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
+@pytest.mark.parametrize("preset", ["sparse-detail", "noise"])
+@pytest.mark.parametrize("name, tile", [("default", None), ("2x4", None), ("3x6", None), ("2x8", None), ("g3x4", None), ("default", 7)])
+def test_cell_rule_zeroes_the_columns_of_the_group_rule(name, tile, preset, quantization):
+    # a detail column is zero when its norm is at most 1e-12 of its own cell's
+    # mixed LL norm; that zeroes, per (group, band), exactly the columns that
+    # 1e-12 of the (group, band)'s peak column norm zeroes, and the decoder
+    # keeps as many columns per (group, band) as that rule does
+    matrix = _matrix(name)
+    m, n = matrix.rows, matrix.cols
+    cfg = CodecConfig(matrix=matrix, quantization=quantization)
+    frames = synth.generate(preset, 3 * n + 1, 21, 14, seed=2, group=n, max_active=m - 1)
+    enc = encode_sequence(frames, cfg)
+    values = enc.mixed_codes.astype(np.float64)
+    if quantization == "affine-8bit":
+        values = enc.offset + enc.scale * values
+    bands = [_band_columns(values, band).reshape(enc.block_count, m, -1) for band in BANDS]
+    cell = 1e-12 * np.linalg.norm(bands[0], axis=1)  # (group, T)
+    kept = []
+    for band in bands[1:]:
+        norms = np.linalg.norm(band, axis=1)
+        group = norms <= 1e-12 * column_peaks(band)[:, None]
+        assert np.array_equal(norms <= cell, group)
+        kept.append((~group).sum(axis=1))
+    with mock.patch.object(pipeline_module, "TILE", tile or pipeline_module.TILE):
+        _, stats = decode_sequence(enc, cfg)
+    # group_residuals counts the kept columns of each (group, band)
+    assert np.array_equal(stats.group_residuals, np.stack(kept, axis=1).ravel())
+    if preset == "sparse-detail":
+        assert stats.zero_columns > 0
+
+
+class TestCellsWithZeroLowBand:
+    # a cell whose mixed LL column is exactly 0 has a floor of 0, so it keeps
+    # every non-zero detail column, however small, as clean or forced
+
+    @staticmethod
+    def _decode(enc, cell) -> list[np.ndarray]:
+        """Decode float codes; check that exactly their zero detail columns are zero."""
+        decoded, stats = decode_sequence(enc, CodecConfig())
+        assert decoded.shape == (enc.source_count, enc.height, enc.width) and np.isfinite(decoded).all()
+        values = enc.mixed_codes.astype(np.float64)
+        ll, *details = [_band_columns(values, band).reshape(enc.block_count, enc.matrix.rows, -1) for band in BANDS]
+        assert not ll[0, :, cell].any()
+        nonzero = np.stack([band.any(axis=1) for band in details], axis=1)  # (group, band, T)
+        assert nonzero[0, :, cell].any()
+        # group_residuals counts the kept columns of each (group, band)
+        assert np.array_equal(stats.group_residuals, nonzero.sum(axis=2).ravel())
+        assert stats.clean_columns + stats.forced_columns == nonzero.sum()
+        return details
+
+    def test_gaussian_matrix(self):
+        # a cell's four mixed pixels cancel, as a matrix with negative
+        # entries can make them do: here its sources are s and -s on its
+        # diagonals, tiny against the rest of the frame, so 1e-12 of the
+        # (group, band)'s peak norm would zero them
+        cfg = CodecConfig(matrix=_matrix("g3x4"))
+        frames = synth.generate("sparse-detail", 8, 6, 4, seed=3).copy()
+        s = 1e-20 * np.array([1.0, 0.0, 2.0, 0.0])  # two of four sources active
+        frames[:4, 0, 0] = frames[:4, 1, 1] = s
+        frames[:4, 0, 1] = frames[:4, 1, 0] = -s
+        details = self._decode(encode_sequence(frames, cfg), 0)
+        hh = details[2][0]
+        assert hh[:, 0].any() and np.linalg.norm(hh[:, 0]) <= 1e-12 * column_peaks(hh)[0]
+
+    def test_hostile_float_container(self):
+        # no non-negative matrix mixes pixels to a cell c * (1, -1, -1, 1), but
+        # a float container may hold one
+        codes = np.full((6, 4, 6), 7.0, dtype=np.float32)
+        codes[:, 2:, 2:4] = np.array([[1.0, -1.0], [-1.0, 1.0]], dtype=np.float32)
+        codes[:, 2:, 2:4] *= np.arange(1, 7, dtype=np.float32)[:, None, None]
+        codes[:, 0, :] += np.arange(6, dtype=np.float32)
+        enc = EncodedSequence(
+            matrix=CodecConfig().matrix,
+            width=6,
+            height=4,
+            quantization="float-container",
+            scale=0.0,
+            offset=0.0,
+            mixed_codes=codes,
+            tail_codes=np.zeros((1, 4, 6), dtype=np.uint8),
+        )
+        details = self._decode(enc, 4)  # the cell of rows 2-3, columns 2-3
+        assert details[2][:, :, 4].all() and not details[0][:, :, 4].any()
 
 
 def _tie_column(entries, rng) -> np.ndarray:
@@ -688,9 +783,10 @@ class TestTiledDecode:
             # every tile is one of the 11 subband rows and is decoded once
             assert len(calls) == enc.block_count * 11
 
-    def test_tile_under_the_group_threshold_is_decoded_again(self, monkeypatch):
-        # three tiles of 6, 6 and 4 rows: the first has details near 1e-7, which
-        # the last tile's codes near 1e30 put under the group's zero threshold
+    def test_each_tile_decodes_once(self, monkeypatch):
+        # three tiles of 6, 6 and 4 rows: the first has details near 1e-7 and
+        # the last codes near 1e30, which do not reach the first tile's cells:
+        # each cell's zero test is its own, so every tile decodes once
         rng = np.random.default_rng(11)
         codes = np.full((3, 16, 4), 5.0, dtype=np.float32)
         codes[:, :6] = 1.0 + rng.integers(0, 3, size=(3, 6, 4)) * np.float32(2.0**-23)
@@ -707,13 +803,18 @@ class TestTiledDecode:
         )
         cfg = CodecConfig()
         whole, whole_stats = self._reference(enc, cfg)
-        assert whole_stats.zero_columns >= 3 * 6  # the first tile's details all zero
+        # only exact zeros are zero: the middle tile's 6 constant cells in
+        # every band, and those of the first tile whose codes are all equal;
+        # the first tile's other details are kept, where a threshold of the
+        # whole group's peak norm zeroed all 3 * 6 of them
+        exact = [(_band_columns(codes, band) == 0).all(axis=0) for band in BANDS[1:]]
+        assert whole_stats.zero_columns == sum(int(z.sum()) for z in exact)
+        assert 3 * 6 <= whole_stats.zero_columns < 2 * 3 * 6
         calls = self._count_chunks(monkeypatch)
         with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
             tiled, stats = decode_sequence(enc, cfg)
-        # each tile once, in any order, then the first tile again
-        assert sorted(c.shape[2] for c in calls[:3]) == [4, 6, 6]
-        assert len(calls) == 4 and np.array_equal(calls[3][0], codes[:, :6])
+        # each tile once, in any order
+        assert sorted(c.shape[2] for c in calls) == [4, 6, 6]
         assert np.array_equal(tiled, whole)
         for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
             assert getattr(stats, field) == getattr(whole_stats, field)
@@ -788,7 +889,8 @@ class TestTiledDecode:
         assert np.array_equal(decoded, whole)
         assert np.array_equal(stats.residuals, whole_stats.residuals)
         assert np.array_equal(stats.group_residuals, whole_stats.group_residuals)
-        assert (stats.peak, stats.floor) == (whole_stats.peak, whole_stats.floor)
+        for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
+            assert getattr(stats, field) == getattr(whole_stats, field)
 
     @pytest.mark.parametrize("tile, runs", [(630, 2), (pipeline_module.TILE, 1)])
     def test_runs_of_small_groups_decode_on_the_pool(self, monkeypatch, tile, runs):
@@ -857,7 +959,7 @@ class TestTiledDecode:
             assert len(threads) > 1 and (threading.main_thread() in threads) == (workers == 1)
         (decoded, stats), (pooled, pooled_stats) = results
         assert np.array_equal(pooled, decoded)
-        for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns", "peak", "floor"):
+        for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
             assert getattr(pooled_stats, field) == getattr(stats, field)
         for field in ("residuals", "group_residuals"):
             assert np.array_equal(getattr(pooled_stats, field), getattr(stats, field))
@@ -893,18 +995,23 @@ class TestTiledDecode:
 
     def test_recovery_calls_per_task(self, monkeypatch):
         # a run of groups of at most TILE pixels recovers its three detail
-        # bands in one call over its (group, band) planes; so does a larger
-        # whole group (CIF) on the pool, while inline it makes one call per
-        # band; row tiles (720p) make one call per band on the pool too
+        # bands in one (k, 3, m, T) call beside a (k, 1, T) floor; so does a
+        # larger whole group (CIF) on the pool, while inline it makes one
+        # (k, m, T) call per band beside a (k, T) floor; row tiles (720p) make
+        # one call per band on the pool too
         shapes = []
         recover = pipeline_module.recover_block
-        counting = lambda planes, x, *args: shapes.append(x.shape) or recover(planes, x, *args)  # noqa: E731
+
+        def counting(planes, x, tau, floor):
+            shapes.append((x.shape, floor.shape))
+            return recover(planes, x, tau, floor)
+
         monkeypatch.setattr(pipeline_module, "recover_block", counting)
         cases = (
-            ((64, 64), 100, 2, [(24, 3, 32 * 32)] * 12 + [(12, 3, 32 * 32)]),
-            ((288, 352), 10, 2, [(3, 3, 144 * 176)] * 10),
-            ((288, 352), 10, 1, [(1, 3, 144 * 176)] * 30),
-            ((720, 1280), 1, 2, [(1, 3, 45 * 640)] * 24),
+            ((64, 64), 100, 2, [((8, 3, 3, 32 * 32), (8, 1, 32 * 32))] * 12 + [((4, 3, 3, 32 * 32), (4, 1, 32 * 32))]),
+            ((288, 352), 10, 2, [((1, 3, 3, 144 * 176), (1, 1, 144 * 176))] * 10),
+            ((288, 352), 10, 1, [((1, 3, 144 * 176), (1, 144 * 176))] * 30),
+            ((720, 1280), 1, 2, [((1, 3, 45 * 640), (1, 45 * 640))] * 24),
         )
         for (height, width), blocks, workers, calls in cases:
             shapes.clear()

@@ -135,9 +135,13 @@ class TestClassifyColumn:
         recovered, stats = recover_block(build_hyperplanes(matrix), np.zeros((3, 1)), tau=1e-8)
         assert recovered.tolist() == [[0.0], [0.0], [0.0], [0.0]]
         assert stats.zero_columns == 1 and stats.residuals.size == 0
-        # the zero threshold is relative: 1e-12 of the largest column norm
+        # by default only an exact zero is zero; a floor zeroes columns up to it
         x = np.stack([matrix.entries[:, 1], 1e-13 * matrix.entries[:, 1]], axis=1)
         recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
+        assert stats.zero_columns == 0 and stats.residuals.size == 2
+        assert_allclose(recovered[:, 1], [0.0, 1e-13, 0.0, 0.0], atol=1e-24)
+        floor = 1e-12 * np.linalg.norm(matrix.entries[:, 1])
+        recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8, floor=floor)
         assert stats.zero_columns == 1 and stats.residuals.size == 1
         assert not recovered[:, 1].any()
         assert_allclose(recovered[:, 0], [0.0, 1.0, 0.0, 0.0], atol=1e-12)
@@ -251,8 +255,8 @@ def test_330_planes_match_per_column_path():
     s[:, 3] = rng.uniform(-1, 1, size=11)  # dense: off every plane, forced
     s[:, 5] = 0.0
     x = matrix.entries @ s
-    recovered, stats = recover_block(hs, x, tau=1e-8)
     zero_eps = 1e-12 * np.linalg.norm(x, axis=0).max()
+    recovered, stats = recover_block(hs, x, tau=1e-8, floor=zero_eps)
     relative = []
     for j in range(x.shape[1]):
         oracle, index_set, rel = nearest_subspace_recovery(matrix.entries, x[:, j], zero_eps)
@@ -330,8 +334,8 @@ class TestRecoverBlock:
         s = sparse_source(seed=11, t=200)
         x = matrix.entries @ s
         x[:, 5] = [1.0, -2.0, 1.5]
-        recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         zero_eps = 1e-12 * np.linalg.norm(x, axis=0).max()
+        recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8, floor=zero_eps)
         relative = []
         for j in range(200):
             oracle, index_set, rel = nearest_subspace_recovery(matrix.entries, x[:, j], zero_eps)
@@ -446,53 +450,12 @@ def test_recovery_stats_merge():
     assert merged.residuals.tolist() == [0.1, 0.2, 0.3]
     # each positionally built census is one group
     assert merged.group_residuals.tolist() == [2, 1]
-    # positional construction leaves the norm range empty
-    assert (merged.peak, merged.floor) == (0.0, np.inf)
     empty = RecoveryStats.merged([])
     assert empty.total_columns == 0 and empty.group_residuals.size == 0
-    assert (empty.peak, empty.floor) == (0.0, np.inf)
-
-
-def test_recovery_stats_merge_norm_range():
-    a = RecoveryStats(10, 2, 7, 1, np.array([0.1, 0.2]), peak=4.0, floor=0.5)
-    b = RecoveryStats(5, 0, 5, 0, np.array([0.3]), peak=9.0, floor=2.0)
-    c = RecoveryStats(3, 3, 0, 0, np.empty(0))  # all zero: no kept column
-    merged = RecoveryStats.merged([a, b, c])
-    assert (merged.peak, merged.floor) == (9.0, 0.5)
-
-
-class TestNormRange:
-    # peak: the largest column norm of a call; floor: the smallest it kept non-zero
-
-    def test_peak_and_floor(self, matrix):
-        x = matrix.entries @ sparse_source(seed=6, t=8)
-        x[:, 3] *= 1e-9
-        x[:, 5] = 0.0
-        norms = np.linalg.norm(x, axis=0)
-        _, stats = recover_block(build_hyperplanes(matrix), x, 1e-8)
-        assert stats.peak == norms.max() == column_peaks(x)[0]
-        assert stats.floor == norms[3]
-        # a group's peak zeroes column 3: the floor is the smallest norm left
-        _, piece = recover_block(build_hyperplanes(matrix), x, 1e-8, column_peaks(x) * 1e4)
-        assert piece.peak == norms.max()
-        assert piece.floor == np.delete(norms, [3, 5]).min()
-
-    def test_stacked_groups(self, matrix, rng):
-        x = rng.normal(size=(2, 3, 7))
-        x[1] *= 10.0
-        norms = np.linalg.norm(x, axis=1)
-        _, stats = recover_block(build_hyperplanes(matrix), x, 0.1)
-        assert stats.peak == norms.max()
-        assert stats.floor == norms.min()
-
-    @pytest.mark.parametrize("shape", [(3, 0), (3, 4), (2, 3, 0)])
-    def test_nothing_kept(self, matrix, shape):
-        _, stats = recover_block(build_hyperplanes(matrix), np.zeros(shape), 0.05)
-        assert (stats.peak, stats.floor) == (0.0, np.inf)
 
 
 class TestStackedRecovery:
-    # a (G, m, T) input is G independent groups, each with its own zero threshold
+    # a (..., m, T) input is that many independent groups
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_observations_rejected(self, matrix, bad):
         x = matrix.entries @ sparse_source(seed=1, t=5)
@@ -503,24 +466,26 @@ class TestStackedRecovery:
         with pytest.raises(ValueError, match="finite"):
             recover_block(build_hyperplanes(matrix), stacked, tau=1e-8)
 
-    def test_threshold_is_per_group(self, matrix):
-        # group 0's small column sits under its own threshold; group 1 is all
-        # small, so the same size is active there
+    def test_floor_is_per_group(self, matrix):
+        # a (G, 1) floor gives each group its own: group 0's small column sits
+        # under its floor; group 1 is all small, and the same size is kept there
         big = matrix.entries @ sparse_source(seed=4, t=6)
         big[:, 2] = 1e-13 * matrix.entries[:, 0]
         small = 1e-15 * (matrix.entries @ sparse_source(seed=5, t=6))
         stacked = np.stack([big, small])
-        recovered, stats = recover_block(build_hyperplanes(matrix), stacked, tau=1e-8)
+        floor = 1e-12 * column_peaks(stacked)[:, None]
+        recovered, stats = recover_block(build_hyperplanes(matrix), stacked, 1e-8, floor)
         assert recovered.shape == (2, 4, 6)
         assert not recovered[0, :, 2].any()
-        per_group = [recover_block(build_hyperplanes(matrix), g, tau=1e-8) for g in stacked]
+        per_group = [recover_block(build_hyperplanes(matrix), g, 1e-8, f) for g, f in zip(stacked, floor)]
         for g, (rec, _) in enumerate(per_group):
             assert np.array_equal(recovered[g], rec)
         assert stats.zero_columns == sum(s.zero_columns for _, s in per_group)
         assert per_group[1][1].zero_columns == int((small == 0).all(axis=0).sum())
-        # one 2-D call over both groups would zero every column of group 1
-        _, joint = recover_block(build_hyperplanes(matrix), np.concatenate([big, small], axis=1), tau=1e-8)
-        assert joint.zero_columns == per_group[0][1].zero_columns + 6
+        # one 2-D call over both groups on group 0's floor zeroes every column of group 1
+        joint = np.concatenate([big, small], axis=1)
+        _, joint_stats = recover_block(build_hyperplanes(matrix), joint, 1e-8, floor[0])
+        assert joint_stats.zero_columns == per_group[0][1].zero_columns + 6
 
     @pytest.mark.skipif(
         sys.version_info < (3, 11), reason="3.10 keeps a call's arguments alive until it returns"
@@ -556,7 +521,24 @@ class TestStackedRecovery:
         with pytest.raises(ValueError):
             recover_block(build_hyperplanes(matrix), np.zeros((2, 4, 5)), tau=0.1)
         with pytest.raises(ValueError):
-            recover_block(build_hyperplanes(matrix), np.zeros((1, 2, 3, 5)), tau=0.1)
+            recover_block(build_hyperplanes(matrix), np.zeros((1, 2, 4, 5)), tau=0.1)
+        # a (2, 3, m, T) input is six groups in row-major order, each with its
+        # own floor; it equals the six 2-D calls, census included
+        x = matrix.entries @ np.random.default_rng(8).normal(size=(2, 3, 4, 9))
+        x[..., ::4] = 0.0
+        x[0, 1, :, 1] *= 1e-13
+        floor = 1e-12 * column_peaks(x.reshape(6, 3, 9)).reshape(2, 3, 1)
+        recovered, stats = recover_block(build_hyperplanes(matrix), x, 0.1, floor)
+        assert recovered.shape == (2, 3, 4, 9)
+        per_group = [recover_block(build_hyperplanes(matrix), x[i, j], 0.1, floor[i, j]) for i in range(2) for j in range(3)]
+        for (i, j), (rec, _) in zip(np.ndindex(2, 3), per_group):
+            assert np.array_equal(recovered[i, j], rec)
+        merged = RecoveryStats.merged([part for _, part in per_group])
+        for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
+            assert getattr(stats, field) == getattr(merged, field)
+        assert np.array_equal(stats.residuals, merged.residuals)
+        assert np.array_equal(stats.group_residuals, merged.group_residuals)
+        assert stats.zero_columns == 6 * 3 + 1
 
 
 @st.composite
@@ -592,12 +574,13 @@ def test_stacked_call_equals_separate_calls(case):
         elif kind == 3:
             s = rng.uniform(-1, 1, size=(n, t))
         x = scale * (matrix.entries @ s)
-        # a few columns far below the group's largest: zero here, active in a smaller group
+        # a few columns far below the group's largest: under its floor, over a smaller group's
         x[:, rng.random(t) < 0.2] *= 1e-13
         groups.append(x)
     stacked = np.stack(groups)
-    recovered, stats = recover_block(hs, stacked, tau=1e-6)
-    separate = [recover_block(hs, x, tau=1e-6) for x in groups]
+    floor = 1e-12 * column_peaks(stacked)[:, None]
+    recovered, stats = recover_block(hs, stacked, 1e-6, floor)
+    separate = [recover_block(hs, x, 1e-6, f) for x, f in zip(groups, floor)]
     assert recovered.shape == (len(groups), n, t)
     for g, (rec, _) in enumerate(separate):
         assert np.array_equal(recovered[g], rec)
@@ -610,7 +593,7 @@ def test_stacked_call_equals_separate_calls(case):
     assert np.array_equal(stats.group_residuals, merged.group_residuals)
     # groups laid out (m, G, T) in memory, whose columns are read without a copy
     laid_out = np.ascontiguousarray(stacked.transpose(1, 0, 2)).transpose(1, 0, 2)
-    viewed, view_stats = recover_block(hs, laid_out, tau=1e-6)
+    viewed, view_stats = recover_block(hs, laid_out, 1e-6, floor)
     assert np.array_equal(viewed, recovered)
     assert np.array_equal(view_stats.residuals, stats.residuals)
     assert np.array_equal(view_stats.group_residuals, stats.group_residuals)
@@ -632,9 +615,10 @@ def split_cases(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(split_cases())
-def test_pieces_with_group_peaks_equal_whole_call(case):
-    # a group cut into column pieces, each call given the whole group's peaks,
-    # recovers to the bits and census of one call on the whole group
+def test_pieces_with_their_floor_equal_whole_call(case):
+    # a group cut into column pieces, each call given its slice of a
+    # per-column floor, recovers to the bits and census of one call on the
+    # whole group
     m, n, t, cuts, kinds, stacked, seed = case
     rng = np.random.default_rng(seed)
     try:
@@ -653,13 +637,14 @@ def test_pieces_with_group_peaks_equal_whole_call(case):
         elif kind == 3:
             s = rng.uniform(-1, 1, size=(n, t))
         x = matrix.entries @ s
-        x[:, rng.random(t) < 0.2] *= 1e-13  # under the group's threshold, maybe not a piece's
+        x[:, rng.random(t) < 0.2] *= 1e-13  # under the floor
         groups.append(x)
     x = np.stack(groups) if stacked else groups[0]
-    whole, stats = recover_block(hs, x, tau=1e-6)
-    peaks = column_peaks(x)
+    floor = 1e-12 * column_peaks(x)[:, None] * rng.uniform(0.5, 2.0, size=(len(groups), t))
+    floor = floor if stacked else floor[0]
+    whole, stats = recover_block(hs, x, 1e-6, floor)
     bounds = list(zip([0, *cuts], [*cuts, t]))
-    pieces = [recover_block(hs, x[..., a:b], 1e-6, peaks) for a, b in bounds]
+    pieces = [recover_block(hs, x[..., a:b], 1e-6, floor[..., a:b]) for a, b in bounds]
     assert np.array_equal(np.concatenate([rec for rec, _ in pieces], axis=-1), whole)
     merged = RecoveryStats.merged([part for _, part in pieces])
     for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
@@ -668,33 +653,53 @@ def test_pieces_with_group_peaks_equal_whole_call(case):
         assert np.array_equal(np.sort(merged.residuals), np.sort(stats.residuals))
     else:
         assert np.array_equal(merged.residuals, stats.residuals)
-    assert np.array_equal(np.max([column_peaks(x[..., a:b]) for a, b in bounds], axis=0), peaks)
+    assert stats.zero_columns == int((np.linalg.norm(x, axis=-2) <= floor).sum())
 
 
-class TestGroupPeaks:
-    def test_peaks_are_the_largest_column_norms(self, matrix, rng):
-        # the oracle's peaks carry the bits of each group's own call
+class TestFloor:
+    # a column whose norm is at most its floor is zero; the floor broadcasts
+    # to one value per column
+
+    def test_floor_is_per_column(self, matrix):
+        x = matrix.entries @ sparse_source(seed=6, t=8)
+        norms = np.linalg.norm(x, axis=0)
+        floor = np.zeros(8)
+        floor[[1, 4]] = norms[[1, 4]]  # at the norm: zero
+        floor[6] = np.nextafter(norms[6], 0.0)  # just under it: kept
+        hs = build_hyperplanes(matrix)
+        recovered, stats = recover_block(hs, x, 1e-8, floor)
+        kept, kept_stats = recover_block(hs, x, 1e-8)
+        zero = (norms == 0) | np.isin(np.arange(8), [1, 4])
+        assert stats.zero_columns == kept_stats.zero_columns + 2 == int(zero.sum())
+        assert not recovered[:, zero].any()
+        assert np.array_equal(recovered[:, ~zero], kept[:, ~zero])
+
+    def test_bad_floor_rejected(self, matrix, rng):
+        hs = build_hyperplanes(matrix)
         x = rng.normal(size=(2, 3, 7))
-        assert [recover_block(build_hyperplanes(matrix), group, 0.1)[1].peak for group in x] == column_peaks(x).tolist()
-        assert column_peaks(x[0]).shape == (1,)
-        assert np.array_equal(column_peaks(np.zeros((2, 3, 0))), [0.0, 0.0])
-        with pytest.raises(ValueError, match="finite"):
-            recover_block(build_hyperplanes(matrix), np.full((3, 2), np.nan), 0.1)
+        recover_block(hs, x, 0.1, np.full((2, 1), 1e9))  # a floor over every norm is legal
+        for bad in (np.nan, np.inf, -1e-300, np.array([[0.0], [np.nan]]), np.array([0.0, -1.0, *[0.0] * 5])):
+            with pytest.raises(ValueError, match="floor"):
+                recover_block(hs, x, 0.1, bad)
+        for shape in ((8,), (3, 1), (2, 2, 7), (1, 2, 7)):
+            with pytest.raises(ValueError):
+                recover_block(hs, x, 0.1, np.zeros(shape))
 
-    def test_bad_peaks_rejected(self, matrix, rng):
-        x = rng.normal(size=(2, 3, 7))
-        own = column_peaks(x)
-        recover_block(build_hyperplanes(matrix), x, 0.1, own * 2)  # larger peaks are a larger group's
-        for bad in (own[:1], own / 2, np.array([np.nan, 1e9]), np.array([np.inf, 1e9])):
-            with pytest.raises(ValueError, match="peaks"):
-                recover_block(build_hyperplanes(matrix), x, 0.1, bad)
-
-    def test_larger_peaks_zero_more_columns(self, matrix):
+    def test_larger_floor_zeroes_more_columns(self, matrix):
         x = matrix.entries @ sparse_source(seed=6, t=8)
         x[:, 3] *= 1e-9
-        _, alone = recover_block(build_hyperplanes(matrix), x, 1e-8)
-        _, piece = recover_block(build_hyperplanes(matrix), x, 1e-8, column_peaks(x) * 1e4)
-        assert piece.zero_columns == alone.zero_columns + 1
+        hs = build_hyperplanes(matrix)
+        floor = 1e-12 * column_peaks(x)[0]
+        _, low = recover_block(hs, x, 1e-8, floor)
+        _, high = recover_block(hs, x, 1e-8, floor * 1e4)
+        assert high.zero_columns == low.zero_columns + 1
+
+    def test_non_finite_observations_rejected_with_any_floor(self, matrix):
+        for floor in (0.0, 1e300):
+            with pytest.raises(ValueError, match="finite"):
+                recover_block(build_hyperplanes(matrix), np.full((3, 2), np.nan), 0.1, floor)
+        assert column_peaks(np.zeros((3, 4))).shape == (1,)
+        assert np.array_equal(column_peaks(np.zeros((2, 3, 0))), [0.0, 0.0])
 
 
 def test_single_columns_and_rows_take_the_gemm_path(matrix, rng):
@@ -707,6 +712,8 @@ def test_single_columns_and_rows_take_the_gemm_path(matrix, rng):
         assert np.array_equal(recover_dense(pinv, x[:, j : j + 1])[:, 0], wide[:, j])
     two = MixingMatrix([[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])  # m = 2: one-row maps
     y = two.entries @ random_sparse_source(7, 3, 500, max_active=1)
-    whole, _ = recover_block(build_hyperplanes(two), y, 0.05)
+    floor = 1e-12 * np.linalg.norm(y, axis=0)
+    whole, _ = recover_block(build_hyperplanes(two), y, 0.05, floor)
     for j in range(0, 500, 37):
-        assert np.array_equal(recover_block(build_hyperplanes(two), y[:, j : j + 1], 0.05, column_peaks(y))[0][:, 0], whole[:, j])
+        piece, _ = recover_block(build_hyperplanes(two), y[:, j : j + 1], 0.05, floor[j : j + 1])
+        assert np.array_equal(piece[:, 0], whole[:, j])
