@@ -320,8 +320,9 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     the decoder's tolerance ``tau``; its matrix and quantization are not
     read. Total on every valid input: columns outside tolerance degrade
     quality (counted in the stats) but never fail the decode. The census
-    lists its residuals in (group, band, column) order and counts them per
-    (group, band) in ``group_residuals``.
+    holds the residuals in a fixed histogram, whose quantiles are
+    bin-accurate and whose size does not grow with the sequence, and
+    counts them per (group, band) in ``group_residuals``.
 
     The tasks transform without halving (``orthonormal=False``), so their
     bands are twice the orthonormal ones, and recover with ``A+`` and the
@@ -371,17 +372,14 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
         return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, stack)
 
     with ThreadPoolExecutor(WORKERS) as pool:
-        parts = list((pool.map if pooled else map)(decode, tasks))
-    # band by band, the tiles of a group in row order, as one whole-group call gives them
-    groups = (parts[start : start + tiles] for start in range(0, len(parts), tiles))
-    stats = [tile for group in groups for band in zip(*group) for tile in band]
+        done = (pool.map if pooled else map)(decode, tasks)
+        # merged in task order as the tasks finish, so the censuses are not all held at once
+        census = RecoveryStats.merged(part for parts in done for part in parts)
     out[blocks * n :] = enc.tail_codes
-    census = RecoveryStats.merged(stats)
-    return _read_only(out), replace(
-        census,
-        # a tile counts its residuals on its own; add up each (group, band)'s tiles
-        group_residuals=census.group_residuals.reshape(-1, tiles).sum(axis=1),
-    )
+    # the tasks count their residuals per (group, tile, band): a stacked run
+    # per (group, band), a task of one group per band; add up the tiles
+    counts = census.group_residuals.reshape(-1, tiles, 3).sum(axis=1)
+    return _read_only(out), replace(census, group_residuals=counts.ravel())
 
 
 def _dequantize(codes, affine, out) -> None:
@@ -406,8 +404,8 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack) -> list[Recover
     With ``stack`` (whole groups, of at most ``TILE`` pixels or pooled)
     the three detail bands are recovered in one call on a (k, 3, m, T)
     view of one (m, k, 3, h/2, w/2) buffer, whose columns that call reads
-    without a copy, beside the floor as (k, 1, T); it returns one census
-    with the residuals in (group, band, column) order. Otherwise there is
+    without a copy, beside the floor as (k, 1, T); it returns one census,
+    whose ``group_residuals`` count per (group, band). Otherwise there is
     one call per band and one census per band. A function of its own, so
     that one task's temporaries are freed before the next task allocates
     its own.

@@ -29,8 +29,14 @@ import numpy as np
 
 from .mixcore import MixingMatrix, _freeze, column_subsets
 
-# The percents at which :meth:`RecoveryStats.residual_quantiles` reports.
+# The percents at which :meth:`RecoveryStats.residual_quantiles` reports,
+# from 0 to 100.
 QUANTILE_PERCENTS = (0, 25, 50, 75, 100)
+
+# Residual histogram bins: eight per octave from 2^-64 to 2, and the bit
+# pattern of 2^-64 shifted right by 49 (the biased exponent times 8).
+RESIDUAL_BINS = 65 * 8
+_LOWEST_KEY = (1023 - 64) << 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,47 +135,93 @@ def check_tau(tau: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class RecoveryStats:
-    """Column census of a recovery run.
+    """Column census of a recovery run, in memory that does not grow with it.
 
-    ``residuals`` holds the relative residual of every non-zero column in
-    column order; quantiles are derived from it on demand so that stats
-    from several runs can be pooled without losing information.
+    ``histogram`` counts the relative residuals of the non-zero columns in
+    ``RESIDUAL_BINS`` bins, eight per octave from 2^-64 to 2, each octave
+    cut at the float's top three mantissa bits: bin ``b`` holds the values
+    from 2^(b//8 - 64) * (1 + (b%8)/8) up to the next bin's edge. Bin 0 also
+    holds everything below 2^-64, exact zeros included, and the last bin
+    everything from 2 up. ``lowest`` and ``highest`` are the exact smallest
+    and largest residual (inf and -inf when there are none). Censuses of
+    several runs pool by adding their histograms, so the quantiles that
+    :meth:`residual_quantiles` reads are bin-accurate, while the exact
+    extremes stay exact.
     ``group_residuals`` counts the residuals of each group in turn (one
-    group holding them all when not given), so the residual array can be
-    cut per group.
+    group holding them all when not given).
     """
 
     total_columns: int
     zero_columns: int
     clean_columns: int
     forced_columns: int
-    residuals: np.ndarray
+    histogram: np.ndarray
+    lowest: float
+    highest: float
     group_residuals: np.ndarray | None = None
 
     def __post_init__(self):
         if self.group_residuals is None:
-            object.__setattr__(self, "group_residuals", np.array([self.residuals.size]))
+            object.__setattr__(self, "group_residuals", np.array([self.histogram.sum()]))
 
     def residual_quantiles(self) -> tuple[float, ...]:
-        """The residuals at each percent of :data:`QUANTILE_PERCENTS`; empty when there are none."""
-        if self.residuals.size == 0:
+        """The residuals at each percent of :data:`QUANTILE_PERCENTS`; empty when there are none.
+
+        The first and last, at 0 and 100%, are the exact ``lowest`` and
+        ``highest``. Each other percent p reads the bin of the order
+        statistic of rank floor(p (N-1) / 100) among the N residuals, and
+        gives the bin's lower edge, or ``lowest`` where that is larger: a
+        value in the same bin as that order statistic.
+        """
+        below = np.cumsum(self.histogram)
+        count = int(below[-1])
+        if not count:
             return ()
-        return tuple(float(v) for v in np.quantile(self.residuals, np.divide(QUANTILE_PERCENTS, 100)))
+        ranks = [p * (count - 1) // 100 for p in QUANTILE_PERCENTS[1:-1]]
+        edges = (max(self.lowest, _bin_edge(int(b))) for b in np.searchsorted(below, ranks, side="right"))
+        return (self.lowest, *edges, self.highest)
 
     @classmethod
     def merged(cls, parts) -> "RecoveryStats":
-        """One census of several, their residuals and per-group counts part after part."""
-        parts = list(parts)
-        if not parts:
-            return cls(0, 0, 0, 0, np.empty(0), group_residuals=np.empty(0, dtype=np.intp))
-        return cls(
-            total_columns=sum(p.total_columns for p in parts),
-            zero_columns=sum(p.zero_columns for p in parts),
-            clean_columns=sum(p.clean_columns for p in parts),
-            forced_columns=sum(p.forced_columns for p in parts),
-            residuals=np.concatenate([p.residuals for p in parts]),
-            group_residuals=np.concatenate([p.group_residuals for p in parts]),
-        )
+        """One census of several: counts and histograms added, extremes pooled, per-group counts part after part.
+
+        ``parts`` is read once, one part at a time, so a generator of
+        censuses merges without holding them all.
+        """
+        total = zero = clean = forced = 0
+        histogram = np.zeros(RESIDUAL_BINS, dtype=np.intp)
+        lowest, highest = math.inf, -math.inf
+        groups = [np.empty(0, dtype=np.intp)]
+        for p in parts:
+            total += p.total_columns
+            zero += p.zero_columns
+            clean += p.clean_columns
+            forced += p.forced_columns
+            histogram += p.histogram
+            lowest, highest = min(lowest, p.lowest), max(highest, p.highest)
+            groups.append(p.group_residuals)
+        return cls(total, zero, clean, forced, histogram, lowest, highest, np.concatenate(groups))
+
+
+def _bin_edge(b: int) -> float:
+    """The lower edge of residual bin ``b``; 0 for bin 0, which holds everything below 2^-64 too."""
+    return math.ldexp(1 + b % 8 / 8, b // 8 - 64) if b else 0.0
+
+
+def _census(relative) -> dict:
+    """The ``histogram``, ``lowest`` and ``highest`` of a float64 array of residuals, >= 0.
+
+    The bin comes from the float's bits: its exponent and its top three
+    mantissa bits, a right shift of 49 of its int64 view, less the key of
+    2^-64 and clipped to the bins. The shift works in ``relative``'s own
+    buffer, whose values are lost.
+    """
+    lowest, highest = float(relative.min(initial=math.inf)), float(relative.max(initial=-math.inf))
+    keys = relative.view(np.int64)
+    keys >>= 49
+    keys -= _LOWEST_KEY
+    np.clip(keys, 0, RESIDUAL_BINS - 1, out=keys)
+    return {"histogram": np.bincount(keys, minlength=RESIDUAL_BINS), "lowest": lowest, "highest": highest}
 
 
 def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[np.ndarray, RecoveryStats]:
@@ -183,10 +235,12 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
     misses only raise the ``forced`` count.
 
     A stacked (..., m, T) input is that many independent groups and gives
-    an (..., n, T) result and one census over all groups (residuals in
-    group order, ``group_residuals`` of them per group): the same bits as
-    one call per group, or per piece of a group given its slice of the
-    floor. Observations must be finite.
+    an (..., n, T) result and one census over all groups, with
+    ``group_residuals`` counting the residuals of each group: the same
+    bits as one call per group, or per piece of a group given its slice of
+    the floor, and the census those calls merge to. The relative residuals
+    go into the census's histogram as they are found and are not kept.
+    Observations must be finite.
 
     The observations are not read once the kept columns are gathered, and
     the call drops its references to them there: when the caller handed
@@ -233,7 +287,10 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
     del columns, x, mixed, active, square  # see the docstring; a copy of stacked input not laid out (m, ..., T)
     best, relative = planes.classify(xa)
     relative /= norms
+    del norms
     forced = int(np.count_nonzero(relative > tau))
+    census = _census(relative)  # overwrites relative
+    del relative
 
     recovered = np.zeros((planes.sources, total))
     mine = np.empty(best.shape, dtype=bool)
@@ -249,7 +306,7 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
         zero_columns=total - active_cols.size,
         clean_columns=active_cols.size - forced,
         forced_columns=forced,
-        residuals=relative,
+        **census,
         group_residuals=np.diff(np.searchsorted(active_cols, np.arange(math.prod(lead) + 1) * t)),
     )
     return recovered.reshape(planes.sources, *lead, t).transpose(*range(1, nd - 1), 0, nd - 1), stats

@@ -152,6 +152,53 @@ def column_peaks(mixed) -> np.ndarray:
     return np.atleast_1d(np.linalg.norm(mixed, axis=-2).max(axis=-1, initial=0.0))
 
 
+def residual_bin(value) -> int:
+    """The census bin of one residual >= 0, by ``math.frexp``.
+
+    Eight bins per octave from 2^-64 to 2, each octave cut into eighths of
+    its width: a value v = f * 2^e with f in [1, 2) lands in bin
+    8 (e + 64) + floor(8 (f - 1)). Everything below 2^-64 lands in bin 0
+    and everything from 2 up in the last bin, 519.
+    """
+    if value < 2.0**-64:
+        return 0
+    if value >= 2.0:
+        return 519
+    fraction, exponent = math.frexp(value)  # value = fraction * 2**exponent, fraction in [0.5, 1)
+    return 8 * (exponent - 1 + 64) + int(8 * (2 * fraction - 1))
+
+
+def residual_histogram(values) -> np.ndarray:
+    """The 520-bin census histogram of residuals, one Python scalar at a time."""
+    counts = [0] * 520
+    for value in values:
+        counts[residual_bin(float(value))] += 1
+    return np.array(counts)
+
+
+def exact_quantiles(values, percents) -> tuple[float, ...]:
+    """The order statistic of rank floor(p (N-1) / 100) of N values for each percent p; empty for none.
+
+    Percents 0 and 100 give the exact minimum and maximum.
+    """
+    ordered = sorted(map(float, values))
+    return tuple(ordered[p * (len(ordered) - 1) // 100] for p in percents) if ordered else ()
+
+
+def census_fields(stats) -> dict:
+    """A recovery census as plain values: its counts, histogram, extremes and per-group counts."""
+    return {
+        "total": stats.total_columns,
+        "zero": stats.zero_columns,
+        "clean": stats.clean_columns,
+        "forced": stats.forced_columns,
+        "histogram": stats.histogram.tolist(),
+        "lowest": stats.lowest,
+        "highest": stats.highest,
+        "group_residuals": stats.group_residuals.tolist(),
+    }
+
+
 def mix_reference(entries, frames) -> np.ndarray:
     """Mix a (count, H, W) sequence block by block: one (n, T) product per group of n."""
     a = np.asarray(entries, dtype=float)

@@ -450,6 +450,23 @@ class TestRoundtripCommand:
         assert np.array_equal(seen[0], synth.sparse_detail(16, 16, 16, 1, group=8, max_active=1))
         assert np.array_equal(seen[1], synth.generate("sparse-detail", 16, 16, 16, 1))
 
+    def test_porcelain_residual_quantiles(self, monkeypatch):
+        # five residual.q* keys: the census's exact smallest and largest
+        # residual at q0 and q100, bin edges in order between them
+        real, reports = cli.pipeline.roundtrip_eval, []
+        monkeypatch.setattr(cli.pipeline, "roundtrip_eval", lambda *args: reports.append(real(*args)) or reports[-1])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(["roundtrip", "--preset", "sparse-detail", "--frames", "8", "--porcelain"]) == 0
+        keys = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+        names = [f"residual.q{p}" for p in (0, 25, 50, 75, 100)]
+        assert [key for key in keys if key.startswith("residual.")] == names
+        q = [float(keys[name]) for name in names]
+        assert q == sorted(q) and q[0] < q[-1]
+        census = reports[0].recovery
+        assert (q[0], q[-1]) == (census.lowest, census.highest)
+        assert tuple(q) == census.residual_quantiles()
+
     def test_input_pattern_giving_two_frames_one_path_exits_2(self, tmp_path):
         write_sequence(synth.generate("noise", 1, 8, 8, seed=1), str(tmp_path / "frame{i!s:.0}.pgm"))
         proc = run_cli("roundtrip", str(tmp_path / "frame{i!s:.0}.pgm"), timeout=60)

@@ -6,16 +6,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from oracles import (
+    census_fields,
     column_peaks,
+    exact_quantiles,
     gs_projection,
     lstsq_coefficients,
     nearest_subspace_recovery,
     random_sparse_source,
+    residual_bin,
+    residual_histogram,
     sparse_source,
 )
 from ubssvc import (
@@ -26,11 +30,33 @@ from ubssvc import (
     recover_block,
     recover_dense,
 )
-from ubssvc.sca import RecoveryStats
+from ubssvc.sca import QUANTILE_PERCENTS, RESIDUAL_BINS, RecoveryStats, _census
 
 # frozen via the Gram-Schmidt projection oracle: distance from column 3 of
 # the built-in matrix to the span of columns {0, 1}
 A4_PLANE01_RESIDUAL = 0.6763865859599533
+
+
+def assert_census_within(stats, relative, atol):
+    """``stats`` holds the census of residuals each within ``atol`` of the oracle's ``relative``.
+
+    The count, the extremes within ``atol``, and, at every bin edge, a count
+    of residuals below it between the counts of the oracle residuals
+    shifted up and down by ``atol``, each binned by the oracle.
+    """
+    below = np.cumsum(stats.histogram)
+    assert below[-1] == len(relative)
+    assert (np.cumsum(residual_histogram([r + atol for r in relative])) <= below).all()
+    assert (below <= np.cumsum(residual_histogram([r - atol for r in relative]))).all()
+    if relative:
+        assert stats.lowest == pytest.approx(min(relative), abs=atol)
+        assert stats.highest == pytest.approx(max(relative), abs=atol)
+
+
+def census_of(values, zero=0) -> RecoveryStats:
+    """A census of the given residuals, all clean, beside ``zero`` zero columns."""
+    values = np.array(values, dtype=np.float64)
+    return RecoveryStats(len(values) + zero, zero, len(values), 0, **_census(values))
 
 
 def oracle_residuals(matrix, x) -> np.ndarray:
@@ -134,15 +160,15 @@ class TestClassifyColumn:
     def test_zero_column(self, matrix):
         recovered, stats = recover_block(build_hyperplanes(matrix), np.zeros((3, 1)), tau=1e-8)
         assert recovered.tolist() == [[0.0], [0.0], [0.0], [0.0]]
-        assert stats.zero_columns == 1 and stats.residuals.size == 0
+        assert stats.zero_columns == 1 and stats.histogram.sum() == 0
         # by default only an exact zero is zero; a floor zeroes columns up to it
         x = np.stack([matrix.entries[:, 1], 1e-13 * matrix.entries[:, 1]], axis=1)
         recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
-        assert stats.zero_columns == 0 and stats.residuals.size == 2
+        assert stats.zero_columns == 0 and stats.histogram.sum() == 2
         assert_allclose(recovered[:, 1], [0.0, 1e-13, 0.0, 0.0], atol=1e-24)
         floor = 1e-12 * np.linalg.norm(matrix.entries[:, 1])
         recovered, stats = recover_block(build_hyperplanes(matrix), x, tau=1e-8, floor=floor)
-        assert stats.zero_columns == 1 and stats.residuals.size == 1
+        assert stats.zero_columns == 1 and stats.histogram.sum() == 1
         assert not recovered[:, 1].any()
         assert_allclose(recovered[:, 0], [0.0, 1.0, 0.0, 0.0], atol=1e-12)
 
@@ -174,7 +200,8 @@ class TestClassifyColumn:
             best, _ = hs.classify(c * x)
             scaled, stats = recover_block(hs, c * x, tau=1e-8)
             assert best[0] == base_best[0]
-            assert stats.residuals[0] == pytest.approx(base_stats.residuals[0], abs=1e-9)
+            assert stats.histogram.sum() == 1 and stats.lowest == stats.highest
+            assert stats.lowest == pytest.approx(base_stats.lowest, abs=1e-9)
             assert_allclose(scaled, c * base, rtol=1e-9, atol=0)
 
     def test_forced_flag(self, matrix):
@@ -184,7 +211,8 @@ class TestClassifyColumn:
         assert strict_stats.forced_columns == 1 and loose_stats.forced_columns == 0
         assert np.array_equal(strict, loose)
         oracle, _, relative = nearest_subspace_recovery(matrix.entries, x[:, 0])
-        assert strict_stats.residuals[0] == pytest.approx(relative, abs=1e-12)
+        assert_census_within(strict_stats, [relative], atol=1e-12)
+        assert_census_within(loose_stats, [relative], atol=1e-12)
         assert_allclose(strict[:, 0], oracle, atol=1e-9)
 
     def test_rejects_negative_tau(self, matrix):
@@ -263,7 +291,7 @@ def test_330_planes_match_per_column_path():
         assert_allclose(recovered[:, j], oracle, atol=1e-9)
         if index_set is not None:
             relative.append(rel)
-    assert_allclose(stats.residuals, relative, atol=1e-12)
+    assert_census_within(stats, relative, atol=1e-12)
     assert stats.forced_columns == sum(r > 1e-8 for r in relative) == 1
     assert_allclose(np.delete(recovered, 3, axis=1), np.delete(s, 3, axis=1), atol=1e-9)
 
@@ -342,7 +370,7 @@ class TestRecoverBlock:
             assert_allclose(recovered[:, j], oracle, atol=1e-9)
             if index_set is not None:
                 relative.append(rel)
-        assert_allclose(stats.residuals, relative, atol=1e-12)
+        assert_census_within(stats, relative, atol=1e-12)
         assert stats.forced_columns == sum(r > 1e-8 for r in relative) == 1
 
     def test_deterministic(self, matrix):
@@ -351,7 +379,7 @@ class TestRecoverBlock:
         r1, st1 = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         r2, st2 = recover_block(build_hyperplanes(matrix), x, tau=1e-8)
         assert np.array_equal(r1, r2)
-        assert np.array_equal(st1.residuals, st2.residuals)
+        assert census_fields(st1) == census_fields(st2)
 
     def test_tie_safety(self, matrix):
         # a column in several planes reconstructs identically from any of them
@@ -440,18 +468,87 @@ class TestRecoverDense:
 
 
 def test_recovery_stats_merge():
-    a = RecoveryStats(10, 2, 7, 1, np.array([0.1, 0.2]))
-    b = RecoveryStats(5, 0, 5, 0, np.array([0.3]))
-    merged = RecoveryStats.merged([a, b])
+    a = RecoveryStats(10, 2, 7, 1, **_census(np.array([0.1, 0.2])))
+    b = RecoveryStats(5, 0, 5, 0, **_census(np.array([0.3])))
+    merged = RecoveryStats.merged(iter([a, b]))  # read once, part by part
     assert merged.total_columns == 15
     assert merged.zero_columns == 2
     assert merged.clean_columns == 12
     assert merged.forced_columns == 1
-    assert merged.residuals.tolist() == [0.1, 0.2, 0.3]
-    # each positionally built census is one group
+    assert np.array_equal(merged.histogram, residual_histogram([0.1, 0.2, 0.3]))
+    assert (merged.lowest, merged.highest) == (0.1, 0.3)
+    # each census built without per-group counts is one group
     assert merged.group_residuals.tolist() == [2, 1]
     empty = RecoveryStats.merged([])
     assert empty.total_columns == 0 and empty.group_residuals.size == 0
+    assert empty.histogram.shape == (RESIDUAL_BINS,) and not empty.histogram.any()
+    assert (empty.lowest, empty.highest) == (np.inf, -np.inf) and empty.residual_quantiles() == ()
+
+
+def test_census_bins_from_the_float_bits(rng):
+    # the bit-shift binning agrees with the oracle's frexp binning on every
+    # bin edge and just below it, below 2^-64, from 2 up, and on exact zeros
+    edges = [2.0 ** (b // 8 - 64) * (1 + b % 8 / 8) for b in range(RESIDUAL_BINS)]
+    values = np.concatenate([
+        edges, np.nextafter(edges, 0.0), [0.0, 5e-324, 1e-300, 2.0, 3.0, 1e300],
+        2.0 ** rng.uniform(-70, 2, 5000), rng.uniform(0.0, 1.0, 5000),
+    ])
+    census = _census(values.copy())
+    assert np.array_equal(census["histogram"], residual_histogram(values))
+    assert [residual_bin(e) for e in edges] == list(range(RESIDUAL_BINS))
+    assert (census["lowest"], census["highest"]) == (0.0, 1e300)
+
+
+@st.composite
+def residual_samples(draw):
+    # residuals lie in [0, 1] up to rounding: exact zeros, values near 1,
+    # powers of two, and values across the octaves
+    value = st.one_of(
+        st.just(0.0),
+        st.sampled_from([1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 0.875, 0.999]),
+        st.floats(0.0, 1.0),
+        st.integers(-80, 0).map(lambda e: 2.0**e),
+        st.tuples(st.floats(1.0, 2.0, exclude_max=True), st.integers(-70, 0)).map(lambda fe: fe[0] * 2.0 ** fe[1]),
+    )
+    return draw(st.lists(value, max_size=60))
+
+
+@settings(max_examples=200, deadline=None)
+@given(residual_samples())
+@example([])
+@example([0.0])
+@example([0.0] * 7)
+@example([0.3])
+@example([1.0, float(np.nextafter(1.0, 0.0))])
+@example([0.0, 1e-300, 0.5, 1.0])
+def test_quantiles_are_within_one_bin_of_the_order_statistics(values):
+    # q0 and q100 are exact; every other quantile lies within one bin of
+    # its exact order statistic, on empty, single-value, all-zero and
+    # near-1 samples among others
+    quantiles = census_of(values).residual_quantiles()
+    exact = exact_quantiles(values, QUANTILE_PERCENTS)
+    assert len(quantiles) == len(exact) == (len(QUANTILE_PERCENTS) if values else 0)
+    if values:
+        assert (quantiles[0], quantiles[-1]) == (exact[0], exact[-1]) == (min(values), max(values))
+        assert list(quantiles) == sorted(quantiles)
+    for got, want in zip(quantiles, exact):
+        assert abs(residual_bin(got) - residual_bin(want)) <= 1
+
+
+def test_merged_parts_equal_one_census(rng):
+    # one census of 1000 residuals, and of the same residuals cut into
+    # pieces, some empty, and merged: the same histogram, extremes and counts
+    values = np.concatenate([2.0 ** rng.uniform(-66, 0.5, 990), np.zeros(10)])
+    rng.shuffle(values)
+    whole = census_of(values, zero=3)
+    cuts = [0, 0, 17, 17, 400, 999, 1000, 1000]
+    parts = [census_of(values[a:b], zero=3 if b == 0 else 0) for a, b in zip(cuts, cuts[1:])]
+    merged = RecoveryStats.merged(parts)
+    fields, expected = census_fields(merged), census_fields(whole)
+    assert fields.pop("group_residuals") == [b - a for a, b in zip(cuts, cuts[1:])]
+    assert expected.pop("group_residuals") == [1000]
+    assert fields == expected
+    assert merged.residual_quantiles() == whole.residual_quantiles()
 
 
 class TestStackedRecovery:
@@ -534,10 +631,7 @@ class TestStackedRecovery:
         for (i, j), (rec, _) in zip(np.ndindex(2, 3), per_group):
             assert np.array_equal(recovered[i, j], rec)
         merged = RecoveryStats.merged([part for _, part in per_group])
-        for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
-            assert getattr(stats, field) == getattr(merged, field)
-        assert np.array_equal(stats.residuals, merged.residuals)
-        assert np.array_equal(stats.group_residuals, merged.group_residuals)
+        assert census_fields(stats) == census_fields(merged)
         assert stats.zero_columns == 6 * 3 + 1
 
 
@@ -586,18 +680,13 @@ def test_stacked_call_equals_separate_calls(case):
         assert np.array_equal(recovered[g], rec)
     parts = [part for _, part in separate]
     merged = RecoveryStats.merged(parts)
-    for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
-        assert getattr(stats, field) == getattr(merged, field)
-    assert np.array_equal(stats.residuals, merged.residuals)
-    # each group's residual count, so the residuals can be cut per group
-    assert np.array_equal(stats.group_residuals, merged.group_residuals)
+    # counts, histogram, extremes, and each group's residual count
+    assert census_fields(stats) == census_fields(merged)
     # groups laid out (m, G, T) in memory, whose columns are read without a copy
     laid_out = np.ascontiguousarray(stacked.transpose(1, 0, 2)).transpose(1, 0, 2)
     viewed, view_stats = recover_block(hs, laid_out, 1e-6, floor)
     assert np.array_equal(viewed, recovered)
-    assert np.array_equal(view_stats.residuals, stats.residuals)
-    assert np.array_equal(view_stats.group_residuals, stats.group_residuals)
-    assert (view_stats.zero_columns, view_stats.forced_columns) == (stats.zero_columns, stats.forced_columns)
+    assert census_fields(view_stats) == census_fields(stats)
 
 
 @st.composite
@@ -647,12 +736,11 @@ def test_pieces_with_their_floor_equal_whole_call(case):
     pieces = [recover_block(hs, x[..., a:b], 1e-6, floor[..., a:b]) for a, b in bounds]
     assert np.array_equal(np.concatenate([rec for rec, _ in pieces], axis=-1), whole)
     merged = RecoveryStats.merged([part for _, part in pieces])
-    for field in ("total_columns", "zero_columns", "clean_columns", "forced_columns"):
-        assert getattr(merged, field) == getattr(stats, field)
-    if stacked:  # pieces pool their groups' residuals piece by piece
-        assert np.array_equal(np.sort(merged.residuals), np.sort(stats.residuals))
-    else:
-        assert np.array_equal(merged.residuals, stats.residuals)
+    # the pieces count their groups' residuals piece by piece; the rest of the census is the whole call's
+    fields, whole_fields = census_fields(merged), census_fields(stats)
+    piece_groups = np.reshape(fields.pop("group_residuals"), (len(bounds), -1))
+    assert np.array_equal(piece_groups.sum(axis=0), whole_fields.pop("group_residuals"))
+    assert fields == whole_fields
     assert stats.zero_columns == int((np.linalg.norm(x, axis=-2) <= floor).sum())
 
 
