@@ -37,6 +37,9 @@ QUANTILE_PERCENTS = (0, 25, 50, 75, 100)
 # pattern of 2^-64 shifted right by 49 (the biased exponent times 8).
 RESIDUAL_BINS = 65 * 8
 _LOWEST_KEY = (1023 - 64) << 3
+# The first key of each bin, for np.add.reduceat over the counts of every
+# key: bin 0 starts at key 0 and the last bin runs to the end.
+_BIN_STARTS = np.r_[0, _LOWEST_KEY + 1 : _LOWEST_KEY + RESIDUAL_BINS]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,17 +214,18 @@ def _bin_edge(b: int) -> float:
 def _census(relative) -> dict:
     """The ``histogram``, ``lowest`` and ``highest`` of a float64 array of residuals, >= 0.
 
-    The bin comes from the float's bits: its exponent and its top three
-    mantissa bits, a right shift of 49 of its int64 view, less the key of
-    2^-64 and clipped to the bins. The shift works in ``relative``'s own
-    buffer, whose values are lost.
+    A value's key is its float's exponent and top three mantissa bits, a
+    right shift of 49 of its int64 view, so keys rise with the values and
+    every key below 2^-64's falls in bin 0 and every key from 2's up in the
+    last bin. One ``bincount`` counts each key, with no offset or clip, and
+    one ``reduceat`` folds those counts into the bins. The shift works in
+    ``relative``'s own buffer, whose values are lost.
     """
     lowest, highest = float(relative.min(initial=math.inf)), float(relative.max(initial=-math.inf))
     keys = relative.view(np.int64)
     keys >>= 49
-    keys -= _LOWEST_KEY
-    np.clip(keys, 0, RESIDUAL_BINS - 1, out=keys)
-    return {"histogram": np.bincount(keys, minlength=RESIDUAL_BINS), "lowest": lowest, "highest": highest}
+    counts = np.bincount(keys, minlength=_LOWEST_KEY + RESIDUAL_BINS)
+    return {"histogram": np.add.reduceat(counts, _BIN_STARTS), "lowest": lowest, "highest": highest}
 
 
 def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[np.ndarray, RecoveryStats]:
@@ -232,7 +236,9 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
     is at most ``floor`` short-circuits to zero. ``floor`` broadcasts to one
     value per column, finite and non-negative; the default 0 zeroes exact
     zeros only. Always returns an assignment for every column; tolerance
-    misses only raise the ``forced`` count.
+    misses only raise the ``forced`` count. One stable sort of the kept
+    columns' labels groups them by plane, so each plane's product and
+    scatter read a slice of it rather than a pass over every column.
 
     A stacked (..., m, T) input is that many independent groups and gives
     an (..., n, T) result and one census over all groups, with
@@ -278,7 +284,7 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
     active = np.greater(norms, floor)  # a ValueError where floor does not broadcast
     if active.shape != norms.shape:
         raise ValueError(f"floor of shape {floor.shape} does not give one value per column of {norms.shape}")
-    active_cols = np.flatnonzero(active)
+    active_cols = active.reshape(-1).nonzero()[0]
     total = norms.size
     # take gathers along the column axis several times faster than boolean
     # indexing or compress do
@@ -292,22 +298,30 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
     census = _census(relative)  # overwrites relative
     del relative
 
+    kept = best.size
+    ends = active_cols.searchsorted(np.arange(math.prod(lead) + 1) * t)
+    # each plane's columns in ascending order, gathered once into one run per
+    # plane; numpy sorts one-byte labels by radix
+    order = best.argsort(kind="stable")
+    bounds = best.take(order).searchsorted(np.arange(planes.count + 1)).tolist()
+    active_cols = active_cols.take(order)
+    xa = xa.take(order, axis=1)
     recovered = np.zeros((planes.sources, total))
-    mine = np.empty(best.shape, dtype=bool)
-    for q in range(planes.count):
-        sel = np.flatnonzero(np.equal(best, q, out=mine))
-        if sel.size:
-            recovered[planes.index_sets[q][:, None], active_cols.take(sel)] = _gemm(
-                planes.coefficient_maps[q], xa.take(sel, axis=1)
-            )
+    for index_set, coefficients, start, stop in zip(planes.index_sets, planes.coefficient_maps, bounds, bounds[1:]):
+        if start < stop:
+            cols = active_cols[start:stop]
+            # a 1-D scatter per source row takes numpy's one-index fast path,
+            # about twice as fast as one (m-1, L) scatter of the plane
+            for row, values in zip(index_set, _gemm(coefficients, xa[:, start:stop])):
+                recovered[row][cols] = values
 
     stats = RecoveryStats(
         total_columns=total,
-        zero_columns=total - active_cols.size,
-        clean_columns=active_cols.size - forced,
+        zero_columns=total - kept,
+        clean_columns=kept - forced,
         forced_columns=forced,
         **census,
-        group_residuals=np.diff(np.searchsorted(active_cols, np.arange(math.prod(lead) + 1) * t)),
+        group_residuals=ends[1:] - ends[:-1],
     )
     return recovered.reshape(planes.sources, *lead, t).transpose(*range(1, nd - 1), 0, nd - 1), stats
 

@@ -7,9 +7,12 @@ the vectorized one, SVD (numpy.linalg.pinv) against the normal-equations
 inverse, a per-column search over every subspace instead of the
 vectorized recovery kernel, a frame-by-frame, block-by-block decode
 instead of the chunked array pipeline, and a quantizer that handles one
-Python scalar at a time instead of whole arrays. The one exception is
+Python scalar at a time instead of whole arrays. The exceptions are
 :func:`det_magnitudes_loop`, the same LAPACK determinant one column subset
-at a time, which the stacked call must match bit for bit.
+at a time, which the stacked call must match bit for bit, and
+:func:`plane_scatter_recovery`, the library's own classification and
+products scattered plane by plane, which the recovery kernel's one sort
+by plane must match bit for bit.
 """
 import itertools
 import math
@@ -174,6 +177,52 @@ def residual_histogram(values) -> np.ndarray:
     for value in values:
         counts[residual_bin(float(value))] += 1
     return np.array(counts)
+
+
+def plane_scatter_recovery(planes, mixed, tau, floor=0.0):
+    """``recover_block`` with a plane-by-plane scatter and a census binned one scalar at a time.
+
+    Each plane's columns are found by their own ``np.equal`` and
+    ``np.flatnonzero`` pass over the labels of every kept column, in
+    ascending order, in place of the library's one stable sort. The
+    histogram comes from :func:`residual_histogram` and each group's
+    residual count from a ``bincount`` of the kept columns' groups. The
+    norms, the labels and each plane's coefficient product are the
+    library's arithmetic (its squares added row by row, its ``classify``
+    and its gemm, given C-ordered columns as the library gives them, for
+    a transposed operand can change gemm's bits), so the recovered bits
+    must match exactly. Returns the (..., n, T) result and the census as
+    :func:`census_fields` gives it.
+    """
+    from ubssvc.sca import _gemm
+
+    x = np.asarray(mixed, dtype=float)
+    lead, (m, t) = x.shape[:-2], x.shape[-2:]
+    columns = np.moveaxis(x, -2, 0).reshape(m, -1)
+    norms = np.sqrt(sum(row * row for row in columns))
+    active_cols = np.flatnonzero(norms > np.broadcast_to(floor, (*lead, t)).reshape(-1))
+    xa = columns.take(active_cols, axis=1)
+    best, distance = planes.classify(xa)
+    relative = distance / norms[active_cols]
+    recovered = np.zeros((planes.sources, norms.size))
+    mine = np.empty(best.shape, dtype=bool)
+    for q in range(planes.count):
+        sel = np.flatnonzero(np.equal(best, q, out=mine))
+        if sel.size:
+            values = _gemm(planes.coefficient_maps[q], xa.take(sel, axis=1))
+            recovered[planes.index_sets[q][:, None], active_cols[sel]] = values
+    forced = int(np.count_nonzero(relative > tau))
+    census = {
+        "total": norms.size,
+        "zero": norms.size - active_cols.size,
+        "clean": active_cols.size - forced,
+        "forced": forced,
+        "histogram": residual_histogram(relative).tolist(),
+        "lowest": float(relative.min(initial=math.inf)),
+        "highest": float(relative.max(initial=-math.inf)),
+        "group_residuals": np.bincount(active_cols // max(t, 1), minlength=math.prod(lead)).tolist(),
+    }
+    return np.moveaxis(recovered.reshape(planes.sources, *lead, t), 0, -2), census
 
 
 def exact_quantiles(values, percents) -> tuple[float, ...]:

@@ -17,6 +17,7 @@ from oracles import (
     gs_projection,
     lstsq_coefficients,
     nearest_subspace_recovery,
+    plane_scatter_recovery,
     random_sparse_source,
     residual_bin,
     residual_histogram,
@@ -489,14 +490,24 @@ def test_census_bins_from_the_float_bits(rng):
     # the bit-shift binning agrees with the oracle's frexp binning on every
     # bin edge and just below it, below 2^-64, from 2 up, and on exact zeros
     edges = [2.0 ** (b // 8 - 64) * (1 + b % 8 / 8) for b in range(RESIDUAL_BINS)]
+    top = float(np.finfo(np.float64).max)
+    # every key below 2^-64's, subnormals included, folds into bin 0, and
+    # every key from 2's up to the largest float's into the last bin
+    folded = [
+        0.0, 5e-324, 1e-310, float(np.finfo(np.float64).tiny), 1e-300,
+        *np.nextafter(2.0**-64, [0.0, 1.0]), *np.nextafter(2.0, [0.0, 3.0]), 2.0, 3.0, 1e300, top,
+    ]
     values = np.concatenate([
-        edges, np.nextafter(edges, 0.0), [0.0, 5e-324, 1e-300, 2.0, 3.0, 1e300],
-        2.0 ** rng.uniform(-70, 2, 5000), rng.uniform(0.0, 1.0, 5000),
+        edges, np.nextafter(edges, 0.0), folded, 2.0 ** rng.uniform(-70, 2, 5000), rng.uniform(0.0, 1.0, 5000),
     ])
     census = _census(values.copy())
     assert np.array_equal(census["histogram"], residual_histogram(values))
     assert [residual_bin(e) for e in edges] == list(range(RESIDUAL_BINS))
-    assert (census["lowest"], census["highest"]) == (0.0, 1e300)
+    assert (census["lowest"], census["highest"]) == (0.0, top)
+    for v in folded:
+        alone = _census(np.array([v]))
+        assert np.array_equal(alone["histogram"], residual_histogram([v]))
+        assert alone["lowest"] == alone["highest"] == v
 
 
 @st.composite
@@ -805,3 +816,92 @@ def test_single_columns_and_rows_take_the_gemm_path(matrix, rng):
     for j in range(0, 500, 37):
         piece, _ = recover_block(build_hyperplanes(two), y[:, j : j + 1], 0.05, floor[j : j + 1])
         assert np.array_equal(piece[:, 0], whole[:, j])
+
+
+def assert_plane_scatter(planes, x, tau, floor=0.0):
+    """``recover_block`` gives the plane-by-plane oracle's bits and census."""
+    want, census = plane_scatter_recovery(planes, x, tau, floor)
+    recovered, stats = recover_block(planes, x, tau, floor)
+    assert recovered.shape == want.shape
+    assert np.array_equal(recovered.view(np.int64), want.view(np.int64))
+    assert census_fields(stats) == census
+
+
+def every_plane_columns(matrix, planes, rng, t):
+    """(m, t) observations: sparse columns, one on each plane, dense (forced) and zero ones.
+
+    The first ``planes.count`` columns each lie on their own plane, so every
+    label, the largest included, is drawn.
+    """
+    s = random_sparse_source(int(rng.integers(2**32)), matrix.cols, t, max_active=matrix.rows - 1)
+    s[:, : planes.count] = 0.0
+    for q, index_set in enumerate(planes.index_sets):
+        s[index_set, q] = rng.uniform(0.5, 1.5, size=index_set.size)
+    rest = s[:, planes.count :]
+    dense = rng.random(rest.shape[1]) < 0.1
+    rest[:, dense] = rng.uniform(-1, 1, size=(matrix.cols, int(dense.sum())))
+    rest[:, rng.random(rest.shape[1]) < 0.05] = 0.0
+    return matrix.entries @ s
+
+
+def seeded_matrix(m, n, seed=0) -> MixingMatrix:
+    """The first valid uniform (0, 1) m x n matrix from ``seed`` up."""
+    for s in itertools.count(seed):
+        try:
+            return MixingMatrix(np.random.default_rng(s).uniform(0.0, 1.0, size=(m, n)))
+        except ValueError:
+            pass
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (3, 8), (5, 8), (5, 11), (2, 256), (2, 257)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_one_sort_by_plane_equals_the_plane_by_plane_scatter(shape, rng):
+    # one-byte labels up to 256 planes (label 255 at 2x256), intp beyond
+    # (2x257, and 330 planes at 5x11); forced, zero and sub-floor columns
+    matrix = seeded_matrix(*shape)
+    planes = build_hyperplanes(matrix)
+    x = every_plane_columns(matrix, planes, rng, planes.count + 600)
+    x[:, planes.count :][:, rng.random(600) < 0.05] *= 1e-13  # under the floor
+    floor = 1e-12 * column_peaks(x)[0]
+    best, _ = planes.classify(x[:, : planes.count])
+    assert best.dtype == (np.uint8 if planes.count <= 256 else np.intp)
+    assert np.array_equal(best, np.arange(planes.count))
+    _, stats = recover_block(planes, x, 1e-6, floor)
+    assert stats.forced_columns and stats.zero_columns
+    assert_plane_scatter(planes, x, 1e-6, floor)
+    assert_plane_scatter(planes, x[:, :1], 1e-6)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (5, 11), (2, 257)], ids=lambda s: f"{s[0]}x{s[1]}")
+def test_stacked_groups_equal_the_plane_by_plane_scatter(shape, rng):
+    # a stack of groups: an ordinary one, an all-zero one, one whose every
+    # column is under its floor, and a dense one; then empty stacks
+    matrix = seeded_matrix(*shape)
+    planes = build_hyperplanes(matrix)
+    t = planes.count + 100
+    groups = np.stack([every_plane_columns(matrix, planes, rng, t) for _ in range(4)])
+    groups[1] = 0.0
+    groups[3] = matrix.entries @ rng.uniform(-1, 1, size=(matrix.cols, t))
+    floor = 1e-12 * column_peaks(groups)[:, None] * np.ones(t)
+    floor[2] = np.linalg.norm(groups[2], axis=0)
+    assert_plane_scatter(planes, groups, 1e-6, floor)
+    # the groups laid out (m, G, T), and (G, 1, m, T)
+    assert_plane_scatter(planes, np.ascontiguousarray(groups.transpose(1, 0, 2)).transpose(1, 0, 2), 1e-6, floor)
+    assert_plane_scatter(planes, groups[:, None], 1e-6, floor[:, None])
+    for empty in ((0, matrix.rows, t), (3, matrix.rows, 0), (matrix.rows, 0)):
+        assert_plane_scatter(planes, np.zeros(empty), 1e-6)
+
+
+def test_ties_go_to_the_smaller_plane_after_the_sort(matrix, rng):
+    # planes 1 and 4 given plane 0's normal: every column nearest one of
+    # the three is tied between them and goes to plane 0, as with the
+    # plane-by-plane scatter
+    hs = build_hyperplanes(matrix)
+    normals = hs.normals.copy()
+    normals[[1, 4]] = normals[0]
+    tied = dataclasses.replace(hs, normals=normals)
+    x = every_plane_columns(matrix, hs, rng, 500)
+    best, _ = tied.classify(x)
+    assert 0 in best and not np.isin(best, [1, 4]).any()
+    assert_plane_scatter(tied, x, 1e-6)
+    # multiples of a matrix column lie on the three planes it spans
+    assert_plane_scatter(hs, matrix.entries[:, [0]] * [1.0, -2.0, 1e-3], 1e-6)
