@@ -13,10 +13,10 @@ subband by the generalized inverse, and one inverse transform written
 straight into the output array. A detail column is zero when its norm is
 at most ``DEFAULT_ZERO_EPS`` times the norm of the mixed LL column of its
 own 2x2 cell, so every task holds its zero test and decodes once. A task
-of whole groups recovers its three detail bands in one stacked call when
-its groups are of at most ``TILE`` pixels or the pass runs on the thread
-pool; a row tile, and a whole larger group decoded inline, makes one call
-per band. The transforms are the plain
+of whole groups recovers its three detail bands in one call when its
+groups are of at most ``TILE`` pixels or the pass runs on the thread pool;
+a row tile, and a whole larger group decoded inline, makes one call per
+band, which holds less memory at once. The transforms are the plain
 sum/difference Haar pair, without their halvings, and ``A+`` and the
 coefficient maps are scaled by 1/4 once per decode instead: powers of two
 commute with rounding, so this gives the bits of the orthonormal pair.
@@ -65,12 +65,13 @@ from .mixcore import (
 from .sca import (
     RecoveryStats,
     _gemm,
+    _norms,
     build_hyperplanes,
     check_tau,
     recover_block,
     recover_dense,
 )
-from .wavelet import BANDS, haar_forward, haar_inverse
+from .wavelet import haar_forward, haar_inverse
 
 QUANT_FLOAT = "float-container"
 QUANT_AFFINE = "affine-8bit"
@@ -341,15 +342,18 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     pooled decode needs a free second CPU to gain: 400 64x64 frames decode
     on the pool in about 46 ms of CPU time, against 38 ms inline. With
     one usable CPU a one-thread pool only adds cost (a 40-frame CIF decode
-    took 108 ms inline against 125 ms pooled). A pooled task of whole
-    groups stacks its detail bands into one recovery call whatever their
-    size, because on the pool each numpy call costs about 10 us more while
-    the interpreter lock changes hands, and stacking makes a third of the
-    calls; inline, a stacked CIF group's temporaries leave the L2 cache
-    and cost more than the calls save, so a whole group of more than
-    ``TILE`` pixels recovers band by band there. Row tiles recover band by
-    band too: stacked 720p tiles took more memory (76.5 -> 83.3 MB traced
-    peak) and no less time.
+    took 108 ms inline against 125 ms pooled). A task of whole groups of
+    at most ``TILE`` pixels, and on the pool any task of whole groups,
+    recovers its three detail bands in one call: on the pool each numpy
+    call costs about 10 us more while the interpreter lock changes hands,
+    and one call for three bands makes a third of the calls. A row tile,
+    and a whole group of more than ``TILE`` pixels decoded inline, makes
+    one call per band, for memory, not time: three bands in one call hold
+    about 40% more temporaries (a lone CIF group 1.78 -> 2.48 times the 8
+    bytes a code, 720p x 8 tiles 0.11 -> 0.16 on one worker and 0.22 ->
+    0.30 on two; traced hd decode peak 68.7 -> 72.2 MB), and would be
+    faster (a 40-frame CIF decode on one CPU 18.0 -> 17.1 ms, a pooled
+    720p x 8 decode 23.9 -> 21.7 ms; medians of in-process alternations).
     """
     height, width = enc.height, enc.width
     m, n = enc.matrix.rows, enc.matrix.cols
@@ -364,20 +368,18 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     dest = out[: blocks * n].reshape(blocks, n, height, width)
     tasks, tiles = _tasks(blocks, height, width, cell=2)
     pooled = WORKERS > 1 and len(tasks) > 1
-    # stacking costs memory: row tiles and inline groups of more than TILE
-    # pixels recover band by band (see the docstring)
+    # three bands in one call cost memory: row tiles and inline groups of
+    # more than TILE pixels recover one band a call (see the docstring)
     stack = tiles == 1 and (pooled or height * width <= TILE)
 
-    def decode(task) -> list[RecoveryStats]:
+    def decode(task) -> RecoveryStats:
         return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, stack)
 
     with ThreadPoolExecutor(WORKERS) as pool:
-        done = (pool.map if pooled else map)(decode, tasks)
         # merged in task order as the tasks finish, so the censuses are not all held at once
-        census = RecoveryStats.merged(part for parts in done for part in parts)
+        census = RecoveryStats.merged((pool.map if pooled else map)(decode, tasks))
     out[blocks * n :] = enc.tail_codes
-    # the tasks count their residuals per (group, tile, band): a stacked run
-    # per (group, band), a task of one group per band; add up the tiles
+    # the tasks count their residuals per (group, tile, band); add up the tiles
     counts = census.group_residuals.reshape(-1, tiles, 3).sum(axis=1)
     return _read_only(out), replace(census, group_residuals=counts.ravel())
 
@@ -393,7 +395,7 @@ def _dequantize(codes, affine, out) -> None:
     out += affine[1]
 
 
-def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack) -> list[RecoveryStats]:
+def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack) -> RecoveryStats:
     """Decode (k, m, h, W) mixed codes into the (k, n, h, W) array ``dest``.
 
     ``pinv`` and ``planes`` carry the ``A+`` and coefficient maps scaled
@@ -401,60 +403,45 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack) -> list[Recover
     A detail column is zero when its norm is at most ``DEFAULT_ZERO_EPS``
     times its cell's mixed LL norm: one (k, T) floor, made once per task.
 
-    With ``stack`` (whole groups, of at most ``TILE`` pixels or pooled)
-    the three detail bands are recovered in one call on a (k, 3, m, T)
-    view of one (m, k, 3, h/2, w/2) buffer, whose columns that call reads
-    without a copy, beside the floor as (k, 1, T); it returns one census,
-    whose ``group_residuals`` count per (group, band). Otherwise there is
-    one call per band and one census per band. A function of its own, so
-    that one task's temporaries are freed before the next task allocates
-    its own.
-
-    Each band, and the stacked buffer, goes into its recovery call as the
+    The three detail bands are held in 3 // c buffers of shape (m, k, c,
+    h/2, w/2), c = 3 with ``stack`` (whole groups, of at most ``TILE``
+    pixels or pooled) and 1 otherwise. Each buffer is recovered in one
+    call on its (k, c, m, T) view, whose columns that call reads without a
+    copy, beside the floor as (k, 1, T), and goes into that call as the
     only reference to it, so that the call frees it once it has gathered
     the columns it keeps (on CPython 3.11 and later; 3.10 keeps a call's
-    arguments alive until it returns).
+    arguments alive until it returns). The returned census counts the
+    residuals per (group, band). A function of its own, so that one task's
+    temporaries are freed before the next task allocates its own.
 
     Odd sides decode as if edge-padded to even: the transforms pad the
     codes and crop ``dest`` themselves, so each is called once.
     """
     k, m, height, width = codes.shape
     half = (-(-height // 2), -(-width // 2))
-    if stack:
-        details = np.empty((m, k, 3, *half))
-        bands = [np.empty((k, m, *half)), *details.transpose(2, 1, 0, 3, 4)]
-    else:
-        bands = [np.empty((k, m, *half)) for _ in BANDS]
+    c = 3 if stack else 1
+    ll = np.empty((k, m, *half))
+    details = [np.empty((m, k, c, *half)) for _ in range(3 // c)]
+    bands = [ll, *(band for d in details for band in d.transpose(2, 1, 0, 3, 4))]
     convert = None if affine is None else lambda slab, values: _dequantize(slab, affine, values)
     haar_forward(codes, convert, bands, orthonormal=False)
-    if stack:
-        # one call, whose 3k groups are the (group, band) planes in turn
-        bands[1:] = [details.reshape(m, k, 3, -1).transpose(1, 2, 0, 3)]
-        del details
-    ll = bands.pop(0).reshape(k, m, -1)
+    del bands  # its views would keep the detail buffers past their hand-over
+    # each call's groups are the (group, band) planes in turn
+    details = [d.reshape(m, k, c, -1).transpose(1, 2, 0, 3) for d in details]
+    ll = ll.reshape(k, m, -1)
     recovered = [recover_dense(pinv, ll)]
-    # each cell's LL norm, in the LL band's buffer, read no more: the squares
-    # added frame by frame, as recover_block adds its columns' squares, so
-    # the bits do not depend on the task's shape
-    np.square(ll, out=ll)
-    for i in range(1, m):
-        ll[:, 0] += ll[:, i]
-    floor = np.sqrt(ll[:, 0])
+    floor = _norms(ll)[:, None]
     floor *= DEFAULT_ZERO_EPS
     del ll
-    # each detail band is popped into its call, which holds its last reference
-    if stack:
-        sources, census = recover_block(planes, bands.pop(), tau, floor[:, None])
+    stats = []
+    while details:
+        sources, census = recover_block(planes, details.pop(0), tau, floor)
         recovered.extend(sources.swapaxes(0, 1))
-        stats = [census]
-    else:
-        stats = []
-        for _ in range(3):
-            sources, band_stats = recover_block(planes, bands.pop(0).reshape(k, m, -1), tau, floor)
-            recovered.append(sources)
-            stats.append(band_stats)
+        stats.append(census)
     haar_inverse([r.reshape(k, -1, *half) for r in recovered], out=dest, orthonormal=False)
-    return stats
+    # a lone census as it is: merging it would only copy it, in numpy calls
+    # that wait for the interpreter lock on the pool (tiny decode 1-4% slower)
+    return stats[0] if len(stats) == 1 else RecoveryStats.merged(stats)
 
 
 @dataclass(frozen=True, eq=False)

@@ -130,6 +130,23 @@ def build_hyperplanes(matrix: MixingMatrix) -> HyperplaneSet:
     )
 
 
+def _norms(x) -> np.ndarray:
+    """The Euclidean norms of the columns of an (..., m, T) array, as (..., T).
+
+    Squares added row by row, then the root, in one buffer: the bits of
+    ``linalg.norm(axis=-2)`` on C-ordered columns, without its temporary of
+    every square. For m >= 8 numpy's pairwise sum gives a one-column or
+    Fortran-ordered input other bits; this sum does not depend on the
+    layout. Both sides of the decoder's zero rule, a detail column's norm
+    and its cell's LL norm, come from here, so their bits agree.
+    """
+    norms = np.multiply(x[..., 0, :], x[..., 0, :])
+    square = np.empty_like(norms)
+    for i in range(1, x.shape[-2]):
+        norms += np.multiply(x[..., i, :], x[..., i, :], out=square)
+    return np.sqrt(norms, out=norms)
+
+
 def check_tau(tau: float) -> None:
     """Reject a residual tolerance that is negative, infinite or NaN."""
     if not (math.isfinite(tau) and tau >= 0):
@@ -268,17 +285,7 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
     # (np.moveaxis, without its overhead).
     nd, lead, t = x.ndim, x.shape[:-2], x.shape[-1]
     columns = x.transpose(nd - 2, *range(nd - 2), nd - 1).reshape(x.shape[-2], -1)
-    # Squares added row by row, then the root, in one buffer: the bits of
-    # linalg.norm(axis=0) on C-ordered columns, without its (m, G*T)
-    # temporary of squares. For m >= 8 numpy's pairwise sum gives a
-    # one-column or Fortran-ordered input other bits; this sum does not
-    # depend on the layout. The rows are indexed, not iterated: a loop
-    # variable would keep a view of the observations past the hand-over.
-    norms = np.multiply(columns[0], columns[0])
-    square = np.empty_like(norms)
-    for i in range(1, len(columns)):
-        norms += np.multiply(columns[i], columns[i], out=square)
-    norms = np.sqrt(norms, out=norms).reshape(*lead, t)
+    norms = _norms(columns).reshape(*lead, t)
     if not math.isfinite(norms.max(initial=0.0)):
         raise ValueError("mixed coefficients must be finite")
     active = np.greater(norms, floor)  # a ValueError where floor does not broadcast
@@ -290,7 +297,7 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
     # indexing or compress do
     norms = norms.take(active_cols)  # only the kept columns' norms are used again
     xa = columns.take(active_cols, axis=1)
-    del columns, x, mixed, active, square  # see the docstring; a copy of stacked input not laid out (m, ..., T)
+    del columns, x, mixed, active  # see the docstring; a copy of stacked input not laid out (m, ..., T)
     best, relative = planes.classify(xa)
     relative /= norms
     del norms

@@ -172,10 +172,13 @@ def read_sequence(path_or_pattern, *, width=None, height=None, count=None) -> np
     With ``width`` and ``height`` given, the path is one raw-planar file of
     8-bit planes (``count``, at least 1, inferred from the size when
     omitted). Otherwise the argument is a PGM file, a glob/``{i}`` pattern,
-    or a directory.
+    or a directory, which gives every frame it names, and ``count`` must
+    not be given.
     """
     if (width is None) != (height is None):
         raise ValueError("raw input needs both width and height")
+    if count is not None and width is None:
+        raise ValueError("a frame count is for raw input, which needs width and height")
     if width is not None:
         if width < 1 or height < 1:
             raise ValueError("raw dimensions must be positive")

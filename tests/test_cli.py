@@ -656,6 +656,7 @@ HOSTILE_INPUTS = {
          "--out", "{tmp}/o.ubss"],
         2,
     ),
+    "frames-of-a-pgm-pattern": (b"", ["roundtrip", "{tmp}/f*.pgm", "--frames", "2"], 2),
     "positional-pattern": (b"", ["gen", "--frames", "4", "--out", "{tmp}/f_{0}.pgm"], 2),
     "unclosed-quote": (b"", ["bench", *GEN, "--codec-cmd", "cp '{in} {out}"], 2),
     "directory-container": (b"", ["separate", "{tmp}", "--out", "{tmp}/f_{i}.pgm"], 2),
@@ -669,6 +670,8 @@ def test_hostile_input_exits_cleanly(tmp_path, name):
     config, args, code = HOSTILE_INPUTS[name]
     (tmp_path / "codec.cfg").write_bytes(config)
     (tmp_path / "seq.raw").write_bytes(bytes(4 * 16))
+    for i in range(4):
+        (tmp_path / f"f{i}.pgm").write_bytes(b"P5 4 4 255\n" + bytes(16))
     proc = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in args))
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr

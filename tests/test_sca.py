@@ -31,7 +31,7 @@ from ubssvc import (
     recover_block,
     recover_dense,
 )
-from ubssvc.sca import QUANTILE_PERCENTS, RESIDUAL_BINS, RecoveryStats, _census
+from ubssvc.sca import QUANTILE_PERCENTS, RESIDUAL_BINS, RecoveryStats, _census, _norms
 
 # frozen via the Gram-Schmidt projection oracle: distance from column 3 of
 # the built-in matrix to the span of columns {0, 1}
@@ -484,6 +484,24 @@ def test_recovery_stats_merge():
     assert empty.total_columns == 0 and empty.group_residuals.size == 0
     assert empty.histogram.shape == (RESIDUAL_BINS,) and not empty.histogram.any()
     assert (empty.lowest, empty.highest) == (np.inf, -np.inf) and empty.residual_quantiles() == ()
+
+
+@pytest.mark.parametrize("m", [2, 3, 9])
+def test_column_norms_do_not_depend_on_the_layout(rng, m):
+    # both sides of the decoder's zero rule, a cell's (k, m, T) LL band and a
+    # recovery call's (m, G*T) columns of a transposed buffer, take their
+    # norms from _norms: one column, a Fortran-ordered copy and a transposed
+    # view give each column the bits of the C-ordered array, which for m < 8
+    # are linalg.norm's
+    x = rng.normal(size=(4, m, 50)) * 10.0 ** rng.integers(-30, 30, size=(4, 1, 50))
+    norms = _norms(x)
+    assert norms.shape == (4, 50)
+    for same in (np.asfortranarray(x), np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)):
+        assert norms.tobytes() == _norms(same).tobytes()
+    assert norms[:, 7:8].tobytes() == _norms(x[:, :, 7:8]).tobytes()
+    assert _norms(x[0]).tobytes() == norms[0].tobytes()
+    if m < 8:
+        assert norms.tobytes() == np.linalg.norm(x, axis=-2).tobytes()
 
 
 def test_census_bins_from_the_float_bits(rng):

@@ -185,6 +185,14 @@ class TestRawPlanar:
         with pytest.raises(ValueError, match="multiple"):
             read_sequence(str(path), width=2, height=3)
 
+    @pytest.mark.parametrize("dims", [{}, {"width": 2}, {"height": 2}])
+    def test_count_needs_both_dimensions(self, tmp_path, dims):
+        # a PGM file, pattern or directory gives all its frames; a count for
+        # it was once ignored without a word
+        write_sequence(np.zeros((8, 2, 2)), str(tmp_path / "f{i}.pgm"))
+        with pytest.raises(ValueError, match="width and height"):
+            read_sequence(str(tmp_path / "f*.pgm"), count=4, **dims)
+
     @pytest.mark.parametrize("count", [0, -1, -2])
     def test_rejects_non_positive_count(self, tmp_path, count):
         # numpy reads a negative count or reshape length as "all of it"
