@@ -25,11 +25,12 @@ def _squared_error_sums(originals, reconstructions) -> np.ndarray:
 
     Works through slabs of whole pixel rows, several frames or a band of
     one, which ``WORKERS`` threads share out; each thread has two reused
-    buffers (+0.5, floor and clip in place, subtract, one dot product per
-    frame) and sums of its own. Snapped pixels are integers, so each sum
-    is exact in float64 whatever the order of its additions, and so
-    whatever the split. Each slab is checked for non-finite pixels while
-    it is in cache, before clipping would turn an infinity into 0 or 255.
+    buffers (+0.5, floor and clip in place, subtract, then one batched
+    matmul for the dot product of each frame) and sums of its own. Snapped
+    pixels are integers, so each sum is exact in float64 whatever the
+    order of its additions, and so whatever the split. Each slab is
+    checked for non-finite pixels while it is in cache, before clipping
+    would turn an infinity into 0 or 255.
     """
     count, height, width = originals.shape
     band = max(1, min(height, SLAB_BYTES // (8 * width)))  # rows of one frame per slab
@@ -60,7 +61,7 @@ def _squared_error_sums(originals, reconstructions) -> np.ndarray:
                 np.floor(buf, out=buf)
                 np.clip(buf, 0.0, 255.0, out=buf)
             a -= b
-            sums[piece[0]] += np.einsum("ijk,ijk->i", a, a)
+            sums[piece[0]] += (a.reshape(frames, 1, -1) @ a.reshape(frames, -1, 1)).ravel()
         return sums
 
     workers = min(WORKERS, len(slabs))

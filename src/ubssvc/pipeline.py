@@ -34,7 +34,8 @@ nothing outside it, so tiles change no bit of the result.
 
 The encoder keeps the mixed frames in their stored form, the codes a
 container holds and a downstream codec sees: float32 in float-container
-mode, uint8 on an affine grid (value = offset + scale * code) in
+mode, uint8 on an affine grid (value = offset + scale * code) that the
+matrix fixes for sources in [0, 255], so each task quantizes alone, in
 affine-8bit mode. Tail frames are uint8. So writing a container and reading
 it back is lossless, and the file path reproduces the in-memory path bit
 for bit. The affine map is applied in one place each way: quantization in
@@ -187,10 +188,11 @@ def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
 
     Every pixel must be finite, but only the tail frames, which are never
     mixed, are scanned for it up front. A NaN or infinite source pixel
-    makes at least one mixed value of its pixel NaN or infinite, as no
-    column of the matrix is all zero, and the range check of the codes
-    rejects that; only then are the sources scanned, so that the error
-    names the pixels, as :func:`as_sequence` does.
+    fails the affine check of the sources, or in float mode makes at least
+    one mixed value of its pixel NaN or infinite, as no column of the
+    matrix is all zero, which the float32 check of the codes rejects; only
+    then are the sources scanned, so that the error names the pixels, as
+    :func:`as_sequence` does.
     """
     src = _to_sequence(frames)
     if not all_finite(src[len(src) - len(src) % cfg.matrix.cols :]):
@@ -212,8 +214,8 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     ``TILE`` pixels (one a pixel high stays whole), and its tasks go to a
     pool of ``WORKERS`` threads (:func:`_pooled`); smaller groups are mixed
     inline, in runs of whole groups of about ``TILE`` pixels. Affine codes
-    take two passes over the tasks: the first finds the range of the mixed
-    values, the second mixes again and quantizes.
+    sit on a grid the matrix fixes, which holds the mixed values of every
+    source in [0, 255], so each task mixes once and quantizes its own values.
     Every task gives the bits of the whole-group product, so the codes do
     not depend on ``TILE`` or ``WORKERS``.
     """
@@ -232,41 +234,36 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     def mix(task) -> np.ndarray:
         """The float64 mixed values of one task, shaped like its codes."""
         piece = sources[task]
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the range check
-            mixed = product(cfg.matrix.entries, piece.reshape(*piece.shape[:2], -1))
+        mixed = product(cfg.matrix.entries, piece.reshape(*piece.shape[:2], -1))
         return mixed.reshape(codes[task].shape)
-
-    def mixed_range(mixed) -> tuple[float, float]:
-        lo, hi = float(mixed.min()), float(mixed.max())
-        if not -_F32_MAX <= lo <= hi <= _F32_MAX:  # NaN fails too
-            raise ValueError("mixed frame values must lie in float32 range")
-        return lo, hi
 
     def store_float(task) -> None:
         # a value past float32 range casts to inf, which EncodedSequence rejects
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             codes[task] = mix(task)
 
     def quantize(task) -> None:
-        # code = floor((x - offset) / scale + 0.5), in place; the cast to
-        # uint8 truncates, which is floor on the clipped range [0, 255]
+        # code = floor((x - offset) / scale + 0.5), in place; the grid holds
+        # the mixed values of sources in [0, 255], so the codes lie in
+        # [0, 256), where the cast to uint8 truncates, which is floor
+        piece = sources[task]
+        if not (piece.min() >= 0.0 and piece.max() <= 255.0):  # NaN fails too
+            raise ValueError("affine-8bit sources must lie in [0, 255]")
         mixed = mix(task)
         mixed -= offset
         mixed /= scale
         mixed += 0.5
-        codes[task] = np.clip(mixed, 0, 255, out=mixed)
+        codes[task] = mixed
 
-    scale = offset = 0.0
+    store, scale, offset = store_float, 0.0, 0.0
+    if cfg.quantization == QUANT_AFFINE:
+        # for sources in [0, 255], row r of A s lies in [255 sum neg_r, 255 sum pos_r]
+        rows = cfg.matrix.entries.tolist()
+        offset = 255.0 * min(math.fsum(min(a, 0.0) for a in row) for row in rows)
+        scale = (255.0 * max(math.fsum(max(a, 0.0) for a in row) for row in rows) - offset) / 255.0
+        store = quantize
     with ThreadPoolExecutor(WORKERS) as pool:
-        each = pool.map if _pooled(height, width) else map
-        if cfg.quantization == QUANT_FLOAT:
-            list(each(store_float, tasks))
-        else:
-            ranges = list(each(lambda task: mixed_range(mix(task)), tasks))
-            lo, hi = min(r[0] for r in ranges), max(r[1] for r in ranges)
-            scale = (hi - lo) / 255.0 if hi > lo else 1.0
-            offset = lo
-            list(each(quantize, tasks))
+        list((pool.map if _pooled(height, width) else map)(store, tasks))
 
     return EncodedSequence(
         matrix=cfg.matrix,
@@ -409,10 +406,9 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack) -> RecoveryStat
     call on its (k, c, m, T) view, whose columns that call reads without a
     copy, beside the floor as (k, 1, T), and goes into that call as the
     only reference to it, so that the call frees it once it has gathered
-    the columns it keeps (on CPython 3.11 and later; 3.10 keeps a call's
-    arguments alive until it returns). The returned census counts the
-    residuals per (group, band). A function of its own, so that one task's
-    temporaries are freed before the next task allocates its own.
+    the columns it keeps. The returned census counts the residuals per
+    (group, band). A function of its own, so that one task's temporaries
+    are freed before the next task allocates its own.
 
     Odd sides decode as if edge-padded to even: the transforms pad the
     codes and crop ``dest`` themselves, so each is called once.

@@ -268,8 +268,7 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
     The observations are not read once the kept columns are gathered, and
     the call drops its references to them there: when the caller handed
     over its only reference, their memory is freed before the recovery's
-    own temporaries are made (on CPython 3.11 and later; 3.10 keeps a
-    call's arguments alive until it returns).
+    own temporaries are made.
     """
     check_tau(tau)
     x = np.asarray(mixed, dtype=np.float64)

@@ -17,6 +17,7 @@ by plane must match bit for bit.
 import itertools
 import math
 import struct
+from fractions import Fraction
 
 import numpy as np
 
@@ -258,13 +259,17 @@ def mix_reference(entries, frames) -> np.ndarray:
     return np.concatenate(blocks).reshape(-1, h, w) if blocks else np.empty((0, h, w))
 
 
-def quantize_reference(mixed, quantization):
+def quantize_reference(mixed, quantization, entries):
     """Storage codes of mixed values, one Python scalar at a time.
 
     ``float-container``: each value rounded to the nearest float32 through
-    ``struct``. ``affine-8bit``: offset = min, scale = (max - min) / 255 (1
-    for a flat input), and code = the integer part of (x - offset) / scale
-    + 0.5, at most 255. Returns ``(codes, scale, offset)``, the codes shaped
+    ``struct``. ``affine-8bit``: the grid that the (m, n) mixing matrix
+    ``entries`` fixes for sources in [0, 255], with offset = 255 times the
+    least sum of a row's negative entries and scale = (255 times the
+    greatest sum of a row's positive entries - offset) / 255, each sum
+    exact in fractions and rounded once. A code is the integer part of
+    (x - offset) / scale + 0.5, which must lie in [0, 256), else
+    ``ValueError``. Returns ``(codes, scale, offset)``, the codes shaped
     like ``mixed``.
     """
     values = np.asarray(mixed, dtype=float)
@@ -272,10 +277,16 @@ def quantize_reference(mixed, quantization):
     if quantization == "float-container":
         codes = [struct.unpack("<f", struct.pack("<f", v))[0] for v in flat]
         return np.array(codes, dtype=np.float32).reshape(values.shape), 0.0, 0.0
-    lo, hi = min(flat), max(flat)
-    scale = (hi - lo) / 255.0 if hi > lo else 1.0
-    codes = [min(255, int((v - lo) / scale + 0.5)) for v in flat]
-    return np.array(codes, dtype=np.uint8).reshape(values.shape), scale, lo
+    rows = [[Fraction(float(a)) for a in row] for row in np.asarray(entries)]
+    offset = 255.0 * min(float(sum(a for a in row if a < 0)) for row in rows)
+    scale = (255.0 * max(float(sum(a for a in row if a > 0)) for row in rows) - offset) / 255.0
+    codes = []
+    for v in flat:
+        code = (v - offset) / scale + 0.5
+        if not 0.0 <= code < 256.0:
+            raise ValueError(f"mixed value {v!r} is off the grid")
+        codes.append(int(code))
+    return np.array(codes, dtype=np.uint8).reshape(values.shape), scale, offset
 
 
 def decode_reference(enc, cfg):
@@ -338,6 +349,18 @@ def psnr_reference(a, b) -> float:
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(255.0 * 255.0 / mse)
+
+
+def squared_error_sums_reference(a, b) -> list[int]:
+    """Per-frame sums of squared 8-bit differences of two (count, H, W) arrays, in Python ints."""
+
+    def snap(v) -> int:
+        return math.floor(min(max(float(v), 0.0), 255.0) + 0.5)
+
+    return [
+        sum((snap(x) - snap(y)) ** 2 for x, y in zip(fa.ravel(), fb.ravel()))
+        for fa, fb in zip(np.asarray(a), np.asarray(b))
+    ]
 
 
 def sparsity_census(source, m, zero_eps=1e-12):

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from oracles import psnr_reference
+from oracles import psnr_reference, squared_error_sums_reference
 from ubssvc import metrics as metrics_module
 from ubssvc import mixcore, pipeline, sequence_report
 
@@ -151,6 +151,17 @@ class TestSequenceReport:
         exact = ((snap(ref) - snap(test)) ** 2).reshape(7, -1).sum(axis=1)
         assert report.per_frame_mse == tuple(float(e) / 35 for e in exact)
         assert report.per_frame_mse == tuple(frame_mse(a, b) for a, b in zip(ref, test))
+
+    @pytest.mark.parametrize("slab_bytes", [8 * 9 * 2, 1 << 20])
+    def test_per_frame_mse_equals_integer_sums(self, rng, monkeypatch, slab_bytes):
+        # a slab of two rows of one frame, or one of all five frames: each
+        # frame's batched dot product gives the Python-int sum
+        ref = rng.uniform(-10, 265, size=(5, 6, 9))
+        test = rng.uniform(-10, 265, size=ref.shape)
+        monkeypatch.setattr(metrics_module, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(metrics_module, "WORKERS", 1)
+        report = sequence_report(ref, test)
+        assert report.per_frame_mse == tuple(total / 54 for total in squared_error_sums_reference(ref, test))
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_threads_give_exact_sums(self, rng, monkeypatch, workers):

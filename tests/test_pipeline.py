@@ -86,7 +86,7 @@ class TestEncodeAccounting:
         enc = encode_sequence(frames, CodecConfig())
         assert enc.mixed_codes.dtype == np.float32
         mixed = mix_reference(enc.matrix.entries, frames)
-        expected, _, _ = quantize_reference(mixed, "float-container")
+        expected, _, _ = quantize_reference(mixed, "float-container", enc.matrix.entries)
         assert np.array_equal(enc.mixed_codes, expected)
         assert (enc.scale, enc.offset) == (0.0, 0.0)
         assert enc.tail_codes.dtype == np.uint8
@@ -94,11 +94,13 @@ class TestEncodeAccounting:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_affine_codes_of_non_integer_sources(self, seed):
-        # mixed values between the grid points: the cast of the clipped
-        # values to uint8 rounds them as the oracle's int() does
-        frames = np.random.default_rng(seed).uniform(-40.5, 300.5, size=(9, 7, 5))
+        # mixed values between the grid points: the cast of the values to
+        # uint8 rounds them as the oracle's int() does
+        frames = np.random.default_rng(seed).uniform(0.0, 255.0, size=(9, 7, 5))
         enc = encode_sequence(frames, CodecConfig(quantization="affine-8bit"))
-        codes, scale, offset = quantize_reference(mix_reference(enc.matrix.entries, frames), "affine-8bit")
+        codes, scale, offset = quantize_reference(
+            mix_reference(enc.matrix.entries, frames), "affine-8bit", enc.matrix.entries
+        )
         assert (enc.scale, enc.offset) == (scale, offset)
         assert np.array_equal(enc.mixed_codes, codes)
 
@@ -107,11 +109,10 @@ class TestEncodeAccounting:
         enc = encode_sequence(frames, CodecConfig(quantization="affine-8bit"))
         assert enc.mixed_codes.dtype == enc.tail_codes.dtype == np.uint8
         mixed = mix_reference(enc.matrix.entries, frames)
-        codes, scale, offset = quantize_reference(mixed, "affine-8bit")
-        assert enc.scale == scale > 0 and enc.offset == offset
+        codes, scale, offset = quantize_reference(mixed, "affine-8bit", enc.matrix.entries)
+        # the default matrix is non-negative with a largest row sum of 1.75
+        assert (enc.scale, enc.offset) == (scale, offset) == (1.75, 0.0)
         assert np.array_equal(enc.mixed_codes, codes)
-        # the grid spans the mixed range: its ends take the first and last codes
-        assert enc.mixed_codes.min() == 0 and enc.mixed_codes.max() == 255
         assert np.array_equal(enc.tail_codes, frames[8:])
 
     @pytest.mark.filterwarnings("error")
@@ -120,13 +121,70 @@ class TestEncodeAccounting:
     def test_mixed_values_beyond_float32_range_raise_cleanly(self, quantization, value):
         # 1e308 mixes past float32 range and 1.5e308 past float64's; either is
         # a ValueError, with no overflow warning before it
-        with pytest.raises(ValueError, match="float32 range"):
+        message = "float32 range" if quantization == "float-container" else r"must lie in \[0, 255\]"
+        with pytest.raises(ValueError, match=message):
             encode_sequence(np.full((4, 8, 8), value), CodecConfig(quantization=quantization))
 
-    def test_flat_affine_mix_uses_unit_scale(self):
-        enc = encode_sequence(np.zeros((4, 2, 2)), CodecConfig(quantization="affine-8bit"))
-        assert enc.scale == 1.0
-        assert not enc.mixed_codes.any()
+
+class TestAffineGrid:
+    # affine codes sit on the grid the matrix fixes for sources in [0, 255]
+
+    AFFINE = CodecConfig(quantization="affine-8bit")
+
+    def _expected(self, cfg, frames):
+        return quantize_reference(mix_reference(cfg.matrix.entries, frames), "affine-8bit", cfg.matrix.entries)
+
+    @pytest.mark.parametrize("value, code", [(0.0, 0), (100.0, 100), (255.0, 255)])
+    def test_flat_sources_sit_on_the_matrix_grid(self, value, code):
+        # a flat input takes the matrix's grid, as any other does
+        frames = np.full((4, 3, 5), value)
+        enc = encode_sequence(frames, self.AFFINE)
+        codes, scale, offset = self._expected(self.AFFINE, frames)
+        assert (enc.scale, enc.offset) == (scale, offset) == (1.75, 0.0)
+        assert np.array_equal(enc.mixed_codes, codes)
+        # the end sources reach the end codes: 0 gives code 0 everywhere, and
+        # v gives v in the row of largest sum (the row sums are 1.65, 1.75
+        # and 1.65), and no code passes it
+        assert (enc.mixed_codes == code).any() and not (enc.mixed_codes > code).any()
+
+    def test_negative_entries_give_a_negative_offset(self):
+        cfg = CodecConfig(matrix=MixingMatrix(np.random.default_rng(3).normal(size=(3, 4))), quantization="affine-8bit")
+        frames = np.random.default_rng(4).uniform(0.0, 255.0, size=(9, 11, 6))
+        enc = encode_sequence(frames, cfg)
+        codes, scale, offset = self._expected(cfg, frames)
+        assert (enc.scale, enc.offset) == (scale, offset) and offset < 0
+        assert np.array_equal(enc.mixed_codes, codes)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value, fill", [(-1.0, 0.0), (257.0, 255.0), (300.0, 255.0), (1e39, 0.0)])
+    @pytest.mark.parametrize("whole", [True, False])
+    def test_source_off_the_grid_raises(self, value, fill, whole):
+        # the whole sequence, or one pixel of the last row tile; a lone -1
+        # over zeros or 257 over 255s in the group's first frame mixes to
+        # values that round onto the grid's end codes, yet it is refused
+        frames = np.full((9, 30, 21), fill)
+        frames[np.s_[:8] if whole else np.s_[4, -1, -1]] = value
+        before = threading.active_count()
+        with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
+            with pytest.raises(ValueError, match=r"affine-8bit sources must lie in \[0, 255\]"):
+                encode_sequence(frames, self.AFFINE)
+        assert threading.active_count() == before
+
+    def test_nan_is_reported_before_an_off_grid_source(self):
+        frames = np.full((8, 4, 4), 300.0)
+        frames[5, 1, 1] = np.nan
+        with pytest.raises(ValueError, match="frame pixels must be finite"):
+            encode_sequence(frames, self.AFFINE)
+
+    def test_codes_do_not_depend_on_tile_or_workers(self):
+        frames = np.random.default_rng(6).uniform(0.0, 255.0, size=(10, 30, 21))
+        codes, scale, offset = self._expected(self.AFFINE, frames)
+        for tile in (1, 7, 40, pipeline_module.TILE):
+            for workers in (1, 2):
+                with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=workers):
+                    enc = encode_sequence(frames, self.AFFINE)
+                assert (enc.scale, enc.offset) == (scale, offset)
+                assert np.array_equal(enc.mixed_codes, codes)
 
 
 def _encoded_fields(quantization="float-container"):
@@ -285,32 +343,19 @@ class TestDecode:
             tracemalloc.stop()
         # the four bands of the group hold 8 bytes a code; the temporaries are
         # 1.78 times that, 2.48 times with the three bands in one recovery
-        # call, and were 3.1 times it with the copy and the store. On 3.10,
-        # where a caller keeps its arguments alive until the call returns, a
-        # band outlives its recovery call: 2.03 and 3.23 times with a kept
-        # reference standing in for 3.10
-        bound = 2.0 if sys.version_info >= (3, 11) else 2.3
-        assert peak - base - decoded.nbytes < bound * 8 * enc.mixed_codes.size
+        # call, and were 3.1 times it with the copy and the store
+        assert peak - base - decoded.nbytes < 2.0 * 8 * enc.mixed_codes.size
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
     @pytest.mark.parametrize(
         "workers, bound",
         [
             # one tile in flight: reads 0.22 times the 8 bytes a code, 0.31
-            # with the three bands in one recovery call; 0.25 and 0.41 with a
-            # kept reference standing in for 3.10
-            (1, 0.26 if sys.version_info >= (3, 11) else 0.30),
+            # with the three bands in one recovery call
+            (1, 0.26),
             # two tiles in flight: reads 0.42-0.43, 0.51-0.59 with the three
             # bands in one call
-            pytest.param(
-                2,
-                0.47,
-                marks=pytest.mark.skipif(
-                    sys.version_info < (3, 11),
-                    reason="3.10 keeps a call's arguments alive until it returns, so a "
-                    "recovery call cannot free the band handed to it",
-                ),
-            ),
+            (2, 0.47),
         ],
     )
     def test_temporaries_of_row_tiles(self, quantization, workers, bound):
@@ -337,21 +382,10 @@ class TestDecode:
         [
             # one run in flight: one run's temporaries, 0.22 times the 8
             # bytes a code of the whole sequence (2.7 times those of the run's
-            # own codes), beside a census of a few kilobytes; reads 0.22. On
-            # 3.10, where a caller keeps its arguments alive until the call
-            # returns, a run's detail buffer outlives its recovery call, which
-            # read 0.05 more when the census held every residual
-            (1, 0.26 if sys.version_info >= (3, 11) else 0.31),
+            # own codes), beside a census of a few kilobytes; reads 0.22
+            (1, 0.26),
             # two runs in flight: two runs' temporaries, 2 x 0.22; reads 0.42-0.44
-            pytest.param(
-                2,
-                0.48,
-                marks=pytest.mark.skipif(
-                    sys.version_info < (3, 11),
-                    reason="3.10 keeps a call's arguments alive until it returns, so a "
-                    "recovery call cannot free the bands handed to it",
-                ),
-            ),
+            (2, 0.48),
         ],
     )
     def test_temporaries_of_runs_of_small_groups(self, quantization, workers, bound):
@@ -532,7 +566,7 @@ def test_array_decode_equals_frame_by_frame_decode(case):
     # encode in row tiles or runs of groups gives the one-product-per-group codes
     with mock.patch.multiple(pipeline_module, **sizes):
         enc = encode_sequence(frames, cfg)
-    codes, scale, offset = quantize_reference(mix_reference(matrix.entries, frames), quantization)
+    codes, scale, offset = quantize_reference(mix_reference(matrix.entries, frames), quantization, matrix.entries)
     assert np.array_equal(enc.mixed_codes, codes) and enc.mixed_codes.dtype == codes.dtype
     assert (enc.scale, enc.offset) == (scale, offset)
     with mock.patch.multiple(pipeline_module, **sizes):
@@ -681,13 +715,15 @@ class TestTiledEncode:
         # whose product numpy would hand to gemv; its pixel sits on a float32 tie
         rng = np.random.default_rng(5)
         cfg = CodecConfig(quantization=quantization)
-        frames = rng.uniform(-20, 300, size=(9, 13, 1))
+        frames = rng.uniform(*((-20, 300) if quantization == "float-container" else (0, 255)), size=(9, 13, 1))
         frames[:4, -1, 0] = _tie_column(cfg.matrix.entries, rng)
         with mock.patch.multiple(pipeline_module, TILE=4, WORKERS=2):
             tasks, tiles = pipeline_module._tasks(2, 13, 1)
             assert tiles == 4 and tasks[-1] == np.s_[1:2, :, 12:16]
             enc = encode_sequence(frames, cfg)
-        codes, scale, offset = quantize_reference(mix_reference(cfg.matrix.entries, frames), quantization)
+        codes, scale, offset = quantize_reference(
+            mix_reference(cfg.matrix.entries, frames), quantization, cfg.matrix.entries
+        )
         assert np.array_equal(enc.mixed_codes, codes)
         assert (enc.scale, enc.offset) == (scale, offset)
 
@@ -717,7 +753,7 @@ class TestTiledEncode:
         frames[4, -1, -1] = value
         before = threading.active_count()
         with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
-            with pytest.raises(ValueError, match="finite|float32 range"):
+            with pytest.raises(ValueError, match=r"finite|float32 range|must lie in \[0, 255\]"):
                 encode_sequence(frames, CodecConfig(quantization=quantization))
         assert threading.active_count() == before
 
@@ -750,7 +786,8 @@ class TestTiledEncode:
             encode_sequence(frames, cfg)
         with pytest.raises(ValueError, match="frame pixels must be finite"):
             encode_sequence(np.full((3, 4, 4), np.inf), cfg)
-        with pytest.raises(ValueError, match="float32 range"):
+        message = "float32 range" if quantization == "float-container" else r"must lie in \[0, 255\]"
+        with pytest.raises(ValueError, match=message):
             encode_sequence(np.full((8, 4, 4), 1e308), cfg)
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])

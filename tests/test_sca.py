@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import sys
 import time
 import tracemalloc
 
@@ -613,9 +612,6 @@ class TestStackedRecovery:
         _, joint_stats = recover_block(build_hyperplanes(matrix), joint, 1e-8, floor[0])
         assert joint_stats.zero_columns == per_group[0][1].zero_columns + 6
 
-    @pytest.mark.skipif(
-        sys.version_info < (3, 11), reason="3.10 keeps a call's arguments alive until it returns"
-    )
     def test_handed_over_observations_are_freed_during_the_call(self, matrix):
         # 24 groups laid out (m, G, T), as a decode run's detail buffer is: the
         # call reads their columns without a copy, and once it has gathered the
