@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +41,6 @@ SUBSET_BOUND = 1 << 18
 
 # The error every entry point raises for a NaN or infinite pixel.
 NOT_FINITE = "frame pixels must be finite"
-
-# Threads that share out the tiles of an encode, a decode or a score: the
-# CPUs this process may use.
-WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Reference 3x4 mixing matrix used as the default codec configuration.
 # Row weights are deliberately spread out so each mixed frame blends the

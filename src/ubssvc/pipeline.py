@@ -24,11 +24,10 @@ commute with rounding, so this gives the bits of the orthonormal pair.
 Both directions cut their work the same way, by :func:`_tasks`: a group of
 more than ``TILE`` cells (pixels to encode, subband columns to decode) is
 cut into row tiles, and groups of at most ``TILE`` pixels run in runs of
-whole groups of about ``TILE`` pixels. When there are two or more usable
-CPUs, tasks share a thread pool over them, by one rule each way: encode
-pools the tasks of groups of more than ``TILE`` pixels (:func:`_pooled`)
-and mixes runs of smaller groups inline; decode pools every pass of two
-or more tasks, runs of small groups too, and runs a lone task inline.
+whole groups of about ``TILE`` pixels. Encode mixes every task on the
+calling thread. Decode shares every pass of two or more tasks, runs of
+small groups too, out on a thread pool when there are two or more usable
+CPUs, and runs a lone task inline.
 A tile, like a whole group, decodes once: the zero test of a cell needs
 nothing outside it, so tiles change no bit of the result.
 
@@ -45,6 +44,7 @@ each decode task's Haar transform.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -54,7 +54,6 @@ from .metrics import QualityReport, sequence_report
 from .mixcore import (
     DEFAULT_ZERO_EPS,
     NOT_FINITE,
-    WORKERS,
     MixingMatrix,
     _read_only,
     _to_sequence,
@@ -88,11 +87,14 @@ DEFAULT_TAU = 0.05
 # against 90 ms whole. Smaller groups run in runs of whole groups of about
 # TILE pixels; whole-sequence calls let the temporaries fall out of cache
 # (CIF decode ran about 40% slower). Decode shares the runs out on WORKERS
-# threads too: on 2 CPUs, 400 64x64 frames decoded in 28 ms in runs of 8
-# groups against 38 ms inline (medians of 40 in-process alternations), in
-# 44 ms in runs of 4 (the GIL and BLAS contend on small operations), and in
-# 27 ms in runs of 16, whose traced peak was 3.7 MB higher (22.1 MB).
+# threads too: on 2 CPUs, 400 64x64 frames decoded in 6.1-7.5 ms in runs of
+# 8 groups against 7.5-7.7 ms inline, in 8.8-9.4 ms in runs of 4 (the GIL
+# and BLAS contend on small operations), and in 5.5-8.0 ms in runs of 16,
+# whose traced peak was 3.5 MB higher (medians of 100 in-process runs).
 TILE = 32768
+
+# Threads of the decode pool: the CPUs this process may use.
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 # Storage dtype of the mixed codes per quantization mode, and of the tail.
 CODE_DTYPES = {QUANT_FLOAT: np.dtype("<f4"), QUANT_AFFINE: np.dtype(np.uint8)}
@@ -208,16 +210,17 @@ def encode_sequence(frames, cfg: CodecConfig) -> EncodedSequence:
 def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     """:func:`encode_sequence` of a (count, H, W) float64 array whose shape is checked.
 
-    The groups are mixed task by task, each task writing the codes of its
-    pixels, so the mixed values never exist as one whole-sequence array. A
-    group of more than ``TILE`` pixels is cut into row tiles of about
-    ``TILE`` pixels (one a pixel high stays whole), and its tasks go to a
-    pool of ``WORKERS`` threads (:func:`_pooled`); smaller groups are mixed
-    inline, in runs of whole groups of about ``TILE`` pixels. Affine codes
-    sit on a grid the matrix fixes, which holds the mixed values of every
-    source in [0, 255], so each task mixes once and quantizes its own values.
-    Every task gives the bits of the whole-group product, so the codes do
-    not depend on ``TILE`` or ``WORKERS``.
+    The tasks of :func:`_tasks`, row tiles of groups of more than ``TILE``
+    pixels and runs of smaller groups, are mixed in turn on the calling
+    thread, each writing the codes of its pixels, so the mixed values never
+    exist as one whole-sequence array. A thread pool does not pay here: on
+    2 CPUs it spent 16-165% more CPU time, and its wall time moved with what
+    ran before it (CIF x 40 2.3-3.1 ms pooled against 1.7-1.9 inline, 720p
+    x 8 4.4-6.3 against 5.5-5.9; medians of 100 in-process alternations).
+    Affine codes sit on a grid the matrix fixes, which holds the mixed
+    values of every source in [0, 255], so each task mixes once and
+    quantizes its own values. Every task gives the bits of the whole-group
+    product, so the codes do not depend on ``TILE``.
     """
     count, height, width = src.shape
     m, n = cfg.matrix.rows, cfg.matrix.cols
@@ -231,39 +234,28 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     # a tile goes through gemm always, a whole group as the matmul it always was
     product = _gemm if tiles > 1 else np.matmul
 
-    def mix(task) -> np.ndarray:
-        """The float64 mixed values of one task, shaped like its codes."""
-        piece = sources[task]
-        mixed = product(cfg.matrix.entries, piece.reshape(*piece.shape[:2], -1))
-        return mixed.reshape(codes[task].shape)
-
-    def store_float(task) -> None:
-        # a value past float32 range casts to inf, which EncodedSequence rejects
-        with np.errstate(over="ignore", invalid="ignore"):
-            codes[task] = mix(task)
-
-    def quantize(task) -> None:
-        # code = floor((x - offset) / scale + 0.5), in place; the grid holds
-        # the mixed values of sources in [0, 255], so the codes lie in
-        # [0, 256), where the cast to uint8 truncates, which is floor
-        piece = sources[task]
-        if not (piece.min() >= 0.0 and piece.max() <= 255.0):  # NaN fails too
-            raise ValueError("affine-8bit sources must lie in [0, 255]")
-        mixed = mix(task)
-        mixed -= offset
-        mixed /= scale
-        mixed += 0.5
-        codes[task] = mixed
-
-    store, scale, offset = store_float, 0.0, 0.0
-    if cfg.quantization == QUANT_AFFINE:
+    scale = offset = 0.0
+    affine = cfg.quantization == QUANT_AFFINE
+    if affine:
         # for sources in [0, 255], row r of A s lies in [255 sum neg_r, 255 sum pos_r]
         rows = cfg.matrix.entries.tolist()
         offset = 255.0 * min(math.fsum(min(a, 0.0) for a in row) for row in rows)
         scale = (255.0 * max(math.fsum(max(a, 0.0) for a in row) for row in rows) - offset) / 255.0
-        store = quantize
-    with ThreadPoolExecutor(WORKERS) as pool:
-        list((pool.map if _pooled(height, width) else map)(store, tasks))
+    # a float value past float32 range casts to inf, which EncodedSequence rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        for task in tasks:
+            piece = sources[task]
+            if affine and not (piece.min() >= 0.0 and piece.max() <= 255.0):  # NaN fails too
+                raise ValueError("affine-8bit sources must lie in [0, 255]")
+            mixed = product(cfg.matrix.entries, piece.reshape(*piece.shape[:2], -1)).reshape(codes[task].shape)
+            if affine:
+                # code = floor((x - offset) / scale + 0.5), in place; the grid
+                # holds the mixed values of sources in [0, 255], so the codes lie
+                # in [0, 256), where the cast to uint8 truncates, which is floor
+                mixed -= offset
+                mixed /= scale
+                mixed += 0.5
+            codes[task] = mixed
 
     return EncodedSequence(
         matrix=cfg.matrix,
@@ -295,19 +287,6 @@ def _tasks(blocks: int, height: int, width: int, cell: int = 1) -> tuple[list[tu
     run = 1 if tiles > 1 else max(1, TILE // (height * width))
     tops = range(0, height, step)
     return [np.s_[start : start + run, :, top : top + step] for start in range(0, blocks, run) for top in tops], tiles
-
-
-def _pooled(height: int, width: int) -> bool:
-    """Whether encode mixes the tasks of height x width groups on the thread pool.
-
-    A group of more than ``TILE`` pixels goes to the pool of ``WORKERS``
-    threads, cut into row tiles; smaller groups are mixed inline, in runs.
-    On 2 CPUs the pool made runs of 64x64 groups slower (400 frames: 2.8
-    -> 3.4 ms, medians of 60 in-process alternations). With one usable CPU
-    every task runs inline.
-    Decode pools by a rule of its own, in :func:`decode_sequence`.
-    """
-    return height * width > TILE and WORKERS > 1
 
 
 def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray, RecoveryStats]:
@@ -469,47 +448,62 @@ def parse_config(path) -> dict:
     Recognized keys: ``matrix`` (row-major whitespace-separated floats,
     returned as an uninterpreted (m, n) array), ``n`` and ``m`` (the
     matrix's shape, required with ``matrix``; without it, checked against
-    the built-in matrix), ``tau``, ``quantization``. ``#``
-    starts a comment. Only the keys present in the file appear in the
-    result, and never ``n`` or ``m``. A key may be given once.
+    the built-in matrix), ``tau``, ``quantization``. ``#`` starts a comment.
+    Only the keys present in the file appear in the result, never ``n`` or
+    ``m``. A key may be given once. Errors name the file, a bad value its line.
     """
     values, linenos = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in linenos:
-                raise ValueError(f"{path}:{lineno}: key {key!r} given twice, on lines {linenos[key]} and {lineno}")
-            values[key], linenos[key] = value.strip(), lineno
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in linenos:
+            raise ValueError(f"{path}:{lineno}: key {key!r} given twice, on lines {linenos[key]} and {lineno}")
+        values[key], linenos[key] = value.strip(), lineno
 
     known = {"n", "m", "matrix", "tau", "quantization"}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
 
+    def read(key, convert, expected):
+        """``convert`` of the value of ``key``; a value it refuses names the file, line and key."""
+        try:
+            return convert(values[key])
+        except ValueError:
+            raise ValueError(f"{path}:{linenos[key]}: {key} must be {expected}, got {values[key]!r}") from None
+
+    shape = {key: read(key, int, "a whole number") for key in ("m", "n") if key in values}
+    for key, size in shape.items():
+        if size < 0:  # 0 is a shape, which the matrix check refuses with its reason
+            raise ValueError(f"{path}:{linenos[key]}: {key} must not be negative, got {size}")
     parsed = {}
     if "matrix" in values:
-        if "n" not in values or "m" not in values:
+        if len(shape) < 2:
             raise ValueError(f"{path}: matrix requires explicit n and m")
-        m, n = int(values["m"]), int(values["n"])
-        entries = np.array([float(v) for v in values["matrix"].split()])
+        m, n = shape["m"], shape["n"]
+        entries = read("matrix", lambda text: np.array([float(v) for v in text.split()]), "numbers")
         if entries.size != m * n:
-            raise ValueError(f"{path}: matrix has {entries.size} entries, expected m*n = {m * n}")
+            raise ValueError(f"{path}:{linenos['matrix']}: matrix has {entries.size} entries, expected m*n = {m * n}")
         parsed["matrix"] = entries.reshape(m, n)
     else:
         rows, cols = default_mixing_matrix().entries.shape
-        m, n = int(values.get("m", rows)), int(values.get("n", cols))
+        m, n = shape.get("m", rows), shape.get("n", cols)
         if (m, n) != (rows, cols):
             raise ValueError(
                 f"{path}: declared n = {n}, m = {m} disagree with the built-in {rows}x{cols} matrix"
             )
     if "tau" in values:
-        parsed["tau"] = float(values["tau"])
+        parsed["tau"] = read("tau", float, "a number")
     if "quantization" in values:
         parsed["quantization"] = values["quantization"]
     return parsed
@@ -518,6 +512,9 @@ def parse_config(path) -> dict:
 def load_config(path) -> CodecConfig:
     """Build a :class:`CodecConfig` from a config file; missing keys keep defaults."""
     parsed = parse_config(path)
-    if "matrix" in parsed:
-        parsed["matrix"] = MixingMatrix(parsed["matrix"])
-    return CodecConfig(**parsed)
+    try:
+        if "matrix" in parsed:
+            parsed["matrix"] = MixingMatrix(parsed["matrix"])
+        return CodecConfig(**parsed)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

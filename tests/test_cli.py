@@ -644,10 +644,14 @@ GEN = ["--preset", "noise", "--frames", "8", "--width", "8", "--height", "8"]
 CFG = ["--config", "{tmp}/codec.cfg"]
 
 # (config file bytes, arguments with {tmp} for the test directory, exit code);
-# the directory also holds seq.raw, four 4x4 frames
+# the directory also holds seq.raw, four 4x4 frames; the error of a config
+# file names it
 HOSTILE_INPUTS = {
     "non-utf8-config": (b"tau = 0.1 # \xff\xfe\n", ["roundtrip", *GEN, *CFG], 2),
     "n-not-int": (b"n = x\n", ["roundtrip", *GEN, *CFG], 2),
+    "n-not-whole": (b"n = 4.0\n", ["roundtrip", *GEN, *CFG], 2),
+    "negative-shape": (b"n = -4\nm = -1\nmatrix = 1 2 3 4\n", ["roundtrip", *GEN, *CFG], 2),
+    "matrix-entry-not-float": (b"n = 4\nm = 3\nmatrix = 1 2 x 4 5 6 7 8 9 10 11 12\n", ["roundtrip", *GEN, *CFG], 2),
     "tau-not-float": (b"tau = abc\n", ["roundtrip", *GEN, *CFG], 2),
     "one-row-matrix": (b"n = 2\nm = 1\nmatrix = 1 2\n", ["roundtrip", *GEN, *CFG], 2),
     "negative-raw-frames": (
@@ -676,3 +680,5 @@ def test_hostile_input_exits_cleanly(tmp_path, name):
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()
+    if config:
+        assert "codec.cfg" in proc.stderr, proc.stderr

@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -152,41 +151,32 @@ class TestSequenceReport:
         assert report.per_frame_mse == tuple(float(e) / 35 for e in exact)
         assert report.per_frame_mse == tuple(frame_mse(a, b) for a, b in zip(ref, test))
 
-    @pytest.mark.parametrize("slab_bytes", [8 * 9 * 2, 1 << 20])
+    @pytest.mark.parametrize("slab_bytes", [48, 8 * 9 * 2, 1 << 20])
     def test_per_frame_mse_equals_integer_sums(self, rng, monkeypatch, slab_bytes):
-        # a slab of two rows of one frame, or one of all five frames: each
-        # frame's batched dot product gives the Python-int sum
+        # a slab of one row of one frame, so that each frame's rows are spread
+        # over six slabs, of two rows, or one of all five frames: each frame's
+        # batched dot products give the Python-int sum
         ref = rng.uniform(-10, 265, size=(5, 6, 9))
         test = rng.uniform(-10, 265, size=ref.shape)
         monkeypatch.setattr(metrics_module, "SLAB_BYTES", slab_bytes)
-        monkeypatch.setattr(metrics_module, "WORKERS", 1)
         report = sequence_report(ref, test)
         assert report.per_frame_mse == tuple(total / 54 for total in squared_error_sums_reference(ref, test))
 
-    @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_threads_give_exact_sums(self, rng, monkeypatch, workers):
-        # slabs shared out on threads, a frame's pieces on different ones, give each frame the same sum
-        import ubssvc.metrics as metrics_module
-
+    def test_score_starts_no_thread(self, rng, monkeypatch, no_threads):
+        # slabs of one row, five to a frame, are summed on the calling thread
+        monkeypatch.setattr(metrics_module, "SLAB_BYTES", 48)
         ref = rng.uniform(-10, 265, size=(7, 5, 7))
         test = ref + rng.normal(0, 30, size=ref.shape)
-        whole = sequence_report(ref, test)
-        monkeypatch.setattr(metrics_module, "SLAB_BYTES", 8 * 6)
-        monkeypatch.setattr(metrics_module, "WORKERS", workers)
-        before = threading.active_count()
-        assert sequence_report(ref, test).per_frame_mse == whole.per_frame_mse
-        assert threading.active_count() == before
+        report = sequence_report(ref, test)
+        assert report.per_frame_mse == tuple(total / 35 for total in squared_error_sums_reference(ref, test))
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("slab_bytes", [8 * 6, 8 * 35 * 2, 1 << 20])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_non_finite_pixel_in_any_slab_raises(self, rng, monkeypatch, slab_bytes, workers):
+    def test_non_finite_pixel_in_any_slab_raises(self, rng, monkeypatch, slab_bytes):
         # each slab is checked: a bad pixel in the first or last slab of
-        # either argument fails the report, and no thread outlives it
+        # either argument fails the report
         monkeypatch.setattr(metrics_module, "SLAB_BYTES", slab_bytes)
-        monkeypatch.setattr(metrics_module, "WORKERS", workers)
         ref = rng.uniform(-10, 265, size=(7, 5, 7))
-        before = threading.active_count()
         for value in (np.nan, np.inf, -np.inf):
             for where in ((0, 0, 0), (-1, -1, -1)):
                 for side in range(2):
@@ -194,7 +184,6 @@ class TestSequenceReport:
                     pair[side][where] = value
                     with pytest.raises(ValueError, match="frame pixels must be finite"):
                         sequence_report(*pair)
-        assert threading.active_count() == before
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_pixel_is_reported_before_a_shape_error(self, value):

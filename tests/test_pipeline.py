@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import sys
 import tempfile
 import threading
@@ -707,7 +708,7 @@ def _tie_column(entries, rng) -> np.ndarray:
 
 
 class TestTiledEncode:
-    # groups of more than TILE pixels mix in row tiles on a thread pool
+    # groups of more than TILE pixels mix in row tiles, on the calling thread
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
     def test_last_tile_of_one_column(self, quantization):
@@ -736,13 +737,16 @@ class TestTiledEncode:
             encode_sequence(np.zeros((4, *shape)), CodecConfig())
             assert {r: tiles.count(r * shape[1]) for r in rows} == rows and len(tiles) == sum(rows.values())
 
-    def test_no_thread_outlives_an_encode(self):
+    def test_encode_starts_no_thread(self, no_threads):
+        # row tiles of groups of more than TILE pixels mix on the calling
+        # thread, whatever WORKERS says
         frames = synth.generate("sparse-detail", 9, 30, 21, seed=3)
-        before = threading.active_count()
         for quantization in ("float-container", "affine-8bit"):
+            cfg = CodecConfig(quantization=quantization)
             with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
-                encode_sequence(frames, CodecConfig(quantization=quantization))
-            assert threading.active_count() == before
+                enc = encode_sequence(frames, cfg)
+            codes, _, _ = quantize_reference(mix_reference(cfg.matrix.entries, frames), quantization, cfg.matrix.entries)
+            assert np.array_equal(enc.mixed_codes, codes)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
@@ -810,23 +814,17 @@ class TestTiledEncode:
         assert len(scans) == 1 + (quantization == "float-container")
         assert len(enc.tail_codes) == count % 4
 
-    def test_many_workers_with_fast_switching(self):
-        # more threads than cores, switching every microsecond: tiles write
-        # disjoint rows of the codes, so none is lost
+    def test_tile_1_codes_equal_whole_group_codes(self):
+        # tiles of one pixel row, each through gemm, give the bits of one
+        # product per group
         frames = synth.generate("sparse-detail", 9, 30, 21, seed=5)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for quantization in ("float-container", "affine-8bit"):
-                cfg = CodecConfig(quantization=quantization)
-                whole = encode_sequence(frames, cfg)
-                for _ in range(3):
-                    with mock.patch.multiple(pipeline_module, TILE=1, WORKERS=8):
-                        tiled = encode_sequence(frames, cfg)
-                    assert np.array_equal(tiled.mixed_codes, whole.mixed_codes)
-                    assert (tiled.scale, tiled.offset) == (whole.scale, whole.offset)
-        finally:
-            sys.setswitchinterval(interval)
+        for quantization in ("float-container", "affine-8bit"):
+            cfg = CodecConfig(quantization=quantization)
+            whole = encode_sequence(frames, cfg)
+            with mock.patch.object(pipeline_module, "TILE", 1):
+                tiled = encode_sequence(frames, cfg)
+            assert np.array_equal(tiled.mixed_codes, whole.mixed_codes)
+            assert (tiled.scale, tiled.offset) == (whole.scale, whole.offset)
 
 
 class TestTiledDecode:
@@ -990,8 +988,8 @@ class TestTiledDecode:
         assert census_fields(stats) == census_fields(whole_stats)
 
     def test_pooling_rules_of_encode_and_decode(self, monkeypatch):
-        # encode pools the tasks of groups of more than TILE pixels; decode
-        # pools any pass of two or more tasks, whatever the group size
+        # encode pools nothing; decode pools any pass of two or more tasks,
+        # whatever the group size
         pooled, passes = [], []
         tasks = pipeline_module._tasks
 
@@ -1015,7 +1013,7 @@ class TestTiledDecode:
                 with mock.patch.multiple(pipeline_module, TILE=tile, WORKERS=2):
                     pooled.clear()
                     enc = encode_sequence(frames, cfg)
-                    assert bool(pooled) == (height * width > tile), case
+                    assert not pooled, case
                     pooled.clear()
                     passes.clear()
                     decode_sequence(enc, cfg)
@@ -1043,8 +1041,8 @@ class TestTiledDecode:
         assert census_fields(pooled_stats) == census_fields(stats)
 
     def test_one_cpu_runs_every_task_inline(self, monkeypatch):
-        # with one worker, groups of more than TILE pixels run inline too, to
-        # the same codes and frames
+        # with one worker, decode runs groups of more than TILE pixels inline
+        # too, to the same frames; encode gives the same codes either way
         pooled = []
 
         class Recording(pipeline_module.ThreadPoolExecutor):
@@ -1246,6 +1244,23 @@ class TestConfig:
         path = tmp_path / "codec.cfg"
         path.write_text("n = 3\nm = 2\nmatrix = 1 2 3 4 5\n")
         with pytest.raises(ValueError, match="expected m\\*n"):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("n = 4.0\n", "1: n must be a whole number"),
+            ("n = x\nm = 3\nmatrix = 1 2\n", "1: n must be a whole number"),
+            ("n = -4\nm = -1\nmatrix = 1 2 3 4\n", "2: m must not be negative"),
+            ("tau = 0.1\nm = -3\n", "2: m must not be negative"),
+            ("n = 2\nm = 1\nmatrix = 1 x\n", "3: matrix must be numbers"),
+            ("\ntau = abc\n", "2: tau must be a number"),
+        ],
+    )
+    def test_value_errors_name_file_line_and_key(self, tmp_path, text, where):
+        path = tmp_path / "codec.cfg"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{where}")):
             parse_config(path)
 
     def test_roundtrip_with_custom_matrix(self, tmp_path):
