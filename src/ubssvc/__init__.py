@@ -5,7 +5,7 @@ matrix before a conventional encoder sees them; the decoder gets the
 sources back by classifying wavelet-coefficient columns onto the subspaces
 spanned by the matrix columns.
 """
-from .metrics import QualityReport, sequence_report
+from .metrics import QualityReport, RoundtripReport, roundtrip_eval, sequence_report
 from .mixcore import (
     MixingMatrix,
     as_sequence,
@@ -16,11 +16,9 @@ from .mixcore import (
 from .pipeline import (
     CodecConfig,
     EncodedSequence,
-    RoundtripReport,
     decode_sequence,
     encode_sequence,
     load_config,
-    roundtrip_eval,
 )
 from .sca import (
     HyperplaneSet,

@@ -20,8 +20,8 @@ import sys
 import tempfile
 from dataclasses import replace
 
-from . import pipeline, synth, vio
-from .mixcore import DEFAULT_MATRIX_ENTRIES, _freeze, mixing_evidence, mixing_fault
+from . import metrics, pipeline, synth, vio
+from .mixcore import default_mixing_matrix, mixing_evidence, mixing_fault
 from .pipeline import QUANT_AFFINE, QUANT_FLOAT, CodecConfig
 from .sca import QUANTILE_PERCENTS
 
@@ -144,7 +144,7 @@ def _load_inputs(args):
 
 def _cmd_validate_matrix(args) -> int:
     parsed = pipeline.parse_config(args.config) if args.config else {}
-    entries = parsed["matrix"] if "matrix" in parsed else _freeze(DEFAULT_MATRIX_ENTRIES)
+    entries = parsed["matrix"] if "matrix" in parsed else default_mixing_matrix().entries
     evidence = subsets, magnitudes, gram_cond = mixing_evidence(entries)
     failure = mixing_fault(entries, evidence)
     # Python floats and ints print as "0.5" and "(0, 2)", numpy's as "np.float64(0.5)"
@@ -200,7 +200,11 @@ def _cmd_separate(args) -> int:
     # the container fixes the matrix and quantization, so a config file's
     # matrix is neither built nor checked; it and --tau give tau
     parsed = pipeline.parse_config(args.config) if args.config else {}
-    cfg = CodecConfig(tau=parsed.get("tau", pipeline.DEFAULT_TAU) if args.tau is None else args.tau)
+    try:
+        cfg = CodecConfig(tau=parsed.get("tau", pipeline.DEFAULT_TAU))
+    except ValueError as exc:  # only a config file's tau can be bad here
+        raise ValueError(f"{args.config}: {exc}") from None
+    cfg = cfg if args.tau is None else replace(cfg, tau=args.tau)
     decoded, stats = pipeline.decode_sequence(vio.read_container(args.input), cfg)
     paths = vio.write_sequence(decoded, args.out)
     if args.porcelain:
@@ -236,7 +240,7 @@ def _print_stats_porcelain(stats) -> None:
 
 def _cmd_roundtrip(args) -> int:
     frames, cfg = _load_inputs(args)
-    report = pipeline.roundtrip_eval(frames, cfg)
+    report = metrics.roundtrip_eval(frames, cfg)
     if args.porcelain:
         print(f"sources={report.source_count}")
         print(f"mixed={report.mixed_count}")
@@ -255,11 +259,9 @@ def _cmd_roundtrip(args) -> int:
 
 
 def _cmd_psnr(args) -> int:
-    from .metrics import sequence_report
-
     ref = vio.read_sequence(args.reference)
     test = vio.read_sequence(args.test)
-    report = sequence_report(ref, test)
+    report = metrics.sequence_report(ref, test)
     print(report.to_porcelain() if args.porcelain else report.to_table())
     return 0
 

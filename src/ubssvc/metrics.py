@@ -3,6 +3,7 @@
 Both inputs are clamped to [0, 255] and rounded before comparison, matching
 the 255^2 peak in the PSNR definition. Identical frames get an infinite
 PSNR sentinel (``math.inf``), which compares greater than any finite value.
+:func:`roundtrip_eval` encodes, decodes and scores; the codec imports nothing from here.
 """
 from __future__ import annotations
 
@@ -12,51 +13,49 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mixcore import NOT_FINITE, _to_sequence, all_finite
+from .pipeline import CodecConfig, _tasks, decode_sequence, encode_sequence
+from .sca import RecoveryStats
 
 PEAK_SQUARED = 255.0 * 255.0
-
-# Bytes of one frame slab in each of :func:`sequence_report`'s reused buffers.
-SLAB_BYTES = 1 << 20
 
 
 def _squared_error_sums(originals, reconstructions) -> np.ndarray:
     """Sum of squared 8-bit differences of each frame of two (count, H, W) arrays.
 
-    Works through slabs of whole pixel rows, several frames or a band of
-    one, with two reused buffers (+0.5, floor and clip in place, subtract,
-    then one batched matmul for the dot product of each frame). Snapped
-    pixels are integers, so each sum is exact in float64 whatever the
-    order of its additions, and so whatever the slabs. Each slab is
-    checked for non-finite pixels while it is in cache, before clipping
-    would turn an infinity into 0 or 255. A thread pool does not pay: on 2
-    CPUs it spent 11-33% more CPU time, for wall times from 2% shorter to
-    16% longer (medians of 100 in-process alternations).
+    Works through encode's tasks, :func:`ubssvc.pipeline._tasks` of (count,
+    1, H, W) views: runs of whole frames, or row tiles of one frame. Two
+    buffers sized by the first task are reused (+0.5, floor and clip in
+    place, subtract, then one batched matmul for the dot product of each
+    frame). Snapped pixels are integers, so each sum is exact in float64
+    whatever the order of its additions, and so whatever the tasks. Each
+    task is checked for non-finite pixels while it is in cache, before
+    clipping would turn an infinity into 0 or 255. A thread pool does not
+    pay: on 2 CPUs it spent 11-33% more CPU time, for wall times from 2%
+    shorter to 16% longer (medians of 100 in-process alternations).
     """
     count, height, width = originals.shape
-    band = max(1, min(height, SLAB_BYTES // (8 * width)))  # rows of one frame per slab
-    step = max(1, SLAB_BYTES // (8 * width * band))  # frames per slab
-    snapped = np.empty((min(step, count), band, width))
+    pair = originals[:, None], reconstructions[:, None]
+    tasks, _ = _tasks(count, height, width)
+    snapped = np.empty(pair[0][tasks[0]].shape)  # the first task is the largest
     other = np.empty_like(snapped)
     # each pixel row dotted with zeros: NaN or +-inf make its result NaN
-    zeros, dots = np.zeros(width), np.zeros(len(snapped) * band)
+    zeros, dots = np.zeros(width), np.zeros(snapped.size // width)
     sums = np.zeros(count)
-    for start in range(0, count, step):
-        for top in range(0, height, band):
-            piece = np.s_[start : start + step, top : top + band]
-            frames, rows = originals[piece].shape[:2]
-            a, b = snapped[:frames, :rows], other[:frames, :rows]
-            for buf, source in ((a, originals), (b, reconstructions)):
-                # floor(clip(x) + 0.5) == clip(floor(x + 0.5)) for finite x
-                np.add(source[piece], 0.5, out=buf)
-                # a slab is whole frames or rows of one frame, so buf is contiguous
-                with np.errstate(invalid="ignore"):
-                    np.matmul(buf.reshape(-1, width), zeros, out=dots[: frames * rows])
-                if not np.isfinite(dots).all():
-                    raise ValueError(NOT_FINITE)
-                np.floor(buf, out=buf)
-                np.clip(buf, 0.0, 255.0, out=buf)
-            a -= b
-            sums[start : start + frames] += (a.reshape(frames, 1, -1) @ a.reshape(frames, -1, 1)).ravel()
+    for task in tasks:
+        frames, _, rows, _ = pair[0][task].shape
+        a, b = snapped[:frames, :, :rows], other[:frames, :, :rows]
+        for buf, source in zip((a, b), pair):
+            # floor(clip(x) + 0.5) == clip(floor(x + 0.5)) for finite x
+            np.add(source[task], 0.5, out=buf)
+            # a task is whole frames or rows of one frame, so buf is contiguous
+            with np.errstate(invalid="ignore"):
+                np.matmul(buf.reshape(-1, width), zeros, out=dots[: frames * rows])
+            if not np.isfinite(dots).all():
+                raise ValueError(NOT_FINITE)
+            np.floor(buf, out=buf)
+            np.clip(buf, 0.0, 255.0, out=buf)
+        a -= b
+        sums[task[0]] += (a.reshape(frames, 1, -1) @ a.reshape(frames, -1, 1)).ravel()
     return sums
 
 
@@ -101,7 +100,7 @@ def sequence_report(originals, reconstructions) -> QualityReport:
     Both sequences are (count, H, W) arrays or iterables of planes of one
     shape, with finite pixels (for one pair of planes, pass 1-frame
     sequences); each frame's MSE is computed once, in one pass over both
-    that checks each slab for non-finite pixels, and its PSNR derived from
+    that checks each task for non-finite pixels, and its PSNR derived from
     it. The inputs are scanned whole only when a shape check fails, so
     that a non-finite pixel is still the error reported first.
     """
@@ -133,4 +132,27 @@ def sequence_report(originals, reconstructions) -> QualityReport:
         per_frame_psnr=psnrs,
         mean_psnr=mean,
         infinite_count=len(psnrs) - len(finite),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class RoundtripReport:
+    quality: QualityReport
+    recovery: RecoveryStats
+    source_count: int
+    mixed_count: int
+    tail_count: int
+
+
+def roundtrip_eval(frames, cfg: CodecConfig) -> RoundtripReport:
+    """Encode, decode and score in memory; encode scans the source's tail, the score each task."""
+    frames = _to_sequence(frames)
+    enc = encode_sequence(frames, cfg)
+    decoded, stats = decode_sequence(enc, cfg)
+    return RoundtripReport(
+        quality=sequence_report(frames, decoded),
+        recovery=stats,
+        source_count=len(frames),
+        mixed_count=len(enc.mixed_codes),
+        tail_count=len(enc.tail_codes),
     )

@@ -27,7 +27,6 @@ import numpy as np
 
 from .wavelet import _slabs
 
-DEFAULT_ZERO_EPS = 1e-12
 # Smallest |det| an m x m submatrix of a mixing matrix may have.
 DET_FLOOR = 1e-9
 # Largest condition number of the Gram matrix A A^T a mixing matrix may have.

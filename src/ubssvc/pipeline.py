@@ -21,10 +21,11 @@ sum/difference Haar pair, without their halvings, and ``A+`` and the
 coefficient maps are scaled by 1/4 once per decode instead: powers of two
 commute with rounding, so this gives the bits of the orthonormal pair.
 
-Both directions cut their work the same way, by :func:`_tasks`: a group of
-more than ``TILE`` cells (pixels to encode, subband columns to decode) is
-cut into row tiles, and groups of at most ``TILE`` pixels run in runs of
-whole groups of about ``TILE`` pixels. Encode mixes every task on the
+Both directions, and the score in :mod:`ubssvc.metrics`, cut their work
+the same way, by :func:`_tasks`: a group of more than ``TILE`` cells
+(pixels to encode or score, subband columns to decode) is cut into row
+tiles, and groups of at most ``TILE`` pixels run in runs of whole groups of
+about ``TILE`` pixels. Encode mixes every task on the
 calling thread. Decode shares every pass of two or more tasks, runs of
 small groups too, out on a thread pool when there are two or more usable
 CPUs, and runs a lone task inline.
@@ -50,9 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .metrics import QualityReport, sequence_report
 from .mixcore import (
-    DEFAULT_ZERO_EPS,
     NOT_FINITE,
     MixingMatrix,
     _read_only,
@@ -79,18 +78,20 @@ QUANT_AFFINE = "affine-8bit"
 # Relative-residual tolerance suited to real wavelet coefficients; exact
 # synthetic data can use something as tight as 1e-8.
 DEFAULT_TAU = 0.05
+DEFAULT_ZERO_EPS = 1e-12  # the zero test of a detail column (see the module docstring)
 
-# Cells per task. A group of more than TILE pixels is encoded, and one of
-# more than TILE subband columns per band decoded, in row tiles of about
-# TILE cells. CIF-size groups decode whole: on a 2-CPU host a 40-frame CIF
-# decode took 92 ms in tiles of 16384 columns and 104 ms in tiles of 12288,
-# against 90 ms whole. Smaller groups run in runs of whole groups of about
-# TILE pixels; whole-sequence calls let the temporaries fall out of cache
-# (CIF decode ran about 40% slower). Decode shares the runs out on WORKERS
-# threads too: on 2 CPUs, 400 64x64 frames decoded in 6.1-7.5 ms in runs of
-# 8 groups against 7.5-7.7 ms inline, in 8.8-9.4 ms in runs of 4 (the GIL
-# and BLAS contend on small operations), and in 5.5-8.0 ms in runs of 16,
-# whose traced peak was 3.5 MB higher (medians of 100 in-process runs).
+# Cells per task. A group (a frame, to score) of more than TILE pixels is
+# encoded or scored, and one of more than TILE subband columns per band
+# decoded, in row tiles of about TILE cells. CIF-size groups decode whole:
+# on a 2-CPU host a 40-frame CIF decode took 92 ms in tiles of 16384 columns
+# and 104 ms in tiles of 12288, against 90 ms whole. Smaller ones run in
+# runs of whole ones of about TILE pixels; whole-sequence calls let the
+# temporaries fall out of cache (CIF decode ran about 40% slower). Decode
+# shares the runs out on WORKERS threads too: on 2 CPUs, 400 64x64 frames
+# decoded in 6.1-7.5 ms in runs of 8 groups against 7.5-7.7 ms inline, in
+# 8.8-9.4 ms in runs of 4 (the GIL and BLAS contend on small operations),
+# and in 5.5-8.0 ms in runs of 16, whose traced peak was 3.5 MB higher
+# (medians of 100 in-process runs).
 TILE = 32768
 
 # Threads of the decode pool: the CPUs this process may use.
@@ -417,29 +418,6 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack) -> RecoveryStat
     # a lone census as it is: merging it would only copy it, in numpy calls
     # that wait for the interpreter lock on the pool (tiny decode 1-4% slower)
     return stats[0] if len(stats) == 1 else RecoveryStats.merged(stats)
-
-
-@dataclass(frozen=True, eq=False)
-class RoundtripReport:
-    quality: QualityReport
-    recovery: RecoveryStats
-    source_count: int
-    mixed_count: int
-    tail_count: int
-
-
-def roundtrip_eval(frames, cfg: CodecConfig) -> RoundtripReport:
-    """Encode, decode and score in memory; encode scans the source's tail, the score each slab."""
-    frames = _to_sequence(frames)
-    enc = encode_sequence(frames, cfg)
-    decoded, stats = decode_sequence(enc, cfg)
-    return RoundtripReport(
-        quality=sequence_report(frames, decoded),
-        recovery=stats,
-        source_count=len(frames),
-        mixed_count=len(enc.mixed_codes),
-        tail_count=len(enc.tail_codes),
-    )
 
 
 def parse_config(path) -> dict:

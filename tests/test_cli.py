@@ -371,6 +371,21 @@ class TestSeparateConfig:
         assert proc.returncode == 0, proc.stderr
         assert dict(line.split("=", 1) for line in proc.stdout.splitlines()) == runs["default"]
 
+    @pytest.mark.parametrize("command", ["roundtrip", "separate"])
+    def test_bad_config_tau_is_refused_under_a_tau_flag(self, tmp_path, command):
+        # --tau overrides a config's tau, but a bad one in the file is still
+        # refused, with the file named, by both commands that read it
+        config = tmp_path / "badtau.cfg"
+        config.write_text("tau = -1\n")
+        if command == "roundtrip":
+            inputs = ("--preset", "noise", "--frames", "8")
+        else:
+            inputs = (str(self._mix(tmp_path, "noise")), "--out", str(tmp_path / "f_{i}.pgm"))
+        proc = run_cli(command, *inputs, "--config", str(config), "--tau", "0.1")
+        assert proc.returncode == 2, proc.stderr
+        assert "badtau.cfg: tau must be finite and >= 0" in proc.stderr and "Traceback" not in proc.stderr
+        assert not list(tmp_path.glob("f_*.pgm"))
+
     def test_mix_config_on_a_built_in_matrix_container(self, tmp_path, m2x8):
         container = self._mix(tmp_path, "sparse-detail")
         for name, flags in {"config": ("--config", str(m2x8)), "plain": ()}.items():
@@ -439,8 +454,8 @@ class TestRoundtripCommand:
     def test_preset_frames_are_made_for_the_config_matrix(self, tmp_path, monkeypatch):
         # sparse-detail groups n frames with at most m-1 active per 2x2 cell;
         # the built-in 3x4 matrix keeps the frames of synth.generate's defaults
-        real, seen = cli.pipeline.roundtrip_eval, []
-        monkeypatch.setattr(cli.pipeline, "roundtrip_eval", lambda frames, cfg: seen.append(frames) or real(frames, cfg))
+        real, seen = cli.metrics.roundtrip_eval, []
+        monkeypatch.setattr(cli.metrics, "roundtrip_eval", lambda frames, cfg: seen.append(frames) or real(frames, cfg))
         path = tmp_path / "codec.cfg"
         path.write_text(validate_matrix_configs()["2x8"])
         argv = ["roundtrip", "--preset", "sparse-detail", "--frames", "16", "--width", "16", "--height", "16"]
@@ -453,8 +468,8 @@ class TestRoundtripCommand:
     def test_porcelain_residual_quantiles(self, monkeypatch):
         # five residual.q* keys: the census's exact smallest and largest
         # residual at q0 and q100, bin edges in order between them
-        real, reports = cli.pipeline.roundtrip_eval, []
-        monkeypatch.setattr(cli.pipeline, "roundtrip_eval", lambda *args: reports.append(real(*args)) or reports[-1])
+        real, reports = cli.metrics.roundtrip_eval, []
+        monkeypatch.setattr(cli.metrics, "roundtrip_eval", lambda *args: reports.append(real(*args)) or reports[-1])
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             assert cli.main(["roundtrip", "--preset", "sparse-detail", "--frames", "8", "--porcelain"]) == 0
@@ -653,6 +668,7 @@ HOSTILE_INPUTS = {
     "negative-shape": (b"n = -4\nm = -1\nmatrix = 1 2 3 4\n", ["roundtrip", *GEN, *CFG], 2),
     "matrix-entry-not-float": (b"n = 4\nm = 3\nmatrix = 1 2 x 4 5 6 7 8 9 10 11 12\n", ["roundtrip", *GEN, *CFG], 2),
     "tau-not-float": (b"tau = abc\n", ["roundtrip", *GEN, *CFG], 2),
+    "separate-negative-tau": (b"tau = -1\n", ["separate", "{tmp}/none.ubss", *CFG, "--out", "{tmp}/f_{i}.pgm"], 2),
     "one-row-matrix": (b"n = 2\nm = 1\nmatrix = 1 2\n", ["roundtrip", *GEN, *CFG], 2),
     "negative-raw-frames": (
         b"",

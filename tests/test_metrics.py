@@ -137,45 +137,56 @@ class TestSequenceReport:
         with pytest.raises(ValueError, match="finite"):
             sequence_report(ref, np.full_like(test, np.nan))
 
-    @pytest.mark.parametrize("slab_bytes", [8, 56, 8 * 35, 8 * 36, 1 << 20])
-    def test_slabs_give_exact_sums(self, rng, monkeypatch, slab_bytes):
-        # slabs of part of a frame, one frame, or several give the exact integer sums
-        import ubssvc.metrics as metrics_module
-
+    @pytest.mark.parametrize("tile", [1, 7, 35, 36, 32768])
+    def test_slabs_give_exact_sums(self, rng, monkeypatch, tile):
+        # tasks of one row of a frame, one frame, or all frames give the exact integer sums
         ref = rng.uniform(-10, 265, size=(7, 5, 7))
         test = ref + rng.normal(0, 30, size=ref.shape)
-        monkeypatch.setattr(metrics_module, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(pipeline, "TILE", tile)
         report = sequence_report(ref, test)
         snap = lambda v: np.floor(np.clip(v, 0, 255) + 0.5).astype(np.int64)  # noqa: E731
         exact = ((snap(ref) - snap(test)) ** 2).reshape(7, -1).sum(axis=1)
         assert report.per_frame_mse == tuple(float(e) / 35 for e in exact)
         assert report.per_frame_mse == tuple(frame_mse(a, b) for a, b in zip(ref, test))
 
-    @pytest.mark.parametrize("slab_bytes", [48, 8 * 9 * 2, 1 << 20])
-    def test_per_frame_mse_equals_integer_sums(self, rng, monkeypatch, slab_bytes):
-        # a slab of one row of one frame, so that each frame's rows are spread
-        # over six slabs, of two rows, or one of all five frames: each frame's
+    @pytest.mark.parametrize("tile", [1, 7, 32768])
+    def test_odd_shapes_give_exact_sums(self, rng, monkeypatch, tile):
+        # frames of odd height and width, cut into rows, row tiles or runs of
+        # frames, give the exact integer sums of each frame
+        monkeypatch.setattr(pipeline, "TILE", tile)
+        snap = lambda v: np.floor(np.clip(v, 0, 255) + 0.5).astype(np.int64)  # noqa: E731
+        for shape in ((9, 17, 33), (9, 287, 353)):
+            ref = rng.uniform(-10, 265, size=shape)
+            test = ref + rng.normal(0, 30, size=shape)
+            exact = ((snap(ref) - snap(test)) ** 2).reshape(shape[0], -1).sum(axis=1)
+            pixels = shape[1] * shape[2]
+            assert sequence_report(ref, test).per_frame_mse == tuple(float(e) / pixels for e in exact)
+
+    @pytest.mark.parametrize("tile", [9, 18, 32768])
+    def test_per_frame_mse_equals_integer_sums(self, rng, monkeypatch, tile):
+        # a task of one row of one frame, so that each frame's rows are spread
+        # over six tasks, of two rows, or one of all five frames: each frame's
         # batched dot products give the Python-int sum
         ref = rng.uniform(-10, 265, size=(5, 6, 9))
         test = rng.uniform(-10, 265, size=ref.shape)
-        monkeypatch.setattr(metrics_module, "SLAB_BYTES", slab_bytes)
+        monkeypatch.setattr(pipeline, "TILE", tile)
         report = sequence_report(ref, test)
         assert report.per_frame_mse == tuple(total / 54 for total in squared_error_sums_reference(ref, test))
 
     def test_score_starts_no_thread(self, rng, monkeypatch, no_threads):
-        # slabs of one row, five to a frame, are summed on the calling thread
-        monkeypatch.setattr(metrics_module, "SLAB_BYTES", 48)
+        # tasks of one row, five to a frame, are summed on the calling thread
+        monkeypatch.setattr(pipeline, "TILE", 7)
         ref = rng.uniform(-10, 265, size=(7, 5, 7))
         test = ref + rng.normal(0, 30, size=ref.shape)
         report = sequence_report(ref, test)
         assert report.per_frame_mse == tuple(total / 35 for total in squared_error_sums_reference(ref, test))
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("slab_bytes", [8 * 6, 8 * 35 * 2, 1 << 20])
-    def test_non_finite_pixel_in_any_slab_raises(self, rng, monkeypatch, slab_bytes):
-        # each slab is checked: a bad pixel in the first or last slab of
-        # either argument fails the report
-        monkeypatch.setattr(metrics_module, "SLAB_BYTES", slab_bytes)
+    @pytest.mark.parametrize("tile", [7, 35 * 2, 32768])
+    def test_non_finite_pixel_in_any_slab_raises(self, rng, monkeypatch, tile):
+        # each task, of one row, two frames or all, is checked: a bad pixel in
+        # the first or last task of either argument fails the report
+        monkeypatch.setattr(pipeline, "TILE", tile)
         ref = rng.uniform(-10, 265, size=(7, 5, 7))
         for value in (np.nan, np.inf, -np.inf):
             for where in ((0, 0, 0), (-1, -1, -1)):

@@ -1,8 +1,11 @@
+import ast
+import inspect
 import os
 import subprocess
 import sys
 
 import ubssvc
+from ubssvc import metrics, pipeline
 
 
 def test_every_exported_name_resolves():
@@ -11,6 +14,15 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from ubssvc import *", namespace)
     assert set(ubssvc.__all__) <= namespace.keys()
+
+
+def test_codec_imports_nothing_from_the_score():
+    # metrics scores the codec's output; pipeline never reaches back into it
+    tree = ast.parse(inspect.getsource(pipeline))
+    modules = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom | ast.Import) for alias in node.names}
+    assert "metrics" not in modules and "metrics" not in names
+    assert (ubssvc.roundtrip_eval, ubssvc.RoundtripReport) == (metrics.roundtrip_eval, metrics.RoundtripReport)
 
 
 def test_import_leaves_the_command_line_out():
