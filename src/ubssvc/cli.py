@@ -41,89 +41,78 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ubssvc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, func, help_text, frames=None):
+        """A subcommand that runs ``func``; ``frames`` is its frame source, "path" or "path or preset"."""
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--porcelain", action="store_true", help="key=value output")
+        if frames:
+            either = frames == "path or preset"
+            source = p.add_mutually_exclusive_group(required=True) if either else p
+            source.add_argument(
+                "input", nargs="?" if either else None,
+                help="PGM file/pattern/directory, or raw file with --width/--height",
+            )
+            if either:
+                source.add_argument("--preset", choices=synth.PRESETS, help="generate the frames instead")
+                p.add_argument("--seed", type=int, default=1, help="seed of --preset")
+            p.add_argument("--width", type=int)
+            p.add_argument("--height", type=int)
+            p.add_argument("--frames", type=int, help="frame count of raw input or --preset")
+            p.add_argument("--config")
         return p
 
-    p = add("validate-matrix", "check the mixing matrix: submatrix determinants, Gram conditioning")
+    p = add("validate-matrix", _cmd_validate_matrix,
+            "check the mixing matrix: submatrix determinants, Gram conditioning")
     p.add_argument("--config", help="config file (defaults to the built-in matrix)")
-    p.set_defaults(func=_cmd_validate_matrix)
 
-    p = add("gen", "write a deterministic synthetic PGM sequence")
+    p = add("gen", _cmd_gen, "write a deterministic synthetic PGM sequence")
     p.add_argument("--preset", default="sparse-detail", choices=synth.PRESETS)
     p.add_argument("--frames", type=int, default=40)
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--height", type=int, default=64)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True, help="output pattern, e.g. 'dir/f_{i:04d}.pgm'")
-    p.set_defaults(func=_cmd_gen)
 
-    p = add("mix", "encode a sequence into a container")
-    p.add_argument("input", help="PGM file/pattern/directory, or raw file with --width/--height")
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--frames", type=int, help="frame count for raw input")
-    p.add_argument("--config")
+    p = add("mix", _cmd_mix, "encode a sequence into a container", frames="path")
     p.add_argument("--quant", choices=sorted(_QUANT_FLAG))
     p.add_argument("--out", required=True, help="container path")
-    p.set_defaults(func=_cmd_mix)
 
-    p = add("separate", "decode a container back into frames")
+    p = add("separate", _cmd_separate, "decode a container back into frames")
     p.add_argument("input", help="container path")
     p.add_argument("--config", help="config file; only its tau is read, as the container fixes the rest")
     p.add_argument("--tau", type=float)
     p.add_argument("--out", required=True, help="PGM output pattern")
-    p.set_defaults(func=_cmd_separate)
 
-    p = add("roundtrip", "encode + decode in memory and report quality")
-    p.add_argument("input", nargs="?", help="PGM file/pattern/directory, or raw with --width/--height")
-    p.add_argument("--preset", choices=synth.PRESETS, help="generate input instead of reading it")
-    p.add_argument("--frames", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--config")
+    p = add("roundtrip", _cmd_roundtrip, "encode + decode in memory and report quality",
+            frames="path or preset")
     p.add_argument("--tau", type=float)
     p.add_argument("--quant", choices=sorted(_QUANT_FLAG))
-    p.set_defaults(func=_cmd_roundtrip)
 
-    p = add("psnr", "score a reconstructed sequence against a reference")
+    p = add("psnr", _cmd_psnr, "score a reconstructed sequence against a reference")
     p.add_argument("reference")
     p.add_argument("test")
-    p.set_defaults(func=_cmd_psnr)
 
-    p = add("bench", "compare an external codec on original vs mixed raw streams")
-    p.add_argument("input", nargs="?", help="PGM file/pattern/directory, or raw with --width/--height")
-    p.add_argument("--preset", choices=synth.PRESETS)
-    p.add_argument("--frames", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--height", type=int)
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--config")
+    p = add("bench", _cmd_bench, "compare an external codec on original vs mixed raw streams",
+            frames="path or preset")
     p.add_argument(
-        "--quant",
-        choices=sorted(_QUANT_FLAG),
-        default="affine8",
+        "--quant", choices=sorted(_QUANT_FLAG), default="affine8",
         help="mixed-stream export precision (affine8 = one byte per pixel)",
     )
     p.add_argument(
-        "--codec-cmd",
-        required=True,
-        help="command template run on each stream, e.g. 'cp {in} {out}'",
+        "--codec-cmd", required=True, help="command template run on each stream, e.g. 'cp {in} {out}'"
     )
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 
 
 def _load_cfg(args) -> CodecConfig:
     """The ``--config`` file's config, else the built-in one, with the flags applied."""
-    cfg = pipeline.load_config(args.config) if getattr(args, "config", None) else CodecConfig()
+    cfg = pipeline.load_config(args.config) if args.config else CodecConfig()
     overrides = {}
     if getattr(args, "tau", None) is not None:
         overrides["tau"] = args.tau
-    if getattr(args, "quant", None) is not None:
+    if args.quant is not None:
         overrides["quantization"] = _QUANT_FLAG[args.quant]
     return replace(cfg, **overrides)
 
@@ -131,10 +120,8 @@ def _load_cfg(args) -> CodecConfig:
 def _load_inputs(args):
     """The frames and the codec config; ``--preset`` frames are made for the config's matrix."""
     cfg = _load_cfg(args)
-    if args.input:
+    if args.input is not None:
         return vio.read_sequence(args.input, width=args.width, height=args.height, count=args.frames), cfg
-    if not getattr(args, "preset", None):
-        raise ValueError("an input path or --preset is required")
     count = args.frames if args.frames is not None else 40
     width = 64 if args.width is None else args.width
     height = 64 if args.height is None else args.height

@@ -7,10 +7,11 @@ and checks the pixels pass anyway. 8-bit integers appear only at the I/O
 boundary. Mixed frames routinely exceed the [0, 255] source range (the
 reference matrix has row sums up to 1.75), so nothing in here clamps.
 
-A mixing matrix must be underdetermined (fewer rows than columns) and every
-square submatrix of it must be nonsingular. That second condition is what
-guarantees that any subset of its columns spans a full-rank subspace, which
-the recovery stage in :mod:`ubssvc.sca` depends on. Construction also
+A mixing matrix must be underdetermined (fewer rows m than columns n) and
+each of its m x m submatrices must be nonsingular; smaller ones may be
+singular, as a zero entry is. That second condition is what guarantees
+that any m or fewer of its columns span a full-rank subspace, which the
+recovery stage in :mod:`ubssvc.sca` depends on. Construction also
 bounds the condition number of the Gram matrix A A^T, which the decoder's
 dense solve inverts, so a matrix that constructs is one the decoder can
 use. :func:`mixing_fault` is the one verdict on a matrix, which construction

@@ -34,6 +34,8 @@ def sparse_detail(count, width, height, seed, group=4, max_active=2) -> np.ndarr
     """
     if count < 1 or width < 1 or height < 1:
         raise ValueError("count, width, height must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 1 <= max_active < group:
         raise ValueError("need 1 <= max_active < group")
     rng = np.random.default_rng(seed)
@@ -69,6 +71,8 @@ def noise(count, width, height, seed) -> np.ndarray:
     """Independent uniform 8-bit noise; a worst case for sparse recovery."""
     if count < 1 or width < 1 or height < 1:
         raise ValueError("count, width, height must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     # one draw per frame, so the values do not depend on how draws are batched
     planes = [rng.integers(0, 256, size=(height, width)) for _ in range(count)]

@@ -412,7 +412,7 @@ class TestConfigOverrides:
         assert (cfg.tau, cfg.quantization) == (0.2, "affine-8bit")
         assert cfg.matrix.entries.shape == (2, 3)
         assert np.array_equal(cfg.matrix.entries, [[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])
-        no_flags = _load_cfg(_build_parser().parse_args(["roundtrip", "--config", str(path)]))
+        no_flags = _load_cfg(_build_parser().parse_args(["roundtrip", "--preset", "noise", "--config", str(path)]))
         assert (no_flags.tau, no_flags.quantization) == (0.01, "float-container")
 
     def test_mix_with_overrides_writes_config_matrix(self, tmp_path):
@@ -435,6 +435,67 @@ class TestConfigOverrides:
         path.write_text(self.CONFIG + "pad_policy = reject\n")
         proc = run_cli(*odd)
         assert proc.returncode == 2 and "unknown config keys ['pad_policy']" in proc.stderr
+
+
+FRAME_FLAG_DEFAULTS = {"frames": None, "width": None, "height": None, "config": None}
+
+# every dest and default each subcommand parses from its shortest command line
+PARSED_SURFACE = {
+    "validate-matrix": (["validate-matrix"], {"config": None, "func": cli._cmd_validate_matrix}),
+    "gen": (
+        ["gen", "--out", "o"],
+        {"preset": "sparse-detail", "frames": 40, "width": 64, "height": 64, "seed": 1, "out": "o",
+         "func": cli._cmd_gen},
+    ),
+    "mix": (
+        ["mix", "in", "--out", "o"],
+        {"input": "in", **FRAME_FLAG_DEFAULTS, "quant": None, "out": "o", "func": cli._cmd_mix},
+    ),
+    "separate": (
+        ["separate", "c", "--out", "o"],
+        {"input": "c", "config": None, "tau": None, "out": "o", "func": cli._cmd_separate},
+    ),
+    "roundtrip-path": (
+        ["roundtrip", "in"],
+        {"input": "in", "preset": None, **FRAME_FLAG_DEFAULTS, "seed": 1, "tau": None, "quant": None,
+         "func": cli._cmd_roundtrip},
+    ),
+    "roundtrip-preset": (
+        ["roundtrip", "--preset", "noise"],
+        {"input": None, "preset": "noise", **FRAME_FLAG_DEFAULTS, "seed": 1, "tau": None, "quant": None,
+         "func": cli._cmd_roundtrip},
+    ),
+    "psnr": (["psnr", "a", "b"], {"reference": "a", "test": "b", "func": cli._cmd_psnr}),
+    "bench-path": (
+        ["bench", "in", "--codec-cmd", "c"],
+        {"input": "in", "preset": None, **FRAME_FLAG_DEFAULTS, "seed": 1, "quant": "affine8", "codec_cmd": "c",
+         "func": cli._cmd_bench},
+    ),
+    "bench-preset": (
+        ["bench", "--preset", "noise", "--codec-cmd", "c"],
+        {"input": None, "preset": "noise", **FRAME_FLAG_DEFAULTS, "seed": 1, "quant": "affine8", "codec_cmd": "c",
+         "func": cli._cmd_bench},
+    ),
+}
+
+
+class TestParsedSurface:
+    @pytest.mark.parametrize("name", PARSED_SURFACE)
+    def test_dests_and_defaults_are_pinned(self, name):
+        argv, expected = PARSED_SURFACE[name]
+        parsed = vars(cli._build_parser().parse_args(argv))
+        assert parsed == {"command": argv[0], "porcelain": False, **expected}
+
+    @pytest.mark.parametrize("command", ["roundtrip", "bench"])
+    @pytest.mark.parametrize("source", ["path-and-preset", "neither"])
+    def test_frame_source_is_a_path_or_a_preset(self, tmp_path, command, source):
+        write_sequence(synth.generate("noise", 4, 8, 8, seed=1), str(tmp_path / "f_{i}.pgm"))
+        frames = [str(tmp_path / "*.pgm"), "--preset", "noise"] if source == "path-and-preset" else []
+        codec = ["--codec-cmd", "cp {in} {out}"] if command == "bench" else []
+        proc = run_cli(command, *frames, *codec)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestRoundtripCommand:
@@ -682,6 +743,8 @@ HOSTILE_INPUTS = {
     "directory-container": (b"", ["separate", "{tmp}", "--out", "{tmp}/f_{i}.pgm"], 2),
     "removed-flag": (b"", ["validate-matrix", "--det-floor", "1e-9"], 1),
     "zero-size-preset": (b"", ["roundtrip", "--preset", "sparse-detail", "--width", "0", "--height", "0"], 2),
+    "negative-seed-gen": (b"", ["gen", "--seed", "-1", "--frames", "4", "--out", "{tmp}/g_{i}.pgm"], 2),
+    "negative-seed-preset": (b"", ["roundtrip", *GEN, "--seed", "-1"], 2),
 }
 
 
@@ -698,3 +761,5 @@ def test_hostile_input_exits_cleanly(tmp_path, name):
     assert proc.stderr.strip()
     if config:
         assert "codec.cfg" in proc.stderr, proc.stderr
+    if "--seed" in args:
+        assert "seed" in proc.stderr, proc.stderr

@@ -715,7 +715,7 @@ class TestTiledEncode:
         cfg = CodecConfig(quantization=quantization)
         frames = rng.uniform(*((-20, 300) if quantization == "float-container" else (0, 255)), size=(9, 13, 1))
         frames[:4, -1, 0] = _tie_column(cfg.matrix.entries, rng)
-        with mock.patch.multiple(pipeline_module, TILE=4, WORKERS=2):
+        with mock.patch.object(pipeline_module, "TILE", 4):
             tasks, tiles = pipeline_module._tasks(2, 13, 1)
             assert tiles == 4 and tasks[-1] == np.s_[1:2, :, 12:16]
             enc = encode_sequence(frames, cfg)
@@ -798,7 +798,7 @@ class TestTiledEncode:
             scan = module.all_finite
             monkeypatch.setattr(module, "all_finite", lambda arr, scan=scan: scans.append(arr) or scan(arr))
         frames = synth.generate("sparse-detail", count, 30, 21, seed=3)
-        with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
+        with mock.patch.object(pipeline_module, "TILE", 7):
             enc = encode_sequence(frames, CodecConfig(quantization=quantization))
         # float codes are scanned as the EncodedSequence check; no float64 array but the tail
         sources = [arr for arr in scans if arr.dtype == np.float64]

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import sparsity_census
 from ubssvc import BANDS, haar_forward
-from ubssvc.synth import generate, sparse_detail
+from ubssvc.synth import PRESETS, generate, sparse_detail
 
 
 def _stacks(frames):
@@ -79,6 +79,13 @@ class TestNoise:
         b = generate("noise", 5, 16, 16, seed=9)
         assert np.array_equal(_stacks(a), _stacks(b))
         assert _stacks(a).min() >= 0 and _stacks(a).max() <= 255
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_negative_seed_is_named(preset):
+    # numpy's own error does not say which argument it refers to
+    with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+        generate(preset, 4, 16, 16, seed=-1)
 
 
 def test_unknown_preset():
