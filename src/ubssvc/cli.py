@@ -55,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
             )
             if either:
                 source.add_argument("--preset", choices=synth.PRESETS, help="generate the frames instead")
-                p.add_argument("--seed", type=int, default=1, help="seed of --preset")
+                p.add_argument("--seed", type=int, help="seed of --preset (default 1)")
             p.add_argument("--width", type=int)
             p.add_argument("--height", type=int)
             p.add_argument("--frames", type=int, help="frame count of raw input or --preset")
@@ -121,12 +121,15 @@ def _load_inputs(args):
     """The frames and the codec config; ``--preset`` frames are made for the config's matrix."""
     cfg = _load_cfg(args)
     if args.input is not None:
+        if getattr(args, "seed", None) is not None:  # mix takes no --seed
+            raise ValueError("--seed is for --preset, not an input path")
         return vio.read_sequence(args.input, width=args.width, height=args.height, count=args.frames), cfg
     count = args.frames if args.frames is not None else 40
     width = 64 if args.width is None else args.width
     height = 64 if args.height is None else args.height
     m, n = cfg.matrix.rows, cfg.matrix.cols
-    return synth.generate(args.preset, count, width, height, args.seed, group=n, max_active=m - 1), cfg
+    seed = 1 if args.seed is None else args.seed
+    return synth.generate(args.preset, count, width, height, seed, group=n, max_active=m - 1), cfg
 
 
 def _cmd_validate_matrix(args) -> int:

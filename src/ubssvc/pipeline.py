@@ -12,11 +12,8 @@ sparse detail subbands by subspace classification, the low-frequency
 subband by the generalized inverse, and one inverse transform written
 straight into the output array. A detail column is zero when its norm is
 at most ``DEFAULT_ZERO_EPS`` times the norm of the mixed LL column of its
-own 2x2 cell, so every task holds its zero test and decodes once. A task
-of whole groups recovers its three detail bands in one call when its
-groups are of at most ``TILE`` pixels or the pass runs on the thread pool;
-a row tile, and a whole larger group decoded inline, makes one call per
-band, which holds less memory at once. The transforms are the plain
+own 2x2 cell, so every task holds its zero test and decodes once, and
+recovers its three detail bands in one call. The transforms are the plain
 sum/difference Haar pair, without their halvings, and ``A+`` and the
 coefficient maps are scaled by 1/4 once per decode instead: powers of two
 commute with rounding, so this gives the bits of the orthonormal pair.
@@ -25,10 +22,12 @@ Both directions, and the score in :mod:`ubssvc.metrics`, cut their work
 the same way, by :func:`_tasks`: a group of more than ``TILE`` cells
 (pixels to encode or score, subband columns to decode) is cut into row
 tiles, and groups of at most ``TILE`` pixels run in runs of whole groups of
-about ``TILE`` pixels. Encode mixes every task on the
-calling thread. Decode shares every pass of two or more tasks, runs of
-small groups too, out on a thread pool when there are two or more usable
-CPUs, and runs a lone task inline.
+about ``TILE`` pixels. Encode mixes every task on the calling thread.
+Decode shares a pass of two or more such tasks, runs of small groups too,
+out on a thread pool when there are two or more usable CPUs, and runs a
+lone task inline; it keeps whole the groups of at most ``TILE`` pixels,
+and on the pool those of at most ``TILE`` columns, and cuts every other
+group into row tiles of about ``TILE // 2`` columns.
 A tile, like a whole group, decodes once: the zero test of a cell needs
 nothing outside it, so tiles change no bit of the result.
 
@@ -81,17 +80,16 @@ DEFAULT_TAU = 0.05
 DEFAULT_ZERO_EPS = 1e-12  # the zero test of a detail column (see the module docstring)
 
 # Cells per task. A group (a frame, to score) of more than TILE pixels is
-# encoded or scored, and one of more than TILE subband columns per band
-# decoded, in row tiles of about TILE cells. CIF-size groups decode whole:
-# on a 2-CPU host a 40-frame CIF decode took 92 ms in tiles of 16384 columns
-# and 104 ms in tiles of 12288, against 90 ms whole. Smaller ones run in
-# runs of whole ones of about TILE pixels; whole-sequence calls let the
-# temporaries fall out of cache (CIF decode ran about 40% slower). Decode
-# shares the runs out on WORKERS threads too: on 2 CPUs, 400 64x64 frames
-# decoded in 6.1-7.5 ms in runs of 8 groups against 7.5-7.7 ms inline, in
-# 8.8-9.4 ms in runs of 4 (the GIL and BLAS contend on small operations),
-# and in 5.5-8.0 ms in runs of 16, whose traced peak was 3.5 MB higher
-# (medians of 100 in-process runs).
+# encoded or scored in row tiles of about TILE cells (decode_sequence gives
+# decode's rule). Pooled CIF groups decode whole: on 2 CPUs a 40-frame CIF
+# decode took 92 ms in tiles of 16384 columns and 104 ms in tiles of 12288,
+# against 90 ms whole. Smaller ones run in runs of whole ones of about TILE
+# pixels; whole-sequence calls let the temporaries fall out of cache (CIF
+# decode ran about 40% slower). Decode shares the runs out on WORKERS
+# threads too: on 2 CPUs, 400 64x64 frames decoded in 6.1-7.5 ms in runs of
+# 8 groups against 7.5-7.7 ms inline, in 8.8-9.4 ms in runs of 4 (the GIL
+# and BLAS contend on small operations), and in 5.5-8.0 ms in runs of 16,
+# whose traced peak was 3.5 MB higher (medians of 100 in-process runs).
 TILE = 32768
 
 # Threads of the decode pool: the CPUs this process may use.
@@ -270,22 +268,23 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     )
 
 
-def _tasks(blocks: int, height: int, width: int, cell: int = 1) -> tuple[list[tuple], int]:
+def _tasks(blocks: int, height: int, width: int, cell: int = 1, tile: int | None = None) -> tuple[list[tuple], int]:
     """Cut ``blocks`` groups of height x width pixels into tasks, and count the tiles per group.
 
     A task indexes the (blocks, k, height, width) arrays of a pass. A group
     is seen as cells of ``cell`` x ``cell`` pixels (a cell cut by an odd
-    edge counts whole), and one of more than ``TILE`` cells is cut into row
-    tiles of about ``TILE`` cells, as even as whole rows of cells allow,
-    each an exact number of cell rows but the last. Groups of one tile run
-    in runs of about ``TILE`` pixels, so a task is one tile of one group or
-    a run of whole groups, never both; the tasks of a group follow each
-    other in row order.
+    edge counts whole), and one of more than ``tile`` (default ``TILE``)
+    cells is cut into row tiles of about ``tile`` cells, as even as whole
+    rows of cells allow, each an exact number of cell rows but the last.
+    Groups of one tile run in runs of about ``tile`` pixels, so a task is
+    one tile of one group or a run of whole groups, never both; the tasks
+    of a group follow each other in row order.
     """
+    tile = tile or TILE
     rows, cols = -(-height // cell), -(-width // cell)
-    step = cell * -(-rows // -(-rows * cols // TILE))  # cell * ceil(rows / ceil(rows * cols / TILE))
+    step = cell * -(-rows // -(-rows * cols // tile))  # cell * ceil(rows / ceil(rows * cols / tile))
     tiles = -(-height // step)
-    run = 1 if tiles > 1 else max(1, TILE // (height * width))
+    run = 1 if tiles > 1 else max(1, tile // (height * width))
     tops = range(0, height, step)
     return [np.s_[start : start + run, :, top : top + step] for start in range(0, blocks, run) for top in tops], tiles
 
@@ -313,24 +312,26 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     normal float (see :mod:`ubssvc.wavelet`). Each task decodes once, and
     its output is final when it returns.
 
-    A pass of two or more tasks, row tiles, whole groups or runs of small
-    groups, shares a pool of ``WORKERS`` threads when there are two or
-    more; a lone task, and every task on one usable CPU, runs inline. A
-    pooled decode needs a free second CPU to gain: 400 64x64 frames decode
-    on the pool in about 46 ms of CPU time, against 38 ms inline. With
-    one usable CPU a one-thread pool only adds cost (a 40-frame CIF decode
-    took 108 ms inline against 125 ms pooled). A task of whole groups of
-    at most ``TILE`` pixels, and on the pool any task of whole groups,
-    recovers its three detail bands in one call: on the pool each numpy
-    call costs about 10 us more while the interpreter lock changes hands,
-    and one call for three bands makes a third of the calls. A row tile,
-    and a whole group of more than ``TILE`` pixels decoded inline, makes
-    one call per band, for memory, not time: three bands in one call hold
-    about 40% more temporaries (a lone CIF group 1.78 -> 2.48 times the 8
-    bytes a code, 720p x 8 tiles 0.11 -> 0.16 on one worker and 0.22 ->
-    0.30 on two; traced hd decode peak 68.7 -> 72.2 MB), and would be
-    faster (a 40-frame CIF decode on one CPU 18.0 -> 17.1 ms, a pooled
-    720p x 8 decode 23.9 -> 21.7 ms; medians of in-process alternations).
+    A pass that :func:`_tasks` cuts into two or more tasks, row tiles,
+    whole groups or runs of small groups, shares a pool of ``WORKERS``
+    threads when there are two or more; a lone task, and every task on one
+    usable CPU, runs inline. A pooled decode needs a free second CPU to
+    gain: 400 64x64 frames decode on the pool in about 46 ms of CPU time,
+    against 38 ms inline. With one usable CPU a one-thread pool only adds
+    cost (a 40-frame CIF decode took 108 ms inline against 125 ms pooled).
+    Groups of at most ``TILE`` pixels decode whole, and so do groups of at
+    most ``TILE`` columns a band on the pool. Every other group decodes in
+    row tiles of about ``TILE // 2`` columns, on the pool or inline as the
+    pass of ``TILE`` would: the tiles of a lone CIF group run inline, those
+    of a lone 720p group on the pool. Every task recovers its three detail
+    bands in one call: on the pool each numpy call costs about 10 us more
+    while the interpreter lock changes hands. Half tiles hold less than one
+    call a band did in tiles of ``TILE`` or whole (a lone CIF group 1.78 ->
+    1.25 times the 8 bytes a code, a 720p group 0.22 -> 0.17 on one worker
+    and 0.44 -> 0.33 on two) and cost no time (2 CPUs, medians of
+    in-process alternations: pooled 720p x 8 2-3% faster, one-worker
+    decodes and a lone CIF group within 3% of CPU time); tiles of ``TILE //
+    3`` made pooled 720p x 8 6% slower.
     """
     height, width = enc.height, enc.width
     m, n = enc.matrix.rows, enc.matrix.cols
@@ -345,12 +346,12 @@ def decode_sequence(enc: EncodedSequence, cfg: CodecConfig) -> tuple[np.ndarray,
     dest = out[: blocks * n].reshape(blocks, n, height, width)
     tasks, tiles = _tasks(blocks, height, width, cell=2)
     pooled = WORKERS > 1 and len(tasks) > 1
-    # three bands in one call cost memory: row tiles and inline groups of
-    # more than TILE pixels recover one band a call (see the docstring)
-    stack = tiles == 1 and (pooled or height * width <= TILE)
+    if tiles > 1 or not pooled and height * width > TILE:
+        # the groups that do not decode whole go in half tiles (see the docstring)
+        tasks, tiles = _tasks(blocks, height, width, cell=2, tile=-(-TILE // 2))
 
     def decode(task) -> RecoveryStats:
-        return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau, stack)
+        return _decode_chunk(codes[task], affine, dest[task], planes, pinv, cfg.tau)
 
     with ThreadPoolExecutor(WORKERS) as pool:
         # merged in task order as the tasks finish, so the censuses are not all held at once
@@ -372,7 +373,7 @@ def _dequantize(codes, affine, out) -> None:
     out += affine[1]
 
 
-def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack) -> RecoveryStats:
+def _decode_chunk(codes, affine, dest, planes, pinv, tau) -> RecoveryStats:
     """Decode (k, m, h, W) mixed codes into the (k, n, h, W) array ``dest``.
 
     ``pinv`` and ``planes`` carry the ``A+`` and coefficient maps scaled
@@ -380,44 +381,35 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau, stack) -> RecoveryStat
     A detail column is zero when its norm is at most ``DEFAULT_ZERO_EPS``
     times its cell's mixed LL norm: one (k, T) floor, made once per task.
 
-    The three detail bands are held in 3 // c buffers of shape (m, k, c,
-    h/2, w/2), c = 3 with ``stack`` (whole groups, of at most ``TILE``
-    pixels or pooled) and 1 otherwise. Each buffer is recovered in one
-    call on its (k, c, m, T) view, whose columns that call reads without a
-    copy, beside the floor as (k, 1, T), and goes into that call as the
-    only reference to it, so that the call frees it once it has gathered
-    the columns it keeps. The returned census counts the residuals per
-    (group, band). A function of its own, so that one task's temporaries
-    are freed before the next task allocates its own.
+    The three detail bands are held in one (m, k, 3, h/2, w/2) buffer,
+    recovered in one call on its (k, 3, m, T) view, whose columns that
+    call reads without a copy, beside the floor as (k, 1, T). The buffer
+    goes into that call as the only reference to it, so that the call
+    frees it once it has gathered the columns it keeps. The returned
+    census, that call's, counts the residuals per (group, band). A
+    function of its own, so that one task's temporaries are freed before
+    the next task allocates its own.
 
     Odd sides decode as if edge-padded to even: the transforms pad the
     codes and crop ``dest`` themselves, so each is called once.
     """
     k, m, height, width = codes.shape
     half = (-(-height // 2), -(-width // 2))
-    c = 3 if stack else 1
     ll = np.empty((k, m, *half))
-    details = [np.empty((m, k, c, *half)) for _ in range(3 // c)]
-    bands = [ll, *(band for d in details for band in d.transpose(2, 1, 0, 3, 4))]
+    details = [np.empty((m, k, 3, *half))]
     convert = None if affine is None else lambda slab, values: _dequantize(slab, affine, values)
-    haar_forward(codes, convert, bands, orthonormal=False)
-    del bands  # its views would keep the detail buffers past their hand-over
-    # each call's groups are the (group, band) planes in turn
-    details = [d.reshape(m, k, c, -1).transpose(1, 2, 0, 3) for d in details]
+    haar_forward(codes, convert, [ll, *details[0].transpose(2, 1, 0, 3, 4)], orthonormal=False)
+    # the call's groups are the (group, band) planes in turn
+    details[0] = details[0].reshape(m, k, 3, -1).transpose(1, 2, 0, 3)
     ll = ll.reshape(k, m, -1)
     recovered = [recover_dense(pinv, ll)]
     floor = _norms(ll)[:, None]
     floor *= DEFAULT_ZERO_EPS
     del ll
-    stats = []
-    while details:
-        sources, census = recover_block(planes, details.pop(0), tau, floor)
-        recovered.extend(sources.swapaxes(0, 1))
-        stats.append(census)
+    sources, census = recover_block(planes, details.pop(), tau, floor)
+    recovered.extend(sources.swapaxes(0, 1))
     haar_inverse([r.reshape(k, -1, *half) for r in recovered], out=dest, orthonormal=False)
-    # a lone census as it is: merging it would only copy it, in numpy calls
-    # that wait for the interpreter lock on the pool (tiny decode 1-4% slower)
-    return stats[0] if len(stats) == 1 else RecoveryStats.merged(stats)
+    return census
 
 
 def parse_config(path) -> dict:

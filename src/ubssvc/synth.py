@@ -74,9 +74,11 @@ def noise(count, width, height, seed) -> np.ndarray:
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    # one draw per frame, so the values do not depend on how draws are batched
-    planes = [rng.integers(0, 256, size=(height, width)) for _ in range(count)]
-    return _read_only(np.stack(planes).astype(np.float64))
+    frames = np.empty((count, height, width))  # first, so a count too large fails at once
+    for frame in frames:
+        # one draw per frame, so the values do not depend on how draws are batched
+        frame[...] = rng.integers(0, 256, size=(height, width))
+    return _read_only(frames)
 
 
 def generate(preset, count, width, height, seed, group=4, max_active=2) -> np.ndarray:

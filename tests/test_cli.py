@@ -457,23 +457,23 @@ PARSED_SURFACE = {
     ),
     "roundtrip-path": (
         ["roundtrip", "in"],
-        {"input": "in", "preset": None, **FRAME_FLAG_DEFAULTS, "seed": 1, "tau": None, "quant": None,
+        {"input": "in", "preset": None, **FRAME_FLAG_DEFAULTS, "seed": None, "tau": None, "quant": None,
          "func": cli._cmd_roundtrip},
     ),
     "roundtrip-preset": (
         ["roundtrip", "--preset", "noise"],
-        {"input": None, "preset": "noise", **FRAME_FLAG_DEFAULTS, "seed": 1, "tau": None, "quant": None,
+        {"input": None, "preset": "noise", **FRAME_FLAG_DEFAULTS, "seed": None, "tau": None, "quant": None,
          "func": cli._cmd_roundtrip},
     ),
     "psnr": (["psnr", "a", "b"], {"reference": "a", "test": "b", "func": cli._cmd_psnr}),
     "bench-path": (
         ["bench", "in", "--codec-cmd", "c"],
-        {"input": "in", "preset": None, **FRAME_FLAG_DEFAULTS, "seed": 1, "quant": "affine8", "codec_cmd": "c",
+        {"input": "in", "preset": None, **FRAME_FLAG_DEFAULTS, "seed": None, "quant": "affine8", "codec_cmd": "c",
          "func": cli._cmd_bench},
     ),
     "bench-preset": (
         ["bench", "--preset", "noise", "--codec-cmd", "c"],
-        {"input": None, "preset": "noise", **FRAME_FLAG_DEFAULTS, "seed": 1, "quant": "affine8", "codec_cmd": "c",
+        {"input": None, "preset": "noise", **FRAME_FLAG_DEFAULTS, "seed": None, "quant": "affine8", "codec_cmd": "c",
          "func": cli._cmd_bench},
     ),
 }
@@ -745,6 +745,10 @@ HOSTILE_INPUTS = {
     "zero-size-preset": (b"", ["roundtrip", "--preset", "sparse-detail", "--width", "0", "--height", "0"], 2),
     "negative-seed-gen": (b"", ["gen", "--seed", "-1", "--frames", "4", "--out", "{tmp}/g_{i}.pgm"], 2),
     "negative-seed-preset": (b"", ["roundtrip", *GEN, "--seed", "-1"], 2),
+    "seed-beside-a-path": (b"", ["roundtrip", "{tmp}/f*.pgm", "--seed", "7"], 2),
+    "line-without-equals": (b"tau 0.1\n", ["roundtrip", *GEN, *CFG], 2),
+    # the noise frames are allocated first, so the count fails at once
+    "huge-noise-frames": (b"", ["roundtrip", "--preset", "noise", "--frames", "99999999999999999999"], 2),
 }
 
 
@@ -755,7 +759,7 @@ def test_hostile_input_exits_cleanly(tmp_path, name):
     (tmp_path / "seq.raw").write_bytes(bytes(4 * 16))
     for i in range(4):
         (tmp_path / f"f{i}.pgm").write_bytes(b"P5 4 4 255\n" + bytes(16))
-    proc = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in args))
+    proc = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in args), timeout=60)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.strip()

@@ -109,6 +109,9 @@ class TestSequenceReport:
     def test_empty_sequences_rejected(self):
         with pytest.raises(ValueError):
             sequence_report([], [])
+        # two (0, H, W) arrays pass the shape checks and fail the count check
+        with pytest.raises(ValueError, match="cannot report on empty sequences"):
+            sequence_report(np.zeros((0, 4, 4)), np.zeros((0, 4, 4)))
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError):

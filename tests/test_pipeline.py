@@ -208,6 +208,10 @@ class TestEncodedSequence:
         with pytest.raises(ValueError, match="mixed_codes must be a float32 array"):
             EncodedSequence(**{**affine, "quantization": "float-container"})
 
+    def test_rejects_unknown_quantization(self):
+        with pytest.raises(ValueError, match="unknown quantization mode 'affine-16bit'"):
+            EncodedSequence(**{**_encoded_fields(), "quantization": "affine-16bit"})
+
     def test_rejects_wrong_shape_codes(self):
         fields = _encoded_fields()
         mixed = fields["mixed_codes"]
@@ -325,10 +329,10 @@ class TestDecode:
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
     def test_temporaries_of_one_cif_group(self, quantization):
-        # a 352x288 group decodes whole, in one task, inline and band by band;
-        # above its output, the task holds the bands and the recovered
-        # sources, but no float64 copy of its codes and no second store of its
-        # pixels
+        # a lone 352x288 group decodes inline in two row tiles, each
+        # recovering its three detail bands in one call; above its output, a
+        # tile holds its bands and recovered sources, but no float64 copy of
+        # its codes and no second store of its pixels
         cfg = CodecConfig(quantization=quantization)
         enc = encode_sequence(synth.generate("sparse-detail", 4, 352, 288, seed=1), cfg)
         decode_sequence(enc, cfg)
@@ -340,27 +344,27 @@ class TestDecode:
         finally:
             tracemalloc.stop()
         # the four bands of the group hold 8 bytes a code; the temporaries are
-        # 1.78 times that, 2.48 times with the three bands in one recovery
-        # call, and were 3.1 times it with the copy and the store
-        assert peak - base - decoded.nbytes < 2.0 * 8 * enc.mixed_codes.size
+        # 1.25 times that, were 1.78 times it with the group whole and one
+        # recovery call a band, and 3.1 times it with the copy and the store
+        assert peak - base - decoded.nbytes < 1.5 * 8 * enc.mixed_codes.size
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
     @pytest.mark.parametrize(
         "workers, bound",
         [
-            # one tile in flight: reads 0.22 times the 8 bytes a code, 0.31
-            # with the three bands in one recovery call
-            (1, 0.26),
-            # two tiles in flight: reads 0.42-0.43, 0.51-0.59 with the three
-            # bands in one call
-            (2, 0.47),
+            # one tile in flight: reads 0.167 times the 8 bytes a code; 0.223
+            # in tiles of TILE cells, one recovery call a band
+            (1, 0.20),
+            # two tiles in flight: reads 0.327-0.331; 0.435-0.446 in tiles of
+            # TILE cells, one call a band
+            (2, 0.38),
         ],
     )
     def test_temporaries_of_row_tiles(self, quantization, workers, bound):
-        # a 1280x720 group decodes in row tiles, each recovering its detail
-        # bands one call a band, which frees the band once it has gathered
-        # its columns; above the output, the decode holds the temporaries of
-        # the tiles in flight
+        # a 1280x720 group decodes in row tiles of about TILE // 2 cells, each
+        # recovering its three detail bands in one call, which frees them once
+        # it has gathered their columns; above the output, the decode holds
+        # the temporaries of the tiles in flight
         cfg = CodecConfig(quantization=quantization)
         enc = encode_sequence(synth.generate("sparse-detail", 4, 1280, 720, seed=1), cfg)
         with mock.patch.object(pipeline_module, "WORKERS", workers):
@@ -820,9 +824,10 @@ class TestTiledEncode:
 
 
 class TestTiledDecode:
-    # groups of more than TILE pixels decode in row tiles when they hold more
-    # than TILE columns per band, else one group a task; smaller groups decode
-    # in runs; a pass of two or more tasks runs on a thread pool
+    # groups of at most TILE pixels decode whole, in runs, and so do groups of
+    # at most TILE columns per band when the pass pools; every other group
+    # decodes in row tiles of about TILE // 2 columns; a pass pools when it
+    # makes two or more tasks of TILE columns
 
     def _case(self, seed=3):
         cfg = CodecConfig(quantization="affine-8bit")
@@ -864,9 +869,10 @@ class TestTiledDecode:
             assert len(calls) == enc.block_count * 11
 
     def test_each_tile_decodes_once(self, monkeypatch):
-        # three tiles of 6, 6 and 4 rows: the first has details near 1e-7 and
-        # the last codes near 1e30, which do not reach the first tile's cells:
-        # each cell's zero test is its own, so every tile decodes once
+        # three tiles of 6, 6 and 4 rows (of about 14 // 2 cells): the first
+        # has details near 1e-7 and the last codes near 1e30, which do not
+        # reach the first tile's cells: each cell's zero test is its own, so
+        # every tile decodes once
         rng = np.random.default_rng(11)
         codes = np.full((3, 16, 4), 5.0, dtype=np.float32)
         codes[:, :6] = 1.0 + rng.integers(0, 3, size=(3, 6, 4)) * np.float32(2.0**-23)
@@ -891,7 +897,7 @@ class TestTiledDecode:
         assert whole_stats.zero_columns == sum(int(z.sum()) for z in exact)
         assert 3 * 6 <= whole_stats.zero_columns < 2 * 3 * 6
         calls = self._count_chunks(monkeypatch)
-        with mock.patch.multiple(pipeline_module, TILE=7, WORKERS=2):
+        with mock.patch.multiple(pipeline_module, TILE=14, WORKERS=2):
             tiled, stats = decode_sequence(enc, cfg)
         # each tile once, in any order
         assert sorted(c.shape[2] for c in calls) == [4, 6, 6]
@@ -899,9 +905,10 @@ class TestTiledDecode:
         assert census_fields(stats) == census_fields(whole_stats)
 
     def test_tile_counts(self, monkeypatch):
-        # 720p: 640x360 subband columns in tiles of 45 rows, as even as rows allow
+        # 720p: 640x360 subband columns in tiles of 24 rows, as even as rows
+        # allow; a lone CIF group, inline, in two tiles of 72 rows
         calls = self._count_chunks(monkeypatch)
-        for shape, count, rows in (((720, 1280), 8, 90), ((288, 352), 1, 288), ((64, 64), 1, 64)):
+        for shape, count, rows in (((720, 1280), 15, 48), ((288, 352), 2, 144), ((64, 64), 1, 64)):
             calls.clear()
             enc = EncodedSequence(
                 matrix=CodecConfig().matrix,
@@ -929,11 +936,11 @@ class TestTiledDecode:
             assert [len(c) for c in calls] == runs
 
     def test_census_counts_residuals_per_group_band(self):
-        # runs of whole groups (one stacked call each), whole groups one a
-        # task (one call per band) or row tiles of each group: the census
-        # counts the residuals per (group, band) every way, as one call per
-        # (group, band) does; in 3x3 and 1x9 groups the subband cells
-        # outnumber a quarter of the pixels
+        # runs of whole groups, whole groups one a task or row tiles of each
+        # group, one recovery call a task: the census counts the residuals
+        # per (group, band) every way, as one call per (group, band) does;
+        # in 3x3 and 1x9 groups the subband cells outnumber a quarter of the
+        # pixels
         big = pipeline_module.TILE
         cases = [("affine-8bit", 17, 33, (1, 7, big)), ("float-container", 17, 33, (18, big))]
         cases += [(q, w, h, (1, 7, 18, big)) for q in ("float-container", "affine-8bit") for w, h in ((3, 3), (9, 1), (1, 9))]
@@ -952,7 +959,8 @@ class TestTiledDecode:
     @pytest.mark.parametrize("tile", [200, 629])
     def test_whole_groups_of_more_than_tile_pixels_decode_on_the_pool(self, monkeypatch, tile):
         # 30x21 groups hold 630 pixels and 165 columns per band: more than
-        # TILE pixels, at most TILE columns, so each group is one pooled task
+        # TILE pixels, at most TILE columns, so on the pool each group is one
+        # task and one recovery call
         enc, cfg = self._case()
         whole, whole_stats = self._reference(enc, cfg)
         threads = []
@@ -980,8 +988,8 @@ class TestTiledDecode:
         assert census_fields(stats) == census_fields(whole_stats)
 
     def test_pooling_rules_of_encode_and_decode(self, monkeypatch):
-        # encode pools nothing; decode pools any pass of two or more tasks,
-        # whatever the group size
+        # encode pools nothing; decode pools any pass of two or more tasks of
+        # TILE columns, whatever the group size
         pooled, passes = [], []
         tasks = pipeline_module._tasks
 
@@ -1016,9 +1024,8 @@ class TestTiledDecode:
     def test_pooled_runs_decode_the_bits_of_inline_runs(self, monkeypatch, quantization, count, height, width):
         # runs of 8 64x64 groups (13 runs, or two, the second of one group),
         # 60 33x17 groups in runs of 58 and 2 with a tail frame, and two CIF
-        # groups, one a task, whose bands are stacked on the pool and
-        # recovered one by one inline, on one CPU and on the pool: the same
-        # frames and census
+        # groups, one a task on the pool and in two row tiles inline, on one
+        # CPU and on the pool: the same frames and census
         cfg = CodecConfig(quantization=quantization)
         enc = encode_sequence(synth.generate("sparse-detail", count, width, height, seed=6), cfg)
         threads, results = [], []
@@ -1061,11 +1068,10 @@ class TestTiledDecode:
             assert census_fields(stats) == census_fields(pool_stats)
 
     def test_recovery_calls_per_task(self, monkeypatch):
-        # every call is a (k, c, m, T) view beside a (k, 1, T) floor: a run of
-        # groups of at most TILE pixels recovers its three detail bands in one
-        # call, c = 3, and so does a larger whole group (CIF) on the pool,
-        # while inline it makes one call per band, c = 1; row tiles (720p)
-        # make one call per band on the pool too
+        # every task recovers its three detail bands in one call, a (k, 3, m,
+        # T) view beside a (k, 1, T) floor: a run of groups of at most TILE
+        # pixels, a larger whole group (CIF) on the pool, and a row tile of
+        # about TILE // 2 columns, of a CIF group inline or of 720p
         shapes = []
         recover = pipeline_module.recover_block
 
@@ -1077,8 +1083,8 @@ class TestTiledDecode:
         cases = (
             ((64, 64), 100, 2, [((8, 3, 3, 32 * 32), (8, 1, 32 * 32))] * 12 + [((4, 3, 3, 32 * 32), (4, 1, 32 * 32))]),
             ((288, 352), 10, 2, [((1, 3, 3, 144 * 176), (1, 1, 144 * 176))] * 10),
-            ((288, 352), 10, 1, [((1, 1, 3, 144 * 176), (1, 1, 144 * 176))] * 30),
-            ((720, 1280), 1, 2, [((1, 1, 3, 45 * 640), (1, 1, 45 * 640))] * 24),
+            ((288, 352), 10, 1, [((1, 3, 3, 72 * 176), (1, 1, 72 * 176))] * 20),
+            ((720, 1280), 1, 2, [((1, 3, 3, 24 * 640), (1, 1, 24 * 640))] * 15),
         )
         for (height, width), blocks, workers, calls in cases:
             shapes.clear()

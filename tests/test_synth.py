@@ -80,6 +80,10 @@ class TestNoise:
         assert np.array_equal(_stacks(a), _stacks(b))
         assert _stacks(a).min() >= 0 and _stacks(a).max() <= 255
 
+    def test_count_must_be_positive(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            generate("noise", 0, 16, 16, seed=0)
+
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_negative_seed_is_named(preset):

@@ -84,6 +84,13 @@ class TestPgm:
         with pytest.raises(ValueError, match="truncated"):
             read_sequence(str(path))
 
+    @pytest.mark.parametrize("header, reason", [(b"P5 4 4", "truncated"), (b"P5 4 x 255\n", "malformed")])
+    def test_rejects_bad_header(self, tmp_path, header, reason):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError, match=f"{reason} PGM header"):
+            read_sequence(str(path))
+
     @pytest.mark.parametrize("dims", [b"-5 64", b"64 -5"])
     def test_rejects_negative_dimension(self, tmp_path, dims):
         # checked before the payload is cut, whose length a negative side
@@ -192,6 +199,13 @@ class TestRawPlanar:
         write_sequence(np.zeros((8, 2, 2)), str(tmp_path / "f{i}.pgm"))
         with pytest.raises(ValueError, match="width and height"):
             read_sequence(str(tmp_path / "f*.pgm"), count=4, **dims)
+
+    @pytest.mark.parametrize("width, height", [(0, 2), (2, 0), (-1, 2), (2, -4)])
+    def test_rejects_non_positive_dimensions(self, tmp_path, width, height):
+        path = tmp_path / "seq.raw"
+        path.write_bytes(bytes(16))
+        with pytest.raises(ValueError, match="raw dimensions must be positive"):
+            read_sequence(str(path), width=width, height=height)
 
     @pytest.mark.parametrize("count", [0, -1, -2])
     def test_rejects_non_positive_count(self, tmp_path, count):
