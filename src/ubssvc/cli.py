@@ -51,7 +51,8 @@ def _build_parser() -> argparse.ArgumentParser:
             source = p.add_mutually_exclusive_group(required=True) if either else p
             source.add_argument(
                 "input", nargs="?" if either else None,
-                help="PGM file/pattern/directory, or raw file with --width/--height",
+                help="PGM file/pattern/directory, or raw file with --width/--height"
+                + ("; give exactly one of this path and --preset" if either else ""),
             )
             if either:
                 source.add_argument("--preset", choices=synth.PRESETS, help="generate the frames instead")

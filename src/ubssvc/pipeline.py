@@ -7,16 +7,14 @@ sequence into consecutive groups of n frames and mixes every group down to
 m frames in the pixel domain; leftover frames (count mod n) pass through
 unmixed as the tail. Decoding takes the matrix and quantization from the
 encoded sequence and tau from the config, and recovers the sources task by
-task: one Haar transform of the task's mixed frames, recovery of the three
-sparse detail subbands by subspace classification, the low-frequency
-subband by the generalized inverse, and one inverse transform written
-straight into the output array. A detail column is zero when its norm is
-at most ``DEFAULT_ZERO_EPS`` times the norm of the mixed LL column of its
-own 2x2 cell, so every task holds its zero test and decodes once, and
-recovers its three detail bands in one call. The transforms are the plain
-sum/difference Haar pair, without their halvings, and ``A+`` and the
-coefficient maps are scaled by 1/4 once per decode instead: powers of two
-commute with rounding, so this gives the bits of the orthonormal pair.
+task: one Haar transform of the task's mixed frames, one
+:func:`ubssvc.sca.recover_cells` call that recovers the three sparse
+detail subbands by subspace classification and the low-frequency subband
+by the generalized inverse, and one inverse transform written straight
+into the output array. The transforms are the plain sum/difference Haar
+pair, without their halvings, and ``A+`` and the coefficient maps are
+scaled by 1/4 once per decode instead: powers of two commute with
+rounding, so this gives the bits of the orthonormal pair.
 
 Both directions, and the score in :mod:`ubssvc.metrics`, cut their work
 the same way, by :func:`_tasks`: a group of more than ``TILE`` cells
@@ -27,9 +25,8 @@ Decode shares a pass of two or more such tasks, runs of small groups too,
 out on a thread pool when there are two or more usable CPUs, and runs a
 lone task inline; it keeps whole the groups of at most ``TILE`` pixels,
 and on the pool those of at most ``TILE`` columns, and cuts every other
-group into row tiles of about ``TILE // 2`` columns.
-A tile, like a whole group, decodes once: the zero test of a cell needs
-nothing outside it, so tiles change no bit of the result.
+group into row tiles of about ``TILE // 2`` columns, which change no bit
+of the result.
 
 The encoder keeps the mixed frames in their stored form, the codes a
 container holds and a downstream codec sees: float32 in float-container
@@ -60,15 +57,7 @@ from .mixcore import (
     generalized_inverse,
     snap_to_8bit,
 )
-from .sca import (
-    RecoveryStats,
-    _gemm,
-    _norms,
-    build_hyperplanes,
-    check_tau,
-    recover_block,
-    recover_dense,
-)
+from .sca import RecoveryStats, _gemm, build_hyperplanes, check_tau, recover_cells
 from .wavelet import haar_forward, haar_inverse
 
 QUANT_FLOAT = "float-container"
@@ -77,7 +66,6 @@ QUANT_AFFINE = "affine-8bit"
 # Relative-residual tolerance suited to real wavelet coefficients; exact
 # synthetic data can use something as tight as 1e-8.
 DEFAULT_TAU = 0.05
-DEFAULT_ZERO_EPS = 1e-12  # the zero test of a detail column (see the module docstring)
 
 # Cells per task. A group (a frame, to score) of more than TILE pixels is
 # encoded or scored in row tiles of about TILE cells (decode_sequence gives
@@ -378,16 +366,10 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau) -> RecoveryStats:
 
     ``pinv`` and ``planes`` carry the ``A+`` and coefficient maps scaled
     by 1/4 that :func:`decode_sequence` pairs with the unhalved transforms.
-    A detail column is zero when its norm is at most ``DEFAULT_ZERO_EPS``
-    times its cell's mixed LL norm: one (k, T) floor, made once per task.
-
-    The three detail bands are held in one (m, k, 3, h/2, w/2) buffer,
-    recovered in one call on its (k, 3, m, T) view, whose columns that
-    call reads without a copy, beside the floor as (k, 1, T). The buffer
-    goes into that call as the only reference to it, so that the call
-    frees it once it has gathered the columns it keeps. The returned
-    census, that call's, counts the residuals per (group, band). A
-    function of its own, so that one task's temporaries are freed before
+    The three detail bands are held in one (m, k, 3, h/2, w/2) buffer, whose
+    (k, 3, m, T) view :func:`ubssvc.sca.recover_cells` recovers without a
+    copy; each band buffer goes into that call as the only reference to it.
+    A function of its own, so that one task's temporaries are freed before
     the next task allocates its own.
 
     Odd sides decode as if edge-padded to even: the transforms pad the
@@ -395,20 +377,13 @@ def _decode_chunk(codes, affine, dest, planes, pinv, tau) -> RecoveryStats:
     """
     k, m, height, width = codes.shape
     half = (-(-height // 2), -(-width // 2))
-    ll = np.empty((k, m, *half))
-    details = [np.empty((m, k, 3, *half))]
+    ll, details = [np.empty((k, m, *half))], [np.empty((m, k, 3, *half))]
     convert = None if affine is None else lambda slab, values: _dequantize(slab, affine, values)
-    haar_forward(codes, convert, [ll, *details[0].transpose(2, 1, 0, 3, 4)], orthonormal=False)
-    # the call's groups are the (group, band) planes in turn
+    haar_forward(codes, convert, [*ll, *details[0].transpose(2, 1, 0, 3, 4)], orthonormal=False)
+    ll[0] = ll[0].reshape(k, m, -1)
     details[0] = details[0].reshape(m, k, 3, -1).transpose(1, 2, 0, 3)
-    ll = ll.reshape(k, m, -1)
-    recovered = [recover_dense(pinv, ll)]
-    floor = _norms(ll)[:, None]
-    floor *= DEFAULT_ZERO_EPS
-    del ll
-    sources, census = recover_block(planes, details.pop(), tau, floor)
-    recovered.extend(sources.swapaxes(0, 1))
-    haar_inverse([r.reshape(k, -1, *half) for r in recovered], out=dest, orthonormal=False)
+    low, high, census = recover_cells(planes, pinv, ll.pop(), details.pop(), tau)
+    haar_inverse([r.reshape(k, -1, *half) for r in (low, *high.swapaxes(0, 1))], out=dest, orthonormal=False)
     return census
 
 

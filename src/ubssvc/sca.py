@@ -41,6 +41,8 @@ _LOWEST_KEY = (1023 - 64) << 3
 # key: bin 0 starts at key 0 and the last bin runs to the end.
 _BIN_STARTS = np.r_[0, _LOWEST_KEY + 1 : _LOWEST_KEY + RESIDUAL_BINS]
 
+ZERO_EPS = 1e-12  # the zero test of a detail column in a decode (see recover_cells)
+
 
 @dataclass(frozen=True, eq=False)
 class HyperplaneSet:
@@ -137,8 +139,7 @@ def _norms(x) -> np.ndarray:
     ``linalg.norm(axis=-2)`` on C-ordered columns, without its temporary of
     every square. For m >= 8 numpy's pairwise sum gives a one-column or
     Fortran-ordered input other bits; this sum does not depend on the
-    layout. Both sides of the decoder's zero rule, a detail column's norm
-    and its cell's LL norm, come from here, so their bits agree.
+    layout.
     """
     norms = np.multiply(x[..., 0, :], x[..., 0, :])
     square = np.empty_like(norms)
@@ -344,3 +345,26 @@ def recover_dense(pseudo_inverse, mixed) -> np.ndarray:
             f"shape mismatch: pseudo-inverse {pinv.shape} against observations {x.shape}"
         )
     return _gemm(pinv, x)
+
+
+def recover_cells(planes: HyperplaneSet, pinv, ll, details, tau: float) -> tuple[np.ndarray, np.ndarray, RecoveryStats]:
+    """Recover a decode task's cells: LL by ``pinv``, the three detail bands by ``planes``.
+
+    ``ll`` is the task's (k, m, T) mixed LL band and ``details`` the (k, 3,
+    m, T) view of its detail bands, T cells a group. Returns the (k, n, T)
+    LL and (k, 3, n, T) detail sources and the census of one
+    :func:`recover_block` call, per (group, band). A detail column is zero
+    when its norm is at most ``ZERO_EPS`` times its own cell's mixed LL
+    norm, both from :func:`_norms`: a (k, 1, T) floor that needs nothing
+    outside the cell, so a row tile decodes to the bits of its whole group,
+    and a cell whose LL column is exactly 0 keeps every non-zero detail
+    column. ``ll`` is not read once the floor is made, and ``details`` goes
+    into :func:`recover_block` as this call's only reference to it: each
+    buffer the caller hands over (by ``list.pop()``) is freed before the
+    recovery's own temporaries are made.
+    """
+    low = recover_dense(pinv, ll)
+    floor = ZERO_EPS * _norms(ll)[:, None]
+    held = [details]
+    del ll, details
+    return (low, *recover_block(planes, held.pop(), tau, floor))

@@ -498,6 +498,16 @@ class TestParsedSurface:
         assert proc.stdout == ""
 
 
+    @pytest.mark.parametrize("command", ["roundtrip", "bench"])
+    def test_help_says_a_path_or_a_preset(self, command):
+        # argparse drops the exclusive group's brackets when the usage line
+        # wraps, so the input's help says that the two exclude each other
+        proc = run_cli(command, "--help")
+        assert proc.returncode == 0, proc.stderr
+        assert "give exactly one of this path and --preset" in " ".join(proc.stdout.split())
+        assert "exactly one" not in run_cli("mix", "--help").stdout
+
+
 class TestRoundtripCommand:
     def test_counts_and_determinism(self):
         args = (

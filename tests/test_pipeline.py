@@ -33,7 +33,7 @@ from ubssvc import (
     write_container,
 )
 from ubssvc import pipeline as pipeline_module
-from ubssvc import cli, mixcore, synth
+from ubssvc import cli, mixcore, sca, synth
 from ubssvc.pipeline import parse_config
 from ubssvc.wavelet import haar_forward
 
@@ -1071,15 +1071,16 @@ class TestTiledDecode:
         # every task recovers its three detail bands in one call, a (k, 3, m,
         # T) view beside a (k, 1, T) floor: a run of groups of at most TILE
         # pixels, a larger whole group (CIF) on the pool, and a row tile of
-        # about TILE // 2 columns, of a CIF group inline or of 720p
+        # about TILE // 2 columns, of a CIF group inline or of 720p; the call
+        # is made inside sca.recover_cells
         shapes = []
-        recover = pipeline_module.recover_block
+        recover = sca.recover_block
 
         def counting(planes, x, tau, floor):
             shapes.append((x.shape, floor.shape))
             return recover(planes, x, tau, floor)
 
-        monkeypatch.setattr(pipeline_module, "recover_block", counting)
+        monkeypatch.setattr(sca, "recover_block", counting)
         cases = (
             ((64, 64), 100, 2, [((8, 3, 3, 32 * 32), (8, 1, 32 * 32))] * 12 + [((4, 3, 3, 32 * 32), (4, 1, 32 * 32))]),
             ((288, 352), 10, 2, [((1, 3, 3, 144 * 176), (1, 1, 144 * 176))] * 10),

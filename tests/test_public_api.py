@@ -25,6 +25,20 @@ def test_codec_imports_nothing_from_the_score():
     assert (ubssvc.roundtrip_eval, ubssvc.RoundtripReport) == (metrics.roundtrip_eval, metrics.RoundtripReport)
 
 
+def test_the_zero_rule_lives_in_sca():
+    # pipeline hands each task's bands to sca.recover_cells, which holds the
+    # zero rule: pipeline neither recovers nor makes a floor of its own
+    tree = ast.parse(inspect.getsource(pipeline))
+    from_sca = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "sca" for alias in node.names}
+    assert from_sca == {"RecoveryStats", "_gemm", "build_hyperplanes", "check_tau", "recover_cells"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not names & {"_norms", "recover_block", "recover_dense"}
+    assert not [name for name in names if "ZERO" in name.upper()]
+    assert 1e-12 not in {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+    assert "recover_cells" not in ubssvc.__all__
+
+
 def test_import_leaves_the_command_line_out():
     # the library's names do not pull in argparse, subprocess and the rest of the CLI
     src = os.path.dirname(os.path.dirname(ubssvc.__file__))

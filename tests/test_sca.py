@@ -30,7 +30,7 @@ from ubssvc import (
     recover_block,
     recover_dense,
 )
-from ubssvc.sca import QUANTILE_PERCENTS, RESIDUAL_BINS, RecoveryStats, _census, _norms
+from ubssvc.sca import QUANTILE_PERCENTS, RESIDUAL_BINS, ZERO_EPS, RecoveryStats, _census, _norms, recover_cells
 
 # frozen via the Gram-Schmidt projection oracle: distance from column 3 of
 # the built-in matrix to the span of columns {0, 1}
@@ -813,6 +813,67 @@ class TestFloor:
                 recover_block(build_hyperplanes(matrix), np.full((3, 2), np.nan), 0.1, floor)
         assert column_peaks(np.zeros((3, 4))).shape == (1,)
         assert np.array_equal(column_peaks(np.zeros((2, 3, 0))), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("t", [1, 37])  # one cell a group takes _gemm's doubling past gemv
+@pytest.mark.parametrize("edge", ["zero LL", "just under the floor"])
+def test_recover_cells_is_the_dense_product_beside_one_floored_call(matrix, rng, k, t, edge):
+    # a task's cells: A+ on its LL band, and one recover_block call on its
+    # (k, 3, m, T) detail view beside a floor of ZERO_EPS times each cell's
+    # LL norm; the last cell's LL is exactly 0, or one of its detail columns
+    # lies just under its floor
+    planes, pinv = build_hyperplanes(matrix), generalized_inverse(matrix)
+    ll = rng.normal(size=(k, matrix.rows, t))
+    s = random_sparse_source(int(rng.integers(1 << 30)), matrix.cols, k * 3 * t, max_active=2)
+    details = (matrix.entries @ s).reshape(matrix.rows, k, 3, t).transpose(1, 2, 0, 3)
+    details[-1, :, :, -1] = matrix.entries[:, :3].T  # the last cell's columns are not zero
+    if edge == "zero LL":
+        ll[-1, :, -1] = 0.0
+    else:
+        details[-1, 1, :, -1] = 0.0
+        # one entry of x: its norm is exactly x, one float under the floor
+        details[-1, 1, 0, -1] = np.nextafter(ZERO_EPS * _norms(ll)[-1, -1], 0.0)
+    dense = recover_dense(pinv, ll)
+    block, stats = recover_block(planes, details, 0.05, ZERO_EPS * _norms(ll)[:, None])
+
+    low, high, cell_stats = recover_cells(planes, pinv, ll, details, 0.05)
+    assert low.tobytes() == dense.tobytes() and high.tobytes() == block.tobytes()
+    assert high.shape == (k, 3, matrix.cols, t)
+    assert census_fields(cell_stats) == census_fields(stats)
+    # the last cell keeps every non-zero detail column, or all but the one under its floor
+    kept = high[-1, :, :, -1].any(axis=1).tolist()
+    assert kept == ([True] * 3 if edge == "zero LL" else [True, False, True])
+
+
+def test_recover_cells_frees_the_bands_handed_over(matrix):
+    # recover_cells reads the LL band only for A+ and the floor, and hands the
+    # detail view on to recover_block as its only reference: each band buffer
+    # the caller hands over is freed before the recovery's temporaries are made
+    planes, pinv = build_hyperplanes(matrix), generalized_inverse(matrix)
+    ll = np.random.default_rng(3).normal(size=(24, 3, 1024))
+    details = (matrix.entries @ sparse_source(seed=7, t=24 * 3 * 1024)).reshape(3, 24, 3, 1024)
+
+    def peak(kept=None) -> int:
+        held = {"ll": [], "details": []}
+
+        def band(name):
+            return held[name][0] if name == kept else held[name].pop()
+
+        tracemalloc.start()
+        try:
+            held["ll"].append(ll.copy())
+            held["details"].append(details.copy().transpose(1, 2, 0, 3))
+            _, high, _ = recover_cells(planes, pinv, band("ll"), band("details"), 0.05)
+            top = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert high.shape == (24, 3, 4, 1024)
+        return top
+
+    handed_over = peak()
+    assert handed_over < peak("ll") - 0.5 * ll.nbytes
+    assert handed_over < peak("details") - 0.5 * details.nbytes
 
 
 def test_single_columns_and_rows_take_the_gemm_path(matrix, rng):
