@@ -5,9 +5,11 @@ Exit codes: 0 success, 1 usage error, 2 data/format error, 3 external
 command failure, 141 (128 + SIGPIPE) when the reader of standard output
 closed it early, as ``| head`` does. ``--porcelain`` switches reports to
 key=value lines. ``separate`` decodes with the matrix and quantization its
-container holds; its ``--config`` and ``--tau`` give only tau. ``bench``
-reports each codec's ratio against the original frames' raw bytes, and
-their ratio of ratios. ``import ubssvc`` does not load this module.
+container holds and takes no config file. Every decode counts its forced
+columns at ``pipeline.DEFAULT_TAU``; no flag or config key sets the
+tolerance. ``bench`` reports each codec's ratio against the original
+frames' raw bytes, and their ratio of ratios. ``import ubssvc`` does not
+load this module.
 """
 from __future__ import annotations
 
@@ -81,13 +83,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("separate", _cmd_separate, "decode a container back into frames")
     p.add_argument("input", help="container path")
-    p.add_argument("--config", help="config file; only its tau is read, as the container fixes the rest")
-    p.add_argument("--tau", type=float)
     p.add_argument("--out", required=True, help="PGM output pattern")
 
     p = add("roundtrip", _cmd_roundtrip, "encode + decode in memory and report quality",
             frames="path or preset")
-    p.add_argument("--tau", type=float)
     p.add_argument("--quant", choices=sorted(_QUANT_FLAG))
 
     p = add("psnr", _cmd_psnr, "score a reconstructed sequence against a reference")
@@ -108,14 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_cfg(args) -> CodecConfig:
-    """The ``--config`` file's config, else the built-in one, with the flags applied."""
+    """The ``--config`` file's config, else the built-in one, with ``--quant`` applied."""
     cfg = pipeline.load_config(args.config) if args.config else CodecConfig()
-    overrides = {}
-    if getattr(args, "tau", None) is not None:
-        overrides["tau"] = args.tau
-    if args.quant is not None:
-        overrides["quantization"] = _QUANT_FLAG[args.quant]
-    return replace(cfg, **overrides)
+    return cfg if args.quant is None else replace(cfg, quantization=_QUANT_FLAG[args.quant])
 
 
 def _load_inputs(args):
@@ -188,15 +182,8 @@ def _cmd_mix(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    # the container fixes the matrix and quantization, so a config file's
-    # matrix is neither built nor checked; it and --tau give tau
-    parsed = pipeline.parse_config(args.config) if args.config else {}
-    try:
-        cfg = CodecConfig(tau=parsed.get("tau", pipeline.DEFAULT_TAU))
-    except ValueError as exc:  # only a config file's tau can be bad here
-        raise ValueError(f"{args.config}: {exc}") from None
-    cfg = cfg if args.tau is None else replace(cfg, tau=args.tau)
-    decoded, stats = pipeline.decode_sequence(vio.read_container(args.input), cfg)
+    # the container fixes the matrix and quantization
+    decoded, stats = pipeline.decode_sequence(vio.read_container(args.input), CodecConfig())
     paths = vio.write_sequence(decoded, args.out)
     if args.porcelain:
         print(f"decoded={len(paths)}")
@@ -261,14 +248,9 @@ class _CodecRunError(Exception):
     pass
 
 
-def _run_codec(template: str, in_path: str, out_path: str) -> int:
-    """Run one codec invocation; returns the output size in bytes."""
-    argv = [
-        token.replace("{in}", in_path).replace("{out}", out_path)
-        for token in shlex.split(template)
-    ]
-    if not argv:
-        raise ValueError("empty codec command")
+def _run_codec(template: list[str], in_path: str, out_path: str) -> int:
+    """Run one codec invocation of the split command ``template``; returns the output size in bytes."""
+    argv = [token.replace("{in}", in_path).replace("{out}", out_path) for token in template]
     try:
         proc = subprocess.run(argv, capture_output=True)
     except OSError as exc:
@@ -287,6 +269,13 @@ def _run_codec(template: str, in_path: str, out_path: str) -> int:
 
 
 def _cmd_bench(args) -> int:
+    # a malformed template is refused before the frames are made and encoded
+    try:
+        codec = shlex.split(args.codec_cmd)
+    except ValueError as exc:
+        raise ValueError(f"--codec-cmd: {exc}") from None
+    if not codec:
+        raise ValueError("--codec-cmd is empty")
     frames, cfg = _load_inputs(args)
     original_raw = vio.sequence_stream_bytes(frames)
     enc = pipeline.encode_sequence(frames, cfg)
@@ -301,7 +290,7 @@ def _cmd_bench(args) -> int:
             with open(in_path, "wb") as fh:
                 fh.write(payload)
             try:
-                rows.append((label, _run_codec(args.codec_cmd, in_path, out_path)))
+                rows.append((label, _run_codec(codec, in_path, out_path)))
             except _CodecRunError as exc:
                 failures.append(f"{label}: {exc}")
 

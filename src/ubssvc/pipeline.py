@@ -93,7 +93,12 @@ _F32_MAX = float(np.finfo(np.float32).max)
 class CodecConfig:
     """Pipeline parameters; defaults to the built-in 3x4 matrix.
 
-    The group sizes n and m are the matrix's columns and rows.
+    The group sizes n and m are the matrix's columns and rows. ``tau``,
+    the relative residual above which the decoder counts a column as
+    forced, decides no decoded bit. It is set only from Python, and only
+    the benchmark harness sets it; config files and the command line
+    leave it at ``DEFAULT_TAU``. The field goes once the harness stops
+    setting it.
     """
 
     matrix: MixingMatrix | None = None
@@ -393,7 +398,7 @@ def parse_config(path) -> dict:
     Recognized keys: ``matrix`` (row-major whitespace-separated floats,
     returned as an uninterpreted (m, n) array), ``n`` and ``m`` (the
     matrix's shape, required with ``matrix``; without it, checked against
-    the built-in matrix), ``tau``, ``quantization``. ``#`` starts a comment.
+    the built-in matrix), ``quantization``. ``#`` starts a comment.
     Only the keys present in the file appear in the result, never ``n`` or
     ``m``. A key may be given once. Errors name the file, a bad value its line.
     """
@@ -415,7 +420,7 @@ def parse_config(path) -> dict:
             raise ValueError(f"{path}:{lineno}: key {key!r} given twice, on lines {linenos[key]} and {lineno}")
         values[key], linenos[key] = value.strip(), lineno
 
-    known = {"n", "m", "matrix", "tau", "quantization"}
+    known = {"n", "m", "matrix", "quantization"}
     unknown = set(values) - known
     if unknown:
         raise ValueError(f"{path}: unknown config keys {sorted(unknown)}")
@@ -447,8 +452,6 @@ def parse_config(path) -> dict:
             raise ValueError(
                 f"{path}: declared n = {n}, m = {m} disagree with the built-in {rows}x{cols} matrix"
             )
-    if "tau" in values:
-        parsed["tau"] = read("tau", float, "a number")
     if "quantization" in values:
         parsed["quantization"] = values["quantization"]
     return parsed

@@ -23,7 +23,7 @@ from ubssvc import (
     write_container,
     write_sequence,
 )
-from ubssvc import MixingMatrix, cli, mixcore, synth
+from ubssvc import MixingMatrix, cli, mixcore, pipeline, synth
 
 
 def run_cli(*args, cwd=None, timeout=None):
@@ -322,84 +322,26 @@ class TestMixSeparate:
         assert "mixed=6" in proc.stdout
 
 
-class TestSeparateConfig:
-    """``separate`` decodes with the container's matrix; ``--config`` gives it tau only."""
+class TestSeparateMatrix:
+    """``separate`` decodes with the container's matrix and takes no config file."""
 
-    @pytest.fixture
-    def m2x8(self, tmp_path):
-        path = tmp_path / "m2x8.cfg"
-        path.write_text(_matrix_config(np.random.default_rng(1).uniform(0.0, 1.0, (2, 8))))
-        return path
-
-    def _mix(self, tmp_path, preset, *config):
-        # noise frames force enough columns for tau to change the census
-        write_sequence(synth.generate(preset, 16, 16, 16, seed=11), str(tmp_path / preset / "f_{i:03d}.pgm"))
-        container = tmp_path / f"{preset}.ubss"
-        proc = run_cli("mix", str(tmp_path / preset / "*.pgm"), *config, "--out", str(container))
+    def test_a_2x8_container_decodes_with_its_own_matrix(self, tmp_path):
+        config = tmp_path / "m2x8.cfg"
+        config.write_text(_matrix_config(np.random.default_rng(1).uniform(0.0, 1.0, (2, 8))))
+        write_sequence(synth.generate("noise", 16, 16, 16, seed=11), str(tmp_path / "src" / "f_{i:03d}.pgm"))
+        container = tmp_path / "m2x8.ubss"
+        proc = run_cli("mix", str(tmp_path / "src" / "*.pgm"), "--config", str(config), "--out", str(container))
         assert proc.returncode == 0, proc.stderr
-        return container
-
-    def test_tau_only_config_on_a_2x8_container(self, tmp_path, m2x8):
-        container = self._mix(tmp_path, "noise", "--config", str(m2x8))
-        tau_only = tmp_path / "tau.cfg"
-        tau_only.write_text("tau = 0.1\n")
-        runs = {}
-        for name, flags in {"config": ("--config", str(tau_only)), "flag": ("--tau", "0.1"), "default": ()}.items():
-            proc = run_cli("separate", str(container), *flags, "--porcelain", "--out", str(tmp_path / name / "f_{i}.pgm"))
-            assert proc.returncode == 0, proc.stderr
-            runs[name] = dict(line.split("=", 1) for line in proc.stdout.splitlines())
-        assert runs["config"]["decoded"] == "16"
-        assert runs["config"] == runs["flag"]
-        assert runs["config"]["columns.forced"] != runs["default"]["columns.forced"]
-
-    def test_config_matrix_is_not_read(self, tmp_path):
-        # a matrix that MixingMatrix refuses and a quantization the container
-        # does not hold: separate takes the config's tau and nothing else
-        container = self._mix(tmp_path, "noise")
-        config = tmp_path / "bad-matrix.cfg"
-        config.write_text("tau = 0.1\nn = 3\nm = 2\nmatrix = 1e8 0.5 0.25  0.5 1.0 -0.75\nquantization = affine-8bit\n")
-        runs = {}
-        for name, flags in {"config": ("--config", str(config)), "flag": ("--tau", "0.1"), "default": ()}.items():
-            proc = run_cli("separate", str(container), *flags, "--porcelain", "--out", str(tmp_path / name / "f_{i}.pgm"))
-            assert proc.returncode == 0, proc.stderr
-            runs[name] = dict(line.split("=", 1) for line in proc.stdout.splitlines())
-        assert runs["config"] == runs["flag"]
-        assert runs["config"]["columns.forced"] != runs["default"]["columns.forced"]
-        # --tau overrides the config's tau
-        flags = ("--config", str(config), "--tau", "0.05", "--porcelain")
-        proc = run_cli("separate", str(container), *flags, "--out", str(tmp_path / "both" / "f_{i}.pgm"))
+        proc = run_cli("separate", str(container), "--porcelain", "--out", str(tmp_path / "back" / "f_{i:03d}.pgm"))
         assert proc.returncode == 0, proc.stderr
-        assert dict(line.split("=", 1) for line in proc.stdout.splitlines()) == runs["default"]
-
-    @pytest.mark.parametrize("command", ["roundtrip", "separate"])
-    def test_bad_config_tau_is_refused_under_a_tau_flag(self, tmp_path, command):
-        # --tau overrides a config's tau, but a bad one in the file is still
-        # refused, with the file named, by both commands that read it
-        config = tmp_path / "badtau.cfg"
-        config.write_text("tau = -1\n")
-        if command == "roundtrip":
-            inputs = ("--preset", "noise", "--frames", "8")
-        else:
-            inputs = (str(self._mix(tmp_path, "noise")), "--out", str(tmp_path / "f_{i}.pgm"))
-        proc = run_cli(command, *inputs, "--config", str(config), "--tau", "0.1")
-        assert proc.returncode == 2, proc.stderr
-        assert "badtau.cfg: tau must be finite and >= 0" in proc.stderr and "Traceback" not in proc.stderr
-        assert not list(tmp_path.glob("f_*.pgm"))
-
-    def test_mix_config_on_a_built_in_matrix_container(self, tmp_path, m2x8):
-        container = self._mix(tmp_path, "sparse-detail")
-        for name, flags in {"config": ("--config", str(m2x8)), "plain": ()}.items():
-            proc = run_cli("separate", str(container), *flags, "--out", str(tmp_path / name / "f_{i:03d}.pgm"))
-            assert proc.returncode == 0, proc.stderr
-        config, plain = (sorted((tmp_path / name).iterdir()) for name in ("config", "plain"))
-        assert len(config) == len(plain) == 16
-        assert [p.read_bytes() for p in config] == [p.read_bytes() for p in plain]
+        assert "decoded=16" in proc.stdout.splitlines()
+        decoded, _ = decode_sequence(read_container(container), CodecConfig())
+        assert np.array_equal(read_sequence(str(tmp_path / "back" / "*.pgm")), snap_to_8bit(decoded))
 
 
 class TestConfigOverrides:
     CONFIG = (
-        "n = 3\nm = 2\nmatrix = 1.0 0.5 0.25  0.5 1.0 -0.75\n"
-        "tau = 0.01\nquantization = float-container\n"
+        "n = 3\nm = 2\nmatrix = 1.0 0.5 0.25  0.5 1.0 -0.75\nquantization = float-container\n"
     )
 
     def test_flags_keep_matrix(self, tmp_path):
@@ -407,13 +349,13 @@ class TestConfigOverrides:
 
         path = tmp_path / "codec.cfg"
         path.write_text(self.CONFIG)
-        flags = ["--config", str(path), "--tau", "0.2", "--quant", "affine8"]
+        flags = ["--config", str(path), "--quant", "affine8"]
         cfg = _load_cfg(_build_parser().parse_args(["roundtrip", "--preset", "noise", *flags]))
-        assert (cfg.tau, cfg.quantization) == (0.2, "affine-8bit")
+        assert (cfg.tau, cfg.quantization) == (pipeline.DEFAULT_TAU, "affine-8bit")
         assert cfg.matrix.entries.shape == (2, 3)
         assert np.array_equal(cfg.matrix.entries, [[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])
         no_flags = _load_cfg(_build_parser().parse_args(["roundtrip", "--preset", "noise", "--config", str(path)]))
-        assert (no_flags.tau, no_flags.quantization) == (0.01, "float-container")
+        assert (no_flags.tau, no_flags.quantization) == (pipeline.DEFAULT_TAU, "float-container")
 
     def test_mix_with_overrides_writes_config_matrix(self, tmp_path):
         path = tmp_path / "codec.cfg"
@@ -453,16 +395,16 @@ PARSED_SURFACE = {
     ),
     "separate": (
         ["separate", "c", "--out", "o"],
-        {"input": "c", "config": None, "tau": None, "out": "o", "func": cli._cmd_separate},
+        {"input": "c", "out": "o", "func": cli._cmd_separate},
     ),
     "roundtrip-path": (
         ["roundtrip", "in"],
-        {"input": "in", "preset": None, **FRAME_FLAG_DEFAULTS, "seed": None, "tau": None, "quant": None,
+        {"input": "in", "preset": None, **FRAME_FLAG_DEFAULTS, "seed": None, "quant": None,
          "func": cli._cmd_roundtrip},
     ),
     "roundtrip-preset": (
         ["roundtrip", "--preset", "noise"],
-        {"input": None, "preset": "noise", **FRAME_FLAG_DEFAULTS, "seed": None, "tau": None, "quant": None,
+        {"input": None, "preset": "noise", **FRAME_FLAG_DEFAULTS, "seed": None, "quant": None,
          "func": cli._cmd_roundtrip},
     ),
     "psnr": (["psnr", "a", "b"], {"reference": "a", "test": "b", "func": cli._cmd_psnr}),
@@ -610,6 +552,12 @@ class TestBenchCommand:
         assert proc.returncode == 3, proc.stderr
         assert "produced an empty output file" in proc.stderr
 
+    @pytest.mark.parametrize("template", ["cp '{in} {out}", ""])
+    def test_malformed_codec_cmd_is_refused_before_the_frames(self, capsys, monkeypatch, template):
+        monkeypatch.setattr(cli, "_load_inputs", lambda args: pytest.fail("frames made for a malformed command"))
+        assert cli.main(["bench", "--preset", "noise", "--codec-cmd", template]) == 2
+        assert capsys.readouterr().err.startswith("error: --codec-cmd")
+
 
 class _BrokenStdout(io.StringIO):
     def write(self, text):
@@ -664,26 +612,45 @@ class TestExitCodes:
         proc = run_cli("separate", str(tmp_path / "nope.ubss"), "--out", str(tmp_path / "f_{i}.pgm"))
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("tau", ["nan", "inf"])
-    def test_non_finite_tau_exits_2(self, tmp_path, tau):
-        gen = ("--preset", "noise", "--frames", "8", "--width", "16", "--height", "16")
-        proc = run_cli("roundtrip", *gen, "--tau", tau, "--porcelain")
-        assert proc.returncode == 2
-        assert "tau must be finite" in proc.stderr and "columns.forced" not in proc.stdout
-        cfg = tmp_path / "codec.cfg"
-        cfg.write_text(f"tau = {tau}\n")
-        proc = run_cli("roundtrip", *gen, "--config", str(cfg))
-        assert proc.returncode == 2 and "tau must be finite" in proc.stderr
-        frames = synth.generate("noise", 8, 16, 16, seed=1)
-        write_sequence(frames, str(tmp_path / "src" / "f_{i}.pgm"))
-        container = tmp_path / "seq.ubss"
-        # encode never reads tau, so mix takes no --tau
-        proc = run_cli("mix", str(tmp_path / "src" / "*.pgm"), "--tau", tau, "--out", str(container))
-        assert proc.returncode == 1 and "unrecognized arguments: --tau" in proc.stderr
-        assert not container.exists()
-        write_container(encode_sequence(frames, CodecConfig()), container)
-        proc = run_cli("separate", str(container), "--tau", tau, "--out", str(tmp_path / "f_{i}.pgm"))
-        assert proc.returncode == 2 and "tau must be finite" in proc.stderr
+    @pytest.mark.parametrize("command", ["mix", "roundtrip", "bench", "validate-matrix"])
+    def test_a_tau_key_is_refused_by_name(self, tmp_path, command):
+        # every decode of the command line counts forced columns at one
+        # threshold, so no config file sets it
+        config = tmp_path / "badtau.cfg"
+        config.write_text("tau = 0.1\n")
+        args = {
+            "mix": ["mix", str(tmp_path / "f_*.pgm"), "--out", str(tmp_path / "o.ubss")],
+            "roundtrip": ["roundtrip", "--preset", "noise", "--frames", "8"],
+            "bench": ["bench", "--preset", "noise", "--frames", "8", "--codec-cmd", "cp {in} {out}"],
+            "validate-matrix": ["validate-matrix"],
+        }[command]
+        write_sequence(synth.generate("noise", 4, 8, 8, seed=1), str(tmp_path / "f_{i}.pgm"))
+        proc = run_cli(*args, "--config", str(config))
+        assert proc.returncode == 2, proc.stderr
+        assert f"{config}: unknown config keys ['tau']" in proc.stderr and "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not (tmp_path / "o.ubss").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["separate", "{tmp}/seq.ubss", "--out", "{tmp}/out/f_{i}.pgm", "--config", "{tmp}/codec.cfg"],
+            ["separate", "{tmp}/seq.ubss", "--out", "{tmp}/out/f_{i}.pgm", "--tau", "0.1"],
+            ["roundtrip", "--preset", "noise", "--frames", "8", "--tau", "0.1"],
+            ["mix", "{tmp}/f_*.pgm", "--out", "{tmp}/out/o.ubss", "--tau", "0.1"],
+        ],
+        ids=["separate-config", "separate-tau", "roundtrip-tau", "mix-tau"],
+    )
+    def test_no_command_takes_a_tau_flag(self, tmp_path, args):
+        frames = synth.generate("noise", 8, 8, 8, seed=1)
+        write_sequence(frames, str(tmp_path / "f_{i}.pgm"))
+        write_container(encode_sequence(frames, CodecConfig()), tmp_path / "seq.ubss")
+        (tmp_path / "codec.cfg").write_text("quantization = affine-8bit\n")
+        proc = run_cli(*(arg.replace("{tmp}", str(tmp_path)) for arg in args))
+        assert proc.returncode == 1, proc.stderr
+        # argparse may read the removed flag's value as the input path, so
+        # the message is a usage error of either kind
+        assert proc.stderr.startswith("usage:") and "Traceback" not in proc.stderr
+        assert proc.stdout == "" and not (tmp_path / "out").exists()
 
     def test_tail_too_long_for_container_exits_2(self, tmp_path):
         # a 2x257 matrix and 513 frames leave a tail of 256, one more than the u8 field holds
@@ -733,13 +700,11 @@ CFG = ["--config", "{tmp}/codec.cfg"]
 # the directory also holds seq.raw, four 4x4 frames; the error of a config
 # file names it
 HOSTILE_INPUTS = {
-    "non-utf8-config": (b"tau = 0.1 # \xff\xfe\n", ["roundtrip", *GEN, *CFG], 2),
+    "non-utf8-config": (b"quantization = affine-8bit # \xff\xfe\n", ["roundtrip", *GEN, *CFG], 2),
     "n-not-int": (b"n = x\n", ["roundtrip", *GEN, *CFG], 2),
     "n-not-whole": (b"n = 4.0\n", ["roundtrip", *GEN, *CFG], 2),
     "negative-shape": (b"n = -4\nm = -1\nmatrix = 1 2 3 4\n", ["roundtrip", *GEN, *CFG], 2),
     "matrix-entry-not-float": (b"n = 4\nm = 3\nmatrix = 1 2 x 4 5 6 7 8 9 10 11 12\n", ["roundtrip", *GEN, *CFG], 2),
-    "tau-not-float": (b"tau = abc\n", ["roundtrip", *GEN, *CFG], 2),
-    "separate-negative-tau": (b"tau = -1\n", ["separate", "{tmp}/none.ubss", *CFG, "--out", "{tmp}/f_{i}.pgm"], 2),
     "one-row-matrix": (b"n = 2\nm = 1\nmatrix = 1 2\n", ["roundtrip", *GEN, *CFG], 2),
     "negative-raw-frames": (
         b"",
@@ -750,13 +715,14 @@ HOSTILE_INPUTS = {
     "frames-of-a-pgm-pattern": (b"", ["roundtrip", "{tmp}/f*.pgm", "--frames", "2"], 2),
     "positional-pattern": (b"", ["gen", "--frames", "4", "--out", "{tmp}/f_{0}.pgm"], 2),
     "unclosed-quote": (b"", ["bench", *GEN, "--codec-cmd", "cp '{in} {out}"], 2),
+    "empty-codec-cmd": (b"", ["bench", *GEN, "--codec-cmd", ""], 2),
     "directory-container": (b"", ["separate", "{tmp}", "--out", "{tmp}/f_{i}.pgm"], 2),
     "removed-flag": (b"", ["validate-matrix", "--det-floor", "1e-9"], 1),
     "zero-size-preset": (b"", ["roundtrip", "--preset", "sparse-detail", "--width", "0", "--height", "0"], 2),
     "negative-seed-gen": (b"", ["gen", "--seed", "-1", "--frames", "4", "--out", "{tmp}/g_{i}.pgm"], 2),
     "negative-seed-preset": (b"", ["roundtrip", *GEN, "--seed", "-1"], 2),
     "seed-beside-a-path": (b"", ["roundtrip", "{tmp}/f*.pgm", "--seed", "7"], 2),
-    "line-without-equals": (b"tau 0.1\n", ["roundtrip", *GEN, *CFG], 2),
+    "line-without-equals": (b"quantization affine-8bit\n", ["roundtrip", *GEN, *CFG], 2),
     # the noise frames are allocated first, so the count fails at once
     "huge-noise-frames": (b"", ["roundtrip", "--preset", "noise", "--frames", "99999999999999999999"], 2),
 }
@@ -777,3 +743,5 @@ def test_hostile_input_exits_cleanly(tmp_path, name):
         assert "codec.cfg" in proc.stderr, proc.stderr
     if "--seed" in args:
         assert "seed" in proc.stderr, proc.stderr
+    if "--codec-cmd" in args:
+        assert "--codec-cmd" in proc.stderr, proc.stderr

@@ -345,8 +345,11 @@ class TestDecode:
             tracemalloc.stop()
         # the four bands of the group hold 8 bytes a code; the temporaries are
         # 1.25 times that, were 1.78 times it with the group whole and one
-        # recovery call a band, and 3.1 times it with the copy and the store
-        assert peak - base - decoded.nbytes < 1.5 * 8 * enc.mixed_codes.size
+        # recovery call a band, and 3.1 times it with the copy and the store.
+        # A task that keeps its LL buffer alive across sca.recover_cells
+        # reads 1.37-1.38 in either quantization; the bound lies about 0.06
+        # from both
+        assert peak - base - decoded.nbytes < 1.31 * 8 * enc.mixed_codes.size
 
     @pytest.mark.parametrize("quantization", ["float-container", "affine-8bit"])
     @pytest.mark.parametrize(
@@ -1168,8 +1171,8 @@ class TestConfig:
             path.write_text(counts)
             with pytest.raises(ValueError, match="disagree"):
                 parse_config(path)
-        path.write_text("n = 4\nm = 3\ntau = 0.2\n")
-        assert parse_config(path) == {"tau": 0.2}
+        path.write_text("n = 4\nm = 3\nquantization = affine-8bit\n")
+        assert parse_config(path) == {"quantization": "affine-8bit"}
 
     def test_bad_policies(self):
         with pytest.raises(ValueError):
@@ -1189,11 +1192,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="tau must be finite"):
             CodecConfig(tau=tau)
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
-    def test_non_finite_tau_in_file_rejected(self, tmp_path, text):
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0.05"])
+    def test_tau_in_file_rejected(self, tmp_path, text):
+        # tau is set only from Python; a file leaves it at DEFAULT_TAU
         path = tmp_path / "codec.cfg"
         path.write_text(f"tau = {text}\n")
-        with pytest.raises(ValueError, match="tau must be finite"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: unknown config keys ['tau']")):
             load_config(path)
 
     def test_load_full_file(self, tmp_path):
@@ -1203,21 +1207,20 @@ class TestConfig:
             "n = 3\n"
             "m = 2\n"
             "matrix = 1.0 0.5 0.25  0.5 1.0 -0.75\n"
-            "tau = 0.01\n"
             "quantization = affine-8bit\n"
         )
         cfg = load_config(path)
         assert cfg.matrix.entries.shape == (2, 3)
-        assert cfg.tau == 0.01
+        assert cfg.tau == 0.05
         assert cfg.quantization == "affine-8bit"
         assert_allclose(cfg.matrix.entries, [[1.0, 0.5, 0.25], [0.5, 1.0, -0.75]])
 
     def test_load_partial_file_keeps_defaults(self, tmp_path):
         path = tmp_path / "codec.cfg"
-        path.write_text("tau = 0.2\n")
+        path.write_text("quantization = affine-8bit\n")
         cfg = load_config(path)
-        assert cfg.tau == 0.2
-        assert cfg.matrix.entries.shape == (3, 4)
+        assert (cfg.tau, cfg.quantization) == (0.05, "affine-8bit")
+        assert cfg.matrix is default_mixing_matrix()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "codec.cfg"
@@ -1228,8 +1231,8 @@ class TestConfig:
 
     def test_repeated_key_rejected(self, tmp_path):
         path = tmp_path / "codec.cfg"
-        path.write_text("tau = 0.2\n# comment\ntau = 0.3\n")
-        with pytest.raises(ValueError, match="key 'tau' given twice, on lines 1 and 3"):
+        path.write_text("m = 3\n# comment\nm = 2\n")
+        with pytest.raises(ValueError, match="key 'm' given twice, on lines 1 and 3"):
             parse_config(path)
         assert cli.main(["validate-matrix", "--config", str(path)]) == 2
 
@@ -1251,9 +1254,9 @@ class TestConfig:
             ("n = 4.0\n", "1: n must be a whole number"),
             ("n = x\nm = 3\nmatrix = 1 2\n", "1: n must be a whole number"),
             ("n = -4\nm = -1\nmatrix = 1 2 3 4\n", "2: m must not be negative"),
-            ("tau = 0.1\nm = -3\n", "2: m must not be negative"),
+            ("quantization = affine-8bit\nm = -3\n", "2: m must not be negative"),
             ("n = 2\nm = 1\nmatrix = 1 x\n", "3: matrix must be numbers"),
-            ("\ntau = abc\n", "2: tau must be a number"),
+            ("\nm = 3.5\n", "2: m must be a whole number"),
         ],
     )
     def test_value_errors_name_file_line_and_key(self, tmp_path, text, where):
