@@ -73,23 +73,17 @@ class QualityReport:
     def to_table(self) -> str:
         lines = [f"{'frame':>5}  {'mse':>12}  {'psnr_db':>9}"]
         for i, (mse, psnr) in enumerate(zip(self.per_frame_mse, self.per_frame_psnr)):
-            psnr_text = "inf" if math.isinf(psnr) else f"{psnr:9.3f}"
-            lines.append(f"{i:>5}  {mse:>12.5f}  {psnr_text:>9}")
-        mean_text = "inf" if math.isinf(self.mean_psnr) else f"{self.mean_psnr:.3f}"
-        lines.append(
-            f"mean psnr over finite frames: {mean_text} dB "
-            f"({self.infinite_count} identical frame(s))"
-        )
+            lines.append(f"{i:>5}  {mse:>12.5f}  {psnr:9.3f}")
+        mean = f"mean psnr over finite frames: {self.mean_psnr:.3f} dB"
+        lines.append(f"{mean} ({self.infinite_count} identical frame(s))")
         return "\n".join(lines)
 
     def to_porcelain(self) -> str:
         lines = []
         for i, (mse, psnr) in enumerate(zip(self.per_frame_mse, self.per_frame_psnr)):
-            psnr_text = "inf" if math.isinf(psnr) else repr(psnr)
             lines.append(f"frame.{i}.mse={mse!r}")
-            lines.append(f"frame.{i}.psnr={psnr_text}")
-        mean_text = "inf" if math.isinf(self.mean_psnr) else repr(self.mean_psnr)
-        lines.append(f"mean_psnr={mean_text}")
+            lines.append(f"frame.{i}.psnr={psnr!r}")
+        lines.append(f"mean_psnr={self.mean_psnr!r}")
         lines.append(f"infinite_count={self.infinite_count}")
         return "\n".join(lines)
 

@@ -30,13 +30,15 @@ of the result.
 
 The encoder keeps the mixed frames in their stored form, the codes a
 container holds and a downstream codec sees: float32 in float-container
-mode, uint8 on an affine grid (value = offset + scale * code) that the
-matrix fixes for sources in [0, 255], so each task quantizes alone, in
-affine-8bit mode. Tail frames are uint8. So writing a container and reading
-it back is lossless, and the file path reproduces the in-memory path bit
-for bit. The affine map is applied in one place each way: quantization in
-:func:`encode_sequence`, dequantization of one row slab at a time inside
-each decode task's Haar transform.
+mode, uint8 on the affine grid (value = offset + scale * code) that
+:func:`affine_grid` reads from the matrix for sources in [0, 255], so each
+task quantizes alone, in affine-8bit mode. Tail frames are uint8. An
+:class:`EncodedSequence` is the matrix and these codes, and nothing else:
+its frame size, quantization mode and grid are read from them. So writing
+a container and reading it back is lossless, and the file path reproduces
+the in-memory path bit for bit. The affine map is applied in one place
+each way: quantization in :func:`encode_sequence`, dequantization of one
+row slab at a time inside each decode task's Haar transform.
 """
 from __future__ import annotations
 
@@ -115,58 +117,75 @@ class CodecConfig:
             raise ValueError(f"unknown quantization mode {self.quantization!r}")
 
 
+def affine_grid(matrix: MixingMatrix) -> tuple[float, float]:
+    """The (scale, offset) of the affine-8bit grid, on which code c stands for ``offset + scale * c``.
+
+    Codes 0 and 255 bound A s for every source s in [0, 255]: row r lies in
+    [255 sum neg_r, 255 sum pos_r]. ``ValueError`` when an end value leaves
+    float32 range, as the decoder's column norms square the values.
+    """
+    rows = matrix.entries.tolist()
+    offset = 255.0 * min(math.fsum(min(a, 0.0) for a in row) for row in rows)
+    scale = (255.0 * max(math.fsum(max(a, 0.0) for a in row) for row in rows) - offset) / 255.0
+    if not max(abs(offset), abs(offset + 255.0 * scale)) <= _F32_MAX:
+        raise ValueError(f"the matrix's affine grid (scale {scale!r}, offset {offset!r}) leaves float32 range")
+    return scale, offset
+
+
 @dataclass(frozen=True, eq=False)
 class EncodedSequence:
-    """Mixed frames plus tail, as stored, and the metadata the decoder needs.
+    """Mixed frames plus tail, as stored, and the matrix that mixed them; the rest is read from these.
 
     ``mixed_codes`` and ``tail_codes`` are read-only, C-contiguous (count,
-    height, width) arrays in their storage dtype: mixed codes are
-    little-endian float32 in float mode and uint8 in affine mode, where a
-    code c stands for ``offset + scale * c``; tail codes are uint8 pixels.
-    ``scale``/``offset`` are zero in float mode. Every stored value must
-    dequantize to a finite float32-range number.
+    height, width) arrays in their storage dtype: little-endian float32
+    mixed codes are float-container mode, uint8 ones affine-8bit mode, on
+    the matrix's :func:`affine_grid` (``scale`` and ``offset`` are 0.0 in
+    float mode). Tail codes are uint8 pixels.
     """
 
     matrix: MixingMatrix
-    width: int
-    height: int
-    quantization: str
-    scale: float
-    offset: float
     mixed_codes: np.ndarray
     tail_codes: np.ndarray
 
     def __post_init__(self):
-        if self.quantization not in CODE_DTYPES:
-            raise ValueError(f"unknown quantization mode {self.quantization!r}")
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"frame dimensions {self.width}x{self.height} must be positive")
-        if not math.isfinite(self.scale) or not math.isfinite(self.offset):
-            raise ValueError("quantization parameters must be finite")
-        # codes 0 and 255 bound the affine values; the decoder's column norms
-        # square them, which overflows far beyond float32 range
-        top = self.offset + 255.0 * self.scale
-        if self.quantization == QUANT_AFFINE and max(abs(self.offset), abs(top)) > _F32_MAX:
-            raise ValueError("affine quantization parameters must map codes into float32 range")
-        m, n = self.matrix.rows, self.matrix.cols
-        dtypes = {"mixed_codes": CODE_DTYPES[self.quantization], "tail_codes": TAIL_DTYPE}
-        for name, dtype in dtypes.items():
+        dtypes = {"mixed_codes": tuple(CODE_DTYPES.values()), "tail_codes": (TAIL_DTYPE,)}
+        for name, allowed in dtypes.items():
             codes = getattr(self, name)
-            if not isinstance(codes, np.ndarray) or codes.dtype != dtype:
-                raise ValueError(f"{name} must be a {dtype} array")
-            if codes.shape[1:] != (self.height, self.width):
-                raise ValueError(f"{name} shape {codes.shape} disagrees with header")
+            if not isinstance(codes, np.ndarray) or codes.dtype not in allowed:
+                raise ValueError(f"{name} must be a {' or '.join(map(str, allowed))} array")
             if codes.flags.writeable or not codes.flags.c_contiguous:
                 object.__setattr__(self, name, _read_only(np.array(codes, order="C")))
-        if self.quantization == QUANT_FLOAT and not all_finite(self.mixed_codes):
+        shape, tail = self.mixed_codes.shape, self.tail_codes.shape
+        if len(shape) != 3 or min(shape[1:]) < 1 or tail[1:] != shape[1:]:
+            raise ValueError(f"code shapes {shape} and {tail} are not (count, height, width) of positive sides")
+        if self.quantization == QUANT_AFFINE:
+            affine_grid(self.matrix)  # raises when the grid leaves float32 range
+        elif not all_finite(self.mixed_codes):
             raise ValueError("mixed frame values must be finite and lie in float32 range")
-        mixed_count = len(self.mixed_codes)
-        if not mixed_count or mixed_count % m:
-            raise ValueError(
-                f"mixed frame count {mixed_count} must be a positive multiple of m = {m}"
-            )
-        if len(self.tail_codes) >= n:
-            raise ValueError(f"tail holds {len(self.tail_codes)} frames, must be < n = {n}")
+        if not shape[0] or shape[0] % self.matrix.rows:
+            raise ValueError(f"mixed frame count {shape[0]} must be a positive multiple of m = {self.matrix.rows}")
+        if tail[0] >= self.matrix.cols:
+            raise ValueError(f"tail holds {tail[0]} frames, must be < n = {self.matrix.cols}")
+
+    @property
+    def height(self) -> int:
+        return self.mixed_codes.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.mixed_codes.shape[2]
+
+    @property
+    def quantization(self) -> str:
+        return QUANT_AFFINE if self.mixed_codes.dtype == CODE_DTYPES[QUANT_AFFINE] else QUANT_FLOAT
+
+    @property
+    def scale(self) -> float:
+        return affine_grid(self.matrix)[0] if self.quantization == QUANT_AFFINE else 0.0
+
+    @property
+    def offset(self) -> float:
+        return affine_grid(self.matrix)[1] if self.quantization == QUANT_AFFINE else 0.0
 
     @property
     def block_count(self) -> int:
@@ -226,13 +245,9 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
     # a tile goes through gemm always, a whole group as the matmul it always was
     product = _gemm if tiles > 1 else np.matmul
 
-    scale = offset = 0.0
     affine = cfg.quantization == QUANT_AFFINE
     if affine:
-        # for sources in [0, 255], row r of A s lies in [255 sum neg_r, 255 sum pos_r]
-        rows = cfg.matrix.entries.tolist()
-        offset = 255.0 * min(math.fsum(min(a, 0.0) for a in row) for row in rows)
-        scale = (255.0 * max(math.fsum(max(a, 0.0) for a in row) for row in rows) - offset) / 255.0
+        scale, offset = affine_grid(cfg.matrix)
     # a float value past float32 range casts to inf, which EncodedSequence rejects
     with np.errstate(over="ignore", invalid="ignore"):
         for task in tasks:
@@ -251,11 +266,6 @@ def _encode(src, cfg: CodecConfig) -> EncodedSequence:
 
     return EncodedSequence(
         matrix=cfg.matrix,
-        width=width,
-        height=height,
-        quantization=cfg.quantization,
-        scale=scale,
-        offset=offset,
         mixed_codes=_read_only(codes.reshape(blocks * m, height, width)),
         tail_codes=_read_only(snap_to_8bit(src[blocks * n :])),
     )

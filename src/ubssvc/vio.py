@@ -12,17 +12,18 @@ raw-planar dumps. Encoded streams persist in a little-endian container:
     bytes 14-17  height (u32)
     bytes 18-21  mixed frame count (u32)
     byte  22     tail frame count (u8)
-    bytes 23-38  scale, offset (two f64; zeros in float mode)
+    bytes 23-38  scale, offset (two f64: the matrix's affine grid, or zeros)
     ...          m*n matrix entries (f64, row-major)
     ...          mixed frames (f32 planes, or u8 codes in affine mode)
     ...          tail frames (u8 planes)
 
-An :class:`~ubssvc.pipeline.EncodedSequence` holds its mixed and tail
-frames as these stored codes, so writing a container copies the two code
-arrays out as they are, and reading one returns read-only views over the
-bytes read: the file reproduces every field exactly, and nothing is
-dequantized here. A sequence of frames is read into, and written from, one
-(count, height, width) float64 array; read ones are read-only.
+An :class:`~ubssvc.pipeline.EncodedSequence` is its matrix and its mixed
+and tail frames as these stored codes, which fix every other header field;
+a read refuses a scale and offset they do not fix. Writing a container
+copies the two code arrays out as they are, and reading one returns
+read-only views over the bytes read, so nothing is dequantized here. A
+sequence of frames is read into, and written from, one (count, height,
+width) float64 array; read ones are read-only.
 
 Every file is written as ``open(path, "wb")`` would write it: the same
 bytes, and an existing file keeps its inode, its hard links and its mode.
@@ -295,10 +296,9 @@ def read_container(path) -> EncodedSequence:
         raise ContainerError(f"{path}: unsupported version {version}")
     if quant_code not in _QUANT_NAME:
         raise ContainerError(f"{path}: unknown quantization code {quant_code}")
-    quantization = _QUANT_NAME[quant_code]
 
     plane_size = width * height
-    mixed_dtype = CODE_DTYPES[quantization]
+    mixed_dtype = CODE_DTYPES[_QUANT_NAME[quant_code]]
     mixed_bytes = mixed_count * plane_size * mixed_dtype.itemsize
     expected = _HEADER.size + m * n * 8 + mixed_bytes + tail_count * plane_size
     if len(data) != expected:
@@ -316,15 +316,10 @@ def read_container(path) -> EncodedSequence:
     pos += mixed_bytes
     tail = np.frombuffer(data, dtype=TAIL_DTYPE, count=tail_count * plane_size, offset=pos)
     try:
-        return EncodedSequence(
-            matrix=matrix,
-            width=width,
-            height=height,
-            quantization=quantization,
-            scale=scale,
-            offset=offset,
-            mixed_codes=mixed.reshape(mixed_count, height, width),
-            tail_codes=tail.reshape(tail_count, height, width),
-        )
+        shape = (height, width)
+        enc = EncodedSequence(matrix, mixed.reshape(mixed_count, *shape), tail.reshape(tail_count, *shape))
+        if (scale, offset) != (grid := (enc.scale, enc.offset)):
+            raise ValueError(f"stored scale, offset {(scale, offset)} are not {grid}, the grid of its matrix and mode")
     except ValueError as exc:
         raise ContainerError(f"{path}: inconsistent container: {exc}") from exc
+    return enc

@@ -226,6 +226,10 @@ class TestSequenceReport:
         report = sequence_report([_const(0), _const(5)], [_const(16), _const(5)])
         table = report.to_table()
         assert "mean psnr" in table and "inf" in table
+        # an infinite PSNR takes the width of a finite one
+        assert table.splitlines()[1:3] == ["    0     256.00000     24.048", "    1       0.00000        inf"]
+        identical = sequence_report([_const(5)], [_const(5)]).to_table()
+        assert identical.endswith("mean psnr over finite frames: inf dB (1 identical frame(s))")
         porcelain = report.to_porcelain()
         assert "frame.0.mse=256.0" in porcelain
         assert "frame.1.psnr=inf" in porcelain

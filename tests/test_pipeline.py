@@ -18,6 +18,7 @@ from oracles import census_fields, column_peaks, decode_reference, mix_reference
 from ubssvc import (
     BANDS,
     CodecConfig,
+    ContainerError,
     EncodedSequence,
     MixingMatrix,
     RecoveryStats,
@@ -188,44 +189,45 @@ class TestAffineGrid:
 def _encoded_fields(quantization="float-container"):
     frames = synth.generate("sparse-detail", 9, 6, 4, seed=3)  # 2 blocks + 1 tail
     enc = encode_sequence(frames, CodecConfig(quantization=quantization))
-    names = ("matrix", "width", "height", "quantization", "scale", "offset", "mixed_codes", "tail_codes")
-    return {name: getattr(enc, name) for name in names}
+    return {name: getattr(enc, name) for name in ("matrix", "mixed_codes", "tail_codes")}
 
 
 class TestEncodedSequence:
+    def test_fields_are_the_matrix_and_codes(self):
+        assert [field.name for field in dataclasses.fields(EncodedSequence)] == ["matrix", "mixed_codes", "tail_codes"]
+        # the rest is read from them: frame size from the codes' shape, mode from their dtype
+        for quantization, grid in (("float-container", (0.0, 0.0)), ("affine-8bit", (1.75, 0.0))):
+            enc = EncodedSequence(**_encoded_fields(quantization))
+            assert (enc.width, enc.height, enc.quantization) == (6, 4, quantization)
+            assert (enc.scale, enc.offset) == grid
+            assert (enc.block_count, enc.source_count) == (2, 9)
+
     def test_rejects_float64_codes(self):
         fields = _encoded_fields()
-        with pytest.raises(ValueError, match="mixed_codes must be a float32 array"):
+        with pytest.raises(ValueError, match="mixed_codes must be a float32 or uint8 array"):
             EncodedSequence(**{**fields, "mixed_codes": fields["mixed_codes"].astype(np.float64)})
         with pytest.raises(ValueError, match="tail_codes must be a uint8 array"):
             EncodedSequence(**{**fields, "tail_codes": fields["tail_codes"].astype(np.float64)})
-        with pytest.raises(ValueError, match="mixed_codes must be a float32 array"):
+        with pytest.raises(ValueError, match="mixed_codes must be a float32 or uint8 array"):
             EncodedSequence(**{**fields, "mixed_codes": fields["mixed_codes"].tolist()})
-        # float codes are not the storage form of affine mode, nor uint8 codes of float mode
-        with pytest.raises(ValueError, match="mixed_codes must be a uint8 array"):
-            EncodedSequence(**{**fields, "quantization": "affine-8bit", "scale": 1.0})
-        affine = _encoded_fields("affine-8bit")
-        with pytest.raises(ValueError, match="mixed_codes must be a float32 array"):
-            EncodedSequence(**{**affine, "quantization": "float-container"})
-
-    def test_rejects_unknown_quantization(self):
-        with pytest.raises(ValueError, match="unknown quantization mode 'affine-16bit'"):
-            EncodedSequence(**{**_encoded_fields(), "quantization": "affine-16bit"})
+        # big-endian float32 is not the stored form
+        with pytest.raises(ValueError, match="mixed_codes must be a float32 or uint8 array"):
+            EncodedSequence(**{**fields, "mixed_codes": fields["mixed_codes"].astype(">f4")})
 
     def test_rejects_wrong_shape_codes(self):
         fields = _encoded_fields()
         mixed = fields["mixed_codes"]
         for bad in (mixed[0], mixed[None], mixed[:, :, :-1], mixed.reshape(6, 6, 4)):
-            with pytest.raises(ValueError, match="disagrees with header"):
+            with pytest.raises(ValueError, match="code shapes"):
                 EncodedSequence(**{**fields, "mixed_codes": bad})
-        with pytest.raises(ValueError, match="tail_codes shape"):
+        with pytest.raises(ValueError, match="code shapes"):
             EncodedSequence(**{**fields, "tail_codes": fields["tail_codes"][0]})
         with pytest.raises(ValueError, match="positive multiple of m"):
             EncodedSequence(**{**fields, "mixed_codes": mixed[:5]})
         with pytest.raises(ValueError, match="tail holds 4 frames"):
             EncodedSequence(**{**fields, "tail_codes": np.zeros((4, 4, 6), np.uint8)})
-        with pytest.raises(ValueError, match="must be positive"):
-            EncodedSequence(**{**fields, "width": 0, "mixed_codes": mixed[:, :, :0]})
+        with pytest.raises(ValueError, match="positive sides"):
+            EncodedSequence(**{**fields, "mixed_codes": mixed[:, :, :0], "tail_codes": fields["tail_codes"][:, :, :0]})
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_float32_codes(self, value):
@@ -235,13 +237,26 @@ class TestEncodedSequence:
         with pytest.raises(ValueError, match="finite"):
             EncodedSequence(**{**fields, "mixed_codes": codes})
 
-    def test_affine_parameters_must_map_into_float32_range(self):
-        fields = _encoded_fields("affine-8bit")
-        for scale, offset in ((np.nan, 0.0), (1.0, np.inf), (1e37, 0.0), (0.0, -1e39), (1e306, 1e307)):
-            with pytest.raises(ValueError, match="finite|float32 range"):
-                EncodedSequence(**{**fields, "scale": scale, "offset": offset})
-        f32_max = float(np.finfo(np.float32).max)
-        EncodedSequence(**{**fields, "scale": -f32_max / 255, "offset": 0.0})
+    def test_affine_grid_must_lie_in_float32_range(self, tmp_path):
+        # the default matrix x 1e37 puts code 255 at 4.5e39, past float32 range; x 1e35 at 4.5e37
+        frames = synth.generate("sparse-detail", 9, 6, 4, seed=3)
+        entries = default_mixing_matrix().entries
+        path = tmp_path / "big.ubss"
+        enc = encode_sequence(frames, CodecConfig(MixingMatrix(entries * 1e35), quantization="affine-8bit"))
+        assert pipeline_module.affine_grid(enc.matrix) == (enc.scale, enc.offset) and enc.scale > 1e35
+        write_container(enc, path)
+        assert np.array_equal(read_container(path).mixed_codes, enc.mixed_codes)
+        big = MixingMatrix(entries * 1e37)
+        with pytest.raises(ValueError, match="float32 range"):
+            encode_sequence(frames, CodecConfig(big, quantization="affine-8bit"))
+        with pytest.raises(ValueError, match="float32 range"):
+            EncodedSequence(**{**_encoded_fields("affine-8bit"), "matrix": big})
+        # the same container with the big matrix's entries in place of its own
+        data = bytearray(path.read_bytes())
+        data[39 : 39 + 96] = big.entries.astype("<f8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ContainerError, match="float32 range"):
+            read_container(path)
 
     def test_writable_codes_are_copied_and_frozen(self):
         fields = _encoded_fields()
@@ -679,11 +694,6 @@ class TestCellsWithZeroLowBand:
         codes[:, 0, :] += np.arange(6, dtype=np.float32)
         enc = EncodedSequence(
             matrix=CodecConfig().matrix,
-            width=6,
-            height=4,
-            quantization="float-container",
-            scale=0.0,
-            offset=0.0,
             mixed_codes=codes,
             tail_codes=np.zeros((1, 4, 6), dtype=np.uint8),
         )
@@ -882,11 +892,6 @@ class TestTiledDecode:
         codes[:, 12:] = rng.uniform(1.0, 2.0, size=(3, 4, 4)) * 1e30
         enc = EncodedSequence(
             matrix=CodecConfig().matrix,
-            width=4,
-            height=16,
-            quantization="float-container",
-            scale=0.0,
-            offset=0.0,
             mixed_codes=codes,
             tail_codes=np.zeros((0, 16, 4), dtype=np.uint8),
         )
@@ -915,11 +920,6 @@ class TestTiledDecode:
             calls.clear()
             enc = EncodedSequence(
                 matrix=CodecConfig().matrix,
-                width=shape[1],
-                height=shape[0],
-                quantization="affine-8bit",
-                scale=1.0,
-                offset=0.0,
                 mixed_codes=np.zeros((3, *shape), dtype=np.uint8),
                 tail_codes=np.zeros((0, *shape), dtype=np.uint8),
             )
@@ -1094,11 +1094,6 @@ class TestTiledDecode:
             shapes.clear()
             enc = EncodedSequence(
                 matrix=CodecConfig().matrix,
-                width=width,
-                height=height,
-                quantization="float-container",
-                scale=0.0,
-                offset=0.0,
                 mixed_codes=np.zeros((3 * blocks, height, width), dtype=np.float32),
                 tail_codes=np.zeros((0, height, width), dtype=np.uint8),
             )

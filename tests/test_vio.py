@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import os
 import stat
 import struct
@@ -245,6 +244,29 @@ class TestContainer:
         assert (back.scale, back.offset) == (enc.scale, enc.offset)
         assert _sequences_equal(back.mixed_codes, enc.mixed_codes)
 
+    def test_affine_data_grid_is_rejected(self, tmp_path):
+        # a stored scale of 1.52 is a grid read from the data, which the
+        # default matrix, whose grid is (1.75, 0.0), did not fix
+        enc = encode_sequence(synth.generate("sparse-detail", 8, 16, 12, seed=6), CodecConfig(quantization="affine-8bit"))
+        path = tmp_path / "seq8.ubss"
+        write_container(enc, path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, 23, 1.52)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ContainerError, match=r"\(1\.52, 0\.0\) are not \(1\.75, 0\.0\)"):
+            read_container(path)
+
+    @pytest.mark.parametrize("scale, offset", [(1.75, 0.0), (0.0, -1.0), (-0.0, np.nan)])
+    def test_float_container_grid_must_be_zeros(self, tmp_path, encoded, scale, offset):
+        _, enc = encoded
+        path = tmp_path / "x.ubss"
+        write_container(enc, path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<dd", data, 23, scale, offset)
+        path.write_bytes(bytes(data))
+        with pytest.raises(ContainerError, match=r"are not \(0\.0, 0\.0\)"):
+            read_container(path)
+
     def test_write_is_byte_deterministic(self, tmp_path, encoded):
         _, enc = encoded
         p1, p2 = tmp_path / "a.ubss", tmp_path / "b.ubss"
@@ -450,8 +472,9 @@ class TestRewrite:
         _, enc = encoded
         path = tmp_path / "seq.ubss"
         size = write_container(enc, path)
-        fields = {field.name: getattr(enc, field.name) for field in dataclasses.fields(enc)}
-        broken = SimpleNamespace(**{**fields, "tail_codes": _NoBuffer()})
+        # a stand-in with every attribute write_container reads, copied by name
+        names = ("matrix", "width", "height", "quantization", "scale", "offset", "mixed_codes", "tail_codes")
+        broken = SimpleNamespace(**{**{name: getattr(enc, name) for name in names}, "tail_codes": _NoBuffer()})
         with pytest.raises(TypeError):
             write_container(broken, path)
         # the old file had the new length and the header and mixed codes
