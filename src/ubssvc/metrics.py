@@ -1,8 +1,8 @@
 """Per-frame MSE / PSNR of two frame sequences in the 8-bit display domain.
 
 Both inputs are clamped to [0, 255] and rounded before comparison, matching
-the 255^2 peak in the PSNR definition. Identical frames get an infinite
-PSNR sentinel (``math.inf``), which compares greater than any finite value.
+the 255^2 peak in the PSNR definition. A report stores each frame's MSE
+only; an identical frame's PSNR is ``math.inf``, above any finite value.
 :func:`roundtrip_eval` encodes, decodes and scores; the codec imports nothing from here.
 """
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixcore import NOT_FINITE, _to_sequence, all_finite
+from .mixcore import NOT_FINITE, MixingMatrix, _to_sequence, all_finite
 from .pipeline import CodecConfig, _tasks, decode_sequence, encode_sequence
 from .sca import RecoveryStats
 
@@ -59,16 +59,24 @@ def _squared_error_sums(originals, reconstructions) -> np.ndarray:
     return sums
 
 
-def _psnr(mse: float) -> float:
-    return math.inf if mse == 0.0 else 10.0 * math.log10(PEAK_SQUARED / mse)
-
-
 @dataclass(frozen=True)
 class QualityReport:
+    """Each frame's MSE, which fixes the PSNRs, their mean over finite frames and the infinite count."""
+
     per_frame_mse: tuple[float, ...]
-    per_frame_psnr: tuple[float, ...]
-    mean_psnr: float
-    infinite_count: int
+
+    @property
+    def per_frame_psnr(self) -> tuple[float, ...]:
+        return tuple(math.inf if mse == 0.0 else 10.0 * math.log10(PEAK_SQUARED / mse) for mse in self.per_frame_mse)
+
+    @property
+    def mean_psnr(self) -> float:
+        finite = [p for p in self.per_frame_psnr if math.isfinite(p)]
+        return sum(finite) / len(finite) if finite else math.inf
+
+    @property
+    def infinite_count(self) -> int:
+        return self.per_frame_mse.count(0.0)
 
     def to_table(self) -> str:
         lines = [f"{'frame':>5}  {'mse':>12}  {'psnr_db':>9}"]
@@ -117,25 +125,28 @@ def sequence_report(originals, reconstructions) -> QualityReport:
             raise
         raise ValueError(NOT_FINITE) from None
     plane = originals[0].size
-    mses = tuple(float(total / plane) for total in _squared_error_sums(originals, reconstructions))
-    psnrs = tuple(_psnr(mse) for mse in mses)
-    finite = [p for p in psnrs if math.isfinite(p)]
-    mean = sum(finite) / len(finite) if finite else math.inf
-    return QualityReport(
-        per_frame_mse=mses,
-        per_frame_psnr=psnrs,
-        mean_psnr=mean,
-        infinite_count=len(psnrs) - len(finite),
-    )
+    return QualityReport(tuple(float(total / plane) for total in _squared_error_sums(originals, reconstructions)))
 
 
 @dataclass(frozen=True, eq=False)
 class RoundtripReport:
+    """The score and census of one round trip, with the matrix that fixes its frame counts."""
+
     quality: QualityReport
     recovery: RecoveryStats
-    source_count: int
-    mixed_count: int
-    tail_count: int
+    matrix: MixingMatrix
+
+    @property
+    def source_count(self) -> int:
+        return len(self.quality.per_frame_mse)
+
+    @property
+    def mixed_count(self) -> int:
+        return self.source_count // self.matrix.cols * self.matrix.rows
+
+    @property
+    def tail_count(self) -> int:
+        return self.source_count % self.matrix.cols
 
 
 def roundtrip_eval(frames, cfg: CodecConfig) -> RoundtripReport:
@@ -143,10 +154,4 @@ def roundtrip_eval(frames, cfg: CodecConfig) -> RoundtripReport:
     frames = _to_sequence(frames)
     enc = encode_sequence(frames, cfg)
     decoded, stats = decode_sequence(enc, cfg)
-    return RoundtripReport(
-        quality=sequence_report(frames, decoded),
-        recovery=stats,
-        source_count=len(frames),
-        mixed_count=len(enc.mixed_codes),
-        tail_count=len(enc.tail_codes),
-    )
+    return RoundtripReport(sequence_report(frames, decoded), stats, enc.matrix)

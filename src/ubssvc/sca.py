@@ -168,22 +168,26 @@ class RecoveryStats:
     several runs pool by adding their histograms, so the quantiles that
     :meth:`residual_quantiles` reads are bin-accurate, while the exact
     extremes stay exact.
-    ``group_residuals`` counts the residuals of each group in turn (one
-    group holding them all when not given).
+    ``group_residuals`` counts the residuals of each group in turn. Of the
+    column counts only ``zero_columns`` and ``forced_columns`` are stored:
+    each kept column has one residual in the histogram, so
+    ``total_columns`` and ``clean_columns`` are derived from its sum.
     """
 
-    total_columns: int
     zero_columns: int
-    clean_columns: int
     forced_columns: int
     histogram: np.ndarray
     lowest: float
     highest: float
-    group_residuals: np.ndarray | None = None
+    group_residuals: np.ndarray
 
-    def __post_init__(self):
-        if self.group_residuals is None:
-            object.__setattr__(self, "group_residuals", np.array([self.histogram.sum()]))
+    @property
+    def total_columns(self) -> int:
+        return self.zero_columns + int(self.histogram.sum())
+
+    @property
+    def clean_columns(self) -> int:
+        return int(self.histogram.sum()) - self.forced_columns
 
     def residual_quantiles(self) -> tuple[float, ...]:
         """The residuals at each percent of :data:`QUANTILE_PERCENTS`; empty when there are none.
@@ -209,19 +213,17 @@ class RecoveryStats:
         ``parts`` is read once, one part at a time, so a generator of
         censuses merges without holding them all.
         """
-        total = zero = clean = forced = 0
+        zero = forced = 0
         histogram = np.zeros(RESIDUAL_BINS, dtype=np.intp)
         lowest, highest = math.inf, -math.inf
         groups = [np.empty(0, dtype=np.intp)]
         for p in parts:
-            total += p.total_columns
             zero += p.zero_columns
-            clean += p.clean_columns
             forced += p.forced_columns
             histogram += p.histogram
             lowest, highest = min(lowest, p.lowest), max(highest, p.highest)
             groups.append(p.group_residuals)
-        return cls(total, zero, clean, forced, histogram, lowest, highest, np.concatenate(groups))
+        return cls(zero, forced, histogram, lowest, highest, np.concatenate(groups))
 
 
 def _bin_edge(b: int) -> float:
@@ -305,7 +307,6 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
     census = _census(relative)  # overwrites relative
     del relative
 
-    kept = best.size
     ends = active_cols.searchsorted(np.arange(math.prod(lead) + 1) * t)
     # each plane's columns in ascending order, gathered once into one run per
     # plane; numpy sorts one-byte labels by radix
@@ -322,14 +323,7 @@ def recover_block(planes: HyperplaneSet, mixed, tau: float, floor=0.0) -> tuple[
             for row, values in zip(index_set, _gemm(coefficients, xa[:, start:stop])):
                 recovered[row][cols] = values
 
-    stats = RecoveryStats(
-        total_columns=total,
-        zero_columns=total - kept,
-        clean_columns=kept - forced,
-        forced_columns=forced,
-        **census,
-        group_residuals=ends[1:] - ends[:-1],
-    )
+    stats = RecoveryStats(total - best.size, forced, **census, group_residuals=ends[1:] - ends[:-1])
     return recovered.reshape(planes.sources, *lead, t).transpose(*range(1, nd - 1), 0, nd - 1), stats
 
 

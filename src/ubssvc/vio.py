@@ -17,12 +17,13 @@ raw-planar dumps. Encoded streams persist in a little-endian container:
     ...          mixed frames (f32 planes, or u8 codes in affine mode)
     ...          tail frames (u8 planes)
 
-An :class:`~ubssvc.pipeline.EncodedSequence` is its matrix and its mixed
-and tail frames as these stored codes, which fix every other header field;
-a read refuses a scale and offset they do not fix. Writing a container
-copies the two code arrays out as they are, and reading one returns
-read-only views over the bytes read, so nothing is dequantized here. A
-sequence of frames is read into, and written from, one (count, height,
+An :class:`~ubssvc.pipeline.EncodedSequence` is its matrix and its mixed and
+tail frames as these stored codes, which fix every other header field; a
+read refuses a scale and offset whose bytes are not theirs (a -0.0 for 0.0
+too), so a container it accepts writes back byte for byte. Writing a
+container copies the two code arrays out as they are, and reading one
+returns read-only views over the bytes read, so nothing is dequantized here.
+A sequence of frames is read into, and written from, one (count, height,
 width) float64 array; read ones are read-only.
 
 Every file is written as ``open(path, "wb")`` would write it: the same
@@ -318,7 +319,7 @@ def read_container(path) -> EncodedSequence:
     try:
         shape = (height, width)
         enc = EncodedSequence(matrix, mixed.reshape(mixed_count, *shape), tail.reshape(tail_count, *shape))
-        if (scale, offset) != (grid := (enc.scale, enc.offset)):
+        if data[_HEADER.size - 16 : _HEADER.size] != struct.pack("<dd", *(grid := (enc.scale, enc.offset))):
             raise ValueError(f"stored scale, offset {(scale, offset)} are not {grid}, the grid of its matrix and mode")
     except ValueError as exc:
         raise ContainerError(f"{path}: inconsistent container: {exc}") from exc

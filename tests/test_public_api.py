@@ -1,11 +1,16 @@
 import ast
+import dataclasses
 import inspect
+import math
 import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import ubssvc
-from ubssvc import metrics, pipeline
+from ubssvc import metrics, pipeline, sca
 
 
 def test_every_exported_name_resolves():
@@ -46,3 +51,25 @@ def test_import_leaves_the_command_line_out():
     code = "import sys, ubssvc; print(ubssvc.__file__); print('ubssvc.cli' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.splitlines() == [ubssvc.__file__, "False"]
+
+
+def test_result_records_store_each_fact_once():
+    # the census and the two reports store only what nothing else fixes; the
+    # counts and PSNRs derived from those fields are read-only properties
+    stored = {
+        sca.RecoveryStats: ["zero_columns", "forced_columns", "histogram", "lowest", "highest", "group_residuals"],
+        metrics.QualityReport: ["per_frame_mse"],
+        metrics.RoundtripReport: ["quality", "recovery", "matrix"],
+    }
+    derived = {
+        sca.RecoveryStats: ["total_columns", "clean_columns"],
+        metrics.QualityReport: ["per_frame_psnr", "mean_psnr", "infinite_count"],
+        metrics.RoundtripReport: ["source_count", "mixed_count", "tail_count"],
+    }
+    for cls, names in stored.items():
+        fields = dataclasses.fields(cls)
+        assert [f.name for f in fields] == names
+        assert all(f.default is f.default_factory is dataclasses.MISSING for f in fields)
+        assert all(isinstance(getattr(cls, name), property) for name in derived[cls])
+    with pytest.raises(TypeError):
+        sca.RecoveryStats(0, 0, np.zeros(sca.RESIDUAL_BINS, dtype=np.intp), math.inf, -math.inf)

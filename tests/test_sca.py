@@ -54,9 +54,9 @@ def assert_census_within(stats, relative, atol):
 
 
 def census_of(values, zero=0) -> RecoveryStats:
-    """A census of the given residuals, all clean, beside ``zero`` zero columns."""
+    """A census of one group: the given residuals, all clean, beside ``zero`` zero columns."""
     values = np.array(values, dtype=np.float64)
-    return RecoveryStats(len(values) + zero, zero, len(values), 0, **_census(values))
+    return RecoveryStats(zero, 0, **_census(values), group_residuals=np.array([values.size]))
 
 
 def oracle_residuals(matrix, x) -> np.ndarray:
@@ -468,17 +468,20 @@ class TestRecoverDense:
 
 
 def test_recovery_stats_merge():
-    a = RecoveryStats(10, 2, 7, 1, **_census(np.array([0.1, 0.2])))
-    b = RecoveryStats(5, 0, 5, 0, **_census(np.array([0.3])))
+    # a: 10 columns, 2 zero and 8 kept in two groups, the 0.9 forced; b: 5 clean in one group
+    a_residuals, b_residuals = [0.1, 0.2, 0.2, 0.9, 0.2, 0.2, 0.2, 0.2], [0.3] * 5
+    a = RecoveryStats(2, 1, **_census(np.array(a_residuals)), group_residuals=np.array([3, 5]))
+    b = RecoveryStats(0, 0, **_census(np.array(b_residuals)), group_residuals=np.array([5]))
+    assert (a.total_columns, a.clean_columns, b.total_columns, b.clean_columns) == (10, 7, 5, 5)
     merged = RecoveryStats.merged(iter([a, b]))  # read once, part by part
     assert merged.total_columns == 15
     assert merged.zero_columns == 2
     assert merged.clean_columns == 12
     assert merged.forced_columns == 1
-    assert np.array_equal(merged.histogram, residual_histogram([0.1, 0.2, 0.3]))
-    assert (merged.lowest, merged.highest) == (0.1, 0.3)
-    # each census built without per-group counts is one group
-    assert merged.group_residuals.tolist() == [2, 1]
+    assert type(merged.total_columns) is type(merged.clean_columns) is int
+    assert np.array_equal(merged.histogram, residual_histogram(a_residuals + b_residuals))
+    assert (merged.lowest, merged.highest) == (0.1, 0.9)
+    assert merged.group_residuals.tolist() == [3, 5, 5]
     empty = RecoveryStats.merged([])
     assert empty.total_columns == 0 and empty.group_residuals.size == 0
     assert empty.histogram.shape == (RESIDUAL_BINS,) and not empty.histogram.any()

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ubssvc import (
@@ -244,19 +244,25 @@ class TestContainer:
         assert (back.scale, back.offset) == (enc.scale, enc.offset)
         assert _sequences_equal(back.mixed_codes, enc.mixed_codes)
 
-    def test_affine_data_grid_is_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "pos, value, stored",
+        [(23, 1.52, r"\(1\.52, 0\.0\)"), (31, -0.0, r"\(1\.75, -0\.0\)")],
+        ids=["scale-1.52", "offset-negative-zero"],
+    )
+    def test_affine_data_grid_is_rejected(self, tmp_path, pos, value, stored):
         # a stored scale of 1.52 is a grid read from the data, which the
-        # default matrix, whose grid is (1.75, 0.0), did not fix
+        # default matrix, whose grid is (1.75, 0.0), did not fix; a stored
+        # offset of -0.0 equals 0.0 but would write back as 0.0
         enc = encode_sequence(synth.generate("sparse-detail", 8, 16, 12, seed=6), CodecConfig(quantization="affine-8bit"))
         path = tmp_path / "seq8.ubss"
         write_container(enc, path)
         data = bytearray(path.read_bytes())
-        struct.pack_into("<d", data, 23, 1.52)
+        struct.pack_into("<d", data, pos, value)
         path.write_bytes(bytes(data))
-        with pytest.raises(ContainerError, match=r"\(1\.52, 0\.0\) are not \(1\.75, 0\.0\)"):
+        with pytest.raises(ContainerError, match=stored + r" are not \(1\.75, 0\.0\)"):
             read_container(path)
 
-    @pytest.mark.parametrize("scale, offset", [(1.75, 0.0), (0.0, -1.0), (-0.0, np.nan)])
+    @pytest.mark.parametrize("scale, offset", [(1.75, 0.0), (0.0, -1.0), (-0.0, np.nan), (-0.0, 0.0), (0.0, -0.0)])
     def test_float_container_grid_must_be_zeros(self, tmp_path, encoded, scale, offset):
         _, enc = encoded
         path = tmp_path / "x.ubss"
@@ -627,10 +633,19 @@ def mutated_containers(draw):
     return bytes(data)
 
 
+def _with_offset(quantization, offset) -> bytes:
+    """The base container with its stored offset replaced."""
+    data = bytearray(_base_container(quantization))
+    struct.pack_into("<d", data, 31, offset)
+    return bytes(data)
+
+
 # extreme matrix entries overflow the determinant and Gram checks, which then reject them
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(mutated_containers())
+@example(_with_offset("float-container", -0.0))  # equal to the grid's 0.0, but not its bytes
+@example(_with_offset("affine-8bit", -0.0))
 def test_mutated_container_decodes_or_raises_container_error(data):
     with tempfile.TemporaryDirectory() as work:
         path = os.path.join(work, "fuzz.ubss")
@@ -640,6 +655,11 @@ def test_mutated_container_decodes_or_raises_container_error(data):
             enc = read_container(path)
         except ContainerError:
             return
+        # every container read writes back byte for byte
+        back = os.path.join(work, "back.ubss")
+        write_container(enc, back)
+        with open(back, "rb") as fh:
+            assert fh.read() == data
     decoded, stats = decode_sequence(enc, CodecConfig(matrix=enc.matrix, quantization=enc.quantization))
     assert decoded.shape == (enc.source_count, enc.height, enc.width)
     assert np.isfinite(decoded).all()
